@@ -25,6 +25,7 @@
 use iluvatar_bench::{env_u64, pctl, print_table};
 use iluvatar_dispatch::{DispatchConfig, DispatchMode, PullPlane};
 use iluvatar_sync::clock::{Clock, ManualClock};
+use iluvatar_sync::fnv1a64;
 use rand::{Rng, SeedableRng, StdRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -42,15 +43,6 @@ const COLD_MS: u64 = 60;
 /// Push mode's load snapshot refresh period: routing decisions between
 /// refreshes act on stale queue lengths, exactly like a scraped signal.
 const STALE_MS: u64 = 250;
-
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Zipf-popular functions, Poisson arrivals, bimodal service times.
 fn workload(seed: u64, n_jobs: usize, n_fns: usize, mean_iat_ms: f64) -> Vec<Job> {
@@ -123,7 +115,7 @@ fn run_push(jobs: &[Job], n_workers: usize) -> Outcome {
         // Bounded load relative to the (stale) mean, as CH-BL specifies.
         let mean = stale_loads.iter().sum::<u64>() as f64 / n_workers as f64;
         let bound = (1.2 * mean).ceil().max(1.0) as u64;
-        let home = (fnv64(&format!("fn-{}", job.fqdn)) % n_workers as u64) as usize;
+        let home = (fnv1a64(format!("fn-{}", job.fqdn).as_bytes()) % n_workers as u64) as usize;
         let mut target = (0..n_workers)
             .map(|k| (home + k) % n_workers)
             .find(|&w| stale_loads[w] < bound);

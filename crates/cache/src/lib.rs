@@ -28,7 +28,7 @@
 //! can audit hit legality from the stream alone.
 
 use iluvatar_containers::FunctionSpec;
-use iluvatar_sync::{Clock, TimeMs};
+use iluvatar_sync::{fnv1a64, Clock, TimeMs};
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -206,25 +206,13 @@ pub struct ResultCache {
     telemetry: OnceLock<Arc<TelemetryBus>>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Tenant partition label when neither the call nor the registration names
 /// one.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// The explicit idempotency key: function, tenant, and argument hash.
 pub fn idempotency_key(fqdn: &str, tenant: &str, args: &str) -> String {
-    format!("{fqdn}@{tenant}#{:016x}", fnv64(args))
+    format!("{fqdn}@{tenant}#{:016x}", fnv1a64(args.as_bytes()))
 }
 
 impl ResultCache {

@@ -22,6 +22,7 @@
 //! absorbed.
 
 use iluvatar_containers::{BackendError, Container, ContainerBackend, FunctionSpec, InvokeOutput};
+use iluvatar_sync::{fnv1a64, splitmix64};
 use iluvatar_telemetry::{FlightRecorder, TelemetryBus, TelemetryKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,20 +183,11 @@ impl FaultStats {
     }
 }
 
-/// splitmix64 finalizer: stateless mixing for fault decisions.
-#[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a site name — folds the site into the decision hash.
-pub(crate) fn site_hash(site: &str) -> u64 {
-    site.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    })
+/// Uniform draw in `[0, 1)`, deterministic in `(seed, site, occurrence
+/// index)` — the stateless hash every probabilistic fault decision uses.
+pub(crate) fn decision_unit(seed: u64, site: &str, idx: u64) -> f64 {
+    let h = splitmix64(seed ^ fnv1a64(site.as_bytes()) ^ idx.wrapping_mul(0xA076_1D64_78BD_642F));
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 struct SiteState {
@@ -275,11 +267,7 @@ impl FaultPlan {
         let fire = if spec.scheduled(idx) {
             true
         } else if spec.prob > 0.0 {
-            let unit =
-                (mix(self.cfg.seed ^ site_hash(site) ^ idx.wrapping_mul(0xA076_1D64_78BD_642F))
-                    >> 11) as f64
-                    / (1u64 << 53) as f64;
-            unit < spec.prob
+            decision_unit(self.cfg.seed, site, idx) < spec.prob
         } else {
             false
         };

@@ -8,7 +8,7 @@
 //! function of `(seed, site, occurrence index)` — a failing chaos run can
 //! be replayed byte-for-byte from its seed.
 
-use crate::{mix, site_hash, FaultSpec, FaultStats};
+use crate::{decision_unit, FaultSpec, FaultStats};
 use iluvatar_sync::storage::{Storage, StorageFile};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -127,11 +127,7 @@ impl DiskFaultPlan {
         let fire = if spec.scheduled(idx) {
             true
         } else if spec.prob > 0.0 {
-            let unit =
-                (mix(self.cfg.seed ^ site_hash(site) ^ idx.wrapping_mul(0xA076_1D64_78BD_642F))
-                    >> 11) as f64
-                    / (1u64 << 53) as f64;
-            unit < spec.prob
+            decision_unit(self.cfg.seed, site, idx) < spec.prob
         } else {
             false
         };

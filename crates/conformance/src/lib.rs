@@ -30,6 +30,7 @@ pub mod checker;
 pub mod dispatch_model;
 pub mod drr_model;
 pub mod fleet_model;
+pub mod lockstep;
 pub mod online;
 pub mod wal_model;
 
@@ -39,6 +40,7 @@ pub use checker::{Checker, ConformanceReport, Violation};
 pub use dispatch_model::DispatchModel;
 pub use drr_model::DrrModel;
 pub use fleet_model::FleetModel;
+pub use lockstep::{DrrLockstep, Served};
 pub use online::CheckerSink;
 pub use wal_model::{InvState, WalModel};
 

@@ -4,104 +4,15 @@
 //! predicts, deficits must stay inside the quantum bound, and the weighted
 //! fairness audit (±10%) must hold over any backlogged window.
 
-use iluvatar_conformance::Checker;
-use iluvatar_core::queue::QueuedInvocation;
-use iluvatar_core::{DrrQueue, InvocationHandle};
-use iluvatar_telemetry::{TelemetryEvent, TelemetryKind};
+use iluvatar_conformance::{Checker, DrrLockstep};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 const QUANTUM: u64 = 50;
 const TENANTS: [(&str, f64); 3] = [("a", 1.0), ("b", 2.0), ("c", 4.0)];
 
-/// Real queue + strict checker lockstep harness. The checker re-derives the
-/// model's pop from the synthesized `wal:enqueued`/`wal:dequeued` stream,
-/// so any divergence between queue and model surfaces as a violation.
-struct Lockstep {
-    queue: DrrQueue,
-    checker: Checker,
-    seq: u64,
-    next_id: u64,
-    keep_alive: Vec<InvocationHandle>,
-    /// cost served per tenant, for the manual fairness cross-check.
-    served: BTreeMap<String, f64>,
-}
-
-impl Lockstep {
-    fn new() -> Self {
-        Self {
-            queue: DrrQueue::new(QUANTUM),
-            checker: Checker::new().with_drr_strict(QUANTUM as f64),
-            seq: 0,
-            next_id: 1,
-            keep_alive: Vec::new(),
-            served: BTreeMap::new(),
-        }
-    }
-
-    fn emit(&mut self, id: u64, tenant: &str, kind: TelemetryKind) {
-        self.seq += 1;
-        self.checker.ingest(&TelemetryEvent {
-            seq: self.seq,
-            at_ms: self.seq,
-            source: "drrdiff".to_string(),
-            trace_id: Some(id),
-            tenant: Some(tenant.to_string()),
-            kind,
-        });
-    }
-
-    fn push(&mut self, tenant: &str, weight: f64, cost: f64) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let (tx, handle) = InvocationHandle::pair();
-        self.keep_alive.push(handle);
-        self.emit(
-            id,
-            tenant,
-            TelemetryKind::Wal {
-                op: "enqueued".to_string(),
-                cost_ms: Some(cost),
-                weight: Some(weight),
-                ok: None,
-                throttled: None,
-            },
-        );
-        self.queue.push(QueuedInvocation {
-            fqdn: "f-1".to_string(),
-            args: String::new(),
-            trace_id: id,
-            arrived_at: id,
-            expected_exec_ms: cost,
-            iat_ms: 0.0,
-            expect_warm: true,
-            tenant: Some(tenant.to_string()),
-            tenant_weight: weight,
-            result_tx: tx,
-        });
-    }
-
-    /// Pop from the real queue; returns false when empty.
-    fn pop(&mut self) -> bool {
-        let Some(item) = self.queue.pop() else {
-            return false;
-        };
-        let tenant = item.tenant.clone().unwrap_or_default();
-        *self.served.entry(tenant.clone()).or_insert(0.0) += item.expected_exec_ms;
-        self.emit(item.trace_id, &tenant, TelemetryKind::wal("dequeued"));
-        self.emit(
-            item.trace_id,
-            &tenant,
-            TelemetryKind::Wal {
-                op: "completed".to_string(),
-                cost_ms: None,
-                weight: None,
-                ok: Some(true),
-                throttled: None,
-            },
-        );
-        true
-    }
+fn drain(sim: &mut DrrLockstep) {
+    while sim.pop().is_some() {}
 }
 
 proptest! {
@@ -111,7 +22,7 @@ proptest! {
     fn real_queue_stays_in_lockstep_with_model(
         cmds in proptest::collection::vec((0u8..10, 0u8..35), 20..200),
     ) {
-        let mut sim = Lockstep::new();
+        let mut sim = DrrLockstep::new(QUANTUM);
         for &(op, cost_sel) in &cmds {
             if op < 4 {
                 // ops 0..4 → push for tenant op%3; cost 5..40 ms.
@@ -121,8 +32,8 @@ proptest! {
                 sim.pop();
             }
         }
-        while sim.pop() {}
-        let report = sim.checker.finish();
+        drain(&mut sim);
+        let report = sim.finish();
         prop_assert!(
             report.ok(),
             "queue diverged from the DRR model: {:?}",
@@ -137,13 +48,13 @@ proptest! {
     fn drain_from_any_backlog_matches_model(
         backlog in proptest::collection::vec((0u8..3, 1u8..40), 1..120),
     ) {
-        let mut sim = Lockstep::new();
+        let mut sim = DrrLockstep::new(QUANTUM);
         for &(t_idx, cost) in &backlog {
             let (t, w) = TENANTS[t_idx as usize];
             sim.push(t, w, cost as f64);
         }
-        while sim.pop() {}
-        let report = sim.checker.finish();
+        drain(&mut sim);
+        let report = sim.finish();
         prop_assert!(report.ok(), "drain diverged: {:?}", report.violations);
         prop_assert_eq!(report.wal_pending.len(), 0, "drain left pending work");
     }
@@ -156,7 +67,7 @@ proptest! {
 #[test]
 fn backlogged_tenants_share_service_by_weight() {
     const COST: f64 = 10.0; // 5 pops per quantum·weight unit
-    let mut sim = Lockstep::new();
+    let mut sim = DrrLockstep::new(QUANTUM);
     for _ in 0..60 {
         for &(t, w) in &TENANTS {
             sim.push(t, w, COST);
@@ -164,13 +75,16 @@ fn backlogged_tenants_share_service_by_weight() {
     }
     // 3 full DRR rounds: (1+2+4) × quantum/cost = 35 pops per round.
     // Every tenant stays backlogged throughout (tenant a: 60 queued, 15 served).
+    // Cost served per tenant, for the manual fairness cross-check.
+    let mut served: BTreeMap<String, f64> = BTreeMap::new();
     for _ in 0..105 {
-        assert!(sim.pop(), "queue drained early");
+        let item = sim.pop().expect("queue drained early");
+        *served.entry(item.tenant).or_insert(0.0) += item.cost_ms;
     }
-    let total: f64 = sim.served.values().sum();
+    let total: f64 = served.values().sum();
     let weight_sum: f64 = TENANTS.iter().map(|&(_, w)| w).sum();
     for &(t, w) in &TENANTS {
-        let got = sim.served.get(t).copied().unwrap_or(0.0) / total;
+        let got = served.get(t).copied().unwrap_or(0.0) / total;
         let want = w / weight_sum;
         assert!(
             (got - want).abs() <= 0.10 * want,
@@ -179,8 +93,8 @@ fn backlogged_tenants_share_service_by_weight() {
             want * 100.0
         );
     }
-    while sim.pop() {}
-    let report = sim.checker.finish();
+    drain(&mut sim);
+    let report = sim.finish();
     assert!(
         report.ok(),
         "fairness audit failed: {:?}",
@@ -194,13 +108,13 @@ fn backlogged_tenants_share_service_by_weight() {
 /// the pathological shape explicit.
 #[test]
 fn tiny_costs_do_not_accumulate_deficit() {
-    let mut sim = Lockstep::new();
+    let mut sim = DrrLockstep::new(QUANTUM);
     for i in 0..200 {
         let (t, w) = TENANTS[i % 3];
         sim.push(t, w, 1.0);
     }
-    while sim.pop() {}
-    let report = sim.checker.finish();
+    drain(&mut sim);
+    let report = sim.finish();
     assert!(
         report.ok(),
         "deficit bound violated: {:?}",

@@ -4,21 +4,18 @@
 //! plane components". Here each invocation is minted a `trace_id` at ingest;
 //! every hot-path stage appends a timestamped [`TraceEvent`] to the
 //! invocation's [`TraceRecord`]. The journal is a lock-sharded, bounded ring
-//! buffer — recording is O(1) and old traces age out, so it is safe to leave
-//! on under sustained load. The worker serves records over `GET /trace/{id}`
-//! and `GET /traces?last=N`; the same id crosses the worker → agent HTTP hop
-//! as the `X-Iluvatar-Trace` header, tying agent-side time to the record.
+//! addressed by trace id — recording is O(1) and old traces age out, so it
+//! is safe to leave on under sustained load. The worker serves records over
+//! `GET /trace/{id}` and `GET /traces?last=N`; the same id crosses the worker
+//! → agent HTTP hop as the `X-Iluvatar-Trace` header, tying agent-side time
+//! to the record.
 
-use iluvatar_sync::{Clock, TimeMs};
+use iluvatar_sync::{Clock, Fnv1a, KeyedRing, TimeMs};
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind as TelKind};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Shards for the journal's ring buffers (power of two).
-const SHARDS: usize = 8;
 
 /// One stage of an invocation's passage through the control plane.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,22 +87,17 @@ impl TraceEventKind {
 pub fn journal_digest(records: &[TraceRecord]) -> u64 {
     let mut sorted: Vec<&TraceRecord> = records.iter().collect();
     sorted.sort_by_key(|r| r.trace_id);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for r in sorted {
-        eat(r.fqdn.as_bytes());
-        eat(b"|");
+        h.write(r.fqdn.as_bytes());
+        h.write(b"|");
         for e in &r.events {
-            eat(e.kind.label().as_bytes());
-            eat(b";");
+            h.write(e.kind.label().as_bytes());
+            h.write(b";");
         }
-        eat(b"\n");
+        h.write(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// A timestamped stage.
@@ -146,16 +138,11 @@ impl TraceRecord {
     }
 }
 
-struct Shard {
-    /// Ring of recent traces, oldest first.
-    ring: Mutex<VecDeque<Arc<Mutex<TraceRecord>>>>,
-}
-
 /// Bounded journal of recent invocation traces.
 pub struct TraceJournal {
-    shards: Vec<Shard>,
-    /// Per-shard capacity.
-    per_shard: usize,
+    /// Recent traces by id; each record has its own lock so stages of
+    /// different invocations never contend.
+    ring: KeyedRing<Arc<Mutex<TraceRecord>>>,
     next_id: AtomicU64,
     clock: Arc<dyn Clock>,
     /// Canonical stream mirror: every journaled stage is also emitted as
@@ -169,14 +156,8 @@ impl TraceJournal {
     /// offsets the id space so two workers' ids rarely collide (derive it
     /// from the worker name).
     pub fn new(capacity: usize, seed: u64, clock: Arc<dyn Clock>) -> Self {
-        let per_shard = (capacity / SHARDS).max(1);
         Self {
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    ring: Mutex::new(VecDeque::with_capacity(per_shard)),
-                })
-                .collect(),
-            per_shard,
+            ring: KeyedRing::new(capacity),
             // Spread seeds across the id space; low bits stay sequential.
             next_id: AtomicU64::new((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)) << 20 | 1),
             clock,
@@ -203,31 +184,26 @@ impl TraceJournal {
         }
     }
 
-    fn shard(&self, id: u64) -> &Shard {
-        &self.shards[(id as usize) & (SHARDS - 1)]
-    }
-
-    /// Mint a trace for a new invocation and record `Ingested`.
-    pub fn begin(&self, fqdn: &str) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    /// Open trace `id`'s timeline with `first` as its only event.
+    fn open(&self, id: u64, fqdn: &str, first: TraceEventKind) {
         let now = self.clock.now_ms();
-        let record = Arc::new(Mutex::new(TraceRecord {
+        let record = TraceRecord {
             trace_id: id,
             fqdn: fqdn.to_string(),
             ingest_ms: now,
             events: vec![TraceEvent {
                 at_ms: now,
-                kind: TraceEventKind::Ingested,
+                kind: first.clone(),
             }],
-        }));
-        {
-            let mut ring = self.shard(id).ring.lock();
-            if ring.len() == self.per_shard {
-                ring.pop_front();
-            }
-            ring.push_back(record);
-        }
-        self.mirror(id, &TraceEventKind::Ingested);
+        };
+        self.ring.insert(id, Arc::new(Mutex::new(record)));
+        self.mirror(id, &first);
+    }
+
+    /// Mint a trace for a new invocation and record `Ingested`.
+    pub fn begin(&self, fqdn: &str) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.open(id, fqdn, TraceEventKind::Ingested);
         id
     }
 
@@ -235,24 +211,7 @@ impl TraceJournal {
     /// opening its timeline with [`TraceEventKind::Recovered`] so replayed
     /// invocations are distinguishable from fresh ingests.
     pub fn begin_recovered(&self, id: u64, fqdn: &str) {
-        let now = self.clock.now_ms();
-        let record = Arc::new(Mutex::new(TraceRecord {
-            trace_id: id,
-            fqdn: fqdn.to_string(),
-            ingest_ms: now,
-            events: vec![TraceEvent {
-                at_ms: now,
-                kind: TraceEventKind::Recovered,
-            }],
-        }));
-        {
-            let mut ring = self.shard(id).ring.lock();
-            if ring.len() == self.per_shard {
-                ring.pop_front();
-            }
-            ring.push_back(record);
-        }
-        self.mirror(id, &TraceEventKind::Recovered);
+        self.open(id, fqdn, TraceEventKind::Recovered);
     }
 
     /// Ensure future minted ids are strictly greater than `floor` — called
@@ -264,11 +223,7 @@ impl TraceJournal {
 
     /// Append an event to trace `id`. A no-op if the trace has aged out.
     pub fn record(&self, id: u64, kind: TraceEventKind) {
-        let record = {
-            let ring = self.shard(id).ring.lock();
-            ring.iter().find(|r| r.lock().trace_id == id).cloned()
-        };
-        if let Some(r) = record {
+        if let Some(r) = self.ring.get(id) {
             self.mirror(id, &kind);
             r.lock().events.push(TraceEvent {
                 at_ms: self.clock.now_ms(),
@@ -279,20 +234,17 @@ impl TraceJournal {
 
     /// The full timeline of trace `id`, if still in the journal.
     pub fn get(&self, id: u64) -> Option<TraceRecord> {
-        let ring = self.shard(id).ring.lock();
-        ring.iter().find_map(|r| {
-            let r = r.lock();
-            (r.trace_id == id).then(|| r.clone())
-        })
+        self.ring.get(id).map(|r| r.lock().clone())
     }
 
     /// The most recent `n` traces, newest first.
     pub fn recent(&self, n: usize) -> Vec<TraceRecord> {
-        let mut out: Vec<TraceRecord> = Vec::new();
-        for shard in &self.shards {
-            let ring = shard.ring.lock();
-            out.extend(ring.iter().map(|r| r.lock().clone()));
-        }
+        let mut out: Vec<TraceRecord> = self
+            .ring
+            .values()
+            .iter()
+            .map(|r| r.lock().clone())
+            .collect();
         // Newest first by ingest time, trace id as the tiebreak. Sorting
         // by id alone is wrong across recoveries: replayed invocations
         // keep their (low) pre-crash ids while freshly minted ids sit far
@@ -305,11 +257,11 @@ impl TraceJournal {
 
     /// Traces currently held (bounded by capacity).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.ring.lock().len()).sum()
+        self.ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
     }
 }
 
@@ -384,7 +336,7 @@ mod tests {
         let j = TraceJournal::new(16, 1, SystemClock::shared());
         let first = j.begin("f-1");
         let ids: Vec<u64> = (0..200).map(|_| j.begin("f-1")).collect();
-        assert!(j.len() <= 16 + SHARDS, "len {} must stay bounded", j.len());
+        assert!(j.len() <= 16, "len {} must stay bounded", j.len());
         assert!(j.get(first).is_none(), "oldest trace must age out");
         // Recording into an aged-out trace is a silent no-op.
         j.record(first, TraceEventKind::Dequeued);

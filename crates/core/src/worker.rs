@@ -38,7 +38,7 @@ use iluvatar_containers::image::Platform;
 use iluvatar_containers::types::SharedContainer;
 use iluvatar_containers::{BackendError, ContainerBackend, FunctionSpec};
 use iluvatar_sync::storage::{RealStorage, Storage};
-use iluvatar_sync::{Backoff, BackoffConfig, Clock, TaskPool, TimeMs};
+use iluvatar_sync::{fnv1a64, Backoff, BackoffConfig, Clock, TaskPool, TimeMs};
 use iluvatar_telemetry::{
     CounterBridge, FlightRecorder, TelemetryBus, TelemetryKind, TelemetrySink,
 };
@@ -328,9 +328,7 @@ impl Worker {
         let policy = make_policy(cfg.keepalive, cfg.ttl_ms);
         // FNV-1a of the worker name seeds the trace id space, so ids from
         // different workers in one cluster rarely collide.
-        let trace_seed = cfg.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        });
+        let trace_seed = fnv1a64(cfg.name.as_bytes());
         let wal = cfg.lifecycle.wal_path.as_ref().and_then(|p| {
             Wal::open_with(
                 Path::new(p),

@@ -35,7 +35,7 @@
 
 use iluvatar_admission::{PriorityClass, TenantRegistry};
 use iluvatar_core::wal::{PendingInvocation, ReplayState, Wal, WalRecord};
-use iluvatar_sync::{Clock, TimeMs};
+use iluvatar_sync::{fnv1a64, Clock, TimeMs};
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind};
 use parking_lot::{Condvar, Mutex};
 use rand::{Rng, SeedableRng, StdRng};
@@ -217,45 +217,42 @@ impl std::fmt::Display for EnqueueError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Per-tenant-weighted FIFO set for one priority class: classic DRR with a
 /// unit task cost, so a weight-2 tenant drains twice as fast as a weight-1
 /// sibling while both are backlogged. Deterministic: tenants are visited
 /// in sorted order from a persistent cursor.
 #[derive(Default)]
 struct ClassQueue {
-    queues: BTreeMap<String, VecDeque<PullTask>>,
-    deficits: BTreeMap<String, f64>,
-    weights: BTreeMap<String, f64>,
+    lanes: BTreeMap<String, Lane>,
     cursor: usize,
     len: usize,
 }
 
+/// One tenant's FIFO with its DRR state.
+#[derive(Default)]
+struct Lane {
+    queue: VecDeque<PullTask>,
+    deficit: f64,
+    weight: f64,
+}
+
 impl ClassQueue {
+    /// The task's tenant lane, with the weight refreshed from the task.
+    fn lane(&mut self, task: &PullTask) -> &mut Lane {
+        let lane = self.lanes.entry(task.tenant_key().to_string()).or_default();
+        lane.weight = task.weight.max(0.05);
+        lane
+    }
+
     fn push_back(&mut self, task: PullTask) {
-        let t = task.tenant_key().to_string();
-        self.weights.insert(t.clone(), task.weight.max(0.05));
-        self.queues.entry(t).or_default().push_back(task);
+        self.lane(&task).queue.push_back(task);
         self.len += 1;
     }
 
     /// Requeue an expired lease's task at the front of its tenant lane so
     /// it does not lose its place behind later arrivals.
     fn push_front(&mut self, task: PullTask) {
-        let t = task.tenant_key().to_string();
-        self.weights.insert(t.clone(), task.weight.max(0.05));
-        self.queues.entry(t).or_default().push_front(task);
+        self.lane(&task).queue.push_front(task);
         self.len += 1;
     }
 
@@ -264,27 +261,25 @@ impl ClassQueue {
             return None;
         }
         loop {
-            let active: Vec<String> = self
-                .queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(t, _)| t.clone())
-                .collect();
-            debug_assert!(!active.is_empty());
-            let t = active[self.cursor % active.len()].clone();
-            let d = self.deficits.entry(t.clone()).or_insert(0.0);
-            if *d >= 1.0 {
-                *d -= 1.0;
-                let q = self.queues.get_mut(&t).expect("active tenant");
-                let task = q.pop_front().expect("non-empty lane");
-                if q.is_empty() {
+            // The cursor indexes the backlogged lanes in sorted order.
+            let active = self.lanes.values().filter(|l| !l.queue.is_empty()).count();
+            let lane = self
+                .lanes
+                .values_mut()
+                .filter(|l| !l.queue.is_empty())
+                .nth(self.cursor % active)
+                .expect("len > 0 means a backlogged lane");
+            if lane.deficit >= 1.0 {
+                lane.deficit -= 1.0;
+                let task = lane.queue.pop_front().expect("non-empty lane");
+                if lane.queue.is_empty() {
                     // Classic DRR: an emptied lane forfeits its deficit.
-                    self.deficits.insert(t, 0.0);
+                    lane.deficit = 0.0;
                 }
                 self.len -= 1;
                 return Some(task);
             }
-            *d += self.weights.get(&t).copied().unwrap_or(1.0);
+            lane.deficit += lane.weight;
             self.cursor = self.cursor.wrapping_add(1);
         }
     }
@@ -427,7 +422,7 @@ impl PullPlane {
     }
 
     fn home_of(workers: &[String], fqdn: &str) -> String {
-        workers[(fnv64(fqdn) % workers.len() as u64) as usize].clone()
+        workers[(fnv1a64(fqdn.as_bytes()) % workers.len() as u64) as usize].clone()
     }
 
     /// Accept one invocation into the pull queues. Returns the task id the

@@ -582,11 +582,10 @@ impl Cluster {
         let mut slots: Vec<RwLock<Option<Arc<dyn WorkerHandle>>>> = Vec::with_capacity(n);
         let mut names = Vec::with_capacity(n);
         let mut present = Vec::with_capacity(n);
-        for (i, w) in workers.iter().enumerate() {
+        for w in &workers {
             names.push(Mutex::new(w.name()));
             slots.push(RwLock::new(Some(Arc::clone(w))));
             present.push(AtomicBool::new(true));
-            let _ = i;
         }
         for i in workers.len()..n {
             names.push(Mutex::new(format!("slot-{i}")));

@@ -15,6 +15,7 @@
 //!   `deadline_ms` when a deadline is configured — later attempts are
 //!   clipped out rather than overshooting.
 
+use crate::hash::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// Retry/backoff policy knobs.
@@ -44,15 +45,6 @@ impl Default for BackoffConfig {
             deadline_ms: 0,
         }
     }
-}
-
-/// splitmix64: cheap, well-mixed stateless hash for deterministic jitter.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A seeded, deterministic backoff schedule.
@@ -91,8 +83,8 @@ impl Backoff {
             return nominal;
         }
         // Map the hash to [0, 1): the subtracted jitter fraction.
-        let unit = (mix(self.seed ^ (attempt as u64).wrapping_mul(0xA076_1D64_78BD_642F)) >> 11)
-            as f64
+        let unit = (splitmix64(self.seed ^ (attempt as u64).wrapping_mul(0xA076_1D64_78BD_642F))
+            >> 11) as f64
             / (1u64 << 53) as f64;
         let scale = 1.0 - j * unit;
         ((nominal as f64) * scale).floor() as u64

@@ -18,7 +18,9 @@ pub mod aimd;
 pub mod backoff;
 pub mod clock;
 pub mod forecast;
+pub mod hash;
 pub mod loghist;
+pub mod ring;
 pub mod semaphore;
 pub mod shardmap;
 pub mod stats;
@@ -30,7 +32,9 @@ pub use aimd::Aimd;
 pub use backoff::{Backoff, BackoffConfig};
 pub use clock::{Clock, ManualClock, SystemClock, TimeMs};
 pub use forecast::ArrivalForecaster;
+pub use hash::{fnv1a64, splitmix64, Fnv1a, SplitMix64};
 pub use loghist::LogHistogram;
+pub use ring::KeyedRing;
 pub use semaphore::{Semaphore, SemaphorePermit};
 pub use shardmap::ShardedMap;
 pub use stats::{ExpMovingAvg, Histogram, MovingWindow, Welford};

@@ -21,7 +21,7 @@
 //! * [`CounterBridge`] — per-kind (and per-tenant) counters bridged into
 //!   the Prometheus exposition;
 //! * [`VecSink`] — an unbounded collector for tests and the deterministic
-//!   `telemetry_session` digest.
+//!   `session --scenario telemetry` digest.
 //!
 //! Ordering contract: `seq` is strictly monotone *per source* (per bus).
 //! Events from different sources — or from different threads of one

@@ -1,6 +1,6 @@
 //! The flight recorder: a lock-sharded bounded ring of recent events.
 //!
-//! Kept always-on (recording is one shard lock plus a ring push), the
+//! Kept always-on (recording is one shard lock plus a ring insert), the
 //! recorder answers "what were the last N things this component did?"
 //! at the moment something went wrong. [`FlightRecorder::dump`] returns
 //! the live tail; [`FlightRecorder::snapshot`] freezes a copy — the
@@ -10,14 +10,9 @@
 
 use crate::event::TelemetryEvent;
 use crate::sink::TelemetrySink;
-use parking_lot::Mutex;
+use iluvatar_sync::KeyedRing;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Shards for the recorder's rings (power of two). Sharding by sequence
-/// number keeps concurrent emitters off each other's locks; the dump
-/// re-sorts, so shard assignment never leaks into what callers see.
-const SHARDS: usize = 8;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most frozen snapshots retained; older ones age out first.
 const MAX_SNAPSHOTS: usize = 16;
@@ -42,44 +37,34 @@ pub struct FlightDump {
     pub snapshots: Vec<FlightSnapshot>,
 }
 
-struct Shard {
-    ring: Mutex<VecDeque<TelemetryEvent>>,
-}
-
-/// Lock-sharded bounded ring of the last ~`capacity` events.
+/// Lock-sharded bounded ring of the last ~`capacity` events, keyed by
+/// sequence number so concurrent emitters stay off each other's locks.
 pub struct FlightRecorder {
-    shards: Vec<Shard>,
-    per_shard: usize,
-    snapshots: Mutex<VecDeque<FlightSnapshot>>,
+    events: KeyedRing<TelemetryEvent>,
+    /// Keyed (and ordered) by the snapshot counter.
+    snapshots: KeyedRing<(u64, FlightSnapshot)>,
+    snapshots_taken: AtomicU64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining roughly `capacity` recent events.
     pub fn new(capacity: usize) -> Self {
-        let per_shard = (capacity / SHARDS).max(1);
         Self {
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    ring: Mutex::new(VecDeque::with_capacity(per_shard)),
-                })
-                .collect(),
-            per_shard,
-            snapshots: Mutex::new(VecDeque::new()),
+            events: KeyedRing::new(capacity),
+            snapshots: KeyedRing::new(MAX_SNAPSHOTS),
+            snapshots_taken: AtomicU64::new(0),
         }
     }
 
     /// Events retained at most (across all shards).
     pub fn capacity(&self) -> usize {
-        self.per_shard * SHARDS
+        self.events.capacity()
     }
 
     /// The live tail, globally ordered oldest-first by `(at_ms, source,
     /// seq)` — shard assignment never shows.
     pub fn dump(&self) -> Vec<TelemetryEvent> {
-        let mut out: Vec<TelemetryEvent> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.ring.lock().iter().cloned());
-        }
+        let mut out = self.events.values();
         out.sort_by(|a, b| (a.at_ms, &a.source, a.seq).cmp(&(b.at_ms, &b.source, b.seq)));
         out
     }
@@ -92,17 +77,17 @@ impl FlightRecorder {
             reason: reason.to_string(),
             events: self.dump(),
         };
-        let mut snaps = self.snapshots.lock();
-        if snaps.len() == MAX_SNAPSHOTS {
-            snaps.pop_front();
-        }
-        snaps.push_back(snap.clone());
+        // Relaxed: the counter only numbers snapshots, it publishes nothing.
+        let n = self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
+        self.snapshots.insert(n, (n, snap.clone()));
         snap
     }
 
     /// Frozen snapshots, oldest first.
     pub fn snapshots(&self) -> Vec<FlightSnapshot> {
-        self.snapshots.lock().iter().cloned().collect()
+        let mut snaps = self.snapshots.values();
+        snaps.sort_by_key(|(n, _)| *n);
+        snaps.into_iter().map(|(_, s)| s).collect()
     }
 
     /// The full wire dump for `GET /debug/flightrecorder`.
@@ -117,12 +102,7 @@ impl FlightRecorder {
 
 impl TelemetrySink for FlightRecorder {
     fn emit(&self, ev: &TelemetryEvent) {
-        let shard = &self.shards[(ev.seq as usize) & (SHARDS - 1)];
-        let mut ring = shard.ring.lock();
-        if ring.len() == self.per_shard {
-            ring.pop_front();
-        }
-        ring.push_back(ev.clone());
+        self.events.insert(ev.seq, ev.clone());
     }
 }
 

@@ -15,137 +15,37 @@ cargo test --workspace -q
 echo "=== cargo clippy ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== chaos determinism (fixed seed, two runs) ==="
-# The seeded chaos session must replay bit-identically: same seed, same
-# journal digest. A mismatch means nondeterminism leaked into the retry /
-# fault path — the root cause of flaky chaos tests — so fail loudly.
-CHAOS_SEED=42
-digest_a=$(./target/release/chaos_session --seed "$CHAOS_SEED")
-digest_b=$(./target/release/chaos_session --seed "$CHAOS_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "chaos digests diverged for seed $CHAOS_SEED: $digest_a vs $digest_b" >&2
+echo "=== duplication guard (one session harness, one FNV-1a) ==="
+# The scaffolding lives in exactly one place: scenarios under src/session/
+# behind the single `session` binary, and the FNV offset basis spelled out
+# only by iluvatar_sync::hash (crates/perf is the benchmark's own island).
+if compgen -G 'src/bin/*_session.rs' >/dev/null; then
+    echo "per-scenario session bins are back: add a scenario to src/session/ instead" >&2
     exit 1
 fi
-echo "chaos digest stable: $digest_a"
+fnv_files=$(grep -rl 'cbf2_9ce4_8422_2325' src/ crates/ | grep -v '^crates/perf/' || true)
+if [[ $(wc -l <<<"$fnv_files") -gt 1 ]]; then
+    echo "FNV-1a is spelled out in more than one file; use iluvatar_sync::fnv1a64:" >&2
+    echo "$fnv_files" >&2
+    exit 1
+fi
 
-echo "=== admission determinism (fixed seed, two runs) ==="
-# Same contract for the multi-tenant path: the seeded admission session
-# (DRR drain order, virtual-time throttling, per-tenant served counts)
-# must replay bit-identically.
-ADMISSION_SEED=42
-digest_a=$(./target/release/admission_session --seed "$ADMISSION_SEED")
-digest_b=$(./target/release/admission_session --seed "$ADMISSION_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "admission digests diverged for seed $ADMISSION_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "admission digest stable: $digest_a"
-
-echo "=== lifecycle determinism (fixed seed, kill mid-trace, two runs) ==="
-# Crash recovery must converge: kill the worker at the same submission in
-# two runs and the post-recovery digest (accepted ids, tenant books,
-# completion totals) must match. The binary itself asserts zero loss of
-# accepted invocations; a digest mismatch here means crash timing leaked
-# into recovered state.
-LIFECYCLE_SEED=42
-digest_a=$(./target/release/lifecycle_session --seed "$LIFECYCLE_SEED" --kill-at 12)
-digest_b=$(./target/release/lifecycle_session --seed "$LIFECYCLE_SEED" --kill-at 12)
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "lifecycle digests diverged for seed $LIFECYCLE_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "lifecycle digest stable: $digest_a"
-
-echo "=== autoscale determinism (fixed seed, two runs) ==="
-# The elastic fleet must replay bit-identically: same seed, same scale
-# decisions, same fleet trajectory, same serve totals. The binary itself
-# asserts the burst contract (1 -> >=3 -> 1, zero dropped invocations); a
-# digest mismatch means worker spawn/drain timing leaked into the control
-# loop.
-AUTOSCALE_SEED=42
-digest_a=$(./target/release/autoscale_session --seed "$AUTOSCALE_SEED")
-digest_b=$(./target/release/autoscale_session --seed "$AUTOSCALE_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "autoscale digests diverged for seed $AUTOSCALE_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "autoscale digest stable: $digest_a"
-
-echo "=== telemetry determinism (fixed seed, two runs) ==="
-# The canonical telemetry stream must replay bit-identically: same seed,
-# same per-trace event sequences, same per-kind counts, same flight-
-# recorder snapshots. A mismatch means thread timing leaked into the
-# pipeline (e.g. digesting raw seqnos, which race across threads).
-TELEMETRY_SEED=42
-digest_a=$(./target/release/telemetry_session --seed "$TELEMETRY_SEED")
-digest_b=$(./target/release/telemetry_session --seed "$TELEMETRY_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "telemetry digests diverged for seed $TELEMETRY_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "telemetry digest stable: $digest_a"
-
-echo "=== conformance replay (fixed seed, two runs) ==="
-# Replays seeded chaos / crash-recovery / autoscale / DRR session streams
-# through the executable reference models (WAL, DRR, breaker, fleet). The
-# binary exits non-zero on any model violation, printing the first
-# offending event with its preceding context; the digest double-run
-# asserts the replay itself is deterministic.
-CONFORMANCE_SEED=42
-digest_a=$(./target/release/conformance_session --seed "$CONFORMANCE_SEED")
-digest_b=$(./target/release/conformance_session --seed "$CONFORMANCE_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "conformance digests diverged for seed $CONFORMANCE_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "conformance digest stable: $digest_a"
-
-echo "=== cache determinism (fixed seed, two runs) ==="
-# The result-cache session (two tenants, seeded repeat mix, invalidation
-# on re-registration, full stream through the conformance models) must
-# replay bit-identically. The binary itself asserts the >=80% repeat hit
-# rate, disjoint tenant partitions, and dispatched == misses + bypasses.
-CACHE_SEED=42
-digest_a=$(./target/release/cache_session --seed "$CACHE_SEED")
-digest_b=$(./target/release/cache_session --seed "$CACHE_SEED")
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "cache digests diverged for seed $CACHE_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "cache digest stable: $digest_a"
-
-echo "=== storage fault determinism (fixed seed, two runs) ==="
-# Drives the WAL through the full disk-fault menu — fsync failures, a torn
-# write, an ENOSPC window with degraded-mode re-arming, a 250ms stall shed,
-# and a mid-trace kill with a torn segment tail — with the conformance
-# checker riding the telemetry bus online. The binary itself asserts zero
-# model violations and zero lost accepted invocations; the double run
-# asserts the seeded fault schedule replays bit-identically.
-STORAGE_SEED=42
-digest_a=$(./target/release/storage_session --seed "$STORAGE_SEED" 2>/dev/null)
-digest_b=$(./target/release/storage_session --seed "$STORAGE_SEED" 2>/dev/null)
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "storage digests diverged for seed $STORAGE_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "storage digest stable: $digest_a"
-
-echo "=== dispatch determinism (fixed seed, mid-run worker kill, two runs) ==="
-# Pull-mode dispatch under a worker crash: two pull loops lease from one
-# WAL-backed plane, one is killed mid-flight, and its abandoned leases must
-# expire, requeue exactly once, and complete on the survivor. The binary
-# itself asserts zero lost accepted invocations, zero conformance
-# violations in the lease stream, and an empty WAL pending set; the digest
-# double-run asserts the accepted id/tenant map is a pure function of the
-# seed (which leases the crash strands must not leak in).
-DISPATCH_SEED=42
-digest_a=$(./target/release/dispatch_session --seed "$DISPATCH_SEED" 2>/dev/null)
-digest_b=$(./target/release/dispatch_session --seed "$DISPATCH_SEED" 2>/dev/null)
-if [[ "$digest_a" != "$digest_b" ]]; then
-    echo "dispatch digests diverged for seed $DISPATCH_SEED: $digest_a vs $digest_b" >&2
-    exit 1
-fi
-echo "dispatch digest stable: $digest_a"
+echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
+# Every seeded scenario must replay bit-identically: same seed, same
+# digest. --verify-determinism runs the scenario twice as fresh processes
+# and fails on a mismatch, which means thread timing, crash timing or a
+# wall clock leaked into digested state — the root cause of flaky tests.
+# Each scenario also asserts its own contract (zero lost invocations, zero
+# conformance violations, ...) and exits non-zero when it breaks.
+for s in $(./target/release/session --list); do
+    # Kill the worker at the same submission in both runs: the digest must
+    # not depend on which moment each in-flight invocation died at.
+    extra=""
+    [[ "$s" == lifecycle ]] && extra="--kill-at 12"
+    # shellcheck disable=SC2086  # $extra is zero or two words on purpose
+    digest=$(./target/release/session --scenario "$s" --seed 42 $extra --verify-determinism)
+    echo "$s digest stable: $digest"
+done
 
 echo "=== conformance mutation smoke (checker must catch seeded corruption) ==="
 # Flips one event in known-good streams (duplicate completion, dropped
@@ -155,7 +55,7 @@ echo "=== conformance mutation smoke (checker must catch seeded corruption) ==="
 # truncated segment) and requires the checker — or the frame scanner — to
 # flag each with the expected rule. A silent pass here means the checker
 # has gone blind and the replay gate above is vacuous.
-./target/release/conformance_session --mutate
+./target/release/session --scenario conformance --mutate
 
 echo "=== dispatch ablation (pull/hybrid p99 <= push p99) ==="
 # One seeded heavy-tailed workload through push (CH-BL with a stale load

@@ -28,6 +28,8 @@ pub use iluvatar_sim as sim;
 pub use iluvatar_sync as sync;
 pub use iluvatar_trace as trace;
 
+pub mod session;
+
 use iluvatar_baseline::OpenWhiskModel;
 use iluvatar_core::Worker;
 use iluvatar_trace::loadgen::InvokerTarget;

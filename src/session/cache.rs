@@ -1,6 +1,6 @@
-//! Result-cache session: a seeded two-tenant invocation mix through a real
-//! cluster with the balancer-side result cache attached, proving the
-//! tentpole's three promises and replaying bit-identically.
+//! Result cache: a seeded two-tenant invocation mix through a real cluster
+//! with the balancer-side result cache attached, proving its three
+//! promises and replaying bit-identically.
 //!
 //! * **Skip the worker** — phase 2 repeats phase-1 arguments; the repeated
 //!   phase must serve ≥80% from the cache, and dispatched totals must equal
@@ -12,68 +12,29 @@
 //!   drops its cached results for every tenant; the next lookups miss.
 //!
 //! The full canonical stream (dispatch + cache events on the balancer bus)
-//! rides through the conformance [`Checker`]: zero violations or exit 1.
-//!
-//! ```text
-//! cache_session [--seed n] [--time-scale f]
-//! ```
-//!
-//! Stdout carries exactly one line — the hex digest of the per-invocation
-//! status sequence, the per-tenant cache stats, the checker label counts,
-//! and the dispatch totals. Summary to stderr. `check.sh` runs this twice
-//! with the same seed and diffs stdout.
+//! rides through the conformance checker. The digest covers the
+//! per-invocation status sequence, the per-tenant cache stats, the checker
+//! label counts, and the dispatch totals.
 
+use super::{check, sim_worker, Args};
 use iluvatar_cache::{CacheConfig, CacheStatus, ResultCache};
 use iluvatar_conformance::Checker;
-use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
 use iluvatar_containers::FunctionSpec;
-use iluvatar_core::{TelemetryBus, TelemetrySink, Worker, WorkerConfig};
+use iluvatar_core::{TelemetryBus, TelemetrySink};
 use iluvatar_lb::cluster::WorkerHandle;
 use iluvatar_lb::{Cluster, LbPolicy};
-use iluvatar_sync::SystemClock;
+use iluvatar_sync::{Fnv1a, SystemClock};
 use iluvatar_telemetry::VecSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn fold(digest: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 const TENANTS: [&str; 2] = ["acme", "umbra"];
 const UNIQUE_ARGS: u64 = 4;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let time_scale: f64 = arg_value(&args, "--time-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
-
+pub fn run(args: &Args) -> u64 {
     let clock = SystemClock::shared();
-    let mk_worker = |name: &str| -> Arc<dyn WorkerHandle> {
-        let backend = Arc::new(SimBackend::new(
-            Arc::clone(&clock),
-            SimBackendConfig {
-                time_scale,
-                ..Default::default()
-            },
-        ));
-        let mut cfg = WorkerConfig::for_testing();
-        cfg.name = name.to_string();
-        Arc::new(Worker::new(cfg, backend, Arc::clone(&clock)))
-    };
+    let mk_worker = |name: &str| -> Arc<dyn WorkerHandle> { Arc::new(sim_worker(name, &clock)) };
     let cluster = Arc::new(Cluster::new(
         vec![mk_worker("w0"), mk_worker("w1")],
         LbPolicy::RoundRobin,
@@ -92,7 +53,7 @@ fn main() {
             tenant_max_entries: 16,
             ..Default::default()
         },
-        Arc::clone(&clock) as Arc<dyn iluvatar_sync::Clock>,
+        Arc::clone(&clock),
     ));
     cache.set_telemetry(bus);
     // Attach before registration so the cache sees every spec.
@@ -110,7 +71,7 @@ fn main() {
         cluster.register_all(s.clone()).expect("register");
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(args.seed);
     let mut statuses = String::new();
     let mut run = |fqdn: &str, args: &str, tenant: &str| -> CacheStatus {
         let (r, status) = cluster
@@ -190,8 +151,7 @@ fn main() {
     }
 
     // Hits never reached a worker: dispatch totals are misses + bypasses.
-    let snap = cluster.scrape();
-    let dispatched: u64 = snap.dispatched.iter().sum();
+    let dispatched: u64 = cluster.scrape().dispatched.iter().sum();
     let expected = p1_miss + TENANTS.len() as u64 + misses + TENANTS.len() as u64;
     assert_eq!(
         dispatched, expected,
@@ -199,42 +159,34 @@ fn main() {
     );
 
     // The whole stream through the conformance models.
-    let events = sink.events();
-    let mut checker = Checker::new().with_require_terminal(false);
-    for ev in &events {
-        checker.ingest(ev);
-    }
-    let report = checker.finish();
-    if !report.ok() {
-        eprintln!("cache_session: {} violation(s):", report.violations.len());
-        for v in &report.violations {
-            eprintln!("{v}");
-        }
-        std::process::exit(1);
-    }
+    let report = check(
+        "cache",
+        Checker::new().with_require_terminal(false),
+        &sink.events(),
+    );
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    fold(&mut digest, &statuses);
+    let mut digest = Fnv1a::new();
+    digest.write(statuses.as_bytes());
     let mut stats = cache.stats();
     stats.sort_by(|a, b| a.tenant.cmp(&b.tenant));
     for s in &stats {
-        fold(
-            &mut digest,
-            &format!(
+        digest.write(
+            format!(
                 "{}:{}:{}:{}:{}:{}:{};",
                 s.tenant, s.hits, s.misses, s.fills, s.evictions, s.invalidations, s.entries
-            ),
+            )
+            .as_bytes(),
         );
     }
     for (label, count) in &report.label_counts {
-        fold(&mut digest, &format!("{label}:{count};"));
+        digest.write(format!("{label}:{count};").as_bytes());
     }
-    fold(&mut digest, &format!("dispatched={dispatched};"));
+    digest.write(format!("dispatched={dispatched};").as_bytes());
 
     eprintln!(
-        "cache_session: phase1 misses={p1_miss}, phase2 hits={hits} misses={misses} \
+        "cache: phase1 misses={p1_miss}, phase2 hits={hits} misses={misses} \
          (rate {hit_rate:.2}), dispatched={dispatched}, {} events, 0 violations",
         report.events
     );
-    println!("{digest:016x}");
+    digest.finish()
 }

@@ -1,4 +1,4 @@
-//! Storage-fault session: drive a worker's write-ahead log through the full
+//! Storage faults: drive a worker's write-ahead log through the full
 //! disk-fault menu — fsync failures, a torn write, an ENOSPC window with
 //! degraded-mode re-arming, a 250 ms I/O stall, and a crash with a torn
 //! segment tail — and prove the storage layer's contract holds throughout:
@@ -21,59 +21,21 @@
 //!   conformance checker rides the telemetry bus *online* across both
 //!   incarnations; zero violations, zero lost accepted invocations.
 //!
-//! ```text
-//! storage_session [--seed n] [--time-scale f]
-//! ```
-//!
-//! Stdout carries exactly one line — the FNV digest of the session's
-//! schedule-independent material. `check.sh` diffs two runs.
+//! The digest folds each phase's schedule-independent material.
 
+use super::{expect_clean, sim_backend, tenant_books, Args, Scratch};
 use iluvatar_chaos::{DiskFaultPlanConfig, FaultSpec, FaultyStorage};
 use iluvatar_conformance::{Checker, CheckerSink};
-use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
-use iluvatar_containers::{ContainerBackend, FunctionSpec};
+use iluvatar_containers::FunctionSpec;
 use iluvatar_core::{
     wal, AdmissionConfig, InvokeError, LifecycleConfig, TelemetrySink, TenantSpec, WalConfig,
     WalRecord, Worker, WorkerConfig,
 };
-use iluvatar_sync::{RealStorage, Storage, SystemClock};
+use iluvatar_sync::{fnv1a64, Fnv1a, RealStorage, Storage, SystemClock};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(digest: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("iluvatar-storage-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("temp dir");
-    d
-}
-
-fn mk_backend(clock: &Arc<dyn iluvatar_sync::Clock>, time_scale: f64) -> Arc<dyn ContainerBackend> {
-    Arc::new(SimBackend::new(
-        Arc::clone(clock),
-        SimBackendConfig {
-            time_scale,
-            ..Default::default()
-        },
-    ))
-}
 
 fn base_cfg(wal_path: &str, wal: WalConfig) -> WorkerConfig {
     WorkerConfig {
@@ -96,6 +58,11 @@ fn spec() -> FunctionSpec {
     FunctionSpec::new("f", "1").with_timing(100, 300)
 }
 
+/// A disk that misbehaves per `plan`, over the real one.
+fn faulty(plan: DiskFaultPlanConfig) -> Arc<dyn Storage> {
+    Arc::new(FaultyStorage::new(Arc::new(RealStorage), plan))
+}
+
 /// All surviving segment bytes of the WAL at `base`, in replay order.
 fn wal_bytes(base: &Path) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -103,11 +70,6 @@ fn wal_bytes(base: &Path) -> Vec<u8> {
         bytes.extend_from_slice(&std::fs::read(&seg).unwrap_or_default());
     }
     bytes
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("storage_session: {msg}");
-    std::process::exit(1);
 }
 
 /// Serialized trace: each invocation completes before the next submits, so
@@ -119,30 +81,17 @@ fn run_serialized(worker: &Worker, n: usize, phase: &str) -> usize {
         let tenant = if i % 2 == 0 { "st-a" } else { "st-b" };
         match worker.invoke_tenant("f-1", &format!("{{\"i\":{i}}}"), Some(tenant)) {
             Ok(_) => ok += 1,
-            Err(e) => fail(&format!("{phase}: invocation {i} rejected: {e}")),
+            Err(e) => panic!("{phase}: invocation {i} rejected: {e}"),
         }
     }
     ok
 }
 
-fn books_part(worker: &Worker) -> String {
-    let mut tstats = worker.tenant_stats();
-    tstats.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    let mut part = String::new();
-    for t in &tstats {
-        part.push_str(&format!(
-            "{}:{}:{}:{}:{};",
-            t.tenant, t.admitted, t.throttled, t.shed, t.served
-        ));
-    }
-    part
-}
-
 // ---------------------------------------------------------------- phase P1
 
-fn phase_healthy(time_scale: f64) -> String {
-    let dir = temp_dir("p1");
-    let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
+fn phase_healthy() -> String {
+    let scratch = Scratch::new("storage-p1");
+    let wal_path = scratch.file("queue.wal");
     let clock = SystemClock::shared();
     let mut worker = Worker::new(
         base_cfg(
@@ -152,33 +101,29 @@ fn phase_healthy(time_scale: f64) -> String {
                 ..Default::default()
             },
         ),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         clock,
     );
     worker.register(spec()).expect("register");
     let ok = run_serialized(&worker, 8, "P1");
-    let part = format!("ok={ok};{}", books_part(&worker));
+    let part = format!("ok={ok};{}", tenant_books(&worker));
     worker.shutdown();
     eprintln!("P1 (baseline): {ok}/8 completed");
-    let _ = std::fs::remove_dir_all(&dir);
     part
 }
 
 // ---------------------------------------------------------------- phase P2
 
-fn phase_retry_ladder(seed: u64, time_scale: f64) -> String {
-    let dir = temp_dir("p2");
-    let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
+fn phase_retry_ladder(seed: u64) -> String {
+    let scratch = Scratch::new("storage-p2");
+    let wal_path = scratch.file("queue.wal");
     let clock = SystemClock::shared();
-    let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(
-        Arc::new(RealStorage),
-        DiskFaultPlanConfig {
-            seed,
-            fsync_fail: FaultSpec::every_nth(3),
-            write_torn: FaultSpec::on_occurrences(vec![4]),
-            ..Default::default()
-        },
-    ));
+    let storage = faulty(DiskFaultPlanConfig {
+        seed,
+        fsync_fail: FaultSpec::every_nth(3),
+        write_torn: FaultSpec::on_occurrences(vec![4]),
+        ..Default::default()
+    });
     let mut worker = Worker::new_with_storage(
         base_cfg(
             &wal_path,
@@ -188,7 +133,7 @@ fn phase_retry_ladder(seed: u64, time_scale: f64) -> String {
                 ..Default::default()
             },
         ),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         clock,
         storage,
     );
@@ -206,12 +151,9 @@ fn phase_retry_ladder(seed: u64, time_scale: f64) -> String {
     for rec in wal::dedup_records(&scan.records) {
         checker.ingest_wal_record("wal-file", rec);
     }
-    let report = checker.finish();
-    if !report.ok() {
-        fail(&format!("P2: model violations: {:?}", report.violations));
-    }
+    let report = expect_clean("storage/P2", checker.finish());
     if scan.corrupt_frames == 0 {
-        fail("P2: the torn write left no quarantined frame");
+        panic!("P2: the torn write left no quarantined frame");
     }
     let part = format!(
         "ok={ok};records={};corrupt={};torn={};rot={};violations={};",
@@ -227,26 +169,22 @@ fn phase_retry_ladder(seed: u64, time_scale: f64) -> String {
         scan.corrupt_frames,
         st.wal_rotations
     );
-    let _ = std::fs::remove_dir_all(&dir);
     part
 }
 
 // ---------------------------------------------------------------- phase P3
 
-fn phase_degrade_rearm(seed: u64, time_scale: f64) -> String {
-    let dir = temp_dir("p3");
-    let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
+fn phase_degrade_rearm(seed: u64) -> String {
+    let scratch = Scratch::new("storage-p3");
+    let wal_path = scratch.file("queue.wal");
     let clock = SystemClock::shared();
-    let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(
-        Arc::new(RealStorage),
-        DiskFaultPlanConfig {
-            seed,
-            // A contiguous ENOSPC window: every write from op 4 to op 120
-            // fails, deep enough to exhaust retry+rotate on every attempt.
-            write_fail: FaultSpec::on_occurrences((4..=120).collect()),
-            ..Default::default()
-        },
-    ));
+    let storage = faulty(DiskFaultPlanConfig {
+        seed,
+        // A contiguous ENOSPC window: every write from op 4 to op 120
+        // fails, deep enough to exhaust retry+rotate on every attempt.
+        write_fail: FaultSpec::on_occurrences((4..=120).collect()),
+        ..Default::default()
+    });
     let mut worker = Worker::new_with_storage(
         base_cfg(
             &wal_path,
@@ -258,7 +196,7 @@ fn phase_degrade_rearm(seed: u64, time_scale: f64) -> String {
                 ..Default::default()
             },
         ),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         clock,
         storage,
     );
@@ -278,7 +216,7 @@ fn phase_degrade_rearm(seed: u64, time_scale: f64) -> String {
         };
         match worker.invoke_tenant("f-1", &format!("{{\"i\":{rounds}}}"), Some(tenant)) {
             Ok(_) => completed += 1,
-            Err(e) => fail(&format!("P3: degraded mode must keep serving: {e}")),
+            Err(e) => panic!("P3: degraded mode must keep serving: {e}"),
         }
         let st = worker.status();
         if st.wal_degraded {
@@ -291,20 +229,20 @@ fn phase_degrade_rearm(seed: u64, time_scale: f64) -> String {
     }
     let st = worker.status();
     if !degraded_seen {
-        fail("P3: the ENOSPC window never forced degraded mode");
+        panic!("P3: the ENOSPC window never forced degraded mode");
     }
     if st.wal_degraded {
-        fail("P3: the WAL never re-armed after the window passed");
+        panic!("P3: the WAL never re-armed after the window passed");
     }
     if st.wal_non_durable == 0 {
-        fail("P3: degraded acceptance must be flagged non-durable");
+        panic!("P3: degraded acceptance must be flagged non-durable");
     }
     // A post-rearm probe must land durably again.
     if worker
         .invoke_tenant("f-1", "{\"probe\":1}", Some("st-a"))
         .is_err()
     {
-        fail("P3: post-rearm probe rejected");
+        panic!("P3: post-rearm probe rejected");
     }
     let part = format!(
         "degraded=1;rearmed=1;nondurable=1;served_all={};",
@@ -315,26 +253,22 @@ fn phase_degrade_rearm(seed: u64, time_scale: f64) -> String {
         st.wal_non_durable
     );
     worker.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
     part
 }
 
 // ---------------------------------------------------------------- phase P4
 
-fn phase_stall_shed(seed: u64, time_scale: f64) -> String {
-    let dir = temp_dir("p4");
-    let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
+fn phase_stall_shed(seed: u64) -> String {
+    let scratch = Scratch::new("storage-p4");
+    let wal_path = scratch.file("queue.wal");
     let clock = SystemClock::shared();
-    let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(
-        Arc::new(RealStorage),
-        DiskFaultPlanConfig {
-            seed,
-            // The very first fsync of the phase hangs for 250 ms.
-            fsync_stall: FaultSpec::on_occurrences(vec![0]),
-            stall_ms: 250,
-            ..Default::default()
-        },
-    ));
+    let storage = faulty(DiskFaultPlanConfig {
+        seed,
+        // The very first fsync of the phase hangs for 250 ms.
+        fsync_stall: FaultSpec::on_occurrences(vec![0]),
+        stall_ms: 250,
+        ..Default::default()
+    });
     let worker = Arc::new(Worker::new_with_storage(
         base_cfg(
             &wal_path,
@@ -344,7 +278,7 @@ fn phase_stall_shed(seed: u64, time_scale: f64) -> String {
                 ..Default::default()
             },
         ),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         clock,
         storage,
     ));
@@ -376,36 +310,32 @@ fn phase_stall_shed(seed: u64, time_scale: f64) -> String {
         .is_ok();
     let st = worker.status();
     if !shed_seen || st.wal_stall_sheds == 0 {
-        fail("P4: an append past the deadline must be shed with WalUnavailable");
+        panic!("P4: an append past the deadline must be shed with WalUnavailable");
     }
     if !helper_ok {
-        fail("P4: the stalled append itself must still land");
+        panic!("P4: the stalled append itself must still land");
     }
     if !after_ok {
-        fail("P4: service must resume after the stall clears");
+        panic!("P4: service must resume after the stall clears");
     }
     eprintln!(
         "P4 (stall shed): stalled append landed, mid-stall append shed ({} total), resumed",
         st.wal_stall_sheds
     );
-    let _ = std::fs::remove_dir_all(&dir);
     "stall_shed=1;helper=1;after=1;".to_string()
 }
 
 // ---------------------------------------------------------------- phase P5
 
-fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
-    let dir = temp_dir("p5");
-    let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
+fn phase_kill_recover(seed: u64) -> String {
+    let scratch = Scratch::new("storage-p5");
+    let wal_path = scratch.file("queue.wal");
     let clock = SystemClock::shared();
-    let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(
-        Arc::new(RealStorage),
-        DiskFaultPlanConfig {
-            seed,
-            fsync_fail: FaultSpec::every_nth(3),
-            ..Default::default()
-        },
-    ));
+    let storage = faulty(DiskFaultPlanConfig {
+        seed,
+        fsync_fail: FaultSpec::every_nth(3),
+        ..Default::default()
+    });
     let mk_cfg = || {
         base_cfg(
             &wal_path,
@@ -426,7 +356,7 @@ fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
 
     let mut worker = Worker::new_with_storage(
         mk_cfg(),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         Arc::clone(&clock),
         Arc::clone(&storage),
     );
@@ -465,25 +395,22 @@ fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
     // Bit-rot replay probe: a read-path flip must be quarantined, never
     // fatal — and it must not touch the on-disk bytes the real recovery
     // reads next.
-    let bitrot: Arc<dyn Storage> = Arc::new(FaultyStorage::new(
-        Arc::new(RealStorage),
-        DiskFaultPlanConfig {
-            seed,
-            read_bitrot: FaultSpec::every_nth(1),
-            ..Default::default()
-        },
-    ));
+    let bitrot = faulty(DiskFaultPlanConfig {
+        seed,
+        read_bitrot: FaultSpec::every_nth(1),
+        ..Default::default()
+    });
     let rotted = wal::replay_with(Path::new(&wal_path), bitrot.as_ref())
-        .unwrap_or_else(|e| fail(&format!("P5: bit-rot replay probe errored: {e}")));
+        .unwrap_or_else(|e| panic!("P5: bit-rot replay probe errored: {e}"));
     if rotted.corrupt_frames + rotted.torn_lines == 0 {
-        fail("P5: the bit-rot probe must quarantine at least one frame");
+        panic!("P5: the bit-rot probe must quarantine at least one frame");
     }
 
     // Clean replay: exactly the hand-torn tail is quarantined, and no
     // durably-completed id sits in the pending set.
     let replayed = wal::replay(Path::new(&wal_path)).expect("replay");
     if replayed.torn_lines == 0 {
-        fail("P5: the torn segment tail must be quarantined");
+        panic!("P5: the torn segment tail must be quarantined");
     }
     let scan = wal::scan_frames(&wal_bytes(Path::new(&wal_path)));
     let completed_ids: HashSet<u64> = scan
@@ -496,14 +423,14 @@ fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
         .collect();
     for p in &replayed.pending {
         if completed_ids.contains(&p.id) {
-            fail(&format!("P5: completed id {} resurrected", p.id));
+            panic!("P5: completed id {} resurrected", p.id);
         }
     }
 
     sink.note_restart("test-worker");
     let (recovered, rep) = Worker::recover_full(
         mk_cfg(),
-        mk_backend(&clock, time_scale),
+        sim_backend(&clock),
         clock,
         &[spec()],
         &[Arc::clone(&sink) as Arc<dyn TelemetrySink>],
@@ -511,27 +438,21 @@ fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
     );
     for (_id, handle) in rep.handles {
         if handle.wait().is_err() {
-            fail("P5: a replayed invocation failed");
+            panic!("P5: a replayed invocation failed");
         }
     }
     let st = recovered.status();
     if st.completed as usize != accepted {
-        fail(&format!(
+        panic!(
             "P5: lost accepted invocations: completed {} of {accepted}",
             st.completed
-        ));
+        );
     }
     if st.wal_quarantined == 0 {
-        fail("P5: recovery must surface the quarantined tail on /status");
+        panic!("P5: recovery must surface the quarantined tail on /status");
     }
     drop(recovered);
-    let report = sink.finish();
-    if !report.ok() {
-        fail(&format!(
-            "P5: online checker violations: {:?}",
-            report.violations
-        ));
-    }
+    let report = expect_clean("storage/P5", sink.finish());
     let part = format!(
         "accepted={accepted};completed={};violations={};torn_tail=1;bitrot=1;",
         st.completed,
@@ -541,34 +462,22 @@ fn phase_kill_recover(seed: u64, time_scale: f64) -> String {
         "P5 (kill/recover): accepted={accepted} replayed={} completed={} quarantined={} 0 violations",
         rep.replayed, st.completed, st.wal_quarantined
     );
-    let _ = std::fs::remove_dir_all(&dir);
     part
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let time_scale: f64 = arg_value(&args, "--time-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
-
+pub fn run(args: &Args) -> u64 {
+    let seed = args.seed;
     let parts = [
-        ("P1", phase_healthy(time_scale)),
-        ("P2", phase_retry_ladder(seed, time_scale)),
-        ("P3", phase_degrade_rearm(seed, time_scale)),
-        ("P4", phase_stall_shed(seed, time_scale)),
-        ("P5", phase_kill_recover(seed, time_scale)),
+        ("P1", phase_healthy()),
+        ("P2", phase_retry_ladder(seed)),
+        ("P3", phase_degrade_rearm(seed)),
+        ("P4", phase_stall_shed(seed)),
+        ("P5", phase_kill_recover(seed)),
     ];
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv1a::new();
     for (tag, part) in &parts {
-        let mut sub = FNV_OFFSET;
-        fold(&mut sub, part);
-        eprintln!("digest part {tag}: {sub:016x}");
-        fold(&mut digest, tag);
-        fold(&mut digest, ":");
-        fold(&mut digest, part);
+        eprintln!("digest part {tag}: {:016x}", fnv1a64(part.as_bytes()));
+        digest.write(format!("{tag}:{part}").as_bytes());
     }
-    println!("{digest:016x}");
+    digest.finish()
 }
