@@ -27,6 +27,14 @@
 //! carry the worker's latest canonical-telemetry sequence number in the
 //! `X-Iluvatar-Seq` header, so a caller can order its observation against
 //! the worker's event stream.
+//!
+//! This module is also the one home of the invoke wire contract shared by
+//! the worker routes, the balancer routes, [`WorkerApiClient`] and the
+//! balancer's `RemoteWorker`: [`InvokeBody`] with its tenant precedence
+//! ([`tenant_of`]), the `InvokeError` ↔ HTTP status table
+//! ([`InvokeError::http_status`] / [`InvokeError::from_http`]), and the JSON
+//! response helpers ([`json_resp`], [`error_json`], [`error_resp`],
+//! [`parse_body`]).
 
 use crate::breakdown::BreakdownReport;
 use crate::exposition;
@@ -34,10 +42,12 @@ use crate::invocation::{InvocationHandle, InvocationResult, InvokeError};
 use crate::journal::TraceRecord;
 use crate::spans::SpanExport;
 use crate::worker::{Worker, WorkerStatus};
+use iluvatar_admission::DEFAULT_TENANT;
 use iluvatar_containers::FunctionSpec;
 use iluvatar_http::server::{Handler, ServerHandle};
 use iluvatar_http::{
     HttpServer, Method, PooledClient, Request, Response, Status, CACHE_HEADER, SEQ_HEADER,
+    TENANT_HEADER,
 };
 use iluvatar_sync::ShardedMap;
 use iluvatar_telemetry::FlightDump;
@@ -47,15 +57,42 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+/// Body of `POST /invoke` and `POST /async_invoke`, on the worker and the
+/// balancer alike.
 #[derive(Serialize, Deserialize)]
-struct InvokeBody {
-    fqdn: String,
+pub struct InvokeBody {
+    pub fqdn: String,
     #[serde(default)]
-    args: String,
+    pub args: String,
     /// Tenant label for admission control; the `X-Iluvatar-Tenant` header
-    /// takes precedence when both are present.
+    /// takes precedence when both are present (see [`tenant_of`]).
     #[serde(default)]
-    tenant: Option<String>,
+    pub tenant: Option<String>,
+}
+
+impl InvokeBody {
+    /// The request a client sends for this invocation: the label rides both
+    /// the body and the `X-Iluvatar-Tenant` header (so proxies that only
+    /// forward headers still attribute correctly).
+    fn request(path: &str, fqdn: &str, args: &str, tenant: Option<&str>) -> Request {
+        let body = serde_json::to_vec(&InvokeBody {
+            fqdn: fqdn.into(),
+            args: args.into(),
+            tenant: tenant.map(str::to_string),
+        })
+        .expect("InvokeBody encodes");
+        let req = Request::new(Method::Post, path).with_body(body);
+        match tenant {
+            Some(t) => req.with_header(TENANT_HEADER, t),
+            None => req,
+        }
+    }
+}
+
+/// The tenant an invoke request is accounted to: the `X-Iluvatar-Tenant`
+/// header beats the body's `tenant` field.
+pub fn tenant_of<'a>(req: &'a Request, body: &'a InvokeBody) -> Option<&'a str> {
+    req.header(TENANT_HEADER).or(body.tenant.as_deref())
 }
 
 #[derive(Serialize, Deserialize)]
@@ -229,32 +266,80 @@ impl From<WorkerStatus> for WireStatus {
     }
 }
 
-fn json_resp(status: Status, body: String) -> Response {
+pub fn json_resp(status: Status, body: String) -> Response {
     Response::new(status)
         .with_header("Content-Type", "application/json")
         .with_body(body)
 }
 
-fn error_resp(e: &InvokeError, retry_after_secs: u64) -> Response {
-    let status = match e {
-        InvokeError::NotRegistered(_) => Status::NOT_FOUND,
-        InvokeError::QueueFull | InvokeError::NoResources => Status::TOO_MANY_REQUESTS,
-        InvokeError::Backend(_) => Status::INTERNAL_ERROR,
-        InvokeError::ShuttingDown => Status::SERVICE_UNAVAILABLE,
-        // A stalling or erroring disk is a worker-local condition: 503 +
-        // Retry-After (same format as draining) so the LB routes around it.
-        InvokeError::WalUnavailable => Status::SERVICE_UNAVAILABLE,
-        // Admission rejections are backpressure, like a full queue.
-        InvokeError::Throttled(_) | InvokeError::Shed(_) => Status::TOO_MANY_REQUESTS,
-    };
-    let resp = json_resp(status, format!("{{\"error\":{:?}}}", e.to_string()));
-    if status == Status::SERVICE_UNAVAILABLE {
-        // Draining/stopped/disk-stall: tell well-behaved clients when to
-        // come back.
-        resp.with_header("Retry-After", retry_after_secs.to_string())
-    } else {
-        resp
+/// `{"error": msg}` under `status` — the shape of every error body.
+pub fn error_json(status: Status, msg: &str) -> Response {
+    json_resp(status, format!("{{\"error\":{msg:?}}}"))
+}
+
+/// Parse a request's JSON body, or the 400 every route answers a bad one
+/// with.
+pub fn parse_body<T: Deserialize>(req: &Request) -> Result<T, Response> {
+    serde_json::from_str(std::str::from_utf8(&req.body).unwrap_or(""))
+        .map_err(|e| error_json(Status::BAD_REQUEST, &e.to_string()))
+}
+
+impl InvokeError {
+    /// The status an invocation failure travels as.
+    pub fn http_status(&self) -> Status {
+        match self {
+            InvokeError::NotRegistered(_) => Status::NOT_FOUND,
+            // Admission rejections are backpressure, like a full queue.
+            InvokeError::QueueFull
+            | InvokeError::NoResources
+            | InvokeError::Throttled(_)
+            | InvokeError::Shed(_) => Status::TOO_MANY_REQUESTS,
+            InvokeError::Backend(_) => Status::INTERNAL_ERROR,
+            // A stalling or erroring disk is a worker-local condition: 503
+            // (same as draining) so the LB routes around it.
+            InvokeError::ShuttingDown | InvokeError::WalUnavailable => Status::SERVICE_UNAVAILABLE,
+        }
     }
+
+    /// The return trip of [`InvokeError::http_status`], as far as a status
+    /// and an error body allow: 404 → `NotRegistered(fqdn)`; 503 →
+    /// `ShuttingDown` (draining, stopped and disk-stall all mean "route
+    /// around me"); 429 → `Throttled` / `Shed` when the body says so, with
+    /// the caller's tenant restored — admission verdicts are policy, which
+    /// the balancer must not reroute — else `QueueFull`; anything else →
+    /// `Backend`.
+    pub fn from_http(status: u16, body: &str, fqdn: &str, tenant: Option<&str>) -> Self {
+        let tenant = || tenant.unwrap_or(DEFAULT_TENANT).to_string();
+        match status {
+            404 => InvokeError::NotRegistered(fqdn.to_string()),
+            503 => InvokeError::ShuttingDown,
+            429 if body.contains("throttled") => InvokeError::Throttled(tenant()),
+            429 if body.contains("shed") => InvokeError::Shed(tenant()),
+            429 => InvokeError::QueueFull,
+            _ => InvokeError::Backend(format!("status {status}: {body}")),
+        }
+    }
+}
+
+/// The response an invocation failure travels as. A 503 carries
+/// `Retry-After` when the server has a hint (the worker's drain/disk-stall
+/// hint; the balancer has none), telling well-behaved clients when to come
+/// back.
+pub fn error_resp(e: &InvokeError, retry_after_secs: Option<u64>) -> Response {
+    let status = e.http_status();
+    let resp = error_json(status, &e.to_string());
+    match retry_after_secs {
+        Some(secs) if status == Status::SERVICE_UNAVAILABLE => {
+            resp.with_header("Retry-After", secs.to_string())
+        }
+        _ => resp,
+    }
+}
+
+/// A completed invocation as its `WireResult` JSON response.
+pub fn result_resp(r: InvocationResult) -> Response {
+    let wire: WireResult = r.into();
+    json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
 }
 
 /// The HTTP front-end of one worker.
@@ -295,13 +380,18 @@ fn route(
     own_handle: &Arc<OnceLock<ServerHandle>>,
     req: Request,
 ) -> Response {
-    let body = std::str::from_utf8(&req.body).unwrap_or("");
     // Strip the query string; only /traces uses one.
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (req.path.as_str(), ""),
     };
     let served = || own_handle.get().map(|h| h.served()).unwrap_or(0);
+    let invoke_err = |e: &InvokeError| {
+        error_resp(
+            e,
+            Some(worker.config().lifecycle.effective_retry_after_secs()),
+        )
+    };
     let resp = match (req.method, path) {
         (Method::Get, "/status") => {
             let mut wire: WireStatus = worker.status().into();
@@ -326,9 +416,9 @@ fn route(
         (Method::Get, p) if p.starts_with("/trace/") => match p["/trace/".len()..].parse::<u64>() {
             Ok(id) => match worker.trace(id) {
                 Some(r) => json_resp(Status::OK, serde_json::to_string(&r).unwrap()),
-                None => json_resp(Status::NOT_FOUND, "{\"error\":\"unknown trace\"}".into()),
+                None => error_json(Status::NOT_FOUND, "unknown trace"),
             },
-            Err(_) => json_resp(Status::BAD_REQUEST, "{\"error\":\"bad trace id\"}".into()),
+            Err(_) => error_json(Status::BAD_REQUEST, "bad trace id"),
         },
         (Method::Get, "/traces") => {
             let last = query
@@ -349,83 +439,46 @@ fn route(
             Status::OK,
             serde_json::to_string(&worker.flight_recorder().wire_dump()).unwrap(),
         ),
-        (Method::Post, "/register") => match serde_json::from_str::<FunctionSpec>(body) {
+        (Method::Post, "/register") => match parse_body::<FunctionSpec>(&req) {
             Ok(spec) => match worker.register(spec) {
                 Ok(reg) => json_resp(Status::OK, format!("{{\"fqdn\":{:?}}}", reg.spec.fqdn)),
-                Err(e) => json_resp(
-                    Status::BAD_REQUEST,
-                    format!("{{\"error\":{:?}}}", e.to_string()),
-                ),
+                Err(e) => error_json(Status::BAD_REQUEST, &e.to_string()),
             },
-            Err(e) => json_resp(
-                Status::BAD_REQUEST,
-                format!("{{\"error\":{:?}}}", e.to_string()),
-            ),
+            Err(bad) => bad,
         },
-        (Method::Post, "/invoke") => match serde_json::from_str::<InvokeBody>(body) {
-            Ok(b) => {
-                let tenant = req
-                    .header(iluvatar_http::TENANT_HEADER)
-                    .map(str::to_string)
-                    .or(b.tenant);
-                match worker.invoke_tenant_cached(&b.fqdn, &b.args, tenant.as_deref()) {
-                    Ok((r, cache)) => {
-                        let wire: WireResult = r.into();
-                        json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
-                            .with_header(CACHE_HEADER, cache.as_str())
-                    }
-                    Err(e) => {
-                        error_resp(&e, worker.config().lifecycle.effective_retry_after_secs())
-                    }
-                }
-            }
-            Err(e) => json_resp(
-                Status::BAD_REQUEST,
-                format!("{{\"error\":{:?}}}", e.to_string()),
-            ),
+        (Method::Post, "/invoke") => match parse_body::<InvokeBody>(&req) {
+            Ok(b) => match worker.invoke_tenant_cached(&b.fqdn, &b.args, tenant_of(&req, &b)) {
+                Ok((r, cache)) => result_resp(r).with_header(CACHE_HEADER, cache.as_str()),
+                Err(e) => invoke_err(&e),
+            },
+            Err(bad) => bad,
         },
-        (Method::Post, "/async_invoke") => match serde_json::from_str::<InvokeBody>(body) {
-            Ok(b) => {
-                let tenant = req
-                    .header(iluvatar_http::TENANT_HEADER)
-                    .map(str::to_string)
-                    .or(b.tenant);
-                match worker.async_invoke_tenant(&b.fqdn, &b.args, tenant.as_deref()) {
-                    Ok(handle) => {
-                        let cookie = cookie_seq.fetch_add(1, Ordering::Relaxed);
-                        pending.insert(cookie, handle);
-                        json_resp(Status::OK, format!("{{\"cookie\":{cookie}}}"))
-                    }
-                    Err(e) => {
-                        error_resp(&e, worker.config().lifecycle.effective_retry_after_secs())
-                    }
+        (Method::Post, "/async_invoke") => match parse_body::<InvokeBody>(&req) {
+            Ok(b) => match worker.async_invoke_tenant(&b.fqdn, &b.args, tenant_of(&req, &b)) {
+                Ok(handle) => {
+                    let cookie = cookie_seq.fetch_add(1, Ordering::Relaxed);
+                    pending.insert(cookie, handle);
+                    json_resp(Status::OK, format!("{{\"cookie\":{cookie}}}"))
                 }
-            }
-            Err(e) => json_resp(
-                Status::BAD_REQUEST,
-                format!("{{\"error\":{:?}}}", e.to_string()),
-            ),
+                Err(e) => invoke_err(&e),
+            },
+            Err(bad) => bad,
         },
         (Method::Get, path) if path.starts_with("/result/") => {
             match path["/result/".len()..].parse::<u64>() {
                 Ok(cookie) => match pending.remove(&cookie) {
                     Some(handle) => match handle.poll() {
-                        Some(Ok(r)) => {
-                            let wire: WireResult = r.into();
-                            json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
-                        }
-                        Some(Err(e)) => {
-                            error_resp(&e, worker.config().lifecycle.effective_retry_after_secs())
-                        }
+                        Some(Ok(r)) => result_resp(r),
+                        Some(Err(e)) => invoke_err(&e),
                         None => {
                             // Still in flight: put it back, report pending.
                             pending.insert(cookie, handle);
                             json_resp(Status::NOT_FOUND, "{\"pending\":true}".into())
                         }
                     },
-                    None => json_resp(Status::NOT_FOUND, "{\"error\":\"unknown cookie\"}".into()),
+                    None => error_json(Status::NOT_FOUND, "unknown cookie"),
                 },
-                Err(_) => json_resp(Status::BAD_REQUEST, "{\"error\":\"bad cookie\"}".into()),
+                Err(_) => error_json(Status::BAD_REQUEST, "bad cookie"),
             }
         }
         (Method::Post, "/drain") => {
@@ -440,15 +493,12 @@ fn route(
                 ),
             )
         }
-        (Method::Post, "/prewarm") => match serde_json::from_str::<PrewarmBody>(body) {
+        (Method::Post, "/prewarm") => match parse_body::<PrewarmBody>(&req) {
             Ok(b) => match worker.prewarm(&b.fqdn) {
                 Ok(()) => json_resp(Status::OK, "{}".into()),
-                Err(e) => error_resp(&e, worker.config().lifecycle.effective_retry_after_secs()),
+                Err(e) => invoke_err(&e),
             },
-            Err(e) => json_resp(
-                Status::BAD_REQUEST,
-                format!("{{\"error\":{:?}}}", e.to_string()),
-            ),
+            Err(bad) => bad,
         },
         _ => Response::new(Status::NOT_FOUND),
     };
@@ -554,6 +604,16 @@ impl WorkerApiClient {
         }
     }
 
+    /// Send `req`, require a success status, decode the JSON body.
+    fn fetch<T: Deserialize>(&self, req: Request) -> Result<T, ApiError> {
+        let resp = Self::expect_ok(self.call(req)?)?;
+        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+    }
+
+    fn get<T: Deserialize>(&self, path: impl Into<String>) -> Result<T, ApiError> {
+        self.fetch(Request::new(Method::Get, path))
+    }
+
     pub fn register(&self, spec: &FunctionSpec) -> Result<(), ApiError> {
         let req = Request::new(Method::Post, "/register")
             .with_body(serde_json::to_vec(spec).map_err(|e| ApiError::Decode(e.to_string()))?);
@@ -564,27 +624,14 @@ impl WorkerApiClient {
         self.invoke_tenant(fqdn, args, None)
     }
 
-    /// Invoke on behalf of a tenant: the label rides both the body and the
-    /// `X-Iluvatar-Tenant` header (so proxies that only forward headers
-    /// still attribute correctly).
+    /// Invoke on behalf of a tenant.
     pub fn invoke_tenant(
         &self,
         fqdn: &str,
         args: &str,
         tenant: Option<&str>,
     ) -> Result<WireResult, ApiError> {
-        let body = serde_json::to_vec(&InvokeBody {
-            fqdn: fqdn.into(),
-            args: args.into(),
-            tenant: tenant.map(str::to_string),
-        })
-        .map_err(|e| ApiError::Decode(e.to_string()))?;
-        let mut req = Request::new(Method::Post, "/invoke").with_body(body);
-        if let Some(t) = tenant {
-            req = req.with_header(iluvatar_http::TENANT_HEADER, t);
-        }
-        let resp = Self::expect_ok(self.call(req)?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.fetch(InvokeBody::request("/invoke", fqdn, args, tenant))
     }
 
     /// Submit without waiting; redeem with [`WorkerApiClient::result`].
@@ -599,24 +646,12 @@ impl WorkerApiClient {
         args: &str,
         tenant: Option<&str>,
     ) -> Result<u64, ApiError> {
-        let body = serde_json::to_vec(&InvokeBody {
-            fqdn: fqdn.into(),
-            args: args.into(),
-            tenant: tenant.map(str::to_string),
-        })
-        .map_err(|e| ApiError::Decode(e.to_string()))?;
-        let mut req = Request::new(Method::Post, "/async_invoke").with_body(body);
-        if let Some(t) = tenant {
-            req = req.with_header(iluvatar_http::TENANT_HEADER, t);
-        }
-        let resp = Self::expect_ok(self.call(req)?)?;
         #[derive(Deserialize)]
         struct Cookie {
             cookie: u64,
         }
-        serde_json::from_str::<Cookie>(resp.body_str())
+        self.fetch::<Cookie>(InvokeBody::request("/async_invoke", fqdn, args, tenant))
             .map(|c| c.cookie)
-            .map_err(|e| ApiError::Decode(e.to_string()))
     }
 
     /// Poll for an async result; `Ok(None)` while still pending.
@@ -634,14 +669,12 @@ impl WorkerApiClient {
     /// Ask the worker to stop accepting work and finish what it has.
     /// Returns the number of invocations still pending at request time.
     pub fn drain(&self) -> Result<u64, ApiError> {
-        let resp = Self::expect_ok(self.call(Request::new(Method::Post, "/drain"))?)?;
         #[derive(Deserialize)]
         struct DrainResp {
             drain_pending: u64,
         }
-        serde_json::from_str::<DrainResp>(resp.body_str())
+        self.fetch::<DrainResp>(Request::new(Method::Post, "/drain"))
             .map(|d| d.drain_pending)
-            .map_err(|e| ApiError::Decode(e.to_string()))
     }
 
     pub fn prewarm(&self, fqdn: &str) -> Result<(), ApiError> {
@@ -652,8 +685,7 @@ impl WorkerApiClient {
     }
 
     pub fn status(&self) -> Result<WireStatus, ApiError> {
-        let resp = Self::expect_ok(self.call(Request::new(Method::Get, "/status"))?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.get("/status")
     }
 
     /// The worker's Prometheus `/metrics` payload, verbatim.
@@ -664,8 +696,7 @@ impl WorkerApiClient {
 
     /// Span distributions for cluster aggregation.
     pub fn spans(&self) -> Result<Vec<SpanExport>, ApiError> {
-        let resp = Self::expect_ok(self.call(Request::new(Method::Get, "/spans"))?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.get("/spans")
     }
 
     /// One invocation's trace timeline; `Ok(None)` if it aged out.
@@ -682,21 +713,17 @@ impl WorkerApiClient {
 
     /// The `last` most recent traces, newest first.
     pub fn traces(&self, last: usize) -> Result<Vec<TraceRecord>, ApiError> {
-        let resp =
-            Self::expect_ok(self.call(Request::new(Method::Get, format!("/traces?last={last}")))?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.get(format!("/traces?last={last}"))
     }
 
     /// The worker's critical-path breakdown report.
     pub fn breakdown(&self) -> Result<BreakdownReport, ApiError> {
-        let resp = Self::expect_ok(self.call(Request::new(Method::Get, "/breakdown"))?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.get("/breakdown")
     }
 
     /// The worker's flight-recorder dump (recent events + frozen snapshots).
     pub fn flight_recorder(&self) -> Result<FlightDump, ApiError> {
-        let resp = Self::expect_ok(self.call(Request::new(Method::Get, "/debug/flightrecorder"))?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        self.get("/debug/flightrecorder")
     }
 }
 

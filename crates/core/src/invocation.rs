@@ -68,6 +68,22 @@ pub struct InvocationResult {
 }
 
 impl InvocationResult {
+    /// The result a cache hit is served as, on the worker and the balancer
+    /// alike: the original run's body and execution time, and zeros for
+    /// everything this serve skipped (no trace, queue, or container).
+    pub fn from_cache(hit: iluvatar_cache::CachedResult) -> Self {
+        Self {
+            body: hit.body,
+            exec_ms: hit.exec_ms,
+            e2e_ms: 0,
+            cold: false,
+            queue_ms: 0,
+            arrived_at: 0,
+            trace_id: 0,
+            tenant: Some(hit.tenant),
+        }
+    }
+
     /// Control-plane overhead: everything that was not function execution.
     pub fn overhead_ms(&self) -> u64 {
         self.e2e_ms.saturating_sub(self.exec_ms)

@@ -6,17 +6,16 @@
 //! records a span per component; aggregating them regenerates Table 1's
 //! latency breakdown.
 //!
-//! Span recording is two atomic adds plus two short lock-protected pushes on
-//! a pre-registered slot — cheap enough to leave on (unlike the paper's full
+//! Span recording is one short lock-protected histogram update on a
+//! pre-registered slot — cheap enough to leave on (unlike the paper's full
 //! tracing, which they disable by default for overhead reasons). Each span
-//! keeps both an exact recent [`MovingWindow`] and a mergeable
-//! [`LogHistogram`], so percentiles can be exported over the wire and
-//! aggregated across workers without shipping raw samples.
+//! is one mergeable [`LogHistogram`]: count, mean and percentiles all read
+//! from it, and it exports over the wire and aggregates across workers
+//! without shipping raw samples.
 
-use iluvatar_sync::{LogHistogram, MovingWindow, ShardedMap};
+use iluvatar_sync::{LogHistogram, ShardedMap};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,30 +53,27 @@ pub mod names {
     ];
 }
 
+#[derive(Default)]
 struct SpanStats {
-    count: AtomicU64,
-    total_us: AtomicU64,
-    window: Mutex<MovingWindow>,
     hist: Mutex<LogHistogram>,
 }
 
 impl SpanStats {
-    fn new() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            window: Mutex::new(MovingWindow::new(512)),
-            hist: Mutex::new(LogHistogram::new()),
-        }
-    }
-
     /// The single recording path: every way a sample enters a span —
     /// guard drop or external measurement — funnels through here.
     fn record(&self, us: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-        self.window.lock().push(us as f64);
         self.hist.lock().record(us);
+    }
+
+    /// `None` until the first sample.
+    fn summary(&self, name: &str) -> Option<SpanSummary> {
+        let h = self.hist.lock();
+        (!h.is_empty()).then(|| SpanSummary {
+            name: name.to_string(),
+            count: h.count(),
+            mean_ms: h.mean() / 1000.0,
+            p99_ms: h.percentile(0.99) / 1000.0,
+        })
     }
 }
 
@@ -88,7 +84,7 @@ pub struct SpanSummary {
     pub count: u64,
     /// Mean duration, ms.
     pub mean_ms: f64,
-    /// p99 over the recent window, ms.
+    /// p99, ms (within the histogram's relative error).
     pub p99_ms: f64,
 }
 
@@ -167,7 +163,7 @@ impl Spans {
             return s;
         }
         self.stats
-            .update_or_insert(name, || Arc::new(SpanStats::new()), |s| Arc::clone(s))
+            .update_or_insert(name, Arc::<SpanStats>::default, |s| Arc::clone(s))
     }
 
     /// Start timing `name`; the span records when the guard drops.
@@ -184,36 +180,13 @@ impl Spans {
     }
 
     pub fn summary(&self, name: &'static str) -> Option<SpanSummary> {
-        let s = self.stats.get(&name)?;
-        let count = s.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
-        let total_us = s.total_us.load(Ordering::Relaxed);
-        let p99_us = s.window.lock().percentile(0.99);
-        Some(SpanSummary {
-            name: name.to_string(),
-            count,
-            mean_ms: total_us as f64 / count as f64 / 1000.0,
-            p99_ms: p99_us / 1000.0,
-        })
+        self.stats.get(&name)?.summary(name)
     }
 
     /// All spans with at least one sample.
     pub fn all(&self) -> Vec<SpanSummary> {
         let mut out = Vec::new();
-        self.stats.for_each(|name, s| {
-            let count = s.count.load(Ordering::Relaxed);
-            if count > 0 {
-                let total_us = s.total_us.load(Ordering::Relaxed);
-                out.push(SpanSummary {
-                    name: name.to_string(),
-                    count,
-                    mean_ms: total_us as f64 / count as f64 / 1000.0,
-                    p99_ms: s.window.lock().percentile(0.99) / 1000.0,
-                });
-            }
-        });
+        self.stats.for_each(|name, s| out.extend(s.summary(name)));
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
@@ -223,13 +196,13 @@ impl Spans {
     pub fn export(&self) -> Vec<SpanExport> {
         let mut out = Vec::new();
         self.stats.for_each(|name, s| {
-            let count = s.count.load(Ordering::Relaxed);
-            if count > 0 {
+            let hist = s.hist.lock();
+            if !hist.is_empty() {
                 out.push(SpanExport {
                     name: name.to_string(),
-                    count,
-                    total_us: s.total_us.load(Ordering::Relaxed),
-                    hist: s.hist.lock().clone(),
+                    count: hist.count(),
+                    total_us: hist.sum(),
+                    hist: hist.clone(),
                 });
             }
         });

@@ -38,7 +38,7 @@ use iluvatar_containers::image::Platform;
 use iluvatar_containers::types::SharedContainer;
 use iluvatar_containers::{BackendError, ContainerBackend, FunctionSpec};
 use iluvatar_sync::storage::{RealStorage, Storage};
-use iluvatar_sync::{fnv1a64, Backoff, BackoffConfig, Clock, TaskPool, TimeMs};
+use iluvatar_sync::{fnv1a64, Backoff, BackoffConfig, Clock, SemaphorePermit, TaskPool, TimeMs};
 use iluvatar_telemetry::{
     CounterBridge, FlightRecorder, TelemetryBus, TelemetryKind, TelemetrySink,
 };
@@ -197,73 +197,315 @@ impl Shared {
         }
     }
 
-    /// Append to the WAL; trivially succeeds when journaling is disabled.
-    /// Every *landed* record is mirrored onto the telemetry stream (a
-    /// rejected or non-durable append is the WAL's verdict, not an event
-    /// that happened).
-    fn wal_append(&self, rec: &WalRecord) -> AppendOutcome {
-        match &self.wal {
-            Some(w) => {
-                let outcome = w.append(rec);
-                if outcome.is_landed() {
-                    // Mirror the record payload onto the event so stream
-                    // consumers (the conformance checker in particular) can
-                    // drive the WAL/DRR reference models without the file.
-                    let (tenant, cost_ms, weight, done_ok, throttled) = match rec {
-                        WalRecord::Enqueued { inv } => (
-                            inv.tenant.clone(),
-                            Some(inv.expected_exec_ms),
-                            Some(inv.tenant_weight),
-                            None,
-                            None,
-                        ),
-                        WalRecord::Completed { tenant, ok, .. } => {
-                            (tenant.clone(), None, None, Some(*ok), None)
-                        }
-                        WalRecord::Shed {
-                            tenant, throttled, ..
-                        } => (tenant.clone(), None, None, None, Some(*throttled)),
-                        _ => (None, None, None, None, None),
-                    };
-                    self.telemetry.emit(
-                        rec.trace_id(),
-                        tenant.as_deref(),
-                        TelemetryKind::Wal {
-                            op: rec.op_label().to_string(),
-                            cost_ms,
-                            weight,
-                            ok: done_ok,
-                            throttled,
-                        },
-                    );
+    /// Append to the WAL; trivially succeeds when journaling is disabled —
+    /// `rec` is only built when there is a log to write it to. Every
+    /// *landed* record is mirrored onto the telemetry stream (a rejected or
+    /// non-durable append is the WAL's verdict, not an event that happened).
+    fn wal_append(&self, rec: impl FnOnce() -> WalRecord) -> AppendOutcome {
+        let Some(w) = &self.wal else {
+            return AppendOutcome::Landed;
+        };
+        let rec = rec();
+        let outcome = w.append(&rec);
+        if outcome.is_landed() {
+            // Mirror the record payload onto the event so stream consumers
+            // (the conformance checker in particular) can drive the WAL/DRR
+            // reference models without the file.
+            let (tenant, cost_ms, weight, done_ok, throttled) = match &rec {
+                WalRecord::Enqueued { inv } => (
+                    inv.tenant.clone(),
+                    Some(inv.expected_exec_ms),
+                    Some(inv.tenant_weight),
+                    None,
+                    None,
+                ),
+                WalRecord::Completed { tenant, ok, .. } => {
+                    (tenant.clone(), None, None, Some(*ok), None)
                 }
-                outcome
-            }
-            None => AppendOutcome::Landed,
+                WalRecord::Shed {
+                    tenant, throttled, ..
+                } => (tenant.clone(), None, None, None, Some(*throttled)),
+                _ => (None, None, None, None, None),
+            };
+            self.telemetry.emit(
+                rec.trace_id(),
+                tenant.as_deref(),
+                TelemetryKind::Wal {
+                    op: rec.op_label().to_string(),
+                    cost_ms,
+                    weight,
+                    ok: done_ok,
+                    throttled,
+                },
+            );
         }
+        outcome
     }
 
-    /// Map a rejected acceptance-path append to the caller-facing error:
+    /// The durable-accept step: an invocation is *accepted* only once its
+    /// `Enqueued` record is durable (or explicitly flagged non-durable in
+    /// degraded mode), so a crash can never silently lose an accepted
+    /// invocation. A bypassed invocation is logged as enqueued+dequeued in
+    /// one record. A rejected append maps to the caller-facing error:
     /// stall/ladder rejections become `WalUnavailable` (503 + Retry-After,
     /// so the balancer routes around the failing disk); a poisoned log
     /// keeps its crash-simulation semantics.
-    fn wal_reject(&self, outcome: AppendOutcome) -> InvokeError {
+    fn wal_accept(&self, item: &QueuedInvocation, dequeued: bool) -> Result<(), InvokeError> {
+        let outcome = self.wal_append(|| WalRecord::Enqueued {
+            inv: PendingInvocation {
+                id: item.trace_id,
+                fqdn: item.fqdn.clone(),
+                args: item.args.clone(),
+                tenant: item.tenant.clone(),
+                tenant_weight: item.tenant_weight,
+                arrived_at: item.arrived_at,
+                expected_exec_ms: item.expected_exec_ms,
+                iat_ms: item.iat_ms,
+                expect_warm: item.expect_warm,
+                dequeued,
+            },
+        });
         match outcome {
+            AppendOutcome::NotDurable => {
+                self.wal_non_durable.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            o if o.accepted() => Ok(()),
             AppendOutcome::Stalled => {
                 self.wal_stall_shed.fetch_add(1, Ordering::Relaxed);
-                InvokeError::WalUnavailable
+                Err(InvokeError::WalUnavailable)
             }
-            AppendOutcome::Unavailable => InvokeError::WalUnavailable,
-            _ => InvokeError::ShuttingDown,
+            AppendOutcome::Unavailable => Err(InvokeError::WalUnavailable),
+            _ => Err(InvokeError::ShuttingDown),
         }
     }
 
-    /// Book an accepted enqueue append; true when the caller may proceed.
-    fn wal_accepted(&self, outcome: AppendOutcome) -> bool {
-        if outcome == AppendOutcome::NotDurable {
-            self.wal_non_durable.fetch_add(1, Ordering::Relaxed);
+    /// Stage 1 — admit: lifecycle gate, registration lookup, tenant
+    /// resolution, admission control (with the one reject path), arrival
+    /// bookkeeping, and the trace mint.
+    fn admit<'a>(
+        &self,
+        fqdn: &'a str,
+        args: &'a str,
+        tenant: Option<&str>,
+    ) -> Result<Arrival<'a>, InvokeError> {
+        if self.shutdown.load(Ordering::Relaxed)
+            || self.lifecycle.load(Ordering::Relaxed) != LIFECYCLE_RUNNING
+        {
+            return Err(InvokeError::ShuttingDown);
         }
-        outcome.accepted()
+        let now = self.clock.now_ms();
+        let reg = self
+            .registry
+            .get(fqdn)
+            .ok_or_else(|| InvokeError::NotRegistered(fqdn.to_string()))?;
+        // Tenant resolution: explicit label → registration default → None
+        // (accounted to the platform default tenant when admission is on).
+        let tenant: Option<String> = tenant
+            .map(|t| t.to_string())
+            .or_else(|| reg.spec.tenant.clone());
+        let mut tenant_weight = 1.0;
+        if self.admission.enabled() {
+            let tname = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+            tenant_weight = self.admission.weight_of(tname);
+            let queue_delay = self.last_queue_delay_ms.load(Ordering::Relaxed);
+            let verdict = self.admission.admit(tname, queue_delay);
+            if verdict != AdmissionDecision::Admit {
+                let throttled = verdict == AdmissionDecision::Throttled;
+                let id = self.journal.begin(fqdn);
+                self.journal.record(
+                    id,
+                    if throttled {
+                        TraceEventKind::TenantThrottled
+                    } else {
+                        TraceEventKind::AdmissionRejected
+                    },
+                );
+                self.journal
+                    .record(id, TraceEventKind::ResultReturned { ok: false });
+                let _ = self.wal_append(|| WalRecord::Shed {
+                    id,
+                    tenant: Some(tname.to_string()),
+                    throttled,
+                });
+                return Err(if throttled {
+                    InvokeError::Throttled(tname.to_string())
+                } else {
+                    InvokeError::Shed(tname.to_string())
+                });
+            }
+        }
+        self.chars.on_arrival(fqdn, now);
+        self.pool.note_arrival(fqdn);
+        self.chars.on_memory(fqdn, reg.spec.limits.memory_mb);
+        let expect_warm = self.pool.idle_count(fqdn) > 0;
+        Ok(Arrival {
+            fqdn,
+            args,
+            tenant,
+            tenant_weight,
+            arrived_at: now,
+            expected_exec_ms: self.chars.expected_exec_ms(fqdn, expect_warm),
+            iat_ms: self.chars.mean_iat_ms(fqdn),
+            expect_warm,
+            // Mint the end-to-end trace at ingest; every later stage appends
+            // to this timeline, and the id crosses the agent hop as a header.
+            id: self.journal.begin(fqdn),
+        })
+    }
+
+    /// Queue bypass (§4.1): short functions run immediately when load
+    /// allows and a run slot is free right now.
+    fn route(&self, expected_exec_ms: f64) -> Route {
+        if self
+            .queue
+            .should_bypass(expected_exec_ms, self.normalized_load())
+        {
+            if let Some(permit) = self.regulator.try_acquire() {
+                return Route::Bypass(permit);
+            }
+        }
+        Route::Queue
+    }
+
+    /// Stage 2 — accept: build the queue item, make it durable, then hand
+    /// it to the queue or (bypass) straight to a run thread.
+    fn accept(
+        self: &Arc<Self>,
+        a: Arrival<'_>,
+        route: Route,
+    ) -> Result<InvocationHandle, InvokeError> {
+        let bypass = matches!(route, Route::Bypass(_));
+        let enq = (!bypass).then(|| self.spans.time(names::ENQUEUE_INVOCATION));
+        let (tx, handle) = InvocationHandle::pair();
+        let id = a.id;
+        let item = QueuedInvocation {
+            fqdn: a.fqdn.to_string(),
+            args: a.args.to_string(),
+            trace_id: id,
+            arrived_at: a.arrived_at,
+            expected_exec_ms: a.expected_exec_ms,
+            iat_ms: a.iat_ms,
+            expect_warm: a.expect_warm,
+            tenant: a.tenant,
+            tenant_weight: a.tenant_weight,
+            result_tx: tx,
+        };
+        // A recovered item is already durable in the replayed prefix.
+        if !matches!(route, Route::Recovered) {
+            if let Err(e) = self.wal_accept(&item, bypass) {
+                drop(enq);
+                self.journal
+                    .record(id, TraceEventKind::ResultReturned { ok: false });
+                return Err(e);
+            }
+        }
+        if let Route::Bypass(permit) = route {
+            self.queue.note_bypass();
+            self.journal.record(id, TraceEventKind::Bypassed);
+            let dequeued_at = item.arrived_at;
+            self.spawn_run(item, dequeued_at, permit);
+            return Ok(handle);
+        }
+        // Journal `Enqueued` before the push: once the item is in the queue
+        // the dispatch loop races us, and a `Dequeued` landing first would
+        // scramble the timeline (and the deterministic journal digest). On
+        // the rare rejected push the event is immediately contradicted by
+        // `ResultReturned(false)`, which reads fine.
+        self.journal.record(id, TraceEventKind::Enqueued);
+        let push = {
+            let _g = self.spans.time(names::ADD_ITEM_TO_Q);
+            self.queue.push(item)
+        };
+        drop(enq);
+        let err = match push {
+            Ok(()) => return Ok(handle),
+            Err(PushError::Full) => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                InvokeError::QueueFull
+            }
+            Err(PushError::Closed) => InvokeError::ShuttingDown,
+        };
+        // The enqueue record already landed (or was replayed); retract it
+        // so replay doesn't resurrect a rejected invocation.
+        self.journal
+            .record(id, TraceEventKind::ResultReturned { ok: false });
+        let _ = self.wal_append(|| WalRecord::Completed {
+            id,
+            ok: false,
+            tenant: None,
+        });
+        Err(err)
+    }
+
+    /// Stage 3 — the one place an invocation gets a thread; `permit` is
+    /// held until the invocation completes.
+    fn spawn_run(
+        self: &Arc<Self>,
+        item: QueuedInvocation,
+        dequeued_at: TimeMs,
+        permit: SemaphorePermit,
+    ) {
+        let _g = self.spans.time(names::SPAWN_WORKER);
+        let s = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("iluvatar-invoke".into())
+            .spawn(move || {
+                s.complete(item, dequeued_at);
+                drop(permit);
+            });
+        if spawned.is_err() {
+            // Thread spawn failure: treat as a drop.
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Stage 4 — complete: execute, book the outcome, log the completion,
+    /// release the result.
+    fn complete(&self, item: QueuedInvocation, dequeued_at: TimeMs) {
+        self.running.fetch_add(1, Ordering::Relaxed);
+        self.running_fn
+            .update_or_insert(item.fqdn.clone(), || 0, |n| *n += 1);
+        let outcome = execute(self, &item, dequeued_at);
+        self.running_fn
+            .update(&item.fqdn, |n| *n = n.saturating_sub(1));
+        self.running.fetch_sub(1, Ordering::Relaxed);
+        let ret_g = self.spans.time(names::RETURN_RESULTS);
+        let ok = outcome.is_ok();
+        match &outcome {
+            Ok(result) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.chars
+                    .on_completion(&item.fqdn, result.exec_ms, result.cold);
+                if self.admission.enabled() {
+                    self.admission
+                        .on_served(item.tenant.as_deref().unwrap_or(DEFAULT_TENANT));
+                }
+            }
+            Err(InvokeError::NoResources) => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // Book the completion before the client sees it: once this record
+        // lands the invocation will never be replayed. An unlogged
+        // completion (crash in between) is re-executed on recovery —
+        // at-least-once execution, exactly-once accounting.
+        let _ = self.wal_append(|| WalRecord::Completed {
+            id: item.trace_id,
+            ok,
+            tenant: item.tenant.clone(),
+        });
+        let _ = item.result_tx.send(outcome);
+        self.journal
+            .record(item.trace_id, TraceEventKind::ResultReturned { ok });
+        drop(ret_g);
+        if self.wal.as_ref().is_some_and(|w| w.snapshot_due()) {
+            wal_snapshot_now(self);
+        }
+        maybe_finalize(self);
     }
 
     /// Emit a lifecycle transition on the telemetry stream.
@@ -289,6 +531,30 @@ impl Shared {
             },
         );
     }
+}
+
+/// An invocation past admission, as `accept` takes it: built by `admit` on
+/// ingest and from the replayed WAL image on recovery.
+struct Arrival<'a> {
+    id: u64,
+    fqdn: &'a str,
+    args: &'a str,
+    tenant: Option<String>,
+    tenant_weight: f64,
+    arrived_at: TimeMs,
+    expected_exec_ms: f64,
+    iat_ms: f64,
+    expect_warm: bool,
+}
+
+/// How an accepted invocation reaches a run thread.
+enum Route {
+    /// Through the queue; the monitor dispatches it under the limit.
+    Queue,
+    /// Around the queue, holding the run permit it will execute under.
+    Bypass(SemaphorePermit),
+    /// Back into the queue after a crash, keeping its id and arrival time.
+    Recovered,
 }
 
 /// The Ilúvatar worker.
@@ -558,22 +824,7 @@ impl Worker {
             return Ok((self.invoke_tenant(fqdn, args, tenant)?, CacheStatus::Bypass));
         };
         match cache.lookup(fqdn, tenant, args) {
-            CacheLookup::Hit(hit) => {
-                let now = self.shared.clock.now_ms();
-                Ok((
-                    InvocationResult {
-                        body: hit.body,
-                        exec_ms: hit.exec_ms,
-                        e2e_ms: 0,
-                        cold: false,
-                        queue_ms: 0,
-                        arrived_at: now,
-                        trace_id: 0,
-                        tenant: Some(hit.tenant),
-                    },
-                    CacheStatus::Hit,
-                ))
-            }
+            CacheLookup::Hit(hit) => Ok((InvocationResult::from_cache(hit), CacheStatus::Hit)),
             CacheLookup::Miss(_) => {
                 let r = self.invoke_tenant(fqdn, args, tenant)?;
                 cache.fill(fqdn, tenant, args, &r.body, r.exec_ms, Some(r.trace_id));
@@ -601,167 +852,9 @@ impl Worker {
     ) -> Result<InvocationHandle, InvokeError> {
         let s = &self.shared;
         let _g = s.spans.time(names::INVOKE);
-        if s.shutdown.load(Ordering::Relaxed)
-            || s.lifecycle.load(Ordering::Relaxed) != LIFECYCLE_RUNNING
-        {
-            return Err(InvokeError::ShuttingDown);
-        }
-        let now = s.clock.now_ms();
-        let reg = s
-            .registry
-            .get(fqdn)
-            .ok_or_else(|| InvokeError::NotRegistered(fqdn.to_string()))?;
-        // Tenant resolution: explicit label → registration default → None
-        // (accounted to the platform default tenant when admission is on).
-        let tenant: Option<String> = tenant
-            .map(|t| t.to_string())
-            .or_else(|| reg.spec.tenant.clone());
-        let mut tenant_weight = 1.0;
-        if s.admission.enabled() {
-            let tname = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-            tenant_weight = s.admission.weight_of(tname);
-            let queue_delay = s.last_queue_delay_ms.load(Ordering::Relaxed);
-            match s.admission.admit(tname, queue_delay) {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Throttled => {
-                    let trace_id = s.journal.begin(fqdn);
-                    s.journal.record(trace_id, TraceEventKind::TenantThrottled);
-                    s.journal
-                        .record(trace_id, TraceEventKind::ResultReturned { ok: false });
-                    let _ = s.wal_append(&WalRecord::Shed {
-                        id: trace_id,
-                        tenant: Some(tname.to_string()),
-                        throttled: true,
-                    });
-                    return Err(InvokeError::Throttled(tname.to_string()));
-                }
-                AdmissionDecision::Shed => {
-                    let trace_id = s.journal.begin(fqdn);
-                    s.journal
-                        .record(trace_id, TraceEventKind::AdmissionRejected);
-                    s.journal
-                        .record(trace_id, TraceEventKind::ResultReturned { ok: false });
-                    let _ = s.wal_append(&WalRecord::Shed {
-                        id: trace_id,
-                        tenant: Some(tname.to_string()),
-                        throttled: false,
-                    });
-                    return Err(InvokeError::Shed(tname.to_string()));
-                }
-            }
-        }
-        s.chars.on_arrival(fqdn, now);
-        s.pool.note_arrival(fqdn);
-        s.chars.on_memory(fqdn, reg.spec.limits.memory_mb);
-
-        let expect_warm = s.pool.idle_count(fqdn) > 0;
-        let expected_exec_ms = s.chars.expected_exec_ms(fqdn, expect_warm);
-        let iat_ms = s.chars.mean_iat_ms(fqdn);
-        let (tx, handle) = InvocationHandle::pair();
-        // Mint the end-to-end trace at ingest; every later stage appends to
-        // this timeline, and the id crosses the agent hop as a header.
-        let trace_id = s.journal.begin(fqdn);
-
-        // Queue bypass (§4.1): short functions run immediately when load
-        // allows and a run slot is free right now.
-        if s.queue.should_bypass(expected_exec_ms, s.normalized_load()) {
-            if let Some(permit) = s.regulator.try_acquire() {
-                let item = QueuedInvocation {
-                    fqdn: fqdn.to_string(),
-                    args: args.to_string(),
-                    trace_id,
-                    arrived_at: now,
-                    expected_exec_ms,
-                    iat_ms,
-                    expect_warm,
-                    tenant,
-                    tenant_weight,
-                    result_tx: tx,
-                };
-                // A bypassed invocation is logged as enqueued+dequeued in
-                // one record; if the record can't land, don't accept it.
-                let outcome = s.wal_append(&WalRecord::Enqueued {
-                    inv: pending_of(&item, true),
-                });
-                if !s.wal_accepted(outcome) {
-                    return Err(s.wal_reject(outcome));
-                }
-                s.queue.note_bypass();
-                s.journal.record(trace_id, TraceEventKind::Bypassed);
-                let s2 = Arc::clone(s);
-                std::thread::Builder::new()
-                    .name("iluvatar-bypass".into())
-                    .spawn(move || {
-                        run_invocation(&s2, item, now);
-                        drop(permit);
-                    })
-                    .expect("spawn bypass thread");
-                return Ok(handle);
-            }
-        }
-
-        let enq = s.spans.time(names::ENQUEUE_INVOCATION);
-        let item = QueuedInvocation {
-            fqdn: fqdn.to_string(),
-            args: args.to_string(),
-            trace_id,
-            arrived_at: now,
-            expected_exec_ms,
-            iat_ms,
-            expect_warm,
-            tenant,
-            tenant_weight,
-            result_tx: tx,
-        };
-        // WAL before the push: an invocation is *accepted* only once its
-        // `Enqueued` record is durable (or explicitly flagged non-durable
-        // in degraded mode), so a crash can never silently lose an accepted
-        // invocation. A poisoned log rejects; a stalling or erroring disk
-        // sheds with 503 + Retry-After.
-        let outcome = s.wal_append(&WalRecord::Enqueued {
-            inv: pending_of(&item, false),
-        });
-        if !s.wal_accepted(outcome) {
-            drop(enq);
-            s.journal
-                .record(trace_id, TraceEventKind::ResultReturned { ok: false });
-            return Err(s.wal_reject(outcome));
-        }
-        // Journal `Enqueued` before the push: once the item is in the queue
-        // the dispatch loop races us, and a `Dequeued` landing first would
-        // scramble the timeline (and the deterministic journal digest). On
-        // the rare rejected push the event is immediately contradicted by
-        // `ResultReturned(false)`, which reads fine.
-        s.journal.record(trace_id, TraceEventKind::Enqueued);
-        let push = {
-            let _g = s.spans.time(names::ADD_ITEM_TO_Q);
-            s.queue.push(item)
-        };
-        drop(enq);
-        match push {
-            Ok(()) => Ok(handle),
-            Err(PushError::Full) => {
-                s.dropped.fetch_add(1, Ordering::Relaxed);
-                s.journal
-                    .record(trace_id, TraceEventKind::ResultReturned { ok: false });
-                // The enqueue record already landed; retract it so replay
-                // doesn't resurrect a rejected invocation.
-                let _ = s.wal_append(&WalRecord::Completed {
-                    id: trace_id,
-                    ok: false,
-                    tenant: None,
-                });
-                Err(InvokeError::QueueFull)
-            }
-            Err(PushError::Closed) => {
-                let _ = s.wal_append(&WalRecord::Completed {
-                    id: trace_id,
-                    ok: false,
-                    tenant: None,
-                });
-                Err(InvokeError::ShuttingDown)
-            }
-        }
+        let arrival = s.admit(fqdn, args, tenant)?;
+        let route = s.route(arrival.expected_exec_ms);
+        s.accept(arrival, route)
     }
 
     /// Prewarm (§3.2): start a container + agent and park it in the pool,
@@ -988,28 +1081,17 @@ impl Worker {
         clock: Arc<dyn Clock>,
         specs: &[FunctionSpec],
     ) -> (Worker, RecoveryReport) {
-        Self::recover_with_sinks(cfg, backend, clock, specs, &[])
+        Self::recover_full(cfg, backend, clock, specs, &[], Arc::new(RealStorage))
     }
 
     /// [`Worker::recover`] with telemetry sinks attached *before* the
-    /// replayed invocations are re-enqueued. Replay starts executing the
-    /// moment items hit the queue — a sink attached after `recover`
-    /// returns races the re-execution and observes a torn stream. Stream
-    /// consumers that must see the complete recovered timeline (the
-    /// conformance checker) pass their sinks here.
-    pub fn recover_with_sinks(
-        cfg: WorkerConfig,
-        backend: Arc<dyn ContainerBackend>,
-        clock: Arc<dyn Clock>,
-        specs: &[FunctionSpec],
-        sinks: &[Arc<dyn TelemetrySink>],
-    ) -> (Worker, RecoveryReport) {
-        Self::recover_full(cfg, backend, clock, specs, sinks, Arc::new(RealStorage))
-    }
-
-    /// [`Worker::recover_with_sinks`] with a pluggable storage layer, so
-    /// recovery-path reads (and the recovered worker's appends) run under
-    /// an injected fault plan.
+    /// replayed invocations are re-enqueued, and a pluggable storage layer.
+    /// Replay starts executing the moment items hit the queue — a sink
+    /// attached after `recover` returns races the re-execution and observes
+    /// a torn stream; stream consumers that must see the complete recovered
+    /// timeline (the conformance checker) pass their sinks here. Recovery-
+    /// path reads (and the recovered worker's appends) run under `storage`,
+    /// so the chaos harness can inject a fault plan.
     pub fn recover_full(
         cfg: WorkerConfig,
         backend: Arc<dyn ContainerBackend>,
@@ -1061,31 +1143,21 @@ impl Worker {
         let mut handles = Vec::with_capacity(st.pending.len());
         for p in &st.pending {
             s.journal.begin_recovered(p.id, &p.fqdn);
-            s.journal.record(p.id, TraceEventKind::Enqueued);
-            let (tx, handle) = InvocationHandle::pair();
-            let item = QueuedInvocation {
-                fqdn: p.fqdn.clone(),
-                args: p.args.clone(),
-                trace_id: p.id,
+            let arrival = Arrival {
+                id: p.id,
+                fqdn: &p.fqdn,
+                args: &p.args,
+                tenant: p.tenant.clone(),
+                tenant_weight: p.tenant_weight,
                 arrived_at: p.arrived_at,
                 expected_exec_ms: p.expected_exec_ms,
                 iat_ms: p.iat_ms,
                 expect_warm: p.expect_warm,
-                tenant: p.tenant.clone(),
-                tenant_weight: p.tenant_weight,
-                result_tx: tx,
             };
-            if s.queue.push(item).is_ok() {
+            // A push over a smaller queue bound is not silently lost:
+            // `accept` books the drop and retracts the record.
+            if let Ok(handle) = s.accept(arrival, Route::Recovered) {
                 handles.push((p.id, handle));
-            } else {
-                // Re-enqueue over a smaller queue bound: not silently lost —
-                // book the drop and retract the record.
-                s.dropped.fetch_add(1, Ordering::Relaxed);
-                let _ = s.wal_append(&WalRecord::Completed {
-                    id: p.id,
-                    ok: false,
-                    tenant: None,
-                });
             }
         }
         let deficits: Vec<(String, f64)> = st
@@ -1205,22 +1277,10 @@ fn monitor_loop(s: Arc<Shared>) {
             Ordering::Relaxed,
         );
         s.journal.record(item.trace_id, TraceEventKind::Dequeued);
-        let _ = s.wal_append(&WalRecord::Dequeued { id: item.trace_id });
+        let _ = s.wal_append(|| WalRecord::Dequeued { id: item.trace_id });
         // Hold dispatch until a run slot frees up — the concurrency limit.
         let permit = s.regulator.acquire();
-        let spawn_g = s.spans.time(names::SPAWN_WORKER);
-        let s2 = Arc::clone(&s);
-        let res = std::thread::Builder::new()
-            .name("iluvatar-invoke".into())
-            .spawn(move || {
-                run_invocation(&s2, item, dequeued_at);
-                drop(permit);
-            });
-        drop(spawn_g);
-        if res.is_err() {
-            // Thread spawn failure: treat as a drop.
-            s.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        s.spawn_run(item, dequeued_at, permit);
     }
 }
 
@@ -1255,70 +1315,6 @@ fn init_cost(s: &Shared, reg: &Registration) -> f64 {
         measured
     } else {
         reg.spec.init_ms as f64
-    }
-}
-
-/// The dispatch-side hot path.
-fn run_invocation(s: &Shared, item: QueuedInvocation, dequeued_at: TimeMs) {
-    s.running.fetch_add(1, Ordering::Relaxed);
-    s.running_fn
-        .update_or_insert(item.fqdn.clone(), || 0, |n| *n += 1);
-    let outcome = execute(s, &item, dequeued_at);
-    s.running_fn
-        .update(&item.fqdn, |n| *n = n.saturating_sub(1));
-    s.running.fetch_sub(1, Ordering::Relaxed);
-    let ret_g = s.spans.time(names::RETURN_RESULTS);
-    let ok = outcome.is_ok();
-    match &outcome {
-        Ok(result) => {
-            s.completed.fetch_add(1, Ordering::Relaxed);
-            s.chars
-                .on_completion(&item.fqdn, result.exec_ms, result.cold);
-            if s.admission.enabled() {
-                s.admission
-                    .on_served(item.tenant.as_deref().unwrap_or(DEFAULT_TENANT));
-            }
-        }
-        Err(InvokeError::NoResources) => {
-            s.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            s.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // Book the completion before the client sees it: once this record
-    // lands the invocation will never be replayed. An unlogged completion
-    // (crash in between) is re-executed on recovery — at-least-once
-    // execution, exactly-once accounting.
-    let _ = s.wal_append(&WalRecord::Completed {
-        id: item.trace_id,
-        ok,
-        tenant: item.tenant.clone(),
-    });
-    let _ = item.result_tx.send(outcome);
-    s.journal
-        .record(item.trace_id, TraceEventKind::ResultReturned { ok });
-    drop(ret_g);
-    if s.wal.as_ref().is_some_and(|w| w.snapshot_due()) {
-        wal_snapshot_now(s);
-    }
-    maybe_finalize(s);
-}
-
-/// The WAL image of a queue item (shared between the enqueue and bypass
-/// paths).
-fn pending_of(item: &QueuedInvocation, dequeued: bool) -> PendingInvocation {
-    PendingInvocation {
-        id: item.trace_id,
-        fqdn: item.fqdn.clone(),
-        args: item.args.clone(),
-        tenant: item.tenant.clone(),
-        tenant_weight: item.tenant_weight,
-        arrived_at: item.arrived_at,
-        expected_exec_ms: item.expected_exec_ms,
-        iat_ms: item.iat_ms,
-        expect_warm: item.expect_warm,
-        dequeued,
     }
 }
 
@@ -1441,9 +1437,13 @@ fn execute(
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
 ) -> Result<InvocationResult, InvokeError> {
+    let reg = s
+        .registry
+        .get(&item.fqdn)
+        .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
     let res = &s.cfg.resilience;
     if res.max_retries == 0 {
-        return attempt_invoke(s, item, dequeued_at);
+        return attempt_invoke(s, &reg, item, dequeued_at);
     }
     // Seeding with the trace id keeps the whole schedule deterministic per
     // invocation while decorrelating concurrent retriers.
@@ -1460,7 +1460,7 @@ fn execute(
     let deadline = (res.invoke_deadline_ms > 0).then(|| item.arrived_at + res.invoke_deadline_ms);
     let mut attempt: u32 = 0;
     loop {
-        let err = match attempt_invoke(s, item, dequeued_at) {
+        let err = match attempt_invoke(s, &reg, item, dequeued_at) {
             Ok(r) => return Ok(r),
             // Backend failures are transient by assumption (the container
             // was quarantined); everything else is a control-plane verdict.
@@ -1508,14 +1508,10 @@ fn retries_exhausted(
 
 fn attempt_invoke(
     s: &Shared,
+    reg: &Registration,
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
 ) -> Result<InvocationResult, InvokeError> {
-    let reg = s
-        .registry
-        .get(&item.fqdn)
-        .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
-
     // --- acquire_container: warm hit or cold start -----------------------
     let acq_g = s.spans.time(names::ACQUIRE_CONTAINER);
     let lock_g = s.spans.time(names::TRY_LOCK_CONTAINER);
@@ -1545,7 +1541,7 @@ fn attempt_invoke(
                     item.trace_id,
                     TraceEventKind::ContainerAcquired { cold: false },
                 );
-                return finish_invoke(s, item, dequeued_at, c, false);
+                return finish_invoke(s, reg, item, dequeued_at, c, false);
             }
             let mb = reg.spec.limits.memory_mb;
             if !s.pool.reserve(mb) {
@@ -1568,22 +1564,19 @@ fn attempt_invoke(
     drop(acq_g);
     s.journal
         .record(item.trace_id, TraceEventKind::ContainerAcquired { cold });
-    finish_invoke(s, item, dequeued_at, container, cold)
+    finish_invoke(s, reg, item, dequeued_at, container, cold)
 }
 
 /// The post-acquisition half of the hot path: agent round trip, container
 /// return, result assembly.
 fn finish_invoke(
     s: &Shared,
+    reg: &Registration,
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
     container: SharedContainer,
     cold: bool,
 ) -> Result<InvocationResult, InvokeError> {
-    let reg = s
-        .registry
-        .get(&item.fqdn)
-        .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
     // --- agent communication ---------------------------------------------
     let prep_g = s.spans.time(names::PREPARE_INVOKE);
     let args: &str = &item.args;
@@ -1657,7 +1650,7 @@ fn finish_invoke(
 
     // --- return container to keep-alive pool ------------------------------
     let ret_g = s.spans.time(names::RETURN_CONTAINER);
-    s.pool.release(container, init_cost(s, &reg));
+    s.pool.release(container, init_cost(s, reg));
     drop(ret_g);
 
     let now = s.clock.now_ms();

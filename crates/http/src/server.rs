@@ -44,8 +44,6 @@ impl HttpServer {
     pub fn start(handler: Handler) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        // A short accept timeout lets the accept loop observe shutdown.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
         let stop2 = Arc::clone(&stop);
@@ -77,6 +75,9 @@ impl HttpServer {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            // The acceptor blocks in `accept()`; one loopback dial wakes it
+            // to see `stop`. A refused dial means it is already gone.
+            let _ = TcpStream::connect(self.addr);
             let _ = t.join();
         }
     }
@@ -94,21 +95,18 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let handler = Arc::clone(&handler);
-                let stop = Arc::clone(&stop);
-                let served = Arc::clone(&served);
-                let _ = std::thread::Builder::new()
-                    .name("http-conn".into())
-                    .spawn(move || connection_loop(stream, handler, stop, served));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+    // A blocking accept: a new connection is served the moment it lands,
+    // and an idle server sleeps. `shutdown()` sets `stop`, then dials once.
+    while let Ok((stream, _peer)) = listener.accept() {
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
+        let handler = Arc::clone(&handler);
+        let stop = Arc::clone(&stop);
+        let served = Arc::clone(&served);
+        let _ = std::thread::Builder::new()
+            .name("http-conn".into())
+            .spawn(move || connection_loop(stream, handler, stop, served));
     }
 }
 
@@ -255,6 +253,26 @@ mod tests {
         let mut all = Vec::new();
         let _ = s.read_to_end(&mut all); // server must close, ending the read
         assert!(String::from_utf8_lossy(&all).starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn fresh_connection_is_served_and_idle_shutdown_is_prompt() {
+        let mut server = echo_server();
+        // No connection has ever been made: the acceptor is blocked in
+        // `accept()`, and the first dial must be served all the same.
+        let req = Request::new(Method::Post, "/first").with_body(&b"hello"[..]);
+        let text = String::from_utf8(raw_roundtrip(server.addr(), &req.encode())).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "got: {text}");
+        assert!(text.ends_with("hello"));
+        // Idle again (the one connection closed with `raw_roundtrip`'s
+        // stream): shutdown must wake the blocked acceptor by itself.
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?} with an idle acceptor",
+            started.elapsed()
+        );
     }
 
     #[test]

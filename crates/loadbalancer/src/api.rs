@@ -26,9 +26,10 @@ use crate::cluster::{Cluster, ClusterSnapshot, TenantClusterStats};
 use crate::fleet::Fleet;
 use crate::pull::{CompleteBody, CompleteReply, PullBody};
 use iluvatar_cache::TenantCacheStats;
-use iluvatar_core::api::WireResult;
+use iluvatar_core::api::{
+    error_json, error_resp, json_resp, parse_body, result_resp, tenant_of, InvokeBody, WireResult,
+};
 use iluvatar_core::exposition::{render_span_histograms, PromWriter};
-use iluvatar_core::InvokeError;
 use iluvatar_dispatch::{DispatchMode, EnqueueError, PullPlane};
 use iluvatar_http::server::Handler;
 use iluvatar_http::{HttpServer, Method, Request, Response, Status, CACHE_HEADER, SEQ_HEADER};
@@ -39,16 +40,6 @@ use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
-
-#[derive(Serialize, Deserialize)]
-struct InvokeBody {
-    fqdn: String,
-    #[serde(default)]
-    args: String,
-    /// Tenant label; the `X-Iluvatar-Tenant` header takes precedence.
-    #[serde(default)]
-    tenant: Option<String>,
-}
 
 /// Wire form of the balancer's status.
 #[derive(Debug, Serialize, Deserialize)]
@@ -405,10 +396,7 @@ fn pull_invoke(plane: &PullPlane, fqdn: &str, args: &str, tenant: Option<&str>) 
     let id = match plane.enqueue(fqdn, args, tenant) {
         Ok(id) => id,
         Err(e @ EnqueueError::NoWorkers) | Err(e @ EnqueueError::NotDurable) => {
-            return json_resp(
-                Status::SERVICE_UNAVAILABLE,
-                format!("{{\"error\":{:?}}}", e.to_string()),
-            );
+            return error_json(Status::SERVICE_UNAVAILABLE, &e.to_string());
         }
     };
     match plane.wait(id, PULL_INVOKE_TIMEOUT_MS) {
@@ -424,33 +412,10 @@ fn pull_invoke(plane: &PullPlane, fqdn: &str, args: &str, tenant: Option<&str>) 
             };
             json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
         }
-        Some(r) => json_resp(
-            Status::INTERNAL_ERROR,
-            format!("{{\"error\":{:?}}}", r.body),
-        ),
+        Some(r) => error_json(Status::INTERNAL_ERROR, &r.body),
         // The task stays queued and durable; only this caller's wait ends.
-        None => json_resp(
-            Status::SERVICE_UNAVAILABLE,
-            "{\"error\":\"pull dispatch timed out\"}".into(),
-        ),
+        None => error_json(Status::SERVICE_UNAVAILABLE, "pull dispatch timed out"),
     }
-}
-
-fn json_resp(status: Status, body: String) -> Response {
-    Response::new(status)
-        .with_header("Content-Type", "application/json")
-        .with_body(body)
-}
-
-fn error_resp(e: &InvokeError) -> Response {
-    let status = match e {
-        InvokeError::NotRegistered(_) => Status::NOT_FOUND,
-        InvokeError::QueueFull | InvokeError::NoResources => Status::TOO_MANY_REQUESTS,
-        InvokeError::Backend(_) => Status::INTERNAL_ERROR,
-        InvokeError::ShuttingDown | InvokeError::WalUnavailable => Status::SERVICE_UNAVAILABLE,
-        InvokeError::Throttled(_) | InvokeError::Shed(_) => Status::TOO_MANY_REQUESTS,
-    };
-    json_resp(status, format!("{{\"error\":{:?}}}", e.to_string()))
 }
 
 /// Events the balancer's flight recorder keeps (dispatch churn is high, so
@@ -482,20 +447,12 @@ impl LbApi {
     /// Serve `cluster` on an ephemeral loopback port, rescraping every
     /// worker each `scrape_period`.
     pub fn serve(cluster: Arc<Cluster>, scrape_period: Duration) -> std::io::Result<Self> {
-        Self::serve_with_fleet(cluster, scrape_period, None)
+        Self::serve_with_dispatch(cluster, scrape_period, None, None)
     }
 
-    /// Serve an elastic cluster: same routes plus `GET /fleet`, with the
-    /// autoscale control loop ticking every `autoscale.interval_ms`.
-    pub fn serve_with_fleet(
-        cluster: Arc<Cluster>,
-        scrape_period: Duration,
-        fleet: Option<Arc<Fleet>>,
-    ) -> std::io::Result<Self> {
-        Self::serve_with_dispatch(cluster, scrape_period, fleet, None)
-    }
-
-    /// Serve with a pull-dispatch plane attached: same routes plus
+    /// The full form. With an elastic `fleet`: same routes plus
+    /// `GET /fleet`, with the autoscale control loop ticking every
+    /// `autoscale.interval_ms`. With a pull-dispatch plane: plus
     /// `POST /pull` / `POST /pull/complete`, with `/invoke` routed by
     /// `dispatch.mode` (push = CH-BL as ever, pull = central queues,
     /// hybrid = warm-hit-likely pushes, the rest spills to pull).
@@ -557,7 +514,7 @@ impl LbApi {
         let served = Arc::new(Mutex::new(None::<iluvatar_http::ServerHandle>));
         let served2 = Arc::clone(&served);
         let handler: Handler = Arc::new(move |req: Request| {
-            let body = std::str::from_utf8(&req.body).unwrap_or("");
+            let no_plane = || error_json(Status::NOT_FOUND, "no pull-dispatch plane attached");
             match (req.method, req.path.as_str()) {
                 (Method::Get, "/status") => json_resp(
                     Status::OK,
@@ -589,58 +546,41 @@ impl LbApi {
                 ),
                 (Method::Get, "/fleet") => match &fleet_for_handler {
                     Some(f) => json_resp(Status::OK, serde_json::to_string(&f.status()).unwrap()),
-                    None => json_resp(
-                        Status::NOT_FOUND,
-                        "{\"error\":\"no elastic fleet configured\"}".into(),
-                    ),
+                    None => error_json(Status::NOT_FOUND, "no elastic fleet configured"),
                 },
-                (Method::Post, "/pull") => match (
-                    serde_json::from_str::<PullBody>(body),
-                    dispatch_for_handler.as_ref(),
-                ) {
-                    (Ok(b), Some(plane)) => {
-                        let leases = if b.wait_ms > 0 {
-                            plane.pull_wait(&b.worker, b.max, b.wait_ms.min(PULL_WAIT_CAP_MS))
-                        } else {
-                            plane.pull(&b.worker, b.max)
-                        };
-                        json_resp(Status::OK, serde_json::to_string(&leases).unwrap())
+                (Method::Post, "/pull") => {
+                    match (parse_body::<PullBody>(&req), dispatch_for_handler.as_ref()) {
+                        (Ok(b), Some(plane)) => {
+                            let leases = if b.wait_ms > 0 {
+                                plane.pull_wait(&b.worker, b.max, b.wait_ms.min(PULL_WAIT_CAP_MS))
+                            } else {
+                                plane.pull(&b.worker, b.max)
+                            };
+                            json_resp(Status::OK, serde_json::to_string(&leases).unwrap())
+                        }
+                        (_, None) => no_plane(),
+                        (Err(bad), _) => bad,
                     }
-                    (_, None) => json_resp(
-                        Status::NOT_FOUND,
-                        "{\"error\":\"no pull-dispatch plane attached\"}".into(),
-                    ),
-                    (Err(e), _) => json_resp(
-                        Status::BAD_REQUEST,
-                        format!("{{\"error\":{:?}}}", e.to_string()),
-                    ),
-                },
-                (Method::Post, "/pull/complete") => match (
-                    serde_json::from_str::<CompleteBody>(body),
-                    dispatch_for_handler.as_ref(),
-                ) {
-                    (Ok(b), Some(plane)) => {
-                        let accepted = plane.complete(b.lease_id, b.ok, &b.body, b.exec_ms);
-                        json_resp(
-                            Status::OK,
-                            serde_json::to_string(&CompleteReply { accepted }).unwrap(),
-                        )
+                }
+                (Method::Post, "/pull/complete") => {
+                    match (
+                        parse_body::<CompleteBody>(&req),
+                        dispatch_for_handler.as_ref(),
+                    ) {
+                        (Ok(b), Some(plane)) => {
+                            let accepted = plane.complete(b.lease_id, b.ok, &b.body, b.exec_ms);
+                            json_resp(
+                                Status::OK,
+                                serde_json::to_string(&CompleteReply { accepted }).unwrap(),
+                            )
+                        }
+                        (_, None) => no_plane(),
+                        (Err(bad), _) => bad,
                     }
-                    (_, None) => json_resp(
-                        Status::NOT_FOUND,
-                        "{\"error\":\"no pull-dispatch plane attached\"}".into(),
-                    ),
-                    (Err(e), _) => json_resp(
-                        Status::BAD_REQUEST,
-                        format!("{{\"error\":{:?}}}", e.to_string()),
-                    ),
-                },
-                (Method::Post, "/invoke") => match serde_json::from_str::<InvokeBody>(body) {
+                }
+                (Method::Post, "/invoke") => match parse_body::<InvokeBody>(&req) {
                     Ok(b) => {
-                        let tenant = req
-                            .header(iluvatar_http::TENANT_HEADER)
-                            .map(str::to_string)
-                            .or(b.tenant);
+                        let tenant = tenant_of(&req, &b);
                         // Feed the autoscaler's arrival counters.
                         if let Some(f) = &fleet_for_handler {
                             f.note_arrival(&b.fqdn);
@@ -648,19 +588,15 @@ impl LbApi {
                         // Route by dispatch mode: push stays on CH-BL, pull
                         // spills to the central queues, hybrid pushes only
                         // warm-hit-likely fqdns.
-                        let via_pull = dispatch_for_handler
-                            .as_ref()
-                            .map(|p| match p.mode() {
-                                DispatchMode::Push => false,
-                                DispatchMode::Pull => true,
-                                DispatchMode::Hybrid => p.warm_target(&b.fqdn).is_none(),
-                            })
-                            .unwrap_or(false);
-                        let resp = if via_pull {
-                            let plane = dispatch_for_handler.as_ref().expect("checked");
-                            pull_invoke(plane, &b.fqdn, &b.args, tenant.as_deref())
+                        let via_pull = dispatch_for_handler.as_ref().filter(|p| match p.mode() {
+                            DispatchMode::Push => false,
+                            DispatchMode::Pull => true,
+                            DispatchMode::Hybrid => p.warm_target(&b.fqdn).is_none(),
+                        });
+                        let resp = if let Some(plane) = via_pull {
+                            pull_invoke(plane, &b.fqdn, &b.args, tenant)
                         } else {
-                            match cluster.invoke_cached(&b.fqdn, &b.args, tenant.as_deref()) {
+                            match cluster.invoke_cached(&b.fqdn, &b.args, tenant) {
                                 Ok((r, cache)) => {
                                     // Keep the hybrid warm signal alive for
                                     // fqdns the push path keeps serving.
@@ -670,21 +606,18 @@ impl LbApi {
                                     {
                                         p.note_warm(&b.fqdn, "chbl");
                                     }
-                                    let wire: WireResult = r.into();
-                                    json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
-                                        .with_header(CACHE_HEADER, cache.as_str())
+                                    result_resp(r).with_header(CACHE_HEADER, cache.as_str())
                                 }
-                                Err(e) => error_resp(&e),
+                                // The balancer has no Retry-After hint of
+                                // its own.
+                                Err(e) => error_resp(&e, None),
                             }
                         };
                         // Propagate the latest balancer event seqno so callers
                         // can correlate responses with the telemetry stream.
                         resp.with_header(SEQ_HEADER, bus_for_handler.latest_seq().to_string())
                     }
-                    Err(e) => json_resp(
-                        Status::BAD_REQUEST,
-                        format!("{{\"error\":{:?}}}", e.to_string()),
-                    ),
+                    Err(bad) => bad,
                 },
                 _ => Response::new(Status::NOT_FOUND),
             }

@@ -188,44 +188,35 @@ impl WorkerHandle for RemoteWorker {
         args: &str,
         tenant: Option<&str>,
     ) -> Result<InvocationResult, InvokeError> {
-        match self.client.invoke_tenant(fqdn, args, tenant) {
-            Ok(r) => Ok(InvocationResult {
-                body: r.body,
-                exec_ms: r.exec_ms,
-                e2e_ms: r.e2e_ms,
-                cold: r.cold,
-                queue_ms: r.queue_ms,
-                arrived_at: 0,
-                trace_id: r.trace_id,
-                tenant: r.tenant,
-            }),
-            Err(iluvatar_core::api::ApiError::Status(404, _)) => {
-                Err(InvokeError::NotRegistered(fqdn.to_string()))
+        use iluvatar_core::api::ApiError;
+        let (status, body) = match self.client.invoke_tenant(fqdn, args, tenant) {
+            Ok(r) => {
+                return Ok(InvocationResult {
+                    body: r.body,
+                    exec_ms: r.exec_ms,
+                    e2e_ms: r.e2e_ms,
+                    cold: r.cold,
+                    queue_ms: r.queue_ms,
+                    arrived_at: 0,
+                    trace_id: r.trace_id,
+                    tenant: r.tenant,
+                })
             }
-            Err(iluvatar_core::api::ApiError::Unavailable {
-                retry_after_secs, ..
+            Err(ApiError::Status(status, body)) => (status, body),
+            Err(ApiError::Unavailable {
+                retry_after_secs,
+                body,
             }) => {
                 // The worker is draining (or stopped): re-routable, but not
                 // a failure — the balancer must not trip its breaker. Keep
                 // the Retry-After hint so probes back off until it expires.
                 self.retry_after_ms
                     .store(retry_after_secs * 1_000, Ordering::Relaxed);
-                Err(InvokeError::ShuttingDown)
+                (503, body)
             }
-            Err(iluvatar_core::api::ApiError::Status(429, body)) => {
-                // Distinguish admission rejections from queue backpressure
-                // so the LB does not reroute a policy decision.
-                let t = tenant.unwrap_or(iluvatar_core::DEFAULT_TENANT).to_string();
-                if body.contains("throttled") {
-                    Err(InvokeError::Throttled(t))
-                } else if body.contains("shed") {
-                    Err(InvokeError::Shed(t))
-                } else {
-                    Err(InvokeError::QueueFull)
-                }
-            }
-            Err(e) => Err(InvokeError::Backend(e.to_string())),
-        }
+            Err(e) => return Err(InvokeError::Backend(e.to_string())),
+        };
+        Err(InvokeError::from_http(status, &body, fqdn, tenant))
     }
 
     fn span_export(&self) -> Vec<SpanExport> {
@@ -499,35 +490,65 @@ pub struct ClusterSnapshot {
     pub tenants: Vec<TenantClusterStats>,
 }
 
+/// Everything the cluster keeps per worker slot. A detached slot keeps its
+/// dispatch counter and last-known name so accounting survives the
+/// retirement.
+struct Slot {
+    /// The attached worker; `None` while the slot is empty.
+    handle: RwLock<Option<Arc<dyn WorkerHandle>>>,
+    /// Last-known worker name (survives detach, for accounting).
+    name: Mutex<String>,
+    present: AtomicBool,
+    dispatched: AtomicU64,
+    /// Health view, derived from the breaker: `true` iff it is Closed. An
+    /// atomic so the hot pick path reads it without the breaker lock.
+    healthy: AtomicBool,
+    /// Circuit breaker. A worker is evicted (breaker opens) when its status
+    /// poll fails or enough invocations die on it; after the cooldown a
+    /// successful status poll re-closes the breaker.
+    breaker: Mutex<Breaker>,
+    /// Draining flag, refreshed by probes and 503 responses.
+    draining: AtomicBool,
+    /// Probe suppression deadline: a draining worker that sent a
+    /// `Retry-After` is not re-probed until the hint expires.
+    probe_after: Mutex<Option<Instant>>,
+}
+
+impl Slot {
+    /// An empty slot is unhealthy until a worker attaches and passes its
+    /// admission probe.
+    fn new(idx: usize, worker: Option<Arc<dyn WorkerHandle>>) -> Self {
+        Self {
+            name: Mutex::new(match &worker {
+                Some(w) => w.name(),
+                None => format!("slot-{idx}"),
+            }),
+            present: AtomicBool::new(worker.is_some()),
+            healthy: AtomicBool::new(worker.is_some()),
+            handle: RwLock::new(worker),
+            dispatched: AtomicU64::new(0),
+            breaker: Mutex::new(Breaker::new()),
+            draining: AtomicBool::new(false),
+            probe_after: Mutex::new(None),
+        }
+    }
+
+    fn routable(&self) -> bool {
+        self.healthy.load(Ordering::Relaxed) && !self.draining.load(Ordering::Relaxed)
+    }
+}
+
 /// The cluster: a policy over a capacity-bounded, elastic set of workers.
 pub struct Cluster {
-    /// Worker slots; `None` where no worker is attached. The capacity is
-    /// fixed at construction (the CH-BL ring is built over it), membership
-    /// within it is dynamic.
-    slots: Vec<RwLock<Option<Arc<dyn WorkerHandle>>>>,
-    /// Last-known worker name per slot (survives detach, for accounting).
-    names: Vec<Mutex<String>>,
-    present: Vec<AtomicBool>,
+    /// Worker slots. The capacity is fixed at construction (the CH-BL ring
+    /// is built over it), membership within it is dynamic.
+    slots: Vec<Slot>,
     policy: PolicyState,
-    dispatched: Vec<AtomicU64>,
     forwarded: AtomicU64,
     /// Cached loads, refreshed on each dispatch (stateless balancer —
     /// loads come from worker status, not balancer bookkeeping).
     loads: Mutex<Vec<f64>>,
-    /// Per-worker health view, derived from the breakers: `true` iff the
-    /// breaker is Closed. Kept as atomics so the hot pick path reads it
-    /// without taking the breaker locks.
-    healthy: Vec<AtomicBool>,
-    /// Per-worker circuit breakers. A worker is evicted (breaker opens)
-    /// when its status poll fails or enough invocations die on it; after
-    /// the cooldown a successful status poll re-closes the breaker.
-    breakers: Vec<Mutex<Breaker>>,
     breaker_cfg: BreakerConfig,
-    /// Per-worker draining flags, refreshed by probes and 503 responses.
-    draining: Vec<AtomicBool>,
-    /// Probe suppression deadline per slot: a draining worker that sent a
-    /// `Retry-After` is not re-probed until the hint expires.
-    probe_after: Vec<Mutex<Option<Instant>>>,
     evictions: AtomicU64,
     rerouted: AtomicU64,
     /// Balancer-side per-tenant (dispatched, rerouted) counters. These live
@@ -548,21 +569,12 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(workers: Vec<Arc<dyn WorkerHandle>>, policy: LbPolicy) -> Self {
-        Self::with_breaker(workers, policy, BreakerConfig::default())
+        Self::with_capacity(workers, policy, BreakerConfig::default(), 0)
     }
 
-    pub fn with_breaker(
-        workers: Vec<Arc<dyn WorkerHandle>>,
-        policy: LbPolicy,
-        breaker_cfg: BreakerConfig,
-    ) -> Self {
-        let cap = workers.len();
-        Self::with_capacity(workers, policy, breaker_cfg, cap)
-    }
-
-    /// A cluster with `capacity` slots, the first `workers.len()` of them
-    /// occupied. Extra slots start empty and are filled by
-    /// [`Cluster::attach`] (the autoscaler's scale-up path).
+    /// A cluster with `capacity` slots (at least `workers.len()`), the
+    /// first `workers.len()` of them occupied. Extra slots start empty and
+    /// are filled by [`Cluster::attach`] (the autoscaler's scale-up path).
     pub fn with_capacity(
         workers: Vec<Arc<dyn WorkerHandle>>,
         policy: LbPolicy,
@@ -579,43 +591,22 @@ impl Cluster {
             LbPolicy::RoundRobin => PolicyState::RoundRobin(AtomicU64::new(0)),
             LbPolicy::LeastLoaded => PolicyState::LeastLoaded,
         };
-        let mut slots: Vec<RwLock<Option<Arc<dyn WorkerHandle>>>> = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
-        let mut present = Vec::with_capacity(n);
-        for w in &workers {
-            names.push(Mutex::new(w.name()));
-            slots.push(RwLock::new(Some(Arc::clone(w))));
-            present.push(AtomicBool::new(true));
-        }
-        for i in workers.len()..n {
-            names.push(Mutex::new(format!("slot-{i}")));
-            slots.push(RwLock::new(None));
-            present.push(AtomicBool::new(false));
-        }
+        let mut workers = workers.into_iter();
         Self {
             policy,
-            dispatched: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..n).map(|i| Slot::new(i, workers.next())).collect(),
             forwarded: AtomicU64::new(0),
             loads: Mutex::new(vec![0.0; n]),
-            // Empty slots are unhealthy until a worker attaches and passes
-            // its admission probe.
-            healthy: (0..n).map(|i| AtomicBool::new(i < workers.len())).collect(),
-            breakers: (0..n).map(|_| Mutex::new(Breaker::new())).collect(),
             breaker_cfg: BreakerConfig {
                 failure_threshold: breaker_cfg.failure_threshold.max(1),
                 ..breaker_cfg
             },
-            draining: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            probe_after: (0..n).map(|_| Mutex::new(None)).collect(),
             evictions: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
             tenant_lb: Mutex::new(HashMap::new()),
             tenant_cache: Mutex::new(vec![Vec::new(); n]),
             telemetry: OnceLock::new(),
             cache: OnceLock::new(),
-            slots,
-            names,
-            present,
         }
     }
 
@@ -644,9 +635,9 @@ impl Cluster {
     }
 
     fn slot_name(&self, idx: usize) -> String {
-        self.names
+        self.slots
             .get(idx)
-            .map(|n| n.lock().clone())
+            .map(|s| s.name.lock().clone())
             .unwrap_or_else(|| format!("slot-{idx}"))
     }
 
@@ -662,15 +653,15 @@ impl Cluster {
 
     /// Occupied slots.
     pub fn live(&self) -> usize {
-        self.present
+        self.slots
             .iter()
-            .filter(|p| p.load(Ordering::Relaxed))
+            .filter(|s| s.present.load(Ordering::Relaxed))
             .count()
     }
 
     /// The handle in slot `idx`, if any.
     pub fn handle(&self, idx: usize) -> Option<Arc<dyn WorkerHandle>> {
-        self.slots.get(idx)?.read().clone()
+        self.slots.get(idx)?.handle.read().clone()
     }
 
     /// Attach `worker` to the first free slot and schedule its admission:
@@ -679,17 +670,18 @@ impl Cluster {
     /// re-admission check before any dispatch lands on it. Errors when
     /// every slot is occupied.
     pub fn attach(&self, worker: Arc<dyn WorkerHandle>) -> Result<usize, String> {
-        for idx in 0..self.slots.len() {
-            if self.present[idx]
+        for (idx, slot) in self.slots.iter().enumerate() {
+            if slot
+                .present
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                *self.names[idx].lock() = worker.name();
-                *self.slots[idx].write() = Some(worker);
-                *self.breakers[idx].lock() = Breaker::awaiting_admission();
-                self.healthy[idx].store(false, Ordering::Relaxed);
-                self.draining[idx].store(false, Ordering::Relaxed);
-                *self.probe_after[idx].lock() = None;
+                *slot.name.lock() = worker.name();
+                *slot.handle.write() = Some(worker);
+                *slot.breaker.lock() = Breaker::awaiting_admission();
+                slot.healthy.store(false, Ordering::Relaxed);
+                slot.draining.store(false, Ordering::Relaxed);
+                *slot.probe_after.lock() = None;
                 self.tel(
                     None,
                     TelemetryKind::Membership {
@@ -707,20 +699,18 @@ impl Cluster {
     /// counters, the last-known name, and the tenant cache stay behind so
     /// cluster accounting survives the retirement.
     pub fn detach(&self, idx: usize) -> Option<Arc<dyn WorkerHandle>> {
-        let handle = self.slots.get(idx)?.write().take();
-        if handle.is_some() {
+        let slot = self.slots.get(idx)?;
+        let handle = slot.handle.write().take();
+        if let Some(h) = &handle {
             // Reconcile the tenant cache one final time before the handle
             // goes away: the retired worker's served counters must keep
             // contributing to the rollup.
-            if let Some(h) = &handle {
-                let mut cache = self.tenant_cache.lock();
-                merge_tenant_cache(&mut cache[idx], h.tenant_stats());
-            }
-            self.present[idx].store(false, Ordering::SeqCst);
-            self.healthy[idx].store(false, Ordering::Relaxed);
-            self.draining[idx].store(false, Ordering::Relaxed);
-            *self.probe_after[idx].lock() = None;
-            *self.breakers[idx].lock() = Breaker::new();
+            merge_tenant_cache(&mut self.tenant_cache.lock()[idx], h.tenant_stats());
+            slot.present.store(false, Ordering::SeqCst);
+            slot.healthy.store(false, Ordering::Relaxed);
+            slot.draining.store(false, Ordering::Relaxed);
+            *slot.probe_after.lock() = None;
+            *slot.breaker.lock() = Breaker::new();
             self.tel(
                 None,
                 TelemetryKind::Membership {
@@ -735,8 +725,8 @@ impl Cluster {
     /// Flag slot `idx` as draining so routing avoids it immediately,
     /// without waiting for the next probe round.
     pub fn mark_draining(&self, idx: usize) {
-        if idx < self.draining.len() {
-            self.draining[idx].store(true, Ordering::Relaxed);
+        if let Some(slot) = self.slots.get(idx) {
+            slot.draining.store(true, Ordering::Relaxed);
             // Stream the transition: the fleet model's drain-never-kill
             // invariant (a detach must be preceded by draining) is checked
             // from exactly this event.
@@ -769,14 +759,14 @@ impl Cluster {
     /// edge (counted as an eviction); a failed HalfOpen probe re-opens
     /// without counting again.
     fn record_failure(&self, idx: usize) {
-        let mut b = self.breakers[idx].lock();
+        let mut b = self.slots[idx].breaker.lock();
         match b.state {
             BreakerState::Closed => {
                 b.failures += 1;
                 if b.failures >= self.breaker_cfg.failure_threshold {
                     b.state = BreakerState::Open;
                     b.opened_at = Some(Instant::now());
-                    self.healthy[idx].store(false, Ordering::Relaxed);
+                    self.slots[idx].healthy.store(false, Ordering::Relaxed);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     self.tel(
                         None,
@@ -808,10 +798,10 @@ impl Cluster {
     /// A successful probe: a HalfOpen breaker closes (readmission), a
     /// Closed one forgets accumulated failures.
     fn record_success(&self, idx: usize) {
-        let mut b = self.breakers[idx].lock();
+        let mut b = self.slots[idx].breaker.lock();
         if b.state != BreakerState::Closed {
             b.state = BreakerState::Closed;
-            self.healthy[idx].store(true, Ordering::Relaxed);
+            self.slots[idx].healthy.store(true, Ordering::Relaxed);
             self.tel(
                 None,
                 TelemetryKind::Breaker {
@@ -827,7 +817,7 @@ impl Cluster {
     /// Advance an Open breaker to HalfOpen once its cooldown elapsed, and
     /// report whether worker `idx` should be probed this round.
     fn advance_breaker(&self, idx: usize) -> BreakerState {
-        let mut b = self.breakers[idx].lock();
+        let mut b = self.slots[idx].breaker.lock();
         if b.state == BreakerState::Open {
             let cooled = b
                 .opened_at
@@ -850,7 +840,7 @@ impl Cluster {
     /// Whether slot `idx` is inside a `Retry-After` suppression window.
     /// Clears the deadline once it expires.
     fn probe_suppressed(&self, idx: usize) -> bool {
-        let mut until = self.probe_after[idx].lock();
+        let mut until = self.slots[idx].probe_after.lock();
         match *until {
             Some(t) if Instant::now() < t => true,
             Some(_) => {
@@ -869,7 +859,7 @@ impl Cluster {
             // worker is still draining by its own word — don't waste a
             // probe on it, keep routing around.
             if self.probe_suppressed(i) {
-                self.draining[i].store(true, Ordering::Relaxed);
+                self.slots[i].draining.store(true, Ordering::Relaxed);
                 continue;
             }
             // Still cooling down: don't probe, keep routing around it.
@@ -885,7 +875,7 @@ impl Cluster {
                 // closes the breaker but looks infinitely loaded so every
                 // load-aware policy routes around it.
                 self.record_success(i);
-                self.draining[i].store(p.draining, Ordering::Relaxed);
+                self.slots[i].draining.store(p.draining, Ordering::Relaxed);
                 if !p.draining {
                     *l = p.load;
                 }
@@ -912,9 +902,7 @@ impl Cluster {
                 // Skip evicted/empty slots; with none healthy, fall through
                 // and let the invocation fail loudly rather than stall.
                 for _ in 0..n {
-                    if self.healthy[choice].load(Ordering::Relaxed)
-                        && !self.draining[choice].load(Ordering::Relaxed)
-                    {
+                    if self.slots[choice].routable() {
                         break;
                     }
                     choice = (ctr.fetch_add(1, Ordering::Relaxed) as usize) % n;
@@ -952,7 +940,7 @@ impl Cluster {
             Some(t) => self.pick(&format!("{fqdn}@{t}")),
             None => self.pick(fqdn),
         };
-        self.dispatched[w].fetch_add(1, Ordering::Relaxed);
+        self.slots[w].dispatched.fetch_add(1, Ordering::Relaxed);
         self.tel(
             tenant,
             TelemetryKind::Dispatch {
@@ -1002,19 +990,7 @@ impl Cluster {
         // first dispatcher instead of stampeding the workers; followers
         // block briefly and are served the leader's fill as a hit.
         match cache.lookup_single_flight(fqdn, tenant, args, SINGLE_FLIGHT_WAIT_MS) {
-            CacheLookup::Hit(hit) => Ok((
-                InvocationResult {
-                    body: hit.body,
-                    exec_ms: hit.exec_ms,
-                    e2e_ms: 0,
-                    cold: false,
-                    queue_ms: 0,
-                    arrived_at: 0,
-                    trace_id: 0,
-                    tenant: Some(hit.tenant),
-                },
-                CacheStatus::Hit,
-            )),
+            CacheLookup::Hit(hit) => Ok((InvocationResult::from_cache(hit), CacheStatus::Hit)),
             CacheLookup::Miss(key) => match self.invoke_tenant(fqdn, args, tenant) {
                 Ok(r) => {
                     cache.fill(fqdn, tenant, args, &r.body, r.exec_ms, Some(r.trace_id));
@@ -1039,7 +1015,7 @@ impl Cluster {
     /// A 503 landed on slot `idx`: flag it draining and, when the worker
     /// sent a `Retry-After`, suppress probes until the hint expires.
     fn note_draining(&self, idx: usize, retry_after_ms: u64) {
-        self.draining[idx].store(true, Ordering::Relaxed);
+        self.slots[idx].draining.store(true, Ordering::Relaxed);
         self.tel(
             None,
             TelemetryKind::Membership {
@@ -1048,7 +1024,7 @@ impl Cluster {
             },
         );
         if retry_after_ms > 0 {
-            *self.probe_after[idx].lock() =
+            *self.slots[idx].probe_after.lock() =
                 Some(Instant::now() + Duration::from_millis(retry_after_ms));
         }
     }
@@ -1069,9 +1045,8 @@ impl Cluster {
             let next = (0..self.slots.len())
                 .filter(|&i| {
                     !tried[i]
-                        && self.present[i].load(Ordering::Relaxed)
-                        && self.healthy[i].load(Ordering::Relaxed)
-                        && !self.draining[i].load(Ordering::Relaxed)
+                        && self.slots[i].present.load(Ordering::Relaxed)
+                        && self.slots[i].routable()
                 })
                 .min_by(|&a, &b| {
                     loads[a]
@@ -1084,7 +1059,7 @@ impl Cluster {
                 continue;
             };
             self.rerouted.fetch_add(1, Ordering::Relaxed);
-            self.dispatched[i].fetch_add(1, Ordering::Relaxed);
+            self.slots[i].dispatched.fetch_add(1, Ordering::Relaxed);
             self.tel(
                 tenant,
                 TelemetryKind::Reroute {
@@ -1160,35 +1135,24 @@ impl Cluster {
     }
 
     pub fn stats(&self) -> ClusterStats {
+        let per_slot = |f: fn(&Slot) -> bool| self.slots.iter().map(f).collect();
         ClusterStats {
             dispatched: self
-                .dispatched
+                .slots
                 .iter()
-                .map(|d| d.load(Ordering::Relaxed))
+                .map(|s| s.dispatched.load(Ordering::Relaxed))
                 .collect(),
             forwarded: self.forwarded.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             rerouted: self.rerouted.load(Ordering::Relaxed),
-            healthy: self
-                .healthy
-                .iter()
-                .map(|h| h.load(Ordering::Relaxed))
-                .collect(),
+            healthy: per_slot(|s| s.healthy.load(Ordering::Relaxed)),
             breaker: self
-                .breakers
+                .slots
                 .iter()
-                .map(|b| b.lock().state.label().to_string())
+                .map(|s| s.breaker.lock().state.label().to_string())
                 .collect(),
-            draining: self
-                .draining
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            present: self
-                .present
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
+            draining: per_slot(|s| s.draining.load(Ordering::Relaxed)),
+            present: per_slot(|s| s.present.load(Ordering::Relaxed)),
         }
     }
 
@@ -1201,10 +1165,10 @@ impl Cluster {
         // when no invocations are flowing.
         let loads = self.refresh_loads();
         let workers: Vec<(String, f64)> = self
-            .names
+            .slots
             .iter()
             .zip(&loads)
-            .map(|(name, &l)| (name.lock().clone(), l))
+            .map(|(slot, &l)| (slot.name.lock().clone(), l))
             .collect();
         let sets: Vec<Vec<SpanExport>> = (0..self.slots.len())
             .map(|i| self.handle(i).map(|w| w.span_export()).unwrap_or_default())
@@ -1509,13 +1473,14 @@ mod tests {
             Arc::clone(&flaky) as Arc<dyn WorkerHandle>,
             Arc::clone(&ok) as Arc<dyn WorkerHandle>,
         ];
-        let cluster = Cluster::with_breaker(
+        let cluster = Cluster::with_capacity(
             handles,
             LbPolicy::RoundRobin,
             BreakerConfig {
                 failure_threshold: 2,
                 open_cooldown_ms: 30,
             },
+            0,
         );
         // One failure: under the threshold, the breaker stays closed.
         flaky.fail.store(true, Ordering::SeqCst);
@@ -1554,10 +1519,11 @@ mod tests {
             Arc::clone(&flaky) as Arc<dyn WorkerHandle>,
             Arc::clone(&ok) as Arc<dyn WorkerHandle>,
         ];
-        let cluster = Cluster::with_breaker(
+        let cluster = Cluster::with_capacity(
             handles,
             LbPolicy::RoundRobin,
             BreakerConfig::default(), // trip on first failure, probe at once
+            0,
         );
         flaky.fail.store(true, Ordering::SeqCst);
         cluster.invoke("f-1", "{}").unwrap();
@@ -1851,13 +1817,14 @@ mod tests {
             Arc::new(DeadWorker) as Arc<dyn WorkerHandle>,
             Arc::clone(&live) as Arc<dyn WorkerHandle>,
         ];
-        let cluster = Cluster::with_breaker(
+        let cluster = Cluster::with_capacity(
             handles,
             LbPolicy::RoundRobin,
             BreakerConfig {
                 failure_threshold: 1,
                 open_cooldown_ms: 60_000,
             },
+            0,
         );
         let bus = TelemetryBus::new("lb", Arc::new(ManualClock::starting_at(0)));
         let sink = Arc::new(VecSink::new());

@@ -30,6 +30,35 @@ if [[ $(wc -l <<<"$fnv_files") -gt 1 ]]; then
     exit 1
 fi
 
+echo "=== duplication guard (one invocation pipeline, one wire contract) ==="
+# Each pipeline stage and the invoke wire contract have one home (DESIGN.md
+# "Invocation pipeline"); these are the copies that used to exist.
+worker_src=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/worker.rs)
+if [[ $(grep -c 'QueuedInvocation {' <<<"$worker_src") -gt 1 ]]; then
+    echo "worker.rs builds QueuedInvocation in more than one place; go through Shared::accept" >&2
+    exit 1
+fi
+if grep -rn 'iluvatar-bypass' src/ crates/ | grep -v '^crates/perf/'; then
+    echo "a second invocation spawn site is back; go through Shared::spawn_run" >&2
+    exit 1
+fi
+bodies=$(grep -rl 'struct InvokeBody' crates/ | grep -v '^crates/perf/' || true)
+if [[ $(wc -l <<<"$bodies") -gt 1 ]]; then
+    echo "InvokeBody is defined more than once; use iluvatar_core::api::InvokeBody:" >&2
+    echo "$bodies" >&2
+    exit 1
+fi
+# An `InvokeError::X => Status::Y` arm (`-z`: the status may sit on the next
+# line) outside the one table in core/src/api.rs.
+tables=$(grep -rlzP 'InvokeError::\w+(\([^)]*\))?\s*=>\s*Status::' \
+    --include='*.rs' src/ crates/ | tr '\0' '\n' |
+    grep -v -e '^crates/perf/' -e '^crates/core/src/api.rs$' || true)
+if [[ -n "$tables" ]]; then
+    echo "InvokeError -> Status is mapped outside crates/core/src/api.rs; use InvokeError::http_status:" >&2
+    echo "$tables" >&2
+    exit 1
+fi
+
 echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
 # Every seeded scenario must replay bit-identically: same seed, same
 # digest. --verify-determinism runs the scenario twice as fresh processes

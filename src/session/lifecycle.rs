@@ -5,7 +5,7 @@
 //! WAL-journaled worker and, at the submission the chaos plan's
 //! `worker_kill` site picks (`--kill-at`, default 12), kills the worker
 //! outright — no drain, no final snapshot. The session then rebuilds a
-//! worker with [`Worker::recover_with_sinks`], awaits every replayed
+//! worker with [`Worker::recover_full`], awaits every replayed
 //! invocation, and asserts the crash-safety contract: **no invocation
 //! accepted before the kill is lost**, and the post-recovery state
 //! (accepted trace ids, per-tenant books, completion totals) is a pure
@@ -19,6 +19,7 @@ use iluvatar_core::{
     AdmissionConfig, LifecycleConfig, RecoveryReport, TelemetrySink, TenantSpec, Worker,
     WorkerConfig,
 };
+use iluvatar_sync::storage::RealStorage;
 use iluvatar_sync::{Clock, Fnv1a, SystemClock};
 use std::sync::Arc;
 
@@ -100,12 +101,13 @@ pub(super) fn recover_all(
     accepted: &[u64],
     sinks: &[Arc<dyn TelemetrySink>],
 ) -> (Worker, RecoveryReport) {
-    let (recovered, mut report) = Worker::recover_with_sinks(
+    let (recovered, mut report) = Worker::recover_full(
         cfg(wal_path),
         sim_backend(clock),
         Arc::clone(clock),
         &[f_spec()],
         sinks,
+        Arc::new(RealStorage),
     );
     for (id, handle) in std::mem::take(&mut report.handles) {
         assert!(handle.wait().is_ok(), "replayed invocation {id} failed");

@@ -163,10 +163,11 @@ fn fleet_endpoint_and_metrics_over_http() {
     fleet.remember_spec(spec);
     let fleet = Arc::new(fleet);
 
-    let mut api = LbApi::serve_with_fleet(
+    let mut api = LbApi::serve_with_dispatch(
         Arc::clone(&cluster),
         Duration::from_millis(20),
         Some(Arc::clone(&fleet)),
+        None,
     )
     .unwrap();
     let client = PooledClient::new(Duration::from_secs(2));
