@@ -7,14 +7,18 @@
 //! cold-start ratio but burns more warm memory while idle — reported here
 //! as cold ratio vs wasted warm GB·seconds.
 
+use crate::print_table;
 use iluvatar_autoscale::{AutoscaleConfig, ScalingPolicyKind};
-use iluvatar_bench::{env_u64, print_table};
 use iluvatar_core::config::KeepalivePolicyKind;
 use iluvatar_sim::{ElasticClusterSim, ElasticOutcome, SimConfig};
 use iluvatar_trace::azure::{AzureTraceConfig, SyntheticAzureTrace};
+use std::io::{self, Write};
 
-fn worker_cfg(cache_mb: u64) -> SimConfig {
-    let mut c = SimConfig::new(KeepalivePolicyKind::Gdsf, cache_mb);
+const MAX_WORKERS: usize = 8;
+const CACHE_MB: u64 = 2_048;
+
+fn worker_cfg() -> SimConfig {
+    let mut c = SimConfig::new(KeepalivePolicyKind::Gdsf, CACHE_MB);
     // Invoker slots per worker: queues form when a worker saturates, which
     // is exactly the signal the controllers act on.
     c.concurrency = Some(8);
@@ -22,10 +26,10 @@ fn worker_cfg(cache_mb: u64) -> SimConfig {
     c
 }
 
-fn scale_cfg(kind: ScalingPolicyKind, max_workers: usize) -> AutoscaleConfig {
+fn scale_cfg(kind: ScalingPolicyKind) -> AutoscaleConfig {
     let mut c = AutoscaleConfig::enabled_with(kind);
     c.min_workers = 1;
-    c.max_workers = max_workers;
+    c.max_workers = MAX_WORKERS;
     c.interval_ms = 2_000;
     c.scale_up_cooldown_ms = 2_000;
     c.scale_down_cooldown_ms = 30_000;
@@ -35,8 +39,9 @@ fn scale_cfg(kind: ScalingPolicyKind, max_workers: usize) -> AutoscaleConfig {
 
 /// A fixed fleet expressed as a degenerate autoscale config (min == max).
 fn fixed_cfg(n: usize) -> AutoscaleConfig {
-    let mut c = scale_cfg(ScalingPolicyKind::ReactiveQueueDelay, n);
+    let mut c = scale_cfg(ScalingPolicyKind::ReactiveQueueDelay);
     c.min_workers = n;
+    c.max_workers = n;
     c
 }
 
@@ -71,9 +76,7 @@ fn row(label: String, out: &ElasticOutcome) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let max_workers = env_u64("ILU_MAX_WORKERS", 8) as usize;
-    let cache_mb = env_u64("ILU_CACHE_MB", 2_048);
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let trace = SyntheticAzureTrace::generate(&AzureTraceConfig {
         apps: 120,
         duration_ms: 4 * 3600 * 1000,
@@ -82,31 +85,32 @@ fn main() {
         rate_scale: 1.0,
     });
     eprintln!(
-        "elastic fleet 1..{max_workers} x {cache_mb}MB; trace {} functions / {} invocations",
+        "elastic fleet 1..{MAX_WORKERS} x {CACHE_MB}MB; trace {} functions / {} invocations",
         trace.profiles.len(),
         trace.events.len()
     );
 
     let mut rows = Vec::new();
     for kind in ScalingPolicyKind::all() {
-        let out = ElasticClusterSim::run(
+        let outcome = ElasticClusterSim::run(
             trace.profiles.clone(),
             &trace.events,
-            worker_cfg(cache_mb),
-            scale_cfg(kind, max_workers),
+            worker_cfg(),
+            scale_cfg(kind),
         );
-        rows.push(row(kind.name().to_string(), &out));
+        rows.push(row(kind.name().to_string(), &outcome));
     }
-    for n in [1, max_workers] {
-        let out = ElasticClusterSim::run(
+    for n in [1, MAX_WORKERS] {
+        let outcome = ElasticClusterSim::run(
             trace.profiles.clone(),
             &trace.events,
-            worker_cfg(cache_mb),
+            worker_cfg(),
             fixed_cfg(n),
         );
-        rows.push(row(format!("fixed-{n}"), &out));
+        rows.push(row(format!("fixed-{n}"), &outcome));
     }
     print_table(
+        out,
         "Ablation: autoscaling policy — cold starts vs wasted warm memory",
         &[
             "policy",
@@ -119,6 +123,7 @@ fn main() {
             "recov mean/max ms",
         ],
         &rows,
-    );
-    println!("\nExpected shape: every controller lands between the fixed fleets — near fixed-max cold ratio at a fraction of its warm GB*s, with MPC growing earliest on ramps.");
+    )?;
+    writeln!(out, "\nExpected shape: every controller lands between the fixed fleets — near fixed-max cold ratio at a fraction of its warm GB*s, with MPC growing earliest on ramps.")?;
+    Ok(true)
 }

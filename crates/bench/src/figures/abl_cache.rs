@@ -10,36 +10,28 @@
 //! * interleaved tenants sharing fqdn+args must see zero cross-tenant
 //!   serves.
 //!
-//! Exits non-zero on any breach (`check.sh` runs this as a gate).
+//! `check.sh` runs this as a gate.
 
-use iluvatar_bench::{env_u64, pctl, print_table};
+use super::sim_worker;
+use crate::{pctl, print_table};
 use iluvatar_cache::{CacheConfig, CacheStatus};
-use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
 use iluvatar_containers::FunctionSpec;
-use iluvatar_core::{Worker, WorkerConfig};
-use iluvatar_sync::SystemClock;
-use std::sync::Arc;
+use iluvatar_core::WorkerConfig;
+use std::io::{self, Write};
 use std::time::Instant;
 
 const TENANTS: [&str; 2] = ["acme", "umbra"];
+/// Invocations measured per phase.
+const SAMPLES: usize = 200;
+/// Distinct argument values the repeated phase cycles through.
+const UNIQUE_ARGS: u64 = 8;
 
-fn main() {
-    let samples = env_u64("ILU_CACHE_SAMPLES", 200) as usize;
-    let unique = env_u64("ILU_CACHE_UNIQUE", 8);
-
-    let clock = SystemClock::shared();
-    let backend = Arc::new(SimBackend::new(
-        Arc::clone(&clock),
-        SimBackendConfig {
-            time_scale: 0.02,
-            ..Default::default()
-        },
-    ));
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let cfg = WorkerConfig {
         cache: CacheConfig::enabled_default(),
         ..WorkerConfig::for_testing()
     };
-    let worker = Worker::new(cfg, backend, clock);
+    let worker = sim_worker(cfg, 0.02);
     worker
         .register(
             FunctionSpec::new("f", "1")
@@ -51,7 +43,7 @@ fn main() {
     // Warm phase: first sight of every (tenant, arg) pair — containers go
     // warm and the cache fills. Not measured.
     for tenant in TENANTS {
-        for a in 0..unique {
+        for a in 0..UNIQUE_ARGS {
             let (_, status) = worker
                 .invoke_tenant_cached("f-1", &format!("{{\"k\":{a}}}"), Some(tenant))
                 .expect("warm invoke");
@@ -61,8 +53,8 @@ fn main() {
 
     // Dispatch p50: fresh arguments every time — warm containers, full
     // queue + acquire + agent path.
-    let mut dispatch_ms = Vec::with_capacity(samples);
-    for i in 0..samples {
+    let mut dispatch_ms = Vec::with_capacity(SAMPLES);
+    for i in 0..SAMPLES {
         let args = format!("{{\"fresh\":{i}}}");
         let t0 = Instant::now();
         let (_, status) = worker
@@ -75,10 +67,10 @@ fn main() {
     // Hit phase: repeated arguments, tenants interleaved on identical
     // fqdn+args. Every serve must carry the requesting tenant's label.
     let (mut hits, mut misses, mut cross_tenant) = (0u64, 0u64, 0u64);
-    let mut hit_ms = Vec::with_capacity(samples);
-    for i in 0..samples {
+    let mut hit_ms = Vec::with_capacity(SAMPLES);
+    for i in 0..SAMPLES {
         let tenant = TENANTS[i % TENANTS.len()];
-        let args = format!("{{\"k\":{}}}", i as u64 % unique);
+        let args = format!("{{\"k\":{}}}", i as u64 % UNIQUE_ARGS);
         let t0 = Instant::now();
         let (r, status) = worker
             .invoke_tenant_cached("f-1", &args, Some(tenant))
@@ -103,6 +95,7 @@ fn main() {
     let disp_p99 = pctl(&dispatch_ms, 0.99);
 
     print_table(
+        out,
         "Ablation: result cache vs warm dispatch",
         &["path", "p50 ms", "p99 ms", "samples"],
         &[
@@ -119,25 +112,31 @@ fn main() {
                 hit_ms.len().to_string(),
             ],
         ],
-    );
-    println!("repeated-phase hit rate: {hit_rate:.3} ({hits} hits / {misses} misses)");
-    println!("cross-tenant serves: {cross_tenant}");
+    )?;
+    writeln!(
+        out,
+        "repeated-phase hit rate: {hit_rate:.3} ({hits} hits / {misses} misses)"
+    )?;
+    writeln!(out, "cross-tenant serves: {cross_tenant}")?;
 
-    let mut failed = false;
+    let mut held = true;
     if hit_p50 >= disp_p50 {
-        eprintln!("FAIL: hit p50 {hit_p50:.4}ms must beat dispatch p50 {disp_p50:.4}ms");
-        failed = true;
+        writeln!(
+            out,
+            "FAIL: hit p50 {hit_p50:.4}ms must beat dispatch p50 {disp_p50:.4}ms"
+        )?;
+        held = false;
     }
     if hit_rate < 0.8 {
-        eprintln!("FAIL: repeated-phase hit rate {hit_rate:.3} < 0.80");
-        failed = true;
+        writeln!(out, "FAIL: repeated-phase hit rate {hit_rate:.3} < 0.80")?;
+        held = false;
     }
     if cross_tenant > 0 {
-        eprintln!("FAIL: {cross_tenant} cross-tenant serves");
-        failed = true;
+        writeln!(out, "FAIL: {cross_tenant} cross-tenant serves")?;
+        held = false;
     }
-    if failed {
-        std::process::exit(1);
+    if held {
+        writeln!(out, "cache ablation gates passed")?;
     }
-    println!("cache ablation gates passed");
+    Ok(held)
 }

@@ -5,23 +5,20 @@
 //! too-high one admits everything immediately (fine for the null backend,
 //! harmful with real CPU contention). AIMD should converge near the knee.
 
+use super::sim_worker;
+use crate::{pctl, print_table};
 use iluvatar::prelude::*;
 use iluvatar::WorkerTarget;
-use iluvatar_bench::{env_u64, pctl, print_table};
 use iluvatar_core::config::ConcurrencyConfig;
 use iluvatar_trace::loadgen::{closed_loop, ClosedLoopConfig, InvokerTarget};
+use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn run(limit: usize, dynamic: bool, clients: usize, per_client: usize) -> Vec<String> {
-    let clock = SystemClock::shared();
-    let backend = Arc::new(SimBackend::new(
-        Arc::clone(&clock),
-        SimBackendConfig {
-            time_scale: 1.0,
-            ..Default::default()
-        },
-    ));
+const CLIENTS: usize = 32;
+const PER_CLIENT: usize = 40;
+
+fn measure(limit: usize, dynamic: bool) -> Vec<String> {
     let cfg = WorkerConfig {
         name: "abl-c".into(),
         cores: 8,
@@ -36,7 +33,7 @@ fn run(limit: usize, dynamic: bool, clients: usize, per_client: usize) -> Vec<St
         },
         ..Default::default()
     };
-    let worker = Arc::new(Worker::new(cfg, backend, clock));
+    let worker = Arc::new(sim_worker(cfg, 1.0));
     worker
         .register(FunctionSpec::new("f", "1").with_timing(40, 100))
         .unwrap();
@@ -47,8 +44,8 @@ fn run(limit: usize, dynamic: bool, clients: usize, per_client: usize) -> Vec<St
         Arc::new(WorkerTarget(Arc::clone(&worker))) as Arc<dyn InvokerTarget>,
         "f-1",
         &ClosedLoopConfig {
-            clients,
-            invocations_per_client: per_client,
+            clients: CLIENTS,
+            invocations_per_client: PER_CLIENT,
             warmup_per_client: 2,
         },
     );
@@ -73,16 +70,15 @@ fn run(limit: usize, dynamic: bool, clients: usize, per_client: usize) -> Vec<St
     ]
 }
 
-fn main() {
-    let clients = env_u64("ILU_CLIENTS", 32) as usize;
-    let per_client = env_u64("ILU_PER_CLIENT", 40) as usize;
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let mut rows = Vec::new();
     for limit in [2usize, 8, 32] {
-        rows.push(run(limit, false, clients, per_client));
+        rows.push(measure(limit, false));
     }
-    rows.push(run(2, true, clients, per_client));
+    rows.push(measure(2, true));
     print_table(
-        &format!("Ablation: concurrency limit under {clients} closed-loop clients (40ms warm fn)"),
+        out,
+        &format!("Ablation: concurrency limit under {CLIENTS} closed-loop clients (40ms warm fn)"),
         &[
             "regulator",
             "throughput/s",
@@ -91,6 +87,7 @@ fn main() {
             "final limit",
         ],
         &rows,
-    );
-    println!("\nExpected shape: tiny fixed limits throttle throughput and inflate latency; AIMD grows its limit from 2 toward the load and approaches the large-fixed-limit throughput.");
+    )?;
+    writeln!(out, "\nExpected shape: tiny fixed limits throttle throughput and inflate latency; AIMD grows its limit from 2 toward the load and approaches the large-fixed-limit throughput.")?;
+    Ok(true)
 }

@@ -7,15 +7,17 @@
 //! warm starts, and forwards them to other servers only when the server's
 //! load exceeds some pre-specified load-bound".
 
-use iluvatar_bench::{env_u64, print_table};
+use crate::print_table;
 use iluvatar_core::config::KeepalivePolicyKind;
 use iluvatar_lb::chbl::ChBlConfig;
 use iluvatar_sim::{ClusterSim, SimConfig, SimLbPolicy};
 use iluvatar_trace::azure::{AzureTraceConfig, SyntheticAzureTrace};
+use std::io::{self, Write};
 
-fn main() {
-    let workers = env_u64("ILU_WORKERS", 8) as usize;
-    let cache_mb = env_u64("ILU_CACHE_MB", 4_096);
+const WORKERS: usize = 8;
+const CACHE_MB: u64 = 4_096;
+
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let trace = SyntheticAzureTrace::generate(&AzureTraceConfig {
         apps: 150,
         duration_ms: 4 * 3600 * 1000,
@@ -24,7 +26,7 @@ fn main() {
         rate_scale: 1.0,
     });
     eprintln!(
-        "cluster: {workers} workers x {cache_mb}MB; trace {} functions / {} invocations",
+        "cluster: {WORKERS} workers x {CACHE_MB}MB; trace {} functions / {} invocations",
         trace.profiles.len(),
         trace.events.len()
     );
@@ -36,10 +38,10 @@ fn main() {
         SimLbPolicy::LeastLoaded,
     ] {
         let out = ClusterSim::run(
-            workers,
+            WORKERS,
             trace.profiles.clone(),
             &trace.events,
-            SimConfig::new(KeepalivePolicyKind::Gdsf, cache_mb),
+            SimConfig::new(KeepalivePolicyKind::Gdsf, CACHE_MB),
             policy,
         );
         rows.push(vec![
@@ -51,6 +53,7 @@ fn main() {
         ]);
     }
     print_table(
+        out,
         "Ablation: load-balancing policy over the simulated cluster",
         &[
             "policy",
@@ -60,6 +63,7 @@ fn main() {
             "forwarded",
         ],
         &rows,
-    );
-    println!("\nExpected shape: CH-BL's warm ratio beats RoundRobin/LeastLoaded (locality); its imbalance is higher but bounded by the load-bound forwarding.");
+    )?;
+    writeln!(out, "\nExpected shape: CH-BL's warm ratio beats RoundRobin/LeastLoaded (locality); its imbalance is higher but bounded by the load-bound forwarding.")?;
+    Ok(true)
 }

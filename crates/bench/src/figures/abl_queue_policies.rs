@@ -5,18 +5,22 @@
 //! functions clog the queue: SJF/EEDF should protect them; FCFS should not;
 //! bypass should rescue them regardless of discipline.
 
+use super::sim_worker;
+use crate::{pctl, print_table};
 use iluvatar::prelude::*;
 use iluvatar::WorkerTarget;
-use iluvatar_bench::{env_u64, pctl, print_table};
 use iluvatar_core::config::{ConcurrencyConfig, QueueConfig};
 use iluvatar_trace::loadgen::{InvokerTarget, OpenLoopRunner, ScheduledInvocation};
+use std::io::{self, Write};
 use std::sync::Arc;
 
-fn build_schedule(duration_ms: u64) -> Vec<ScheduledInvocation> {
+const DURATION_MS: u64 = 8_000;
+
+fn build_schedule() -> Vec<ScheduledInvocation> {
     let mut schedule = Vec::new();
     // Short function: every 40ms. Long functions: bursts of 6 every 800ms.
     let mut t = 0;
-    while t < duration_ms {
+    while t < DURATION_MS {
         schedule.push(ScheduledInvocation {
             at_ms: t,
             fqdn: "short-1".into(),
@@ -26,7 +30,7 @@ fn build_schedule(duration_ms: u64) -> Vec<ScheduledInvocation> {
         t += 40;
     }
     let mut t = 100;
-    while t < duration_ms {
+    while t < DURATION_MS {
         for k in 0..6 {
             schedule.push(ScheduledInvocation {
                 at_ms: t + k,
@@ -40,15 +44,7 @@ fn build_schedule(duration_ms: u64) -> Vec<ScheduledInvocation> {
     schedule
 }
 
-fn run(policy: QueuePolicyKind, bypass: bool, duration_ms: u64) -> Vec<String> {
-    let clock = SystemClock::shared();
-    let backend = Arc::new(SimBackend::new(
-        Arc::clone(&clock),
-        SimBackendConfig {
-            time_scale: 1.0,
-            ..Default::default()
-        },
-    ));
+fn measure(policy: QueuePolicyKind, bypass: bool) -> Vec<String> {
     let cfg = WorkerConfig {
         name: "abl-q".into(),
         cores: 4,
@@ -65,7 +61,7 @@ fn run(policy: QueuePolicyKind, bypass: bool, duration_ms: u64) -> Vec<String> {
         },
         ..Default::default()
     };
-    let worker = Arc::new(Worker::new(cfg, backend, clock));
+    let worker = Arc::new(sim_worker(cfg, 1.0));
     worker
         .register(FunctionSpec::new("short", "1").with_timing(15, 40))
         .unwrap();
@@ -76,7 +72,7 @@ fn run(policy: QueuePolicyKind, bypass: bool, duration_ms: u64) -> Vec<String> {
     worker.invoke("short-1", "{}").unwrap();
     worker.invoke("long-1", "{}").unwrap();
 
-    let runner = OpenLoopRunner::new(build_schedule(duration_ms));
+    let runner = OpenLoopRunner::new(build_schedule());
     let out = runner.run(Arc::new(WorkerTarget(Arc::clone(&worker))) as Arc<dyn InvokerTarget>);
     let short_lat: Vec<f64> = out
         .iter()
@@ -97,18 +93,19 @@ fn run(policy: QueuePolicyKind, bypass: bool, duration_ms: u64) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let duration = env_u64("ILU_DURATION_MS", 8_000);
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let mut rows = Vec::new();
     for policy in QueuePolicyKind::all() {
-        rows.push(run(policy, false, duration));
+        rows.push(measure(policy, false));
     }
-    rows.push(run(QueuePolicyKind::Fcfs, true, duration));
-    rows.push(run(QueuePolicyKind::Eedf, true, duration));
+    rows.push(measure(QueuePolicyKind::Fcfs, true));
+    rows.push(measure(QueuePolicyKind::Eedf, true));
     print_table(
+        out,
         "Ablation: queue policy vs short/long function latency (ms, e2e)",
         &["policy", "short p50", "short p99", "long p50", "long p99"],
         &rows,
-    );
-    println!("\nExpected shape: SJF/EEDF cut short-function latency vs FCFS; RARE favours the long (rarer) function; bypass rescues shorts under any discipline.");
+    )?;
+    writeln!(out, "\nExpected shape: SJF/EEDF cut short-function latency vs FCFS; RARE favours the long (rarer) function; bypass rescues shorts under any discipline.")?;
+    Ok(true)
 }

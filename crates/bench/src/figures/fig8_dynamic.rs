@@ -2,52 +2,49 @@
 //! holds the cold-start ("miss") speed near a target while shrinking the
 //! provisioned cache ~30% below a conservative static allocation.
 
-use iluvatar_bench::{env_f64, env_u64, full_run, print_table};
+use super::base_population;
+use crate::print_table;
 use iluvatar_core::config::KeepalivePolicyKind;
 use iluvatar_sim::provisioning::{DynamicScaler, ProvisioningConfig};
 use iluvatar_sim::{KeepaliveSim, SimConfig};
-use iluvatar_trace::samples::base_population_config;
-use iluvatar_trace::{SampleKind, SyntheticAzureTrace, TraceSample};
+use iluvatar_trace::{SampleKind, TraceSample};
+use std::io::{self, Write};
 
-fn main() {
-    let full = full_run();
-    let mut cfg = base_population_config(0xA22E);
-    if !full {
-        cfg.apps = 400;
-        cfg.duration_ms = 8 * 3600 * 1000;
-    }
-    eprintln!("generating representative trace...");
-    let base = SyntheticAzureTrace::generate(&cfg);
-    let sample = TraceSample::draw(SampleKind::Representative, &base, 7);
-    let trace = &sample.trace;
+/// The conservative static provision the controller is compared against.
+const STATIC_MB: u64 = 10_000;
+/// Proportional gain of the controller.
+const GAIN: f64 = 0.15;
 
-    let static_mb = env_u64("ILU_STATIC_MB", 10_000);
+pub fn run(out: &mut dyn Write, full: bool) -> io::Result<bool> {
+    let base = base_population(full, 8);
+    let trace = TraceSample::draw(SampleKind::Representative, &base, 7).trace;
+
     // Calibrate the target against the static provision's own miss speed:
     // tolerate 3x its misses and let the controller find the smallest cache
     // that sustains that — the paper pins 0.0015 misses/s for its trace.
     let stat = KeepaliveSim::run(
         trace.profiles.clone(),
         &trace.events,
-        SimConfig::new(KeepalivePolicyKind::Gdsf, static_mb),
+        SimConfig::new(KeepalivePolicyKind::Gdsf, STATIC_MB),
     );
     let duration_s = trace.duration_ms as f64 / 1000.0;
     let static_miss_speed = stat.cold as f64 / duration_s;
-    let target = env_f64("ILU_TARGET_MISS_PER_SEC", static_miss_speed * 3.0);
+    let target = static_miss_speed * 3.0;
 
     let prov = ProvisioningConfig {
         target_miss_per_sec: target,
         error_tolerance: 0.30,
-        gain: env_f64("ILU_GAIN", 0.15),
+        gain: GAIN,
         max_rel_err: 3.0,
         interval_ms: 5 * 60_000,
         min_mb: 1_000,
-        max_mb: static_mb * 2,
-        initial_mb: static_mb,
+        max_mb: STATIC_MB * 2,
+        initial_mb: STATIC_MB,
     };
-    let run = DynamicScaler::new(prov.clone()).run(
+    let run = DynamicScaler::new(prov).run(
         trace.profiles.clone(),
         &trace.events,
-        SimConfig::new(KeepalivePolicyKind::Gdsf, static_mb),
+        SimConfig::new(KeepalivePolicyKind::Gdsf, STATIC_MB),
     );
 
     // Timeseries, downsampled to ~24 printed rows.
@@ -66,18 +63,21 @@ fn main() {
         })
         .collect();
     print_table(
+        out,
         &format!("Figure 8: dynamic cache sizing (target {target:.4} misses/s, 30% band)"),
         &["time", "cache MB", "miss/s", "resized"],
         &rows,
-    );
+    )?;
 
     let mean = run.mean_cache_mb();
-    println!("\nStatic provision: {static_mb} MB; its miss speed {static_miss_speed:.4}/s; cold ratio {:.4}", stat.cold_ratio());
-    println!(
+    writeln!(out, "\nStatic provision: {STATIC_MB} MB; its miss speed {static_miss_speed:.4}/s; cold ratio {:.4}", stat.cold_ratio())?;
+    writeln!(
+        out,
         "Dynamic: mean cache {:.0} MB ({:.0}% below static), cold ratio {:.4}",
         mean,
-        (1.0 - mean / static_mb as f64) * 100.0,
+        (1.0 - mean / STATIC_MB as f64) * 100.0,
         run.outcome.cold_ratio()
-    );
-    println!("Expected shape: cache tracks miss speed, mean size ≈30% under static, service quality comparable.");
+    )?;
+    writeln!(out, "Expected shape: cache tracks miss speed, mean size ≈30% under static, service quality comparable.")?;
+    Ok(true)
 }

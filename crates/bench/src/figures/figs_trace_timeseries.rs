@@ -2,9 +2,9 @@
 //! Azure trace and the three samples (the diurnal wave of the full trace
 //! should be visible in the Representative sample too).
 
-use iluvatar_bench::full_run;
-use iluvatar_trace::samples::base_population_config;
+use super::base_population;
 use iluvatar_trace::{SampleKind, SyntheticAzureTrace, TraceSample};
+use std::io::{self, Write};
 
 fn sparkline(series: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -26,32 +26,28 @@ fn downsample(series: &[f64], points: usize) -> Vec<f64> {
         .collect()
 }
 
-fn print_series(name: &str, trace: &SyntheticAzureTrace) {
+fn print_series(out: &mut dyn Write, name: &str, trace: &SyntheticAzureTrace) -> io::Result<()> {
     let per_min = trace.rate_timeseries(60_000);
     let ds = downsample(&per_min, 72);
     let mean = per_min.iter().sum::<f64>() / per_min.len() as f64;
     let peak = per_min.iter().cloned().fold(0.0f64, f64::max);
-    println!(
+    writeln!(
+        out,
         "\n{name}: mean {mean:.1}/s, peak {peak:.1}/s, {} invocations",
         trace.events.len()
-    );
-    println!("  {}", sparkline(&ds));
+    )?;
+    writeln!(out, "  {}", sparkline(&ds))
 }
 
-fn main() {
-    let full = full_run();
-    let mut cfg = base_population_config(0xA22E);
-    if !full {
-        cfg.apps = 400;
-        cfg.duration_ms = 24 * 3600 * 1000; // keep a full day: diurnality
-    }
-    eprintln!("generating traces...");
-    let base = SyntheticAzureTrace::generate(&cfg);
-    println!("== Appendix: invocation-rate timeseries (one day) ==");
-    print_series("Full trace", &base);
+pub fn run(out: &mut dyn Write, full: bool) -> io::Result<bool> {
+    // The quick run keeps a full day: diurnality is the point.
+    let base = base_population(full, 24);
+    writeln!(out, "== Appendix: invocation-rate timeseries (one day) ==")?;
+    print_series(out, "Full trace", &base)?;
     for kind in SampleKind::all() {
         let s = TraceSample::draw(kind, &base, 7);
-        print_series(kind.name(), &s.trace);
+        print_series(out, kind.name(), &s.trace)?;
     }
-    println!("\nExpected shape: a diurnal wave in the full trace, echoed by the Representative sample; Rare is sparse and flat by comparison.");
+    writeln!(out, "\nExpected shape: a diurnal wave in the full trace, echoed by the Representative sample; Rare is sparse and flat by comparison.")?;
+    Ok(true)
 }

@@ -1,23 +1,13 @@
 //! Table 2 — size and inter-arrival-time details of the three Azure-derived
 //! workload samples (Representative / Rare / Random).
 
-use iluvatar_bench::print_table;
-use iluvatar_trace::samples::base_population_config;
-use iluvatar_trace::{SampleKind, SyntheticAzureTrace, TraceSample};
+use super::base_population;
+use crate::print_table;
+use iluvatar_trace::{SampleKind, TraceSample};
+use std::io::{self, Write};
 
-fn main() {
-    let full = iluvatar_bench::full_run();
-    let mut cfg = base_population_config(0xA22E);
-    if !full {
-        cfg.apps = 400;
-        cfg.duration_ms = 6 * 3600 * 1000;
-    }
-    eprintln!(
-        "generating base population ({} apps, {}h)...",
-        cfg.apps,
-        cfg.duration_ms / 3_600_000
-    );
-    let base = SyntheticAzureTrace::generate(&cfg);
+pub fn run(out: &mut dyn Write, full: bool) -> io::Result<bool> {
+    let base = base_population(full, 6);
 
     let mut rows = Vec::new();
     for kind in SampleKind::all() {
@@ -32,6 +22,7 @@ fn main() {
         ]);
     }
     print_table(
+        out,
         "Table 2: Azure-derived workload samples",
         &[
             "Trace",
@@ -41,9 +32,11 @@ fn main() {
             "Avg IAT",
         ],
         &rows,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\nPaper's values (their 24h sample of the real trace): Representative 392 fns / 1,348,162 invocations; Rare 1000 fns / 202,121; Random 200 fns / 4,291,250."
-    );
-    println!("Shape to hold: Representative ≫ Rare in per-function rate; Rare has the lowest aggregate rate.");
+    )?;
+    writeln!(out, "Shape to hold: Representative ≫ Rare in per-function rate; Rare has the lowest aggregate rate.")?;
+    Ok(true)
 }

@@ -1,10 +1,11 @@
 //! Table 3 — the FunctionBench applications driving the OpenWhisk-vs-
 //! FaasCache litmus experiments, with their memory, run, and init times.
 
-use iluvatar_bench::print_table;
+use crate::print_table;
 use iluvatar_trace::functionbench::FbApp;
+use std::io::{self, Write};
 
-fn main() {
+pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let mut rows = Vec::new();
     for app in FbApp::all() {
         let (mem, run, init) = app.table3();
@@ -17,6 +18,7 @@ fn main() {
         ]);
     }
     print_table(
+        out,
         "Table 3: FunctionBench application characteristics",
         &[
             "Application",
@@ -26,6 +28,7 @@ fn main() {
             "Warm time",
         ],
         &rows,
-    );
-    println!("\n(The seven Table 3 rows match the paper; pyaes is the additional Figure 1 microbenchmark function.)");
+    )?;
+    writeln!(out, "\n(The seven Table 3 rows match the paper; pyaes is the additional Figure 1 microbenchmark function.)")?;
+    Ok(true)
 }

@@ -1,16 +1,68 @@
-//! Shared harness utilities for the experiment binaries.
-//!
-//! Every table and figure of the paper has a `src/bin/` harness that prints
-//! the same rows or series the paper reports. The helpers here cover output
-//! formatting, the policy/size sweep runner (Figs. 4–5), and the litmus
-//! workload builders (Figs. 6–7).
+//! The experiment harness: every table, figure and ablation is one entry
+//! of [`figures::FIGURES`], and [`cli`] is the `bench` command line over
+//! such a table. The helpers here cover output formatting and the litmus
+//! workload builders.
 
-use iluvatar_core::config::KeepalivePolicyKind;
-use iluvatar_sim::{KeepaliveSim, SimConfig, SimOutcome};
+pub mod figures;
+
+use figures::Figure;
 use iluvatar_trace::azure::{FunctionProfile, TraceEvent};
 use iluvatar_trace::functionbench::FbApp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{self, Write};
+
+/// `bench --list | --figure <name> [--full]` over `table`; returns the
+/// process exit code. The figure's table goes to `out`; usage errors, a
+/// failed gate and write errors are reported on `err` with a non-zero code.
+pub fn cli(
+    table: &[(&str, Figure)],
+    argv: &[String],
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> u8 {
+    let (mut list, mut full, mut name) = (false, false, None);
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--list" => list = true,
+            "--full" => full = true,
+            "--figure" => name = it.next(),
+            other => return usage(table, err, &format!("unknown argument {other:?}")),
+        }
+    }
+    if list {
+        let listed = table.iter().try_for_each(|(n, _)| writeln!(out, "{n}"));
+        return u8::from(listed.is_err());
+    }
+    let Some(name) = name else {
+        return usage(table, err, "--figure <name> or --list is required");
+    };
+    let Some((_, run)) = table.iter().find(|(n, _)| n == name) else {
+        return usage(table, err, &format!("unknown figure {name:?}"));
+    };
+    match run(out, full) {
+        Ok(true) => 0,
+        Ok(false) => {
+            let _ = writeln!(err, "bench: {name}: gate FAILED");
+            1
+        }
+        Err(e) => {
+            let _ = writeln!(err, "bench: {name}: {e}");
+            1
+        }
+    }
+}
+
+fn usage(table: &[(&str, Figure)], err: &mut dyn Write, problem: &str) -> u8 {
+    let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
+    let _ = writeln!(
+        err,
+        "bench: {problem}\nusage: bench --list | --figure <name> [--full]\nfigures: {}",
+        names.join(" ")
+    );
+    2
+}
 
 /// Draw exponential inter-arrivals with the given mean (Poisson process) —
 /// bursts are what make keep-alive spare containers (and thus eviction
@@ -36,34 +88,20 @@ pub fn pctl(xs: &[f64], q: f64) -> f64 {
     iluvatar_sync::stats::percentile(xs, q)
 }
 
-/// Read an env-var knob with default (harness scaling: `ILU_SCALE`, etc.).
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// True when `--full` was passed (paper-scale run; default is a quick run).
-pub fn full_run() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
 /// Print a header row followed by aligned numeric rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "\n== {title} ==")?;
+    // In chars, as `{:>width$}` pads: headers carry `µ`.
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
@@ -75,33 +113,13 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!(
+    writeln!(
+        out,
         "{}",
         fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-/// Run one (policy, cache size) cell of the Fig. 4/5 sweep.
-pub fn sweep_cell(
-    profiles: &[FunctionProfile],
-    events: &[TraceEvent],
-    policy: KeepalivePolicyKind,
-    cache_gb: f64,
-) -> SimOutcome {
-    let cfg = SimConfig::new(policy, (cache_gb * 1024.0) as u64);
-    KeepaliveSim::run(profiles.to_vec(), events, cfg)
-}
-
-/// The Fig. 4/5 cache-size x-axis, GB.
-pub fn cache_sizes_gb(full: bool) -> Vec<f64> {
-    if full {
-        vec![5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0]
-    } else {
-        vec![5.0, 15.0, 30.0, 50.0, 80.0]
-    }
+    )?;
+    rows.iter()
+        .try_for_each(|row| writeln!(out, "{}", fmt_row(row)))
 }
 
 /// A litmus workload: FunctionBench apps firing at fixed IATs for a given
@@ -260,19 +278,18 @@ mod tests {
     }
 
     #[test]
-    fn table_printer_does_not_panic() {
+    fn table_printer_right_aligns_columns() {
+        let mut out = Vec::new();
         print_table(
+            &mut out,
             "demo",
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "\n== demo ==\n  a  b\n  1  2\n333  4\n"
         );
-    }
-
-    #[test]
-    fn sweep_cell_runs() {
-        let (profiles, events) = litmus_workload(&[(FbApp::FloatingPoint, 5_000)], 10 * 60_000);
-        let out = sweep_cell(&profiles, &events, KeepalivePolicyKind::Gdsf, 1.0);
-        assert!(out.total > 0);
-        assert!(out.cold >= 1);
     }
 }

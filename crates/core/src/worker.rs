@@ -464,9 +464,15 @@ impl Shared {
     /// release the result.
     fn complete(&self, item: QueuedInvocation, dequeued_at: TimeMs) {
         self.running.fetch_add(1, Ordering::Relaxed);
-        self.running_fn
-            .update_or_insert(item.fqdn.clone(), || 0, |n| *n += 1);
-        let outcome = execute(self, &item, dequeued_at);
+        let found_idle = self.running_fn.update_or_insert(
+            item.fqdn.clone(),
+            || 0,
+            |n| {
+                *n += 1;
+                *n == 1
+            },
+        );
+        let outcome = execute(self, &item, dequeued_at, found_idle);
         self.running_fn
             .update(&item.fqdn, |n| *n = n.saturating_sub(1));
         self.running.fetch_sub(1, Ordering::Relaxed);
@@ -1436,6 +1442,7 @@ fn execute(
     s: &Shared,
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
+    found_idle: bool,
 ) -> Result<InvocationResult, InvokeError> {
     let reg = s
         .registry
@@ -1443,7 +1450,7 @@ fn execute(
         .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
     let res = &s.cfg.resilience;
     if res.max_retries == 0 {
-        return attempt_invoke(s, &reg, item, dequeued_at);
+        return attempt_invoke(s, &reg, item, dequeued_at, found_idle);
     }
     // Seeding with the trace id keeps the whole schedule deterministic per
     // invocation while decorrelating concurrent retriers.
@@ -1460,7 +1467,7 @@ fn execute(
     let deadline = (res.invoke_deadline_ms > 0).then(|| item.arrived_at + res.invoke_deadline_ms);
     let mut attempt: u32 = 0;
     loop {
-        let err = match attempt_invoke(s, &reg, item, dequeued_at) {
+        let err = match attempt_invoke(s, &reg, item, dequeued_at, found_idle) {
             Ok(r) => return Ok(r),
             // Backend failures are transient by assumption (the container
             // was quarantined); everything else is a control-plane verdict.
@@ -1511,6 +1518,7 @@ fn attempt_invoke(
     reg: &Registration,
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
+    found_idle: bool,
 ) -> Result<InvocationResult, InvokeError> {
     // --- acquire_container: warm hit or cold start -----------------------
     let acq_g = s.spans.time(names::ACQUIRE_CONTAINER);
@@ -1522,10 +1530,13 @@ fn attempt_invoke(
         None => {
             // Herd suppression (§4): if another invocation of this function
             // is running, briefly wait for its warm container rather than
-            // paying a concurrent ("spawn start") cold start.
+            // paying a concurrent ("spawn start") cold start. The invocation
+            // that found the function idle never waits: of a simultaneous
+            // burst exactly one saw zero, and it must create the container
+            // the others wait for.
             let herd_ms = s.cfg.queue.herd_wait_ms;
             let mut herd_hit = None;
-            if herd_ms > 0 && s.running_fn.get(&item.fqdn).unwrap_or(0) > 1 {
+            if herd_ms > 0 && !found_idle && s.running_fn.get(&item.fqdn).unwrap_or(0) > 1 {
                 let deadline = s.clock.now_ms() + herd_ms;
                 while s.clock.now_ms() < deadline {
                     std::thread::sleep(Duration::from_millis(2));
@@ -1904,6 +1915,29 @@ mod tests {
             colds, 1,
             "herd suppression avoids the concurrent cold start"
         );
+        assert_eq!(w.status().cold_starts, 1);
+    }
+
+    #[test]
+    fn herd_third_invocation_waits_behind_a_running_waiter() {
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.queue.herd_wait_ms = 2_000;
+        cfg.concurrency.limit = 4;
+        let w = test_worker(cfg);
+        w.register(spec("f", 1000, 4000, 128)).unwrap();
+        // Whichever of the two found the function idle creates the
+        // container and answers first; the other needs that container for
+        // a 50 ms warm run, so the third arrives while it still runs.
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..2 {
+            let (tx, h) = (tx.clone(), w.async_invoke("f-1", "{}").unwrap());
+            std::thread::spawn(move || tx.send(h.wait().unwrap()).unwrap());
+        }
+        let r1 = rx.recv().unwrap();
+        let r3 = w.invoke("f-1", "{}").unwrap();
+        let r2 = rx.recv().unwrap();
+        let colds = [r1.cold, r2.cold, r3.cold].iter().filter(|&&c| c).count();
+        assert_eq!(colds, 1, "one cold start serves the whole herd");
         assert_eq!(w.status().cold_starts, 1);
     }
 

@@ -18,6 +18,9 @@ pub struct FireOutcome {
     pub fqdn: String,
     /// End-to-end client-observed latency, ms.
     pub e2e_ms: u64,
+    /// The same latency in µs: a warm Ilúvatar invocation is far below the
+    /// millisecond `e2e_ms` can resolve.
+    pub e2e_us: u64,
     /// Function execution time reported by the platform, ms.
     pub exec_ms: u64,
     pub cold: bool,
@@ -30,9 +33,38 @@ pub struct FireOutcome {
 }
 
 impl FireOutcome {
+    /// What the client saw: `res` is the target's answer, `sent` the moment
+    /// the request left.
+    fn observed(
+        fqdn: String,
+        tenant: Option<String>,
+        sent: Instant,
+        sent_at_ms: u64,
+        res: Result<(u64, bool), String>,
+    ) -> Self {
+        let e2e = sent.elapsed();
+        let (exec_ms, cold) = *res.as_ref().unwrap_or(&(0, false));
+        Self {
+            fqdn,
+            e2e_ms: e2e.as_millis() as u64,
+            e2e_us: e2e.as_micros() as u64,
+            exec_ms,
+            cold,
+            dropped: res.is_err(),
+            sent_at_ms,
+            tenant,
+        }
+    }
+
     /// Control-plane overhead: client latency minus function execution.
     pub fn overhead_ms(&self) -> u64 {
         self.e2e_ms.saturating_sub(self.exec_ms)
+    }
+
+    /// [`overhead_ms`](Self::overhead_ms) at µs resolution (the platform
+    /// reports execution time in whole ms).
+    pub fn overhead_us(&self) -> u64 {
+        self.e2e_us.saturating_sub(self.exec_ms * 1000)
     }
 }
 
@@ -80,30 +112,10 @@ pub fn closed_loop(
                     let sent = Instant::now();
                     let sent_at_ms = start.elapsed().as_millis() as u64;
                     let res = target.fire(&fqdn, "{}");
-                    let e2e_ms = sent.elapsed().as_millis() as u64;
-                    if i < cfg.warmup_per_client {
-                        continue;
+                    let outcome = FireOutcome::observed(fqdn.clone(), None, sent, sent_at_ms, res);
+                    if i >= cfg.warmup_per_client {
+                        out.push(outcome);
                     }
-                    out.push(match res {
-                        Ok((exec_ms, cold)) => FireOutcome {
-                            fqdn: fqdn.clone(),
-                            e2e_ms,
-                            exec_ms,
-                            cold,
-                            dropped: false,
-                            sent_at_ms,
-                            tenant: None,
-                        },
-                        Err(_) => FireOutcome {
-                            fqdn: fqdn.clone(),
-                            e2e_ms,
-                            exec_ms: 0,
-                            cold: false,
-                            dropped: true,
-                            sent_at_ms,
-                            tenant: None,
-                        },
-                    });
                 }
                 out
             })
@@ -204,27 +216,7 @@ impl OpenLoopRunner {
             handles.push(std::thread::spawn(move || {
                 let sent = Instant::now();
                 let res = target.fire_as(&fqdn, &args, tenant.as_deref());
-                let e2e_ms = sent.elapsed().as_millis() as u64;
-                match res {
-                    Ok((exec_ms, cold)) => FireOutcome {
-                        fqdn,
-                        e2e_ms,
-                        exec_ms,
-                        cold,
-                        dropped: false,
-                        sent_at_ms,
-                        tenant,
-                    },
-                    Err(_) => FireOutcome {
-                        fqdn,
-                        e2e_ms,
-                        exec_ms: 0,
-                        cold: false,
-                        dropped: true,
-                        sent_at_ms,
-                        tenant,
-                    },
-                }
+                FireOutcome::observed(fqdn, tenant, sent, sent_at_ms, res)
             }));
         }
         handles
@@ -437,6 +429,7 @@ mod tests {
         let o = FireOutcome {
             fqdn: "f-1".into(),
             e2e_ms: 110,
+            e2e_us: 110_400,
             exec_ms: 100,
             cold: false,
             dropped: false,
@@ -444,5 +437,6 @@ mod tests {
             tenant: None,
         };
         assert_eq!(o.overhead_ms(), 10);
+        assert_eq!(o.overhead_us(), 10_400);
     }
 }

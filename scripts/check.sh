@@ -59,6 +59,25 @@ if [[ -n "$tables" ]]; then
     exit 1
 fi
 
+echo "=== duplication guard (one bench harness, one micro-measurer, no env knobs) ==="
+# Figures are entries of crates/bench/src/figures/FIGURES behind the single
+# `bench` binary; `perf --trace 1` and `bench --figure micro` are the only
+# micro-measurers; figure parameters are named constants, not ILU_* env vars.
+extra_bins=$(find crates/bench/src/bin -name '*.rs' ! -name bench.rs)
+if [[ -n "$extra_bins" ]]; then
+    echo "per-figure bench bins are back: add an entry to crates/bench/src/figures/ instead:" >&2
+    echo "$extra_bins" >&2
+    exit 1
+fi
+if grep -n -e '^\[\[bench\]\]' -e criterion Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
+    echo "a criterion bench is back; measure with perf --trace 1 or bench --figure micro" >&2
+    exit 1
+fi
+if grep -rn '"ILU_' crates/bench; then
+    echo "an ILU_* env knob is back under crates/bench; use a named constant next to its use" >&2
+    exit 1
+fi
+
 echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
 # Every seeded scenario must replay bit-identically: same seed, same
 # digest. --verify-determinism runs the scenario twice as fresh processes
@@ -88,20 +107,21 @@ echo "=== conformance mutation smoke (checker must catch seeded corruption) ==="
 
 echo "=== dispatch ablation (pull/hybrid p99 <= push p99) ==="
 # One seeded heavy-tailed workload through push (CH-BL with a stale load
-# signal), pull (the real PullPlane), and hybrid planes. The binary
-# asserts the tail-latency claim the pull plane exists for.
-./target/release/abl_dispatch
+# signal), pull (the real PullPlane), and hybrid planes. The figure
+# gates the tail-latency claim the pull plane exists for.
+./target/release/bench --figure abl_dispatch
 
 echo "=== overhead budget (p50/p99 per Table-1 group) ==="
 # Replays a fixed warm trace over the real HTTP hot path and checks each
 # Table-1 group's p50/p99 dispatch overhead (from GET /breakdown) against
-# wide-headroom budgets. Exits non-zero on any breach.
-./target/release/abl_overhead_budget
+# a fixed multiple of the value EXPERIMENTS.md records. Exits non-zero on
+# any breach.
+./target/release/bench --figure abl_overhead_budget
 
 echo "=== cache ablation (hit p50 < dispatch p50, >=80% repeat hits) ==="
 # Measures the real hot path with the result cache on: a hit must beat a
 # warm dispatch at p50, the repeated phase must serve >=80% from cache,
 # and interleaved tenants on identical fqdn+args must never cross.
-./target/release/abl_cache
+./target/release/bench --figure abl_cache
 
 echo "all checks passed"

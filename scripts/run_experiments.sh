@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure. Pass --full for paper-scale runs.
-set -u
+# Regenerate results/<figure>.txt (stdout only) for every entry of
+# `bench --list`. Pass --full for paper-scale runs.
+set -uo pipefail
 cd "$(dirname "$0")/.."
-mode="${1:-}"
-out="results"
-mkdir -p "$out"
-bins="tab3_workloads tab2_trace_details tab1_latency_breakdown fig1_overhead_scaling \
-      fig4_exec_increase fig5_cold_ratio fig6_litmus fig7_faasbench fig8_dynamic \
-      figs_trace_timeseries abl_queue_policies abl_concurrency abl_load_balancer"
-for b in $bins; do
-  echo "=== $b ==="
-  cargo run --release -q -p iluvatar-bench --bin "$b" -- $mode 2>&1 | tee "$out/$b.txt"
+cargo build --release -q -p iluvatar-bench || exit 1
+mkdir -p results
+failed=""
+for f in $(./target/release/bench --list); do
+  echo "=== $f ===" >&2
+  ./target/release/bench --figure "$f" "$@" >"results/$f.txt" || failed="$failed $f"
 done
-echo "all experiment outputs in $out/"
+if [[ -n "$failed" ]]; then
+  echo "gate failed or figure crashed:$failed" >&2
+  exit 1
+fi
+echo "all experiment outputs in results/" >&2
