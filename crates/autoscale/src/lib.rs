@@ -67,29 +67,6 @@ impl ScalingPolicyKind {
     }
 }
 
-/// How the fleet picks which worker to drain on scale-down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum VictimPolicyKind {
-    /// Drain the worker holding the least warm-container residency
-    /// (GB·s) — retiring it forfeits the least keep-alive investment.
-    /// Ties (including an all-zero fleet of stub handles) fall back to
-    /// the highest slot index, i.e. LIFO.
-    #[default]
-    LeastWarm,
-    /// Drain the most recently attached worker (the pre-warm-aware
-    /// behaviour), ignoring residency.
-    Lifo,
-}
-
-impl VictimPolicyKind {
-    pub fn name(&self) -> &'static str {
-        match self {
-            VictimPolicyKind::LeastWarm => "least-warm",
-            VictimPolicyKind::Lifo => "lifo",
-        }
-    }
-}
-
 /// Elastic-fleet configuration. Defaults to fully disabled so existing
 /// deployments keep their fixed fleet; `reactive queue-delay` is the
 /// default controller once enabled.
@@ -113,17 +90,6 @@ pub struct AutoscaleConfig {
     pub scale_down_cooldown_ms: u64,
     /// Most workers added or retired by a single decision.
     pub max_step: usize,
-    /// Scale-down victim selection; least-warm-GB·s by default, `Lifo`
-    /// restores the pre-residency behaviour.
-    #[serde(default)]
-    pub victim_policy: VictimPolicyKind,
-    /// Hottest functions handed off from a drain victim to survivors
-    /// before the reaper detaches it; 0 selects the built-in default.
-    #[serde(default)]
-    pub handoff_top_k: usize,
-    pub reactive: ReactiveConfig,
-    pub concurrency: ConcurrencyTargetConfig,
-    pub mpc: MpcConfig,
 }
 
 impl Default for AutoscaleConfig {
@@ -137,11 +103,6 @@ impl Default for AutoscaleConfig {
             scale_up_cooldown_ms: 1_000,
             scale_down_cooldown_ms: 5_000,
             max_step: 2,
-            victim_policy: VictimPolicyKind::default(),
-            handoff_top_k: 0,
-            reactive: ReactiveConfig::default(),
-            concurrency: ConcurrencyTargetConfig::default(),
-            mpc: MpcConfig::default(),
         }
     }
 }
@@ -156,21 +117,21 @@ impl AutoscaleConfig {
         }
     }
 
-    /// Instantiate the configured controller.
+    /// Instantiate the configured controller with its default targets.
     pub fn build_policy(&self) -> Box<dyn ScalingPolicy> {
         match self.policy {
             ScalingPolicyKind::ReactiveQueueDelay => Box::new(ReactiveQueueDelayPolicy::new(
-                self.reactive.clone(),
+                ReactiveConfig::default(),
                 self.cooldowns(),
                 self.max_step,
             )),
             ScalingPolicyKind::ConcurrencyTarget => Box::new(ConcurrencyTargetPolicy::new(
-                self.concurrency.clone(),
+                ConcurrencyTargetConfig::default(),
                 self.cooldowns(),
                 self.max_step,
             )),
             ScalingPolicyKind::PredictiveMpc => Box::new(MpcPolicy::new(
-                self.mpc.clone(),
+                MpcConfig::default(),
                 self.cooldowns(),
                 self.max_step,
                 self.min_workers,
@@ -181,15 +142,6 @@ impl AutoscaleConfig {
 
     pub fn cooldowns(&self) -> Cooldowns {
         Cooldowns::new(self.scale_up_cooldown_ms, self.scale_down_cooldown_ms)
-    }
-
-    /// Handoff breadth: 0 selects the built-in default of 4.
-    pub fn effective_handoff_top_k(&self) -> usize {
-        if self.handoff_top_k == 0 {
-            4
-        } else {
-            self.handoff_top_k
-        }
     }
 }
 
@@ -265,12 +217,6 @@ pub enum ScalingDecision {
     ScaleDown { remove: usize, reason: &'static str },
 }
 
-impl ScalingDecision {
-    pub fn is_hold(&self) -> bool {
-        matches!(self, ScalingDecision::Hold)
-    }
-}
-
 /// A journaled scale event: one applied decision.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScaleEvent {
@@ -315,28 +261,11 @@ mod tests {
     fn config_roundtrips_and_old_configs_parse() {
         let mut c = AutoscaleConfig::enabled_with(ScalingPolicyKind::PredictiveMpc);
         c.max_workers = 5;
-        c.victim_policy = VictimPolicyKind::Lifo;
         let json = serde_json::to_string(&c).unwrap();
         let back: AutoscaleConfig = serde_json::from_str(&json).unwrap();
         assert!(back.enabled);
         assert_eq!(back.policy, ScalingPolicyKind::PredictiveMpc);
         assert_eq!(back.max_workers, 5);
-        assert_eq!(back.victim_policy, VictimPolicyKind::Lifo);
-    }
-
-    #[test]
-    fn victim_policy_defaults_and_handoff_floor() {
-        let c = AutoscaleConfig::default();
-        assert_eq!(c.victim_policy, VictimPolicyKind::LeastWarm);
-        assert_eq!(c.victim_policy.name(), "least-warm");
-        assert_eq!(VictimPolicyKind::Lifo.name(), "lifo");
-        assert_eq!(c.handoff_top_k, 0, "0 selects the built-in default");
-        assert_eq!(c.effective_handoff_top_k(), 4);
-        let c = AutoscaleConfig {
-            handoff_top_k: 2,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_handoff_top_k(), 2);
     }
 
     #[test]

@@ -12,11 +12,10 @@
 use crate::policy::Cooldowns;
 use crate::{FleetObservation, ScalingDecision, ScalingPolicy};
 use iluvatar_sync::ArrivalForecaster;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// MPC-lite configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpcConfig {
     /// Prediction horizon, in evaluation intervals.
     pub horizon_steps: usize,

@@ -3,7 +3,6 @@
 
 use crate::{FleetObservation, ScalingDecision, ScalingPolicy};
 use iluvatar_sync::MovingWindow;
-use serde::{Deserialize, Serialize};
 
 /// Asymmetric scale-up / scale-down cooldowns on observation time.
 ///
@@ -56,7 +55,7 @@ impl Cooldowns {
 }
 
 /// Reactive queue-delay controller configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReactiveConfig {
     /// Queue-delay setpoint, ms.
     pub target_queue_delay_ms: f64,
@@ -139,7 +138,7 @@ impl ScalingPolicy for ReactiveQueueDelayPolicy {
 }
 
 /// Concurrency-target controller configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConcurrencyTargetConfig {
     /// Desired average in-flight invocations per worker.
     pub target_per_worker: f64,

@@ -13,9 +13,9 @@
 //! * [`FaultInjector`] wraps any [`ContainerBackend`] and injects the fault
 //!   classes a worker must survive: cold-start (create) failures, agent-call
 //!   errors, latency spikes, hung agents, and mid-invoke container deaths.
-//! * HTTP-level faults (dropped/garbled responses between load balancer and
-//!   worker) live in `iluvatar_http::chaos`, next to the transport they
-//!   corrupt.
+//! * [`FaultyStorage`] wraps any `Storage` under the WAL and injects the
+//!   disk faults it must survive: torn and failed writes, failed and
+//!   stalled fsyncs, bit-rot on read.
 //!
 //! Each fired fault increments a per-site counter exposed via
 //! [`FaultPlan::stats`], so tests can assert exactly how many faults a run
@@ -78,10 +78,6 @@ impl FaultSpec {
             every,
             ..Self::default()
         }
-    }
-
-    pub fn is_never(&self) -> bool {
-        self.prob <= 0.0 && self.schedule.is_empty() && self.every == 0
     }
 
     /// Does occurrence `idx` fire by schedule or period (not probability)?
@@ -324,19 +320,6 @@ impl FaultInjector {
         Arc::clone(&self.plan)
     }
 
-    /// Stream every fired fault onto the canonical telemetry bus.
-    pub fn with_telemetry(self, bus: Arc<TelemetryBus>) -> Self {
-        self.plan.set_telemetry(bus);
-        self
-    }
-
-    /// Snapshot `recorder` automatically on every fired fault (requires a
-    /// bus attached via [`FaultInjector::with_telemetry`]).
-    pub fn with_flight_recorder(self, recorder: Arc<FlightRecorder>) -> Self {
-        self.plan.set_flight_recorder(recorder);
-        self
-    }
-
     fn fault_invoke(&self) -> Option<BackendError> {
         if self.plan.decide(sites::LATENCY_SPIKE) {
             std::thread::sleep(Duration::from_millis(self.plan.cfg.spike_ms));
@@ -524,9 +507,9 @@ mod tests {
         let recorder = Arc::new(FlightRecorder::new(64));
         bus.add_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
         bus.add_sink(Arc::clone(&recorder) as Arc<dyn TelemetrySink>);
-        let inj = FaultInjector::new(sim(), cfg)
-            .with_telemetry(Arc::clone(&bus))
-            .with_flight_recorder(Arc::clone(&recorder));
+        let inj = FaultInjector::new(sim(), cfg);
+        inj.plan().set_telemetry(Arc::clone(&bus));
+        inj.plan().set_flight_recorder(Arc::clone(&recorder));
 
         let c = inj.create(&spec()).unwrap();
         assert!(inj.invoke(&c, "{}").is_ok(), "occurrence 0 clean: no event");

@@ -170,11 +170,6 @@ impl FaultyStorage {
         }
     }
 
-    /// Share an externally owned plan (a session that also polls stats).
-    pub fn with_plan(inner: Arc<dyn Storage>, plan: Arc<DiskFaultPlan>) -> Self {
-        Self { inner, plan }
-    }
-
     pub fn plan(&self) -> Arc<DiskFaultPlan> {
         Arc::clone(&self.plan)
     }

@@ -299,14 +299,6 @@ impl DispatchModel {
             .filter(|t| t.state == LeaseState::Queued)
             .count()
     }
-
-    /// Invocations whose expiry has not yet been requeued.
-    pub fn awaiting_requeue(&self) -> usize {
-        self.tasks
-            .values()
-            .filter(|t| t.state == LeaseState::AwaitingRequeue)
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -61,14 +61,6 @@ impl FleetModel {
         self.slots.insert(target.to_string(), SlotState::Attached);
     }
 
-    pub fn slot_of(&self, target: &str) -> Option<SlotState> {
-        self.slots.get(target).copied()
-    }
-
-    pub fn attached_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// `membership:attach`.
     pub fn attach(&mut self, target: &str) -> Result<(), ModelError> {
         if self.slots.contains_key(target) {

@@ -68,12 +68,6 @@ impl RuntimeLatencyModel {
         }
     }
 
-    /// Override the launch median (calibration hook for tests/benches).
-    pub fn with_create_median(mut self, ms: f64) -> Self {
-        self.create_median_ms = ms;
-        self
-    }
-
     /// Scale every latency by `f` — used to shrink experiments in time
     /// without changing relative costs.
     pub fn scaled(mut self, f: f64) -> Self {
@@ -108,10 +102,6 @@ impl RuntimeLatencyModel {
             rpc_ms: self.lognormal(rng, self.rpc_median_ms).round() as u64,
         }
     }
-
-    pub fn create_median_ms(&self) -> f64 {
-        self.create_median_ms
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +116,8 @@ mod tests {
         let crun = RuntimeLatencyModel::new(RuntimeKind::Crun);
         let ctrd = RuntimeLatencyModel::new(RuntimeKind::Containerd);
         let dock = RuntimeLatencyModel::new(RuntimeKind::Docker);
-        assert!(crun.create_median_ms() < ctrd.create_median_ms());
-        assert!(ctrd.create_median_ms() < dock.create_median_ms());
+        assert!(crun.create_median_ms < ctrd.create_median_ms);
+        assert!(ctrd.create_median_ms < dock.create_median_ms);
     }
 
     #[test]

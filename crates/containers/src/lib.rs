@@ -37,4 +37,4 @@ pub use inprocess::InProcessBackend;
 pub use latency::{LatencySample, RuntimeKind, RuntimeLatencyModel};
 pub use netns::{NamespaceLease, NamespacePool};
 pub use simulated::SimBackend;
-pub use types::{Container, ContainerId, ContainerState, FunctionSpec, ResourceLimits};
+pub use types::{Container, ContainerId, FunctionSpec, ResourceLimits};

@@ -11,11 +11,10 @@
 //! pre-creates namespaces off the critical path so a cold start only pops a
 //! free one.
 
-use iluvatar_sync::{Clock, TaskPool};
+use iluvatar_sync::Clock;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A distinct virtual network namespace (veth pair + namespace id).
 #[derive(Debug, PartialEq, Eq)]
@@ -114,19 +113,6 @@ impl NamespacePool {
         }
     }
 
-    /// Register a periodic refill on `tasks`, keeping the pool at target
-    /// without touching the invocation critical path.
-    pub fn start_refill(&self, tasks: &TaskPool, period: Duration) {
-        let inner = Arc::clone(&self.inner);
-        let target = self.target_free;
-        tasks.spawn_periodic("netns-refill", period, move || {
-            while inner.free.lock().len() < target {
-                let ns = inner.create_raw();
-                inner.free.lock().push(ns);
-            }
-        });
-    }
-
     /// Acquire a namespace: from the pool when possible (fast path), else
     /// created inline, paying the global-lock cost a cold start would see
     /// without the cache.
@@ -209,24 +195,5 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_ne!(b.id(), c.id());
         assert!(a.path().contains(&format!("{}", a.id())));
-    }
-
-    #[test]
-    fn background_refill_restores_target() {
-        let pool = NamespacePool::new(2, 0, SystemClock::shared());
-        pool.prefill();
-        let tasks = TaskPool::new(1);
-        pool.start_refill(&tasks, Duration::from_millis(10));
-        let a = pool.acquire();
-        let b = pool.acquire();
-        std::mem::forget(a); // consume permanently
-        std::mem::forget(b);
-        // Refill must bring the pool back without returning the leases.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while pool.free_count() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.free_count(), 2);
-        assert!(pool.created() >= 4);
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::backend::{BackendError, ContainerBackend, InvokeOutput};
 use crate::latency::{RuntimeKind, RuntimeLatencyModel};
-use crate::netns::NamespacePool;
 use crate::types::{Container, FunctionSpec};
 use iluvatar_sync::{Clock, ShardedMap};
 use parking_lot::Mutex;
@@ -54,7 +53,6 @@ pub struct SimBackend {
     time_scale: f64,
     snapshot_factor: f64,
     rng: Mutex<StdRng>,
-    netns: Option<Arc<NamespacePool>>,
     /// Per-function (warm, init) ms remembered from `create` specs.
     timing: ShardedMap<String, (u64, u64)>,
     live: ShardedMap<u64, ()>,
@@ -71,19 +69,12 @@ impl SimBackend {
             time_scale: cfg.time_scale,
             snapshot_factor: cfg.snapshot_factor.clamp(0.0, 1.0),
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
-            netns: None,
             timing: ShardedMap::new(),
             live: ShardedMap::new(),
             next_cookie: AtomicU64::new(1),
             creates: AtomicU64::new(0),
             invokes: AtomicU64::new(0),
         }
-    }
-
-    /// Attach a namespace pool so cold starts model the netns cost too.
-    pub fn with_netns(mut self, pool: Arc<NamespacePool>) -> Self {
-        self.netns = Some(pool);
-        self
     }
 
     fn scale(&self, ms: u64) -> u64 {
@@ -113,11 +104,9 @@ impl ContainerBackend for SimBackend {
             let mut rng = self.rng.lock();
             self.model.sample(&mut *rng)
         };
-        // Namespace first (pool hit is free; a miss pays the lock cost),
-        // then the runtime's sandbox launch. §3.2: containers launch "from
-        // disk, or from a previous snapshot if available" — after the first
-        // launch of a function, a snapshot cuts the boot cost.
-        let lease = self.netns.as_ref().map(|p| p.acquire());
+        // §3.2: containers launch "from disk, or from a previous snapshot
+        // if available" — after the first launch of a function, a snapshot
+        // cuts the boot cost.
         let had_snapshot = self.timing.contains_key(&spec.fqdn);
         self.timing
             .insert(spec.fqdn.clone(), (spec.warm_exec_ms, spec.init_ms));
@@ -128,7 +117,6 @@ impl ContainerBackend for SimBackend {
         };
         self.clock.sleep_ms(create_ms + sample.rpc_ms);
         let mut container = Container::new(&spec.fqdn, spec.limits);
-        container.netns = lease;
         let cookie = self.next_cookie.fetch_add(1, Ordering::Relaxed);
         container.backend_cookie = cookie;
         self.live.insert(cookie, ());
@@ -317,17 +305,5 @@ mod tests {
         assert_eq!(parse_sim_init_ms(&s), Some(456));
         assert_eq!(parse_sim_ms("{}"), None);
         assert_eq!(parse_sim_ms("{\"_sim_ms\": 77}"), Some(77));
-    }
-
-    #[test]
-    fn netns_cost_charged_on_pool_miss() {
-        let clock = Arc::new(ManualClock::new());
-        let pool = Arc::new(NamespacePool::new(0, 100, clock.clone()));
-        let b = SimBackend::new(clock.clone(), SimBackendConfig::default())
-            .with_netns(Arc::clone(&pool));
-        let t0 = clock.now_ms();
-        let _c = b.create(&FunctionSpec::new("f", "1")).unwrap();
-        assert!(clock.now_ms() - t0 >= 100, "empty pool adds netns cost");
-        assert_eq!(pool.pool_misses(), 1);
     }
 }

@@ -25,21 +25,6 @@ impl std::fmt::Display for ContainerId {
     }
 }
 
-/// Lifecycle states of a container in the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContainerState {
-    /// Created, agent booting; not yet usable.
-    Starting,
-    /// Agent up, no invocation has ever run (a prewarmed container).
-    Prewarmed,
-    /// Currently executing an invocation.
-    Running,
-    /// Idle with a completed invocation behind it — a warm hit candidate.
-    Warm,
-    /// Removed from the pool; backend resources released.
-    Destroyed,
-}
-
 /// Per-container CPU/memory limits (cgroup quota equivalents).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResourceLimits {

@@ -130,140 +130,11 @@ impl From<InvocationResult> for WireResult {
     }
 }
 
-/// Wire form of the worker status.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct WireStatus {
-    pub name: String,
-    pub queue_len: usize,
-    pub running: usize,
-    pub concurrency_limit: usize,
-    pub used_mem_mb: u64,
-    pub free_mem_mb: u64,
-    pub normalized_load: f64,
-    pub completed: u64,
-    pub dropped: u64,
-    #[serde(default)]
-    pub failed: u64,
-    pub warm_hits: u64,
-    pub cold_starts: u64,
-    /// Requests served by this worker's API server.
-    #[serde(default)]
-    pub http_requests: u64,
-    /// Retries scheduled after transient backend failures.
-    #[serde(default)]
-    pub retries: u64,
-    /// Agent calls abandoned at the agent timeout.
-    #[serde(default)]
-    pub agent_timeouts: u64,
-    /// Containers quarantined (discarded) after a failed agent hop.
-    #[serde(default)]
-    pub quarantined: u64,
-    /// Invocations failed after the retry budget was exhausted or shed.
-    #[serde(default)]
-    pub dropped_retry_exhausted: u64,
-    /// Invocations rejected by admission control (throttled + shed).
-    #[serde(default)]
-    pub dropped_admission: u64,
-    /// Per-tenant accounting; empty when admission control is disabled.
-    #[serde(default)]
-    pub tenants: Vec<iluvatar_admission::TenantSnapshot>,
-    /// Quarantined containers released back to the pool after their TTL.
-    #[serde(default)]
-    pub quarantine_released: u64,
-    /// Lifecycle state: `running`, `draining`, or `stopped`. Empty when
-    /// talking to a pre-lifecycle worker.
-    #[serde(default)]
-    pub lifecycle: String,
-    /// Invocations (queued + running) still to finish before a drain
-    /// completes.
-    #[serde(default)]
-    pub drain_pending: u64,
-    /// Queue delay of the most recently dequeued invocation, ms.
-    #[serde(default)]
-    pub queue_delay_ms: u64,
-    /// Result-cache hits served without dispatching (0 when disabled).
-    #[serde(default)]
-    pub cache_hits: u64,
-    /// Result-cache lookups that fell through to dispatch.
-    #[serde(default)]
-    pub cache_misses: u64,
-    /// Result-cache entries evicted under the per-tenant capacity bound.
-    #[serde(default)]
-    pub cache_evictions: u64,
-    /// Total warm-container residency, GB·s.
-    #[serde(default)]
-    pub warm_gb_s: f64,
-    /// Per-function warm residency — the fleet's handoff shopping list.
-    #[serde(default)]
-    pub warm_residency: Vec<WireWarm>,
-    /// The WAL is serving in degraded (non-durable) mode.
-    #[serde(default)]
-    pub wal_degraded: bool,
-    /// Invocations accepted while degraded — results flagged non-durable.
-    #[serde(default)]
-    pub wal_non_durable: u64,
-    /// Appends shed at the WAL stall deadline (503 + Retry-After).
-    #[serde(default)]
-    pub wal_stall_sheds: u64,
-    /// WAL segment rotations (size, error ladder, re-arm).
-    #[serde(default)]
-    pub wal_rotations: u64,
-    /// Corrupt/torn WAL frames quarantined during recovery.
-    #[serde(default)]
-    pub wal_quarantined: u64,
-}
-
 /// One function's warm-pool residency, as reported on `/status`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireWarm {
     pub fqdn: String,
     pub gb_s: f64,
-}
-
-impl From<WorkerStatus> for WireStatus {
-    fn from(s: WorkerStatus) -> Self {
-        Self {
-            name: s.name,
-            queue_len: s.queue_len,
-            running: s.running,
-            concurrency_limit: s.concurrency_limit,
-            used_mem_mb: s.used_mem_mb,
-            free_mem_mb: s.free_mem_mb,
-            normalized_load: s.normalized_load,
-            completed: s.completed,
-            dropped: s.dropped,
-            failed: s.failed,
-            warm_hits: s.warm_hits,
-            cold_starts: s.cold_starts,
-            http_requests: 0,
-            retries: s.retries,
-            agent_timeouts: s.agent_timeouts,
-            quarantined: s.quarantined,
-            dropped_retry_exhausted: s.dropped_retry_exhausted,
-            dropped_admission: s.dropped_admission,
-            tenants: Vec::new(),
-            quarantine_released: s.quarantine_released,
-            lifecycle: s.lifecycle,
-            drain_pending: s.drain_pending,
-            queue_delay_ms: s.queue_delay_ms,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.cache_evictions,
-            // The vendored serde_json writes non-finite floats as null;
-            // clamp so the wire form always parses back.
-            warm_gb_s: if s.warm_gb_s.is_finite() {
-                s.warm_gb_s
-            } else {
-                0.0
-            },
-            warm_residency: Vec::new(),
-            wal_degraded: s.wal_degraded,
-            wal_non_durable: s.wal_non_durable,
-            wal_stall_sheds: s.wal_stall_sheds,
-            wal_rotations: s.wal_rotations,
-            wal_quarantined: s.wal_quarantined,
-        }
-    }
 }
 
 pub fn json_resp(status: Status, body: String) -> Response {
@@ -342,25 +213,36 @@ pub fn result_resp(r: InvocationResult) -> Response {
     json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
 }
 
+/// `Retry-After` seconds advertised on the worker's 503s (draining,
+/// stopped, or a stalled WAL disk).
+const RETRY_AFTER_SECS: u64 = 1;
+
+/// `/async_invoke` handles awaiting their `/result/<cookie>` poll. Cookies
+/// are minted in sequence and minting one retires the cookie `queue.max_len`
+/// behind it, so a client that never polls cannot grow the map.
+type PendingResults = ShardedMap<u64, InvocationHandle>;
+
 /// The HTTP front-end of one worker.
 pub struct WorkerApi {
     server: HttpServer,
+    pending: Arc<PendingResults>,
 }
 
 impl WorkerApi {
     /// Serve `worker` on an ephemeral loopback port.
     pub fn serve(worker: Arc<Worker>) -> std::io::Result<Self> {
-        let pending: Arc<ShardedMap<u64, InvocationHandle>> = Arc::new(ShardedMap::new());
+        let pending: Arc<PendingResults> = Arc::new(ShardedMap::new());
         let cookie_seq = Arc::new(AtomicU64::new(1));
         // The handler closure exists before the server it runs in, so the
         // served-request counter arrives through a slot filled after start.
         let own_handle: Arc<OnceLock<ServerHandle>> = Arc::new(OnceLock::new());
         let slot = Arc::clone(&own_handle);
+        let routed = Arc::clone(&pending);
         let handler: Handler =
-            Arc::new(move |req: Request| route(&worker, &pending, &cookie_seq, &slot, req));
+            Arc::new(move |req: Request| route(&worker, &routed, &cookie_seq, &slot, req));
         let server = HttpServer::start(handler)?;
         let _ = own_handle.set(server.handle());
-        Ok(Self { server })
+        Ok(Self { server, pending })
     }
 
     pub fn addr(&self) -> SocketAddr {
@@ -371,11 +253,16 @@ impl WorkerApi {
     pub fn served(&self) -> u64 {
         self.server.handle().served()
     }
+
+    /// `/async_invoke` results not yet redeemed; at most `queue.max_len`.
+    pub fn pending_results(&self) -> usize {
+        self.pending.len()
+    }
 }
 
 fn route(
     worker: &Arc<Worker>,
-    pending: &Arc<ShardedMap<u64, InvocationHandle>>,
+    pending: &PendingResults,
     cookie_seq: &Arc<AtomicU64>,
     own_handle: &Arc<OnceLock<ServerHandle>>,
     req: Request,
@@ -386,15 +273,10 @@ fn route(
         None => (req.path.as_str(), ""),
     };
     let served = || own_handle.get().map(|h| h.served()).unwrap_or(0);
-    let invoke_err = |e: &InvokeError| {
-        error_resp(
-            e,
-            Some(worker.config().lifecycle.effective_retry_after_secs()),
-        )
-    };
+    let invoke_err = |e: &InvokeError| error_resp(e, Some(RETRY_AFTER_SECS));
     let resp = match (req.method, path) {
         (Method::Get, "/status") => {
-            let mut wire: WireStatus = worker.status().into();
+            let mut wire = worker.status();
             wire.http_requests = served();
             wire.tenants = worker.tenant_stats();
             wire.warm_residency = worker
@@ -458,6 +340,10 @@ fn route(
                 Ok(handle) => {
                     let cookie = cookie_seq.fetch_add(1, Ordering::Relaxed);
                     pending.insert(cookie, handle);
+                    let cap = (worker.config().queue.max_len as u64).max(1);
+                    if let Some(aged_out) = cookie.checked_sub(cap) {
+                        pending.remove(&aged_out);
+                    }
                     json_resp(Status::OK, format!("{{\"cookie\":{cookie}}}"))
                 }
                 Err(e) => invoke_err(&e),
@@ -466,16 +352,17 @@ fn route(
         },
         (Method::Get, path) if path.starts_with("/result/") => {
             match path["/result/".len()..].parse::<u64>() {
-                Ok(cookie) => match pending.remove(&cookie) {
-                    Some(handle) => match handle.poll() {
-                        Some(Ok(r)) => result_resp(r),
-                        Some(Err(e)) => invoke_err(&e),
-                        None => {
-                            // Still in flight: put it back, report pending.
-                            pending.insert(cookie, handle);
-                            json_resp(Status::NOT_FOUND, "{\"pending\":true}".into())
+                // Polled in place: an entry only ever leaves the map, so
+                // the age-out above bounds it.
+                Ok(cookie) => match pending.update(&cookie, |h| h.poll()) {
+                    Some(Some(outcome)) => {
+                        pending.remove(&cookie);
+                        match outcome {
+                            Ok(r) => result_resp(r),
+                            Err(e) => invoke_err(&e),
                         }
-                    },
+                    }
+                    Some(None) => json_resp(Status::NOT_FOUND, "{\"pending\":true}".into()),
                     None => error_json(Status::NOT_FOUND, "unknown cookie"),
                 },
                 Err(_) => error_json(Status::BAD_REQUEST, "bad cookie"),
@@ -684,7 +571,7 @@ impl WorkerApiClient {
             .map(|_| ())
     }
 
-    pub fn status(&self) -> Result<WireStatus, ApiError> {
+    pub fn status(&self) -> Result<WorkerStatus, ApiError> {
         self.get("/status")
     }
 
@@ -797,6 +684,53 @@ mod tests {
             Err(ApiError::Status(404, _)) => {}
             other => panic!("consumed cookie should 404, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unpolled_async_results_age_out_at_the_queue_bound() {
+        let clock = SystemClock::shared();
+        let backend = Arc::new(SimBackend::new(
+            Arc::clone(&clock),
+            SimBackendConfig {
+                time_scale: 0.02,
+                ..Default::default()
+            },
+        ));
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.queue.max_len = 8;
+        let worker = Arc::new(Worker::new(cfg, backend, clock));
+        let api = WorkerApi::serve(Arc::clone(&worker)).unwrap();
+        let client = WorkerApiClient::new(api.addr());
+        client
+            .register(&FunctionSpec::new("f", "1").with_timing(50, 0))
+            .unwrap();
+        // A client that submits and never polls. One at a time, so the
+        // queue bound itself never rejects a submission.
+        let mut cookies = Vec::new();
+        for _ in 0..8 + 5 {
+            cookies.push(client.async_invoke("f-1", "{}").unwrap());
+            while worker.status().completed < cookies.len() as u64 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(api.pending_results() <= 8, "{}", api.pending_results());
+        }
+        assert_eq!(api.pending_results(), 8);
+        // An aged-out cookie is as unknown as one never issued...
+        match client.result(cookies[0]) {
+            Err(ApiError::Status(404, body)) => assert!(body.contains("unknown cookie"), "{body}"),
+            other => panic!("aged-out cookie should 404, got {other:?}"),
+        }
+        // ...and the newest still resolves (its result lands just after
+        // the completion is counted; poll).
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while client.result(*cookies.last().unwrap()).unwrap().is_none() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "newest never resolved"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(api.pending_results(), 7, "a redeemed cookie leaves the map");
     }
 
     #[test]

@@ -172,24 +172,9 @@ pub struct ResilienceConfig {
     pub backoff_base_ms: u64,
     /// Backoff: upper bound on any single delay, ms.
     pub backoff_cap_ms: u64,
-    /// Backoff: jitter fraction in `[0, 1]` (deterministic per trace id).
-    pub backoff_jitter: f64,
-    /// Per-invocation deadline from arrival, ms: retries never extend past
-    /// it. 0 disables the deadline.
-    pub invoke_deadline_ms: u64,
     /// Agent-call timeout, ms: a call exceeding it is abandoned and the
     /// container quarantined. 0 calls inline with no timeout.
     pub agent_timeout_ms: u64,
-    /// Shed fraction: when invocations currently in retry-wait exceed this
-    /// fraction of the concurrency limit, further failures fail fast
-    /// instead of retrying (queue-level degrade under fault storms).
-    pub retry_saturation: f64,
-    /// How long a quarantined container is held before being released back
-    /// to the pool for another chance, ms. 0 (the default, and the serde
-    /// default for older configs) destroys quarantined containers
-    /// immediately — the pre-TTL behavior.
-    #[serde(default)]
-    pub quarantine_ttl_ms: u64,
 }
 
 impl Default for ResilienceConfig {
@@ -198,11 +183,7 @@ impl Default for ResilienceConfig {
             max_retries: 0,
             backoff_base_ms: 10,
             backoff_cap_ms: 1_000,
-            backoff_jitter: 0.5,
-            invoke_deadline_ms: 0,
             agent_timeout_ms: 0,
-            retry_saturation: 0.5,
-            quarantine_ttl_ms: 0,
         }
     }
 }
@@ -219,10 +200,6 @@ pub struct LifecycleConfig {
     /// the built-in default of 64.
     #[serde(default)]
     pub snapshot_every: u64,
-    /// `Retry-After` seconds advertised on 503s while draining or stopped.
-    /// 0 selects the built-in default of 1.
-    #[serde(default)]
-    pub drain_retry_after_secs: u64,
     /// Durability / fault-handling knobs for the WAL itself.
     #[serde(default)]
     pub wal: WalConfig,
@@ -253,13 +230,6 @@ pub struct WalConfig {
     /// Write retries before rotating to a fresh segment.
     #[serde(default)]
     pub retry_limit: u32,
-    /// Base backoff between write retries, ms (linear: `base * attempt`).
-    #[serde(default)]
-    pub retry_backoff_ms: u64,
-    /// Rotate to a new segment once the current one exceeds this size.
-    /// 0 selects the built-in default of 4 MiB.
-    #[serde(default)]
-    pub segment_bytes: u64,
     /// While degraded, attempt re-arming after this long, ms. 0 selects
     /// the built-in default of 250.
     #[serde(default)]
@@ -280,14 +250,6 @@ impl LifecycleConfig {
             64
         } else {
             self.snapshot_every
-        }
-    }
-
-    pub fn effective_retry_after_secs(&self) -> u64 {
-        if self.drain_retry_after_secs == 0 {
-            1
-        } else {
-            self.drain_retry_after_secs
         }
     }
 
@@ -318,16 +280,8 @@ impl LifecycleConfig {
             } else {
                 w.retry_limit
             },
-            retry_backoff_ms: if w.retry_backoff_ms == 0 {
-                d.retry_backoff_ms
-            } else {
-                w.retry_backoff_ms
-            },
-            segment_bytes: if w.segment_bytes == 0 {
-                d.segment_bytes
-            } else {
-                w.segment_bytes
-            },
+            retry_backoff_ms: d.retry_backoff_ms,
+            segment_bytes: d.segment_bytes,
             rearm_after_ms: if w.rearm_after_ms == 0 {
                 d.rearm_after_ms
             } else {
@@ -353,8 +307,6 @@ pub struct WorkerConfig {
     /// Background eviction sweep period, ms.
     pub eviction_period_ms: u64,
     pub keepalive: KeepalivePolicyKind,
-    /// TTL for the Ttl policy, ms (default: the classic 10 minutes).
-    pub ttl_ms: u64,
     pub queue: QueueConfig,
     pub concurrency: ConcurrencyConfig,
     /// Predictive prewarming horizon, ms: when the keep-alive policy (HIST)
@@ -363,8 +315,6 @@ pub struct WorkerConfig {
     pub prewarm_horizon_ms: u64,
     /// Pre-created network namespaces to keep pooled.
     pub netns_pool: usize,
-    /// Moving-window length for per-function characteristics.
-    pub char_window: usize,
     /// Retry/timeout hardening; defaults to fully disabled so configs
     /// written before this field existed still parse.
     #[serde(default)]
@@ -393,12 +343,10 @@ impl Default for WorkerConfig {
             free_buffer_mb: 1024,
             eviction_period_ms: 500,
             keepalive: KeepalivePolicyKind::Gdsf,
-            ttl_ms: 10 * 60 * 1000,
             queue: QueueConfig::default(),
             concurrency: ConcurrencyConfig::default(),
             prewarm_horizon_ms: 0,
             netns_pool: 16,
-            char_window: 32,
             resilience: ResilienceConfig::default(),
             admission: AdmissionConfig::default(),
             lifecycle: LifecycleConfig::default(),

@@ -256,12 +256,6 @@ pub fn render_worker(worker: &Worker, http_requests: u64) -> String {
         st.quarantined as f64,
     );
     w.counter(
-        "iluvatar_quarantine_released_total",
-        "Quarantined containers released back to the pool after their TTL",
-        base,
-        st.quarantine_released as f64,
-    );
-    w.counter(
         "iluvatar_dropped_retry_exhausted_total",
         "Invocations failed after the retry budget was exhausted or shed",
         base,
@@ -545,7 +539,6 @@ mod tests {
             "iluvatar_retries_total",
             "iluvatar_agent_timeouts_total",
             "iluvatar_containers_quarantined_total",
-            "iluvatar_quarantine_released_total",
             "iluvatar_dropped_retry_exhausted_total",
             "iluvatar_dropped_admission_total",
             "iluvatar_cache_hits_total",

@@ -8,8 +8,8 @@
 //! current segment file (`{path}.NNNN.log`), and a periodic compacted
 //! snapshot captures the full recoverable state — pending invocations,
 //! Prometheus counter baselines, per-tenant admission books, token-bucket
-//! levels, DRR deficits, and the quarantine set. A snapshot retires all
-//! older segments (compaction). Recovery replays the last snapshot plus the
+//! levels and DRR deficits. A snapshot retires all older segments
+//! (compaction). Recovery replays the last snapshot plus the
 //! tail after it, deduplicating by invocation id, so a duplicated or
 //! re-replayed tail converges to the same state (idempotent replay).
 //! Corrupt frames (CRC mismatch — the disk lied) and torn tails (truncated
@@ -97,8 +97,6 @@ pub struct CounterBaselines {
     #[serde(default)]
     pub quarantined: u64,
     #[serde(default)]
-    pub quarantine_released: u64,
-    #[serde(default)]
     pub dropped_retry_exhausted: u64,
 }
 
@@ -133,10 +131,6 @@ pub struct WalSnapshot {
     pub bucket_levels: Vec<BucketLevel>,
     #[serde(default)]
     pub drr_deficits: Vec<DrrDeficit>,
-    /// Fqdns with a container in quarantine (informational; the containers
-    /// themselves died with the process).
-    #[serde(default)]
-    pub quarantine: Vec<String>,
 }
 
 /// One queue mutation. On disk each record is a frame:
@@ -986,7 +980,7 @@ impl Wal {
 
     /// Open with explicit options and a pluggable storage layer. Appends go
     /// to a fresh segment numbered above any existing one; `replay` reads
-    /// all segments (plus a legacy unframed file at `path`, if present).
+    /// all segments.
     pub fn open_with(
         path: &Path,
         opts: WalOptions,
@@ -1246,19 +1240,18 @@ pub struct ReplayState {
     pub tenants: Vec<TenantSnapshot>,
     pub bucket_levels: Vec<BucketLevel>,
     pub drr_deficits: Vec<DrrDeficit>,
-    pub quarantine: Vec<String>,
     /// Highest trace id seen anywhere in the log; the recovered journal
     /// must mint above this so replayed and fresh ids never collide.
     pub max_id: u64,
     pub records_read: u64,
-    /// Damage from the disk dying mid-write: unparseable legacy lines plus
-    /// truncated final frames. Quarantined (skipped), not fatal.
+    /// Damage from the disk dying mid-write: truncated final frames.
+    /// Quarantined (skipped), not fatal.
     pub torn_lines: u64,
     /// Damage from the disk lying: frames whose CRC32 did not match (or
     /// whose framing was garbage). Quarantined, never replayed as pending.
     pub corrupt_frames: u64,
-    /// Segment (or legacy) files that could not be read at all; recovery
-    /// continues with what it can read.
+    /// Segment files that could not be read at all; recovery continues
+    /// with what it can read.
     pub unreadable_files: u64,
     pub segments_read: u64,
 }
@@ -1307,7 +1300,6 @@ fn apply_record(st: &mut ReplayState, cur: &mut ReplayCursor, rec: WalRecord) {
             st.tenants = snap.tenants;
             st.bucket_levels = snap.bucket_levels;
             st.drr_deficits = snap.drr_deficits;
-            st.quarantine = snap.quarantine;
         }
         WalRecord::Enqueued { inv } => {
             if cur.completed.contains(&inv.id)
@@ -1370,11 +1362,10 @@ pub fn replay(path: &Path) -> std::io::Result<ReplayState> {
     replay_with(path, &RealStorage)
 }
 
-/// Replay a WAL through a pluggable storage layer: a legacy unframed
-/// JSON-lines file at `path` (if present), then every framed segment in
-/// index order. Damage — torn tails, corrupt frames, unreadable files — is
-/// quarantined and counted, never fatal; a missing log replays to the empty
-/// state. Replay is idempotent: feeding it a log with duplicated records
+/// Replay a WAL through a pluggable storage layer: every framed segment
+/// of the log based at `path`, in index order. Damage — torn tails, corrupt
+/// frames, unreadable files — is quarantined and counted, never fatal; a
+/// missing log replays to the empty state. Replay is idempotent: feeding it a log with duplicated records
 /// (or replaying twice) yields the same pending set and counters, because
 /// each id transitions each set at most once.
 pub fn replay_with(path: &Path, storage: &dyn Storage) -> std::io::Result<ReplayState> {
@@ -1384,21 +1375,6 @@ pub fn replay_with(path: &Path, storage: &dyn Storage) -> std::io::Result<Replay
         completed: HashSet::new(),
         shed: HashSet::new(),
     };
-    match storage.read(path) {
-        Ok(bytes) => {
-            for line in String::from_utf8_lossy(&bytes).lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<WalRecord>(line) {
-                    Ok(rec) => apply_record(&mut st, &mut cur, rec),
-                    Err(_) => st.torn_lines += 1,
-                }
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(_) => st.unreadable_files += 1,
-    }
     for (_, seg) in discover_segments(storage, path) {
         match storage.read(&seg) {
             Ok(bytes) => {
@@ -1592,7 +1568,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_torn_tail_frame_and_legacy_line() {
+    fn replay_skips_torn_tail_frame() {
         let p = tmp("torn");
         let wal = Wal::open(&p, 1000).unwrap();
         wal.append(&WalRecord::Enqueued {
@@ -1607,18 +1583,10 @@ mod tests {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes.extend_from_slice(&frame[..frame.len() / 2]);
         std::fs::write(&seg, &bytes).unwrap();
-        // Legacy unframed file with one good line and one torn line.
-        std::fs::write(
-            &p,
-            "{\"op\":\"shed\",\"id\":77,\"throttled\":false}\n{\"op\":\"enqueued\",\"inv\":{\"id\":9",
-        )
-        .unwrap();
         let st = replay(&p).unwrap();
-        assert_eq!(st.torn_lines, 2, "one legacy torn line + one torn frame");
+        assert_eq!(st.torn_lines, 1, "the torn frame");
         assert_eq!(st.pending.len(), 1);
         assert_eq!(st.pending[0].id, 1);
-        let d = st.tenants.iter().find(|t| t.tenant == "default").unwrap();
-        assert_eq!(d.shed, 1, "legacy line replayed before segments");
         cleanup(&p);
     }
 

@@ -15,6 +15,7 @@
 //!                                              (dispatch thread, permit-bound)
 //! ```
 
+use crate::api::WireWarm;
 use crate::breakdown::{groups_from_spans, stages_from_traces, BreakdownReport, TenantBreakdown};
 use crate::characteristics::Characteristics;
 use crate::config::WorkerConfig;
@@ -42,15 +43,17 @@ use iluvatar_sync::{fnv1a64, Backoff, BackoffConfig, Clock, SemaphorePermit, Tas
 use iluvatar_telemetry::{
     CounterBridge, FlightRecorder, TelemetryBus, TelemetryKind, TelemetrySink,
 };
-use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Point-in-time worker load/status, the load balancer's CH-BL input.
-#[derive(Debug, Clone)]
+/// Point-in-time worker load/status, the load balancer's CH-BL input — and,
+/// serialized as is, the body of `GET /status`. Fields added after the
+/// first wire version default when a peer omits them.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerStatus {
     pub name: String,
     pub queue_len: usize,
@@ -64,52 +67,80 @@ pub struct WorkerStatus {
     pub completed: u64,
     pub dropped: u64,
     /// Invocations that reached dispatch but errored (backend failures).
+    #[serde(default)]
     pub failed: u64,
     pub warm_hits: u64,
     pub cold_starts: u64,
+    /// Requests served by this worker's API server; filled by the
+    /// `/status` route, 0 from [`Worker::status`].
+    #[serde(default)]
+    pub http_requests: u64,
     /// Retries taken after transient backend failures.
+    #[serde(default)]
     pub retries: u64,
     /// Agent calls abandoned at the configured timeout.
+    #[serde(default)]
     pub agent_timeouts: u64,
     /// Containers quarantined (destroyed instead of pooled) after failures.
+    #[serde(default)]
     pub quarantined: u64,
     /// Invocations that failed after exhausting (or shedding) their retry
     /// budget.
+    #[serde(default)]
     pub dropped_retry_exhausted: u64,
     /// Invocations rejected at ingest by admission control (tenant rate
     /// limit or overload shedding). 0 while admission is disabled.
+    #[serde(default)]
     pub dropped_admission: u64,
-    /// Quarantined containers released back to the pool after their TTL.
-    pub quarantine_released: u64,
+    /// Per-tenant accounting; filled by the `/status` route, empty from
+    /// [`Worker::status`] and while admission control is disabled.
+    #[serde(default)]
+    pub tenants: Vec<TenantSnapshot>,
     /// Lifecycle state: `running`, `draining`, or `stopped`.
+    #[serde(default)]
     pub lifecycle: String,
     /// Invocations (queued + running) still to finish before a drain
     /// completes.
+    #[serde(default)]
     pub drain_pending: u64,
     /// Queue delay of the most recently dequeued invocation, ms — the
     /// autoscaler's reactive signal.
+    #[serde(default)]
     pub queue_delay_ms: u64,
     /// Result-cache hits served without touching a container. 0 while the
     /// cache is disabled.
+    #[serde(default)]
     pub cache_hits: u64,
     /// Result-cache lookups that fell through to dispatch.
+    #[serde(default)]
     pub cache_misses: u64,
     /// Result-cache entries evicted under the per-tenant capacity bound.
+    #[serde(default)]
     pub cache_evictions: u64,
     /// Warm-container residency across all idle pool entries, GB·s — the
-    /// fleet's least-warm scale-down victim signal.
+    /// fleet's least-warm scale-down victim signal. Always finite.
+    #[serde(default)]
     pub warm_gb_s: f64,
+    /// Per-function warm residency — the fleet's handoff shopping list;
+    /// filled by the `/status` route, empty from [`Worker::status`].
+    #[serde(default)]
+    pub warm_residency: Vec<WireWarm>,
     /// WAL degraded mode: the disk is failing, serving continues with
     /// results flagged non-durable until a re-arm succeeds.
+    #[serde(default)]
     pub wal_degraded: bool,
     /// Invocations accepted while the WAL was degraded (non-durable).
+    #[serde(default)]
     pub wal_non_durable: u64,
     /// Invocations shed by WAL stall backpressure (503 + Retry-After).
+    #[serde(default)]
     pub wal_stall_sheds: u64,
     /// WAL segment rotations (size limit, error ladder, re-arm).
+    #[serde(default)]
     pub wal_rotations: u64,
     /// Damaged WAL records quarantined by the last recovery (torn tails +
     /// corrupt frames).
+    #[serde(default)]
     pub wal_quarantined: u64,
 }
 
@@ -123,6 +154,20 @@ const TRACE_CAPACITY: usize = 4096;
 
 /// Telemetry events the flight recorder retains (`GET /debug/flightrecorder`).
 const FLIGHT_RECORDER_CAPACITY: usize = 256;
+
+/// TTL of the `Ttl` keep-alive policy, ms: OpenWhisk's classic 10 minutes.
+const KEEPALIVE_TTL_MS: u64 = 10 * 60 * 1000;
+
+/// Moving-window length for per-function characteristics (§4.2).
+const CHAR_WINDOW: usize = 32;
+
+/// Retry backoff jitter fraction in `[0, 1]` (deterministic per trace id).
+const BACKOFF_JITTER: f64 = 0.5;
+
+/// When invocations currently in retry-wait exceed this fraction of the
+/// concurrency limit, further failures fail fast instead of retrying
+/// (queue-level degrade under fault storms).
+const RETRY_SATURATION: f64 = 0.5;
 
 struct Shared {
     cfg: WorkerConfig,
@@ -163,9 +208,6 @@ struct Shared {
     wal_stall_shed: AtomicU64,
     /// Damaged records the last recovery quarantined (torn + corrupt).
     wal_quarantined_frames: AtomicU64,
-    /// Containers quarantined with a TTL, awaiting probe-on-idle release.
-    quarantine: Mutex<Vec<(SharedContainer, TimeMs)>>,
-    quarantine_released: AtomicU64,
     /// Running → Draining → Stopped (see the `LIFECYCLE_*` constants).
     lifecycle: AtomicU8,
     /// Hard-stop (crash simulation): abandon queued work immediately.
@@ -597,7 +639,7 @@ impl Worker {
         let sink: EvictSink = Arc::new(move |c: SharedContainer| {
             let _ = sink_tx.send(c);
         });
-        let policy = make_policy(cfg.keepalive, cfg.ttl_ms);
+        let policy = make_policy(cfg.keepalive, KEEPALIVE_TTL_MS);
         // FNV-1a of the worker name seeds the trace id space, so ids from
         // different workers in one cluster rarely collide.
         let trace_seed = fnv1a64(cfg.name.as_bytes());
@@ -635,7 +677,7 @@ impl Worker {
         });
         let shared = Arc::new(Shared {
             registry: Registry::new(Platform::LINUX_AMD64),
-            chars: Characteristics::new(cfg.char_window),
+            chars: Characteristics::new(CHAR_WINDOW),
             pool: ContainerPool::new(cfg.memory_mb, policy, Arc::clone(&clock), sink),
             queue: InvocationQueue::new(cfg.queue.clone()),
             regulator: ConcurrencyRegulator::new(cfg.concurrency.clone()),
@@ -661,8 +703,6 @@ impl Worker {
             wal_non_durable: AtomicU64::new(0),
             wal_stall_shed: AtomicU64::new(0),
             wal_quarantined_frames: AtomicU64::new(0),
-            quarantine: Mutex::new(Vec::new()),
-            quarantine_released: AtomicU64::new(0),
             lifecycle: AtomicU8::new(LIFECYCLE_RUNNING),
             killed: AtomicBool::new(false),
             telemetry,
@@ -698,7 +738,7 @@ impl Worker {
             })
             .expect("spawn destroyer");
 
-        let tasks = TaskPool::new(2);
+        let tasks = TaskPool::new();
         // Background keep-alive eviction sweep (§3.3).
         {
             let s = Arc::clone(&shared);
@@ -715,15 +755,6 @@ impl Worker {
                 let busy = s.running.load(Ordering::Relaxed).min(s.cfg.cores) as f64;
                 s.metrics.sample(busy);
                 maybe_finalize(&s);
-            });
-        }
-        // Quarantine probe-on-idle: containers parked after a failure are
-        // released back to the pool once their TTL expires, so a transient
-        // agent hiccup doesn't permanently shrink the pool.
-        if shared.cfg.resilience.quarantine_ttl_ms > 0 {
-            let s = Arc::clone(&shared);
-            tasks.spawn_periodic("quarantine-sweep", Duration::from_millis(50), move || {
-                release_expired_quarantine(&s);
             });
         }
         // Degraded-WAL re-arm driver: appends retry lazily, but an idle
@@ -874,6 +905,7 @@ impl Worker {
         let pool = s.pool.stats();
         let (cache_hits, cache_misses, cache_evictions) =
             s.cache.as_ref().map(|c| c.totals()).unwrap_or((0, 0, 0));
+        let warm_gb_s: f64 = self.warm_residency().iter().map(|(_, g)| g).sum();
         WorkerStatus {
             name: s.cfg.name.clone(),
             queue_len: s.queue.len(),
@@ -887,19 +919,27 @@ impl Worker {
             failed: s.failed.load(Ordering::Relaxed),
             warm_hits: pool.warm_hits,
             cold_starts: s.cold_starts.load(Ordering::Relaxed),
+            http_requests: 0,
             retries: s.retries.load(Ordering::Relaxed),
             agent_timeouts: s.agent_timeouts.load(Ordering::Relaxed),
             quarantined: s.quarantined.load(Ordering::Relaxed),
             dropped_retry_exhausted: s.dropped_retry_exhausted.load(Ordering::Relaxed),
             dropped_admission: s.admission.dropped_admission(),
-            quarantine_released: s.quarantine_released.load(Ordering::Relaxed),
+            tenants: Vec::new(),
             lifecycle: s.lifecycle_label().to_string(),
             drain_pending: (s.queue.len() + s.running.load(Ordering::Relaxed)) as u64,
             queue_delay_ms: s.last_queue_delay_ms.load(Ordering::Relaxed),
             cache_hits,
             cache_misses,
             cache_evictions,
-            warm_gb_s: self.warm_residency().iter().map(|(_, g)| g).sum(),
+            // The vendored serde_json writes non-finite floats as null;
+            // clamp so the wire form always parses back.
+            warm_gb_s: if warm_gb_s.is_finite() {
+                warm_gb_s
+            } else {
+                0.0
+            },
+            warm_residency: Vec::new(),
             wal_degraded: s.wal.as_ref().is_some_and(|w| w.is_degraded()),
             wal_non_durable: s.wal_non_durable.load(Ordering::Relaxed),
             wal_stall_sheds: s.wal_stall_shed.load(Ordering::Relaxed),
@@ -1130,8 +1170,6 @@ impl Worker {
         s.retries.store(c.retries, Ordering::Relaxed);
         s.agent_timeouts.store(c.agent_timeouts, Ordering::Relaxed);
         s.quarantined.store(c.quarantined, Ordering::Relaxed);
-        s.quarantine_released
-            .store(c.quarantine_released, Ordering::Relaxed);
         s.dropped_retry_exhausted
             .store(c.dropped_retry_exhausted, Ordering::Relaxed);
         if s.admission.enabled() {
@@ -1215,11 +1253,6 @@ impl Worker {
             if s.lifecycle.swap(LIFECYCLE_STOPPED, Ordering::SeqCst) != LIFECYCLE_STOPPED {
                 s.emit_lifecycle("stopped");
             }
-        }
-        // Destroy any containers still parked in quarantine.
-        let parked: Vec<SharedContainer> = s.quarantine.lock().drain(..).map(|(c, _)| c).collect();
-        for c in parked {
-            s.pool.discard(c);
         }
         self.tasks.shutdown();
         self.destroy_tx = None; // disconnects the destroyer
@@ -1340,7 +1373,6 @@ fn wal_snapshot_now(s: &Shared) {
             retries: s.retries.load(Ordering::Relaxed),
             agent_timeouts: s.agent_timeouts.load(Ordering::Relaxed),
             quarantined: s.quarantined.load(Ordering::Relaxed),
-            quarantine_released: s.quarantine_released.load(Ordering::Relaxed),
             dropped_retry_exhausted: s.dropped_retry_exhausted.load(Ordering::Relaxed),
         },
         tenants: if s.admission.enabled() {
@@ -1359,12 +1391,6 @@ fn wal_snapshot_now(s: &Shared) {
             .drr_deficits()
             .into_iter()
             .map(|(tenant, deficit)| DrrDeficit { tenant, deficit })
-            .collect(),
-        quarantine: s
-            .quarantine
-            .lock()
-            .iter()
-            .map(|(c, _)| c.fqdn.clone())
             .collect(),
     });
 }
@@ -1402,42 +1428,13 @@ fn maybe_finalize(s: &Shared) {
     }
 }
 
-/// Release quarantined containers whose TTL expired back to the pool. The
-/// next invocation probes the container; a still-bad one fails again and is
-/// re-quarantined.
-fn release_expired_quarantine(s: &Shared) {
-    let now = s.clock.now_ms();
-    let expired: Vec<SharedContainer> = {
-        let mut parked = s.quarantine.lock();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < parked.len() {
-            if parked[i].1 <= now {
-                out.push(parked.remove(i).0);
-            } else {
-                i += 1;
-            }
-        }
-        out
-    };
-    for c in expired {
-        let init = s
-            .registry
-            .get(&c.fqdn)
-            .map(|r| init_cost(s, &r))
-            .unwrap_or(0.0);
-        s.pool.release(c, init);
-        s.quarantine_released.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// One invocation, hardened: transient backend failures (cold-start
 /// failures, agent errors, agent timeouts) are retried on a **fresh**
 /// container with seeded exponential backoff — the failed container was
-/// quarantined by the attempt. The retry budget is bounded three ways:
-/// `max_retries`, the per-invocation deadline, and a saturation shed that
-/// fails fast when too many invocations are already waiting out backoffs
-/// (a fault storm must degrade, not amplify).
+/// quarantined by the attempt. The retry budget is bounded two ways:
+/// `max_retries`, and a saturation shed that fails fast when too many
+/// invocations are already waiting out backoffs (a fault storm must
+/// degrade, not amplify).
 fn execute(
     s: &Shared,
     item: &QueuedInvocation,
@@ -1458,13 +1455,10 @@ fn execute(
         BackoffConfig {
             base_ms: res.backoff_base_ms,
             cap_ms: res.backoff_cap_ms,
-            max_retries: res.max_retries,
-            jitter: res.backoff_jitter,
-            deadline_ms: res.invoke_deadline_ms,
+            jitter: BACKOFF_JITTER,
         },
         item.trace_id,
     );
-    let deadline = (res.invoke_deadline_ms > 0).then(|| item.arrived_at + res.invoke_deadline_ms);
     let mut attempt: u32 = 0;
     loop {
         let err = match attempt_invoke(s, &reg, item, dequeued_at, found_idle) {
@@ -1477,16 +1471,11 @@ fn execute(
         if attempt >= res.max_retries {
             return retries_exhausted(s, item, err);
         }
-        let shed_at = ((s.regulator.limit() as f64) * res.retry_saturation).max(1.0) as usize;
+        let shed_at = ((s.regulator.limit() as f64) * RETRY_SATURATION).max(1.0) as usize;
         if s.retrying.load(Ordering::Relaxed) >= shed_at {
             return retries_exhausted(s, item, err);
         }
         let delay = backoff.delay_ms(attempt);
-        if let Some(d) = deadline {
-            if s.clock.now_ms().saturating_add(delay) >= d {
-                return retries_exhausted(s, item, err);
-            }
-        }
         s.journal.record(
             item.trace_id,
             TraceEventKind::RetryScheduled {
@@ -1636,22 +1625,12 @@ fn finish_invoke(
     let output = match invoked {
         Ok(o) => o,
         Err(e) => {
-            // A failed container is not returned to the pool: quarantine it.
+            // A failed container is not returned to the pool: quarantine it
+            // (memory freed, container routed to the destroyer).
             s.quarantined.fetch_add(1, Ordering::Relaxed);
             s.journal
                 .record(item.trace_id, TraceEventKind::ContainerQuarantined);
-            let ttl = s.cfg.resilience.quarantine_ttl_ms;
-            if ttl == 0 {
-                // No TTL configured: destroy immediately (memory freed,
-                // container routed to the destroyer).
-                s.pool.discard(container);
-            } else {
-                // Park it; the sweep releases it back to the pool after the
-                // TTL so a transient agent hiccup doesn't permanently
-                // shrink the pool.
-                let until = s.clock.now_ms() + ttl;
-                s.quarantine.lock().push((container, until));
-            }
+            s.pool.discard(container);
             return Err(InvokeError::Backend(e.to_string()));
         }
     };

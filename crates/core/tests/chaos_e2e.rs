@@ -135,7 +135,6 @@ fn hung_agent_trips_deadline_and_completes_on_fresh_container() {
         backoff_base_ms: 1,
         backoff_cap_ms: 4,
         agent_timeout_ms: 100,
-        ..Default::default()
     };
     let (mut worker, _injector) = chaos_worker(faults, resilience);
 
@@ -193,7 +192,6 @@ fn run_digest(seed: u64, invocations: usize) -> u64 {
         backoff_base_ms: 1,
         backoff_cap_ms: 4,
         agent_timeout_ms: 40,
-        ..Default::default()
     };
     let (mut worker, _injector) = chaos_worker(faults, resilience);
     let mut ids = Vec::new();

@@ -83,17 +83,14 @@ pub struct DispatchConfig {
     /// Max leases per pull. 0 selects the built-in default of 4.
     #[serde(default)]
     pub max_batch: usize,
-    /// Disable work stealing (stealing is on by default).
-    #[serde(default)]
-    pub disable_steal: bool,
     /// Seed for victim selection, so steal order replays deterministically.
     #[serde(default)]
     pub seed: u64,
-    /// Hybrid: an fqdn completed anywhere within this window counts as
-    /// warm-hit-likely and is pushed via CH-BL. 0 selects 30 000.
-    #[serde(default)]
-    pub warm_window_ms: u64,
 }
+
+/// Hybrid: an fqdn completed anywhere within this window counts as
+/// warm-hit-likely and is pushed via CH-BL.
+const WARM_WINDOW_MS: u64 = 30_000;
 
 impl DispatchConfig {
     /// A pull-mode config with built-in defaults.
@@ -126,18 +123,6 @@ impl DispatchConfig {
         } else {
             self.max_batch
         }
-    }
-
-    pub fn effective_warm_window_ms(&self) -> u64 {
-        if self.warm_window_ms == 0 {
-            30_000
-        } else {
-            self.warm_window_ms
-        }
-    }
-
-    pub fn steal_enabled(&self) -> bool {
-        !self.disable_steal
     }
 }
 
@@ -553,8 +538,8 @@ impl PullPlane {
     }
 
     /// Pop up to `max` tasks for `worker`: own shard first (class order,
-    /// DRR within class), then — with stealing on and the own shard empty —
-    /// a seeded victim among non-empty sibling shards.
+    /// DRR within class), then — with the own shard empty — a seeded victim
+    /// among non-empty sibling shards.
     pub fn pull(&self, worker: &str, max: usize) -> Vec<Lease> {
         let now = self.clock.now_ms();
         let max = if max == 0 {
@@ -580,7 +565,7 @@ impl PullPlane {
                 let (task, stolen_from) = {
                     match inner.shards.get_mut(worker).expect("shard").pop() {
                         Some(t) => (t, None),
-                        None if self.cfg.steal_enabled() => {
+                        None => {
                             let victims: Vec<String> = inner
                                 .shards
                                 .iter()
@@ -596,7 +581,6 @@ impl PullPlane {
                                 None => break,
                             }
                         }
-                        None => break,
                     }
                 };
                 let lease_id = inner.next_lease;
@@ -774,10 +758,9 @@ impl PullPlane {
     /// warm window, if any.
     pub fn warm_target(&self, fqdn: &str) -> Option<String> {
         let now = self.clock.now_ms();
-        let window = self.cfg.effective_warm_window_ms();
         let inner = self.inner.lock();
         inner.warm.get(fqdn).and_then(|(w, at)| {
-            if now.saturating_sub(*at) < window {
+            if now.saturating_sub(*at) < WARM_WINDOW_MS {
                 Some(w.clone())
             } else {
                 None
@@ -1140,25 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_can_be_disabled() {
-        let mut cfg = DispatchConfig::pull();
-        cfg.disable_steal = true;
-        let (plane, _) = plane_with(cfg);
-        plane.register_worker("w-a");
-        plane.register_worker("w-idle");
-        for i in 0..6 {
-            plane.enqueue(&format!("f-{i}"), "{}", None).unwrap();
-        }
-        let own: usize = plane.pull("w-a", 4).len();
-        assert!(own > 0);
-        // Whatever w-idle's own shard holds it may pull; nothing stolen.
-        for l in plane.pull("w-idle", 8) {
-            assert!(l.stolen_from.is_none());
-        }
-        assert_eq!(plane.counters().stolen, 0);
-    }
-
-    #[test]
     fn expired_lease_requeues_exactly_once_and_dead_completion_is_dropped() {
         let mut cfg = DispatchConfig::pull();
         cfg.lease_ttl_ms = 100;
@@ -1259,9 +1223,7 @@ mod tests {
 
     #[test]
     fn hybrid_warm_window_tracks_completions() {
-        let mut cfg = DispatchConfig::hybrid();
-        cfg.warm_window_ms = 1_000;
-        let (plane, clock) = plane_with(cfg);
+        let (plane, clock) = plane_with(DispatchConfig::hybrid());
         plane.register_worker("w0");
         assert_eq!(plane.warm_target("f-1"), None, "never seen: spill to pull");
         let id = plane.enqueue("f-1", "{}", None).unwrap();
@@ -1269,7 +1231,7 @@ mod tests {
         plane.complete(l.lease_id, true, "", 0);
         let _ = plane.wait(id, 10);
         assert_eq!(plane.warm_target("f-1").as_deref(), Some("w0"));
-        clock.advance(1_000);
+        clock.advance(WARM_WINDOW_MS);
         assert_eq!(plane.warm_target("f-1"), None, "window lapsed");
         plane.note_warm("f-2", "w9");
         assert_eq!(plane.warm_target("f-2").as_deref(), Some("w9"));
@@ -1350,10 +1312,8 @@ mod tests {
     fn config_serde_defaults_to_push() {
         let cfg: DispatchConfig = serde_json::from_str("{}").unwrap();
         assert_eq!(cfg.mode, DispatchMode::Push);
-        assert!(cfg.steal_enabled());
         assert_eq!(cfg.effective_lease_ttl_ms(), 2_000);
         assert_eq!(cfg.effective_max_batch(), 4);
-        assert_eq!(cfg.effective_warm_window_ms(), 30_000);
         let json = serde_json::to_string(&DispatchConfig::pull()).unwrap();
         let back: DispatchConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.mode, DispatchMode::Pull);

@@ -7,7 +7,8 @@
 //!
 //! [`HttpClient`] issues one request over a fresh connection;
 //! [`PooledClient`] keeps idle connections per target address and reuses
-//! them, transparently reconnecting when the server closed a pooled socket.
+//! them, transparently reconnecting when the server closed a pooled socket
+//! while it sat idle.
 
 use crate::message::{Request, Response};
 use crate::parse::{parse_response, ParseOutcome};
@@ -18,20 +19,52 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// A round trip that failed, and whether any response byte had arrived.
+struct RoundtripError {
+    error: HttpError,
+    response_started: bool,
+}
+
+impl RoundtripError {
+    /// The peer closed this (pooled, idle) connection before our request
+    /// reached a handler: the write or the first read found the socket
+    /// gone. Anything else — a timeout above all — may mean the request is
+    /// executing, so re-sending it would run it twice.
+    fn socket_was_gone(&self) -> bool {
+        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+        if self.response_started {
+            return false;
+        }
+        match &self.error {
+            HttpError::ConnectionClosed => true,
+            HttpError::Io(e) => {
+                matches!(e.kind(), BrokenPipe | ConnectionReset | ConnectionAborted)
+            }
+            HttpError::Parse(_) => false,
+        }
+    }
+}
+
 /// Issue `req` over `stream` and block for the full response.
-fn roundtrip(stream: &mut TcpStream, req: &Request) -> Result<Response, HttpError> {
-    stream.write_all(&req.encode())?;
+fn roundtrip(stream: &mut TcpStream, req: &Request) -> Result<Response, RoundtripError> {
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    let fail = |error: HttpError, buf: &[u8]| RoundtripError {
+        error,
+        response_started: !buf.is_empty(),
+    };
+    stream
+        .write_all(&req.encode())
+        .map_err(|e| fail(e.into(), &buf))?;
     let mut tmp = [0u8; 16 * 1024];
     loop {
-        match parse_response(&buf)? {
+        match parse_response(&buf).map_err(|e| fail(e.into(), &buf))? {
             ParseOutcome::Complete(resp, _used) => return Ok(resp),
             ParseOutcome::Incomplete => {}
         }
         match stream.read(&mut tmp) {
-            Ok(0) => return Err(HttpError::ConnectionClosed),
+            Ok(0) => return Err(fail(HttpError::ConnectionClosed, &buf)),
             Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e) => return Err(HttpError::Io(e)),
+            Err(e) => return Err(fail(e.into(), &buf)),
         }
     }
 }
@@ -46,7 +79,7 @@ impl HttpClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        roundtrip(&mut stream, req)
+        roundtrip(&mut stream, req).map_err(|e| e.error)
     }
 }
 
@@ -54,9 +87,10 @@ impl HttpClient {
 ///
 /// Idle connections are keyed by target address. `send` checks a connection
 /// out of the pool (or dials), performs the round trip, and returns the
-/// connection on success. A pooled connection that the server has since
-/// closed is detected by the failed round trip and retried once on a fresh
-/// connection.
+/// connection on success. A pooled connection that the server closed while
+/// it sat idle is detected by the failed round trip and retried once on a
+/// fresh connection; any other failure (a read timeout, a reset mid-body)
+/// surfaces, because the request may already be executing.
 pub struct PooledClient {
     idle: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
     timeout: Duration,
@@ -100,13 +134,13 @@ impl PooledClient {
                     self.checkin(addr, stream);
                     return Ok(resp);
                 }
-                Err(_stale) => {
-                    // Pooled socket had gone away; fall through to redial.
-                }
+                // Pooled socket had gone away; fall through to redial.
+                Err(stale) if stale.socket_was_gone() => {}
+                Err(other) => return Err(other.error),
             }
         }
         let mut stream = self.dial(addr)?;
-        let resp = roundtrip(&mut stream, req)?;
+        let resp = roundtrip(&mut stream, req).map_err(|e| e.error)?;
         self.checkin(addr, stream);
         Ok(resp)
     }
@@ -182,6 +216,42 @@ mod tests {
         // Pooled socket is dead and nothing listens on the port anymore:
         // the retry path must surface an error rather than hang.
         assert!(pc.send(addr, &Request::new(Method::Get, "/")).is_err());
+    }
+
+    #[test]
+    fn timeout_on_a_reused_connection_surfaces_without_a_resend() {
+        let hits = Arc::new(AtomicU64::new(0));
+        let h2 = Arc::clone(&hits);
+        let s = HttpServer::start(Arc::new(move |req| {
+            h2.fetch_add(1, Ordering::SeqCst);
+            if req.path == "/slow" {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+            Resp::ok(req.body.clone())
+        }))
+        .unwrap();
+        let pc = PooledClient::new(Duration::from_millis(100));
+        pc.send(s.addr(), &Request::new(Method::Get, "/")).unwrap();
+        assert_eq!(pc.idle_count(s.addr()), 1, "the next send reuses it");
+        match pc.send(s.addr(), &Request::new(Method::Post, "/slow")) {
+            Err(HttpError::Io(e)) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "expected the read timeout, got {e}"
+            ),
+            other => panic!("expected the read timeout, got {other:?}"),
+        }
+        // Let the slow handler finish: a re-sent request would have been
+        // counted by now.
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(hits.load(Ordering::SeqCst), 2, "/ once, /slow once");
+        assert_eq!(
+            pc.idle_count(s.addr()),
+            0,
+            "the timed-out socket is dropped"
+        );
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! `Content-Length`; chunked encoding is intentionally unsupported (the
 //! agent never emits it).
 
-pub mod chaos;
 pub mod client;
 pub mod message;
 pub mod parse;
 pub mod server;
 
-pub use chaos::{HttpFault, HttpFaultConfig, HttpFaultInjector, HttpFaultStats};
 pub use client::{HttpClient, PooledClient};
 pub use message::{Method, Request, Response, Status};
 pub use parse::{parse_request, parse_response, ParseError, ParseOutcome};

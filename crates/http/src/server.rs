@@ -132,11 +132,6 @@ fn connection_loop(
                     .unwrap_or(false);
                 let resp = handler(req);
                 served.fetch_add(1, Ordering::Relaxed);
-                // Chaos drop: a handler wrapped by `chaos::wrap_handler` tags
-                // responses to be dropped; close without writing a byte.
-                if resp.header(crate::chaos::DROP_HEADER).is_some() {
-                    return;
-                }
                 if stream.write_all(&resp.encode()).is_err() {
                     return;
                 }

@@ -22,7 +22,7 @@
 //! reroute, breaker, membership, and fleet scale events all flow through
 //! it into a flight recorder and a Prometheus counter bridge.
 
-use crate::cluster::{Cluster, ClusterSnapshot, TenantClusterStats};
+use crate::cluster::{Cluster, ClusterSnapshot, SlotStatus, TenantClusterStats};
 use crate::fleet::Fleet;
 use crate::pull::{CompleteBody, CompleteReply, PullBody};
 use iluvatar_cache::TenantCacheStats;
@@ -44,7 +44,7 @@ use std::time::Duration;
 /// Wire form of the balancer's status.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct LbStatus {
-    pub workers: Vec<LbWorkerStatus>,
+    pub workers: Vec<SlotStatus>,
     pub forwarded: u64,
     /// Health-check evictions (healthy→unhealthy transitions).
     #[serde(default)]
@@ -71,51 +71,12 @@ pub struct PullQueueDepth {
     pub depth: u64,
 }
 
-/// One worker as the balancer sees it.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct LbWorkerStatus {
-    pub name: String,
-    /// Normalized load; `-1` for an evicted worker (JSON has no infinity).
-    pub load: f64,
-    pub dispatched: u64,
-    #[serde(default)]
-    pub healthy: bool,
-    /// Circuit breaker state: `closed`, `open`, or `half_open`.
-    #[serde(default)]
-    pub breaker: String,
-    /// Whether the worker reported itself draining at the last scrape.
-    #[serde(default)]
-    pub draining: bool,
-    /// Whether a worker currently occupies this slot (elastic fleets
-    /// detach retired workers; their slots stay for accounting).
-    #[serde(default)]
-    pub present: bool,
-}
-
 fn status_of(snap: &ClusterSnapshot, dispatch: Option<&PullPlane>) -> LbStatus {
     LbStatus {
-        workers: snap
-            .workers
-            .iter()
-            .zip(snap.dispatched.iter())
-            .enumerate()
-            .map(|(i, ((name, load), &dispatched))| LbWorkerStatus {
-                name: name.clone(),
-                load: if load.is_finite() { *load } else { -1.0 },
-                dispatched,
-                healthy: snap.healthy.get(i).copied().unwrap_or(true),
-                breaker: snap
-                    .breaker
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| "closed".into()),
-                draining: snap.draining.get(i).copied().unwrap_or(false),
-                present: snap.present.get(i).copied().unwrap_or(true),
-            })
-            .collect(),
-        forwarded: snap.forwarded,
-        evictions: snap.evictions,
-        rerouted: snap.rerouted,
+        workers: snap.stats.slots.clone(),
+        forwarded: snap.stats.forwarded,
+        evictions: snap.stats.evictions,
+        rerouted: snap.stats.rerouted,
         tenants: snap.tenants.clone(),
         pull_queues: dispatch
             .map(|p| {
@@ -142,19 +103,18 @@ fn render_metrics(
         "iluvatar_lb_workers",
         "Workers in the cluster",
         &[],
-        snap.workers.len() as f64,
+        snap.stats.slots.len() as f64,
     );
-    for (i, ((name, load), dispatched)) in
-        snap.workers.iter().zip(snap.dispatched.iter()).enumerate()
-    {
+    for slot in &snap.stats.slots {
+        let name = &slot.name;
         // Detached slots are bookkeeping, not workers: skip their gauges
         // (the dispatch counter below still renders — counters never drop).
-        if !snap.present.get(i).copied().unwrap_or(true) {
+        if !slot.present {
             w.counter(
                 "iluvatar_lb_dispatched_total",
                 "Invocations dispatched to this worker",
                 &[("worker", name)],
-                *dispatched as f64,
+                slot.dispatched as f64,
             );
             continue;
         }
@@ -162,29 +122,21 @@ fn render_metrics(
             "iluvatar_lb_worker_load",
             "Worker-reported normalized load at last scrape (-1 when evicted)",
             &[("worker", name)],
-            if load.is_finite() { *load } else { -1.0 },
+            slot.load,
         );
         w.gauge(
             "iluvatar_lb_worker_healthy",
             "1 while the worker passes health checks, 0 after eviction",
             &[("worker", name)],
-            if snap.healthy.get(i).copied().unwrap_or(true) {
-                1.0
-            } else {
-                0.0
-            },
+            if slot.healthy { 1.0 } else { 0.0 },
         );
         w.gauge(
             "iluvatar_lb_worker_draining",
             "1 while the worker reports a draining/stopped lifecycle",
             &[("worker", name)],
-            if snap.draining.get(i).copied().unwrap_or(false) {
-                1.0
-            } else {
-                0.0
-            },
+            if slot.draining { 1.0 } else { 0.0 },
         );
-        let breaker = snap.breaker.get(i).map(String::as_str).unwrap_or("closed");
+        let breaker = slot.breaker.as_str();
         let breaker_value = match breaker {
             "half_open" => 1.0,
             "open" => 2.0,
@@ -206,26 +158,26 @@ fn render_metrics(
             "iluvatar_lb_dispatched_total",
             "Invocations dispatched to this worker",
             &[("worker", name)],
-            *dispatched as f64,
+            slot.dispatched as f64,
         );
     }
     w.counter(
         "iluvatar_lb_forwarded_total",
         "Invocations forwarded off their CH-BL home worker",
         &[],
-        snap.forwarded as f64,
+        snap.stats.forwarded as f64,
     );
     w.counter(
         "iluvatar_lb_worker_evictions_total",
         "Workers evicted by health checks or failed invocations",
         &[],
-        snap.evictions as f64,
+        snap.stats.evictions as f64,
     );
     w.counter(
         "iluvatar_lb_rerouted_total",
         "Invocations re-dispatched to another worker after a failure",
         &[],
-        snap.rerouted as f64,
+        snap.stats.rerouted as f64,
     );
     for t in &snap.tenants {
         let labels: &[(&str, &str)] = &[("tenant", &t.tenant)];
@@ -484,7 +436,7 @@ impl LbApi {
             }
         }
         let snapshot = Arc::new(Mutex::new(cluster.scrape()));
-        let tasks = TaskPool::new(if fleet.is_some() { 2 } else { 1 });
+        let tasks = TaskPool::new();
         {
             let cluster = Arc::clone(&cluster);
             let snapshot = Arc::clone(&snapshot);
@@ -829,7 +781,7 @@ mod tests {
         let hit: WireResult = serde_json::from_str(second.body_str()).unwrap();
         assert_eq!(hit.body, miss.body, "served body is the cached body");
         assert_eq!(
-            cluster.stats().dispatched.iter().sum::<u64>(),
+            cluster.stats().dispatched(),
             1,
             "the hit never reached a worker"
         );

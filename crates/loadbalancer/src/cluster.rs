@@ -429,24 +429,57 @@ impl Breaker {
     }
 }
 
-/// Per-worker dispatch counters.
+/// One worker slot as the balancer reports it: in [`Cluster::stats`], in a
+/// scrape, and — serialized as is — under `workers` on the balancer's
+/// `GET /status`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct SlotStatus {
+    /// Last-known worker name (survives detach, for accounting).
+    pub name: String,
+    /// Normalized load at the last probe round; `-1` for an evicted,
+    /// draining or detached worker (JSON has no infinity).
+    pub load: f64,
+    pub dispatched: u64,
+    /// Breaker Closed. A draining worker is routed around but stays
+    /// healthy — it is not a failure.
+    #[serde(default)]
+    pub healthy: bool,
+    /// Circuit breaker state: `closed`, `open`, or `half_open`.
+    #[serde(default)]
+    pub breaker: String,
+    /// Whether the worker reported itself draining at the last probe.
+    #[serde(default)]
+    pub draining: bool,
+    /// Whether a worker currently occupies this slot (elastic fleets
+    /// detach retired workers; their slots stay for accounting).
+    #[serde(default)]
+    pub present: bool,
+}
+
+impl SlotStatus {
+    /// Attached and not on its way out: counts toward the live fleet.
+    pub fn live(&self) -> bool {
+        self.present && !self.draining
+    }
+}
+
+/// Per-slot state plus the cluster-wide dispatch counters.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
-    pub dispatched: Vec<u64>,
+    /// One entry per slot, cluster order.
+    pub slots: Vec<SlotStatus>,
     pub forwarded: u64,
     /// Health-check evictions: breaker trips (Closed→Open edges).
     pub evictions: u64,
     /// Invocations re-dispatched to another worker after a worker failed.
     pub rerouted: u64,
-    /// Current per-worker health (breaker Closed), cluster order.
-    pub healthy: Vec<bool>,
-    /// Per-worker breaker state labels, cluster order.
-    pub breaker: Vec<String>,
-    /// Per-worker draining flags, cluster order. A draining worker is
-    /// routed around but stays healthy — it is not a failure.
-    pub draining: Vec<bool>,
-    /// Which slots currently hold a worker, cluster order.
-    pub present: Vec<bool>,
+}
+
+impl ClusterStats {
+    /// Invocations dispatched, summed over every slot.
+    pub fn dispatched(&self) -> u64 {
+        self.slots.iter().map(|s| s.dispatched).sum()
+    }
 }
 
 /// Cluster-wide rollup for one tenant: admission counters merged across
@@ -464,27 +497,14 @@ pub struct TenantClusterStats {
     pub lb_rerouted: u64,
 }
 
-/// One scrape of the whole cluster: per-worker loads plus span histograms
-/// merged across workers (lossless — see `LogHistogram::merge`).
+/// One scrape of the whole cluster: the stats after a fresh probe round
+/// plus span histograms merged across workers (lossless — see
+/// `LogHistogram::merge`).
 #[derive(Debug, Clone, Default)]
 pub struct ClusterSnapshot {
-    /// (worker name, normalized load) per slot, cluster order. Detached
-    /// slots keep their last-known name and report infinite load.
-    pub workers: Vec<(String, f64)>,
+    pub stats: ClusterStats,
     /// Cluster-wide span distributions, merged by span name.
     pub spans: Vec<SpanExport>,
-    pub dispatched: Vec<u64>,
-    pub forwarded: u64,
-    pub evictions: u64,
-    pub rerouted: u64,
-    /// Current per-worker health, cluster order.
-    pub healthy: Vec<bool>,
-    /// Per-worker breaker state labels, cluster order.
-    pub breaker: Vec<String>,
-    /// Per-worker draining flags, cluster order.
-    pub draining: Vec<bool>,
-    /// Which slots currently hold a worker, cluster order.
-    pub present: Vec<bool>,
     /// Per-tenant rollup, sorted by tenant id. Evicted workers contribute
     /// their last-known counters, so tenant accounting survives eviction.
     pub tenants: Vec<TenantClusterStats>,
@@ -1134,25 +1154,31 @@ impl Cluster {
         out
     }
 
+    /// Slot states and counters as of the last probe round.
     pub fn stats(&self) -> ClusterStats {
-        let per_slot = |f: fn(&Slot) -> bool| self.slots.iter().map(f).collect();
+        let loads = self.loads.lock().clone();
+        self.stats_with(&loads)
+    }
+
+    fn stats_with(&self, loads: &[f64]) -> ClusterStats {
         ClusterStats {
-            dispatched: self
+            slots: self
                 .slots
                 .iter()
-                .map(|s| s.dispatched.load(Ordering::Relaxed))
+                .zip(loads)
+                .map(|(s, &load)| SlotStatus {
+                    name: s.name.lock().clone(),
+                    load: if load.is_finite() { load } else { -1.0 },
+                    dispatched: s.dispatched.load(Ordering::Relaxed),
+                    healthy: s.healthy.load(Ordering::Relaxed),
+                    breaker: s.breaker.lock().state.label().to_string(),
+                    draining: s.draining.load(Ordering::Relaxed),
+                    present: s.present.load(Ordering::Relaxed),
+                })
                 .collect(),
             forwarded: self.forwarded.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             rerouted: self.rerouted.load(Ordering::Relaxed),
-            healthy: per_slot(|s| s.healthy.load(Ordering::Relaxed)),
-            breaker: self
-                .slots
-                .iter()
-                .map(|s| s.breaker.lock().state.label().to_string())
-                .collect(),
-            draining: per_slot(|s| s.draining.load(Ordering::Relaxed)),
-            present: per_slot(|s| s.present.load(Ordering::Relaxed)),
         }
     }
 
@@ -1164,27 +1190,12 @@ impl Cluster {
         // ones, so the LB's scrape task keeps the health view current even
         // when no invocations are flowing.
         let loads = self.refresh_loads();
-        let workers: Vec<(String, f64)> = self
-            .slots
-            .iter()
-            .zip(&loads)
-            .map(|(slot, &l)| (slot.name.lock().clone(), l))
-            .collect();
         let sets: Vec<Vec<SpanExport>> = (0..self.slots.len())
             .map(|i| self.handle(i).map(|w| w.span_export()).unwrap_or_default())
             .collect();
-        let st = self.stats();
         ClusterSnapshot {
-            workers,
+            stats: self.stats_with(&loads),
             spans: merge_span_exports(&sets),
-            dispatched: st.dispatched,
-            forwarded: st.forwarded,
-            evictions: st.evictions,
-            rerouted: st.rerouted,
-            healthy: st.healthy,
-            breaker: st.breaker,
-            draining: st.draining,
-            present: st.present,
             tenants: self.tenant_rollup(),
         }
     }
@@ -1348,7 +1359,7 @@ mod tests {
             cluster.invoke("f-1", "{}").unwrap();
         }
         let st = cluster.stats();
-        assert_eq!(st.dispatched.iter().sum::<u64>(), 5);
+        assert_eq!(st.dispatched(), 5);
     }
 
     #[test]
@@ -1487,27 +1498,31 @@ mod tests {
         cluster.invoke("f-1", "{}").unwrap();
         let st = cluster.stats();
         assert_eq!(st.evictions, 0, "first failure stays under threshold");
-        assert_eq!(st.breaker[0], "closed");
-        assert!(st.healthy[0]);
+        assert_eq!(st.slots[0].breaker, "closed");
+        assert!(st.slots[0].healthy);
         // Second failure trips it: Closed→Open, one eviction edge.
         cluster.invoke("f-1", "{}").unwrap();
         cluster.invoke("f-1", "{}").unwrap();
         let st = cluster.stats();
         assert_eq!(st.evictions, 1, "threshold reached: one trip");
-        assert_eq!(st.breaker[0], "open");
-        assert!(!st.healthy[0]);
+        assert_eq!(st.slots[0].breaker, "open");
+        assert!(!st.slots[0].healthy);
         // The worker recovers, but the cooldown hasn't elapsed: the scrape
         // must not probe it back in yet.
         flaky.fail.store(false, Ordering::SeqCst);
         cluster.refresh_loads();
-        assert_eq!(cluster.stats().breaker[0], "open", "still cooling down");
+        assert_eq!(
+            cluster.stats().slots[0].breaker,
+            "open",
+            "still cooling down"
+        );
         // After the cooldown the next scrape goes HalfOpen and the
         // successful probe re-closes the breaker.
         std::thread::sleep(std::time::Duration::from_millis(40));
         cluster.refresh_loads();
         let st = cluster.stats();
-        assert_eq!(st.breaker[0], "closed", "probe readmitted the worker");
-        assert!(st.healthy[0]);
+        assert_eq!(st.slots[0].breaker, "closed", "probe readmitted the worker");
+        assert!(st.slots[0].healthy);
         assert_eq!(st.evictions, 1, "readmission costs no eviction edge");
     }
 
@@ -1534,7 +1549,7 @@ mod tests {
         }
         let st = cluster.stats();
         assert_eq!(st.evictions, 1, "re-opening is not a new eviction");
-        assert!(!st.healthy[0]);
+        assert!(!st.slots[0].healthy);
     }
 
     #[test]
@@ -1555,13 +1570,13 @@ mod tests {
         assert_eq!(ok.calls.load(Ordering::SeqCst), 6, "all served by w1");
         let st = cluster.stats();
         assert_eq!(st.evictions, 0, "draining is not a failure");
-        assert!(st.healthy[0], "draining worker stays healthy");
-        assert!(st.draining[0], "but is flagged draining");
+        assert!(st.slots[0].healthy, "draining worker stays healthy");
+        assert!(st.slots[0].draining, "but is flagged draining");
         // A scrape after the drain ends clears the flag.
         draining.draining.store(false, Ordering::SeqCst);
         cluster.refresh_loads();
         let st = cluster.stats();
-        assert!(!st.draining[0]);
+        assert!(!st.slots[0].draining);
         cluster.invoke("f-1", "{}").unwrap();
     }
 
@@ -1591,7 +1606,7 @@ mod tests {
             probes_at_hint,
             "probes suppressed while the Retry-After hint is live"
         );
-        assert!(cluster.stats().draining[0]);
+        assert!(cluster.stats().slots[0].draining);
         // All traffic kept flowing to the healthy worker meanwhile.
         assert_eq!(ok.calls.load(Ordering::SeqCst), 4);
     }
@@ -1614,8 +1629,8 @@ mod tests {
         draining.draining.store(false, Ordering::SeqCst);
         cluster.refresh_loads();
         let st = cluster.stats();
-        assert!(!st.draining[0], "probe after expiry clears the flag");
-        assert!(st.healthy[0]);
+        assert!(!st.slots[0].draining, "probe after expiry clears the flag");
+        assert!(st.slots[0].healthy);
     }
 
     #[test]
@@ -1627,8 +1642,8 @@ mod tests {
         assert_eq!(cluster.len(), 3, "capacity, not membership");
         assert_eq!(cluster.live(), 1);
         let st = cluster.stats();
-        assert!(st.present[0] && !st.present[1] && !st.present[2]);
-        assert!(!st.healthy[1], "empty slots are unroutable");
+        assert!(st.slots[0].present && !st.slots[1].present && !st.slots[2].present);
+        assert!(!st.slots[1].healthy, "empty slots are unroutable");
 
         // Attach a second worker: it lands in slot 1, unhealthy until the
         // HalfOpen admission probe passes.
@@ -1639,13 +1654,16 @@ mod tests {
         assert_eq!(idx, 1);
         assert_eq!(cluster.live(), 2);
         let st = cluster.stats();
-        assert!(!st.healthy[1], "not routable before the admission probe");
-        assert_eq!(st.breaker[1], "open");
+        assert!(
+            !st.slots[1].healthy,
+            "not routable before the admission probe"
+        );
+        assert_eq!(st.slots[1].breaker, "open");
         // One probe round admits it (HalfOpen → Closed), no eviction edge.
         cluster.refresh_loads();
         let st = cluster.stats();
-        assert!(st.healthy[1], "admission probe closed the breaker");
-        assert_eq!(st.breaker[1], "closed");
+        assert!(st.slots[1].healthy, "admission probe closed the breaker");
+        assert_eq!(st.slots[1].breaker, "closed");
         assert_eq!(st.evictions, 0);
         // Round-robin now reaches both workers.
         for _ in 0..4 {
@@ -1682,7 +1700,7 @@ mod tests {
         // The slot's last-known name updated with the new tenant cache
         // reconciled (w1 reported no tenants here, so just no panic).
         cluster.refresh_loads();
-        assert!(cluster.stats().healthy[1]);
+        assert!(cluster.stats().slots[1].healthy);
     }
 
     #[test]
@@ -1694,7 +1712,7 @@ mod tests {
         assert_eq!(stubs[1].calls.load(Ordering::SeqCst), 3);
         cluster.detach(1);
         let st = cluster.stats();
-        assert_eq!(st.dispatched[1], 3, "counters survive retirement");
+        assert_eq!(st.slots[1].dispatched, 3, "counters survive retirement");
         // Tenant rollup still includes the retired worker's served count.
         let roll = cluster.tenant_rollup();
         let acme = roll.iter().find(|t| t.tenant == "acme").unwrap();
@@ -1756,12 +1774,13 @@ mod tests {
         *stubs[1].load.write() = 2.5;
         cluster.invoke("f-1", "{}").unwrap();
         let snap = cluster.scrape();
-        assert_eq!(snap.workers.len(), 2);
-        assert_eq!(snap.workers[0].0, "w0");
-        assert_eq!(snap.workers[1].1, 2.5);
+        let slots = &snap.stats.slots;
+        assert_eq!(slots.len(), 2);
+        assert_eq!(slots[0].name, "w0");
+        assert_eq!(slots[1].load, 2.5);
         assert!(snap.spans.is_empty(), "stubs export no spans");
-        assert_eq!(snap.dispatched.iter().sum::<u64>(), 1);
-        assert_eq!(snap.present, vec![true, true]);
+        assert_eq!(snap.stats.dispatched(), 1);
+        assert!(slots.iter().all(|s| s.present));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::cluster::{Cluster, WorkerHandle};
 use iluvatar_autoscale::{
     AutoscaleConfig, FleetObservation, ScaleDirection, ScaleEvent, ScalingDecision, ScalingPolicy,
-    VictimPolicyKind,
 };
 use iluvatar_containers::FunctionSpec;
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind};
@@ -37,12 +36,9 @@ where
     }
 }
 
-/// A worker on its way out: drain requested, waiting for in-flight work.
-struct DrainingSlot {
-    slot: usize,
-    /// When the drain was requested (injected clock, ms) — diagnostics.
-    since_ms: u64,
-}
+/// Hottest functions handed off from a drain victim to survivors before
+/// the reaper detaches it.
+const HANDOFF_TOP_K: usize = 4;
 
 /// Wire form of the fleet's state for `GET /fleet`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,7 +75,7 @@ pub struct Fleet {
     /// Monotonic spawn counter for worker naming.
     spawn_seq: AtomicU64,
     /// Slots whose drain was requested and not yet completed.
-    draining: Mutex<Vec<DrainingSlot>>,
+    draining: Mutex<Vec<usize>>,
     /// Workers fully retired (drained + detached).
     stopped: AtomicU64,
     /// Warm-pool handoffs issued so far (prewarms replayed onto survivors).
@@ -165,12 +161,13 @@ impl Fleet {
 
     /// Routable workers: attached and not draining.
     pub fn live(&self) -> usize {
-        let st = self.cluster.stats();
-        st.present
-            .iter()
-            .zip(&st.draining)
-            .filter(|&(&p, &d)| p && !d)
-            .count()
+        self.live_slots().len()
+    }
+
+    /// Indices of the attached, non-draining slots, cluster order.
+    fn live_slots(&self) -> Vec<usize> {
+        let slots = self.cluster.stats().slots;
+        (0..slots.len()).filter(|&i| slots[i].live()).collect()
     }
 
     /// Workers currently draining toward retirement.
@@ -191,17 +188,13 @@ impl Fleet {
     /// Build one observation from live worker stats plus the arrival
     /// counters accumulated since the previous call (which it drains).
     pub fn observe(&self, now_ms: u64) -> FleetObservation {
-        let st = self.cluster.stats();
         let mut live = 0usize;
         let mut queued = 0u64;
         let mut running = 0u64;
         let mut delay_sum = 0f64;
         let mut max_delay = 0u64;
         let mut concurrency_limit = 0usize;
-        for i in 0..st.present.len() {
-            if !st.present[i] || st.draining[i] {
-                continue;
-            }
+        for i in self.live_slots() {
             let Some(h) = self.cluster.handle(i) else {
                 continue;
             };
@@ -345,10 +338,7 @@ impl Fleet {
             // 503s new arrivals; the cluster routes around it immediately.
             h.drain()?;
             self.cluster.mark_draining(slot);
-            self.draining.lock().push(DrainingSlot {
-                slot,
-                since_ms: now_ms,
-            });
+            self.draining.lock().push(slot);
             drained += 1;
         }
         if drained == 0 {
@@ -365,44 +355,34 @@ impl Fleet {
         Ok(Some(event))
     }
 
-    /// Choose `remove` drain victims among the present, non-draining slots.
-    ///
-    /// `LeastWarm` (the default) retires the workers holding the least
-    /// warm-container residency — the cheapest keep-alive investment to
-    /// forfeit — with ties broken toward the highest slot index, so a
-    /// fleet of residency-blind handles (every score zero) degrades to
-    /// exactly the old LIFO order. `Lifo` skips the scoring entirely.
+    /// Choose `remove` drain victims among the present, non-draining slots:
+    /// the workers holding the least warm-container residency — the
+    /// cheapest keep-alive investment to forfeit — with ties broken toward
+    /// the highest slot index, so a fleet of residency-blind handles (every
+    /// score zero) retires its newest workers first (LIFO).
     fn pick_victims(&self, remove: usize) -> Vec<usize> {
-        let st = self.cluster.stats();
-        let candidates: Vec<usize> = (0..st.present.len())
-            .filter(|&i| st.present[i] && !st.draining[i])
+        let mut scored: Vec<(f64, usize)> = self
+            .live_slots()
+            .into_iter()
+            .map(|i| {
+                let gb_s: f64 = self
+                    .cluster
+                    .handle(i)
+                    .map(|h| h.warm_profile().iter().map(|(_, g)| g).sum())
+                    .unwrap_or(0.0);
+                (if gb_s.is_finite() { gb_s } else { 0.0 }, i)
+            })
             .collect();
-        match self.cfg.victim_policy {
-            VictimPolicyKind::Lifo => candidates.into_iter().rev().take(remove).collect(),
-            VictimPolicyKind::LeastWarm => {
-                let mut scored: Vec<(f64, usize)> = candidates
-                    .into_iter()
-                    .map(|i| {
-                        let gb_s: f64 = self
-                            .cluster
-                            .handle(i)
-                            .map(|h| h.warm_profile().iter().map(|(_, g)| g).sum())
-                            .unwrap_or(0.0);
-                        (if gb_s.is_finite() { gb_s } else { 0.0 }, i)
-                    })
-                    .collect();
-                scored.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.1.cmp(&a.1))
-                });
-                scored.into_iter().map(|(_, i)| i).take(remove).collect()
-            }
-        }
+        scored.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.1.cmp(&a.1))
+        });
+        scored.into_iter().map(|(_, i)| i).take(remove).collect()
     }
 
     /// Replay the drain victim's hottest warm functions (top
-    /// `handoff_top_k` by GB·s) as prewarms onto surviving workers.
+    /// [`HANDOFF_TOP_K`] by GB·s) as prewarms onto surviving workers.
     /// Targeting is residency-weighted: each prewarm lands on the survivor
     /// currently holding the least warm GB·s (ties → lowest slot index),
     /// and the handed-off function's weight is charged to its target, so a
@@ -410,10 +390,8 @@ impl Fleet {
     /// piling onto one slot. Best-effort: a failed prewarm is dropped, not
     /// retried — the survivor will cold-start as it would have anyway.
     fn handoff_warm(&self, victims: &[usize], victim: &Arc<dyn WorkerHandle>) {
-        let st = self.cluster.stats();
-        let survivors: Vec<usize> = (0..st.present.len())
-            .filter(|&i| st.present[i] && !st.draining[i] && !victims.contains(&i))
-            .collect();
+        let mut survivors = self.live_slots();
+        survivors.retain(|i| !victims.contains(i));
         if survivors.is_empty() {
             return;
         }
@@ -426,7 +404,6 @@ impl Fleet {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        let top_k = self.cfg.effective_handoff_top_k();
         let mut load: Vec<(usize, f64)> = survivors
             .iter()
             .map(|&i| {
@@ -444,7 +421,7 @@ impl Fleet {
                 (i, gb_s)
             })
             .collect();
-        for (fqdn, gb_s) in profile.into_iter().take(top_k) {
+        for (fqdn, gb_s) in profile.into_iter().take(HANDOFF_TOP_K) {
             // Unique minimum: (gb_s, slot) with strictly ordered slots, so
             // ties in residency resolve to the lowest slot index.
             let Some(target) = load.iter_mut().min_by(|a, b| {
@@ -470,18 +447,17 @@ impl Fleet {
     pub fn reap(&self) -> usize {
         let mut draining = self.draining.lock();
         let mut retired = 0usize;
-        draining.retain(|d| {
-            let Some(h) = self.cluster.handle(d.slot) else {
+        draining.retain(|&slot| {
+            let Some(h) = self.cluster.handle(slot) else {
                 // Slot already vacated (e.g. operator detach); drop it.
                 return false;
             };
             let s = h.stats();
             let idle = s.drain_pending == 0 && s.queue_len == 0 && s.running == 0;
             if idle {
-                self.cluster.detach(d.slot);
+                self.cluster.detach(slot);
                 self.stopped.fetch_add(1, Ordering::Relaxed);
                 retired += 1;
-                let _ = d.since_ms;
                 false
             } else {
                 true
@@ -683,7 +659,7 @@ mod tests {
         }
         // The admission probe ran inside apply: new workers are routable.
         let st = cluster.stats();
-        assert!(st.healthy[1] && st.healthy[2]);
+        assert!(st.slots[1].healthy && st.slots[2].healthy);
         assert_eq!(fleet.event_counts(), vec![("up".into(), "test".into(), 1)]);
     }
 
@@ -817,10 +793,8 @@ mod tests {
     }
 
     #[test]
-    fn lifo_fallback_drains_newest_even_when_warmest() {
-        let mut c = cfg();
-        c.victim_policy = iluvatar_autoscale::VictimPolicyKind::Lifo;
-        let (_cluster, fleet, spawned) = fleet_of(c);
+    fn residency_blind_fleet_drains_newest_first() {
+        let (_cluster, fleet, spawned) = fleet_of(cfg());
         fleet
             .apply(
                 &ScalingDecision::ScaleUp {
@@ -830,10 +804,9 @@ mod tests {
                 0,
             )
             .unwrap();
-        // The newest worker carries the most warm residency; LIFO must
-        // still pick it — this pins the pre-policy behaviour.
+        // No handle reports any residency: every score ties at zero and
+        // the tie-break retires the newest worker, i.e. LIFO.
         let newest = Arc::clone(spawned.lock().last().unwrap());
-        *newest.warm.lock() = vec![("hot-1".into(), 50.0)];
         fleet
             .apply(
                 &ScalingDecision::ScaleDown {
@@ -845,8 +818,14 @@ mod tests {
             .unwrap();
         assert!(
             newest.draining.load(Ordering::SeqCst),
-            "LIFO drains the newest regardless of warmth"
+            "an all-zero fleet drains its newest worker"
         );
+        let drained = spawned
+            .lock()
+            .iter()
+            .filter(|w| w.draining.load(Ordering::SeqCst))
+            .count();
+        assert_eq!(drained, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! would an in-process plane.
 
 use iluvatar_dispatch::{Lease, LeaseSource};
-use iluvatar_http::{HttpClient, Method, Request, Status};
+use iluvatar_http::{Method, PooledClient, Request, Status};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -52,13 +52,16 @@ pub struct CompleteReply {
     pub accepted: bool,
 }
 
-/// A [`LeaseSource`] that long-polls a remote balancer's `/pull` routes.
+/// A [`LeaseSource`] that long-polls a remote balancer's `/pull` routes
+/// over kept-alive connections. A request the pool re-sends after finding
+/// its socket closed is safe: the lease TTL requeues a grant nobody heard
+/// of, and a completion is idempotent per lease.
 pub struct HttpLeaseSource {
     addr: SocketAddr,
     /// Long-poll budget sent with each pull.
     wait_ms: u64,
-    /// Client-side request timeout (covers the long poll plus slack).
-    timeout: Duration,
+    /// Request timeout covers the long poll plus slack.
+    client: PooledClient,
 }
 
 impl HttpLeaseSource {
@@ -66,7 +69,7 @@ impl HttpLeaseSource {
         Self {
             addr,
             wait_ms,
-            timeout: Duration::from_millis(wait_ms + 5_000),
+            client: PooledClient::new(Duration::from_millis(wait_ms + 5_000)),
         }
     }
 }
@@ -79,10 +82,9 @@ impl LeaseSource for HttpLeaseSource {
             wait_ms: self.wait_ms,
         })
         .expect("serialize pull body");
-        let resp = HttpClient::send(
+        let resp = self.client.send(
             self.addr,
             &Request::new(Method::Post, "/pull").with_body(body),
-            self.timeout,
         );
         match resp {
             Ok(r) if r.status == Status::OK => {
@@ -100,10 +102,9 @@ impl LeaseSource for HttpLeaseSource {
             exec_ms,
         })
         .expect("serialize complete body");
-        let resp = HttpClient::send(
+        let resp = self.client.send(
             self.addr,
             &Request::new(Method::Post, "/pull/complete").with_body(payload),
-            self.timeout,
         );
         match resp {
             Ok(r) if r.status == Status::OK => serde_json::from_str::<CompleteReply>(r.body_str())

@@ -98,9 +98,9 @@ fn mid_call_death_evicts_and_reroutes_without_loss() {
         cluster.invoke("f-1", "{}").unwrap();
     }
     let before = cluster.stats();
-    let home = if before.dispatched[0] > 0 { 0 } else { 1 };
+    let home = if before.slots[0].dispatched > 0 { 0 } else { 1 };
     assert_eq!(
-        before.dispatched[home], 5,
+        before.slots[home].dispatched, 5,
         "CH-BL locality: one home worker"
     );
     assert_eq!(before.evictions, 0);
@@ -123,18 +123,21 @@ fn mid_call_death_evicts_and_reroutes_without_loss() {
         after.rerouted, 1,
         "the in-flight invocation was re-dispatched"
     );
-    assert!(!after.healthy[home]);
-    assert!(after.healthy[1 - home]);
+    assert!(!after.slots[home].healthy);
+    assert!(after.slots[1 - home].healthy);
     assert_eq!(
         stubs[1 - home].calls.load(Ordering::SeqCst),
-        10 + before.dispatched[1 - home],
+        10 + before.slots[1 - home].dispatched,
         "every post-kill invocation ran on the survivor"
     );
 
     // Revival: a healthy status poll readmits the worker.
     stubs[home].dead.store(false, Ordering::SeqCst);
     cluster.scrape();
-    assert!(cluster.stats().healthy[home], "recovered worker readmitted");
+    assert!(
+        cluster.stats().slots[home].healthy,
+        "recovered worker readmitted"
+    );
 }
 
 fn served_worker(name: &str) -> (Arc<Worker>, WorkerApi) {
@@ -207,8 +210,8 @@ fn killing_a_worker_api_mid_run_loses_no_invocations() {
         lb_invoke(lb.addr(), "f-1").unwrap();
     }
     let before = cluster.stats();
-    assert_eq!(before.dispatched.iter().sum::<u64>(), 5);
-    let home = if before.dispatched[0] > 0 { 0 } else { 1 };
+    assert_eq!(before.dispatched(), 5);
+    let home = if before.slots[0].dispatched > 0 { 0 } else { 1 };
 
     // Kill the home worker's API server mid-run and keep invoking through
     // the balancer: every invocation must complete on the survivor.
@@ -223,15 +226,15 @@ fn killing_a_worker_api_mid_run_loses_no_invocations() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let st = cluster.stats();
-        if (!st.healthy[home] && st.evictions >= 1) || Instant::now() > deadline {
+        if (!st.slots[home].healthy && st.evictions >= 1) || Instant::now() > deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     let after = cluster.stats();
     assert!(after.evictions >= 1, "the dead worker was evicted");
-    assert!(!after.healthy[home], "dead worker stays evicted");
-    assert!(after.healthy[1 - home], "survivor stays healthy");
+    assert!(!after.slots[home].healthy, "dead worker stays evicted");
+    assert!(after.slots[1 - home].healthy, "survivor stays healthy");
 
     // And invocations still flow after eviction.
     lb_invoke(lb.addr(), "f-1").expect("post-eviction invocation");
@@ -299,7 +302,7 @@ fn lb_routes_around_draining_worker_without_eviction() {
     for _ in 0..5 {
         cluster.invoke("f-1", "{}").unwrap();
     }
-    let home = if cluster.stats().dispatched[0] > 0 {
+    let home = if cluster.stats().slots[0].dispatched > 0 {
         0
     } else {
         1
@@ -316,11 +319,14 @@ fn lb_routes_around_draining_worker_without_eviction() {
     }
     let st = cluster.stats();
     assert_eq!(st.evictions, 0, "draining must not trip the breaker");
-    assert!(st.healthy[home], "draining worker stays healthy");
-    assert!(st.healthy[1 - home]);
-    assert_eq!(st.breaker[home], "closed");
-    assert!(st.draining[home], "the drain is visible to the balancer");
-    assert!(!st.draining[1 - home]);
+    assert!(st.slots[home].healthy, "draining worker stays healthy");
+    assert!(st.slots[1 - home].healthy);
+    assert_eq!(st.slots[home].breaker, "closed");
+    assert!(
+        st.slots[home].draining,
+        "the drain is visible to the balancer"
+    );
+    assert!(!st.slots[1 - home].draining);
     // The survivor absorbed every post-drain invocation.
     let survivor_status = iluvatar_core::api::WorkerApiClient::new(apis[1 - home].addr())
         .status()
@@ -433,7 +439,7 @@ fn tenant_metrics_survive_worker_eviction_and_reroute() {
     assert_eq!(acme.lb_dispatched, 5);
     assert_eq!(acme.served, 5);
     assert_eq!(acme.lb_rerouted, 0);
-    let home = if cluster.stats().dispatched[0] > 0 {
+    let home = if cluster.stats().slots[0].dispatched > 0 {
         0
     } else {
         1

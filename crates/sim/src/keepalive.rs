@@ -134,14 +134,6 @@ impl SimOutcome {
             self.cold_penalty_ms as f64 / self.base_exec_ms as f64 * 100.0
         }
     }
-
-    pub fn drop_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.total as f64
-        }
-    }
 }
 
 struct CacheItem {

@@ -3,7 +3,6 @@
 //! §6.1 evaluates keep-alive policies by replaying Azure-trace samples "in
 //! our discrete-event keep-alive simulator". This crate is that simulator:
 //!
-//! * [`des`] — a minimal discrete-event engine (time-ordered event queue).
 //! * [`keepalive`] — the cache simulator: replays a trace against any
 //!   [`iluvatar_core::policies::KeepalivePolicy`], producing the cold-start
 //!   ratio and execution-time-increase metrics of Figures 4 and 5, and (with
@@ -19,7 +18,6 @@
 //! policy implementation to drift.
 
 pub mod cluster;
-pub mod des;
 pub mod elastic;
 pub mod keepalive;
 pub mod provisioning;

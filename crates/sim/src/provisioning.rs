@@ -73,23 +73,6 @@ impl ScaledRun {
         }
         self.samples.iter().map(|s| s.cache_mb as f64).sum::<f64>() / self.samples.len() as f64
     }
-
-    /// Fraction of samples within the error band of the target.
-    pub fn within_band(&self, cfg: &ProvisioningConfig) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let ok = self
-            .samples
-            .iter()
-            .filter(|s| {
-                let err =
-                    (s.miss_per_sec - cfg.target_miss_per_sec).abs() / cfg.target_miss_per_sec;
-                err <= cfg.error_tolerance
-            })
-            .count();
-        ok as f64 / self.samples.len() as f64
-    }
 }
 
 /// The proportional miss-speed controller.

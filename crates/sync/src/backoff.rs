@@ -1,4 +1,4 @@
-//! Deterministic exponential backoff with jitter and a retry budget.
+//! Deterministic exponential backoff with jitter.
 //!
 //! The retry hardening around the agent hop (worker → container) needs a
 //! delay schedule that is (a) exponential so repeated failures back off the
@@ -10,41 +10,20 @@
 //!
 //! Invariants (property-tested in `tests/proptests.rs`):
 //! * nominal (pre-jitter) delays are monotone non-decreasing in the attempt,
-//! * every jittered delay is `<= cap_ms`,
-//! * the total budget ([`Backoff::total_budget_ms`]) never exceeds
-//!   `deadline_ms` when a deadline is configured — later attempts are
-//!   clipped out rather than overshooting.
+//! * every jittered delay is `<= cap_ms`.
 
 use crate::hash::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// Retry/backoff policy knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackoffConfig {
     /// Delay before the first retry, ms.
     pub base_ms: u64,
     /// Upper bound on any single delay, ms.
     pub cap_ms: u64,
-    /// Retries after the initial attempt. 0 disables retrying.
-    pub max_retries: u32,
     /// Fraction of the nominal delay used as the jitter range, in `[0, 1]`.
     /// The jittered delay lies in `[nominal * (1 - jitter), nominal]`.
     pub jitter: f64,
-    /// Total retry budget, ms: delays whose cumulative sum would exceed
-    /// this are clipped (the attempt is abandoned instead). 0 = unbounded.
-    pub deadline_ms: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            base_ms: 10,
-            cap_ms: 1_000,
-            max_retries: 0,
-            jitter: 0.5,
-            deadline_ms: 0,
-        }
-    }
 }
 
 /// A seeded, deterministic backoff schedule.
@@ -57,10 +36,6 @@ pub struct Backoff {
 impl Backoff {
     pub fn new(cfg: BackoffConfig, seed: u64) -> Self {
         Self { cfg, seed }
-    }
-
-    pub fn config(&self) -> &BackoffConfig {
-        &self.cfg
     }
 
     /// Nominal (pre-jitter) delay for retry `attempt` (0-based):
@@ -89,49 +64,23 @@ impl Backoff {
         let scale = 1.0 - j * unit;
         ((nominal as f64) * scale).floor() as u64
     }
-
-    /// The full clipped schedule: delays for attempts `0..max_retries`,
-    /// truncated so the cumulative sum never exceeds `deadline_ms` (when
-    /// set). The returned length is how many retries may actually run.
-    pub fn schedule(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.cfg.max_retries as usize);
-        let mut total: u64 = 0;
-        for attempt in 0..self.cfg.max_retries {
-            let d = self.delay_ms(attempt);
-            let next = total.saturating_add(d);
-            if self.cfg.deadline_ms > 0 && next > self.cfg.deadline_ms {
-                break;
-            }
-            total = next;
-            out.push(d);
-        }
-        out
-    }
-
-    /// Sum of the clipped schedule — the worst-case time spent sleeping
-    /// between retries. `<= deadline_ms` when a deadline is configured.
-    pub fn total_budget_ms(&self) -> u64 {
-        self.schedule().iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg(base: u64, cap: u64, retries: u32, jitter: f64, deadline: u64) -> BackoffConfig {
+    fn cfg(base: u64, cap: u64, jitter: f64) -> BackoffConfig {
         BackoffConfig {
             base_ms: base,
             cap_ms: cap,
-            max_retries: retries,
             jitter,
-            deadline_ms: deadline,
         }
     }
 
     #[test]
     fn nominal_doubles_then_caps() {
-        let b = Backoff::new(cfg(10, 100, 8, 0.0, 0), 1);
+        let b = Backoff::new(cfg(10, 100, 0.0), 1);
         assert_eq!(b.nominal_ms(0), 10);
         assert_eq!(b.nominal_ms(1), 20);
         assert_eq!(b.nominal_ms(2), 40);
@@ -142,7 +91,7 @@ mod tests {
 
     #[test]
     fn zero_jitter_equals_nominal() {
-        let b = Backoff::new(cfg(5, 1_000, 4, 0.0, 0), 9);
+        let b = Backoff::new(cfg(5, 1_000, 0.0), 9);
         for a in 0..4 {
             assert_eq!(b.delay_ms(a), b.nominal_ms(a));
         }
@@ -150,28 +99,21 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let a = Backoff::new(cfg(10, 500, 6, 0.5, 0), 42);
-        let b = Backoff::new(cfg(10, 500, 6, 0.5, 0), 42);
-        let c = Backoff::new(cfg(10, 500, 6, 0.5, 0), 43);
-        assert_eq!(a.schedule(), b.schedule(), "same seed, same schedule");
+        let delays = |seed| {
+            let b = Backoff::new(cfg(10, 500, 0.5), seed);
+            (0..6).map(|a| b.delay_ms(a)).collect::<Vec<_>>()
+        };
+        assert_eq!(delays(42), delays(42), "same seed, same schedule");
         assert_ne!(
-            a.schedule(),
-            c.schedule(),
+            delays(42),
+            delays(43),
             "different seed should jitter differently"
         );
     }
 
     #[test]
-    fn deadline_clips_schedule() {
-        let b = Backoff::new(cfg(10, 10, 100, 0.0, 35), 1);
-        // Each delay is exactly 10ms; only 3 fit under 35ms.
-        assert_eq!(b.schedule(), vec![10, 10, 10]);
-        assert_eq!(b.total_budget_ms(), 30);
-    }
-
-    #[test]
     fn overflow_attempt_saturates() {
-        let b = Backoff::new(cfg(u64::MAX / 2, u64::MAX, 2, 0.0, 0), 1);
+        let b = Backoff::new(cfg(u64::MAX / 2, u64::MAX, 0.0), 1);
         assert_eq!(
             b.nominal_ms(40),
             u64::MAX,

@@ -5,7 +5,7 @@
 //! * a concurrent associative map for the container pool (the original uses
 //!   `dashmap`; we build [`ShardedMap`] on `parking_lot` shards),
 //! * asynchronous lifecycle handling off the critical path (here: the
-//!   [`taskpool::TaskPool`] of background threads plus periodic tasks), and
+//!   [`taskpool::TaskPool`] of named periodic tasks), and
 //! * data-driven controllers — the TCP-like AIMD concurrency limit of §4.1
 //!   ([`aimd::Aimd`]) and the moving-window function characteristics of §4.2
 //!   ([`stats::MovingWindow`], [`stats::Welford`]).
@@ -37,7 +37,7 @@ pub use loghist::LogHistogram;
 pub use ring::KeyedRing;
 pub use semaphore::{Semaphore, SemaphorePermit};
 pub use shardmap::ShardedMap;
-pub use stats::{ExpMovingAvg, Histogram, MovingWindow, Welford};
+pub use stats::{Histogram, MovingWindow, Welford};
 pub use storage::{RealStorage, Storage, StorageFile};
 pub use taskpool::TaskPool;
 pub use tokenbucket::TokenBucket;

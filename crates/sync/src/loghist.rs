@@ -194,18 +194,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(lower_edge, upper_edge, count)`, ascending.
-    pub fn bins(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bounds_of(i);
-                (lo, hi, c)
-            })
-    }
 }
 
 /// Sparse wire form: only non-empty buckets travel. This is what crosses

@@ -146,34 +146,6 @@ impl MovingWindow {
     }
 }
 
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone)]
-pub struct ExpMovingAvg {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl ExpMovingAvg {
-    /// `alpha` in (0,1]: weight of the newest sample.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Self { alpha, value: None }
-    }
-
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// Fixed-width bucket histogram over `[0, bucket_width * buckets)`, with an
 /// overflow bucket for larger samples.
 #[derive(Debug, Clone)]
@@ -243,16 +215,6 @@ impl Histogram {
             }
         }
         self.counts.len() as f64 * self.bucket_width
-    }
-
-    /// Index of the most populated bucket, ignoring overflow.
-    pub fn mode_bucket(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 }
 
@@ -340,20 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn ema_converges() {
-        let mut e = ExpMovingAvg::new(0.5);
-        assert_eq!(e.value(), None);
-        e.push(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.push(0.0);
-        assert_eq!(e.value(), Some(5.0));
-        for _ in 0..64 {
-            e.push(0.0);
-        }
-        assert!(e.value().unwrap() < 1e-6);
-    }
-
-    #[test]
     fn histogram_buckets_and_overflow() {
         let mut h = Histogram::new(1.0, 4); // [0,4) + overflow
         for x in [0.5, 1.5, 1.7, 3.9, 4.0, 100.0] {
@@ -363,7 +311,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 6);
         assert!((h.overflow_fraction() - 2.0 / 6.0).abs() < 1e-12);
-        assert_eq!(h.mode_bucket(), 1);
     }
 
     #[test]

@@ -2,65 +2,29 @@
 //!
 //! §3.3: the worker handles "various aspects of the function's lifecycle
 //! asynchronously off the critical path ... through background worker
-//! threads for certain tasks". [`TaskPool`] provides:
-//!
-//! * a pool of job threads consuming one-off closures from a crossbeam
-//!   channel (result logging, container teardown, metric flushes), and
-//! * named periodic tasks on dedicated timer threads (keep-alive eviction
-//!   sweeps, AIMD control intervals, status reporting).
+//! threads for certain tasks". [`TaskPool`] runs named periodic tasks on
+//! dedicated timer threads (keep-alive eviction sweeps, AIMD control
+//! intervals, status reporting).
 //!
 //! Shutdown is cooperative: periodic tasks observe a shared flag between
-//! ticks, job threads drain the channel and exit when it disconnects.
+//! ticks.
 
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A pool of background job threads plus registered periodic tasks.
+/// The periodic background tasks of one component, stopped together.
+#[derive(Default)]
 pub struct TaskPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
     periodic: Mutex<Vec<JoinHandle<()>>>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl TaskPool {
-    /// Spawn `threads` job-consumer threads.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0);
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = channel::unbounded();
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("iluvatar-bg-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn background worker")
-            })
-            .collect();
-        Self {
-            tx: Some(tx),
-            workers,
-            periodic: Mutex::new(Vec::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Queue a one-off job. Returns false if the pool is shutting down.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Box::new(job)).is_ok(),
-            None => false,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Run `tick` every `period`, starting one period from now, on a
@@ -98,19 +62,9 @@ impl TaskPool {
         self.periodic.lock().push(handle);
     }
 
-    /// True once [`TaskPool::shutdown`] has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Stop periodic tasks, drain queued jobs, and join all threads.
+    /// Stop periodic tasks and join their threads.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Dropping the sender disconnects job threads after the drain.
-        self.tx = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
         for h in self.periodic.lock().drain(..) {
             let _ = h.join();
         }
@@ -129,22 +83,8 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn jobs_run() {
-        let pool = TaskPool::new(4);
-        let n = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let n = Arc::clone(&n);
-            assert!(pool.spawn(move || {
-                n.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        drop(pool); // shutdown drains the queue
-        assert_eq!(n.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
     fn periodic_ticks() {
-        let pool = TaskPool::new(1);
+        let pool = TaskPool::new();
         let n = Arc::new(AtomicUsize::new(0));
         let n2 = Arc::clone(&n);
         pool.spawn_periodic("test-tick", Duration::from_millis(10), move || {
@@ -157,35 +97,17 @@ mod tests {
     }
 
     #[test]
-    fn spawn_after_shutdown_fails() {
-        let mut pool = TaskPool::new(1);
-        pool.shutdown();
-        assert!(!pool.spawn(|| {}));
-        assert!(pool.is_shutting_down());
-    }
-
-    #[test]
     fn shutdown_is_idempotent() {
-        let mut pool = TaskPool::new(2);
-        pool.spawn(|| {});
-        pool.shutdown();
-        pool.shutdown();
-    }
-
-    #[test]
-    fn jobs_run_concurrently() {
-        let pool = TaskPool::new(4);
-        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let mut pool = TaskPool::new();
         let n = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
-            let (b, n) = (Arc::clone(&barrier), Arc::clone(&n));
-            pool.spawn(move || {
-                // All four must rendezvous — only possible with >= 4 threads.
-                b.wait();
-                n.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        assert_eq!(n.load(Ordering::SeqCst), 4);
+        let n2 = Arc::clone(&n);
+        pool.spawn_periodic("test-stop", Duration::from_millis(5), move || {
+            n2.fetch_add(1, Ordering::SeqCst);
+        });
+        pool.shutdown();
+        pool.shutdown();
+        let after = n.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(n.load(Ordering::SeqCst), after, "no tick after shutdown");
     }
 }

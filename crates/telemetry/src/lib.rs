@@ -17,7 +17,6 @@
 //!   events, dumpable on crash/drain/fault (`GET /debug/flightrecorder`),
 //!   with frozen [`FlightSnapshot`]s taken automatically by the chaos
 //!   harness on every injected fault;
-//! * [`JsonlSink`] — JSON-lines to any `io::Write`, for offline replay;
 //! * [`CounterBridge`] — per-kind (and per-tenant) counters bridged into
 //!   the Prometheus exposition;
 //! * [`VecSink`] — an unbounded collector for tests and the deterministic
@@ -35,7 +34,7 @@ pub mod sink;
 
 pub use event::{TelemetryEvent, TelemetryKind};
 pub use recorder::{FlightDump, FlightRecorder, FlightSnapshot};
-pub use sink::{CounterBridge, JsonlSink, TelemetrySink, VecSink};
+pub use sink::{CounterBridge, TelemetrySink, VecSink};
 
 use iluvatar_sync::Clock;
 use parking_lot::RwLock;

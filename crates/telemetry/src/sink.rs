@@ -3,7 +3,6 @@
 use crate::event::TelemetryEvent;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::Write;
 
 /// A consumer of the canonical stream. Implementations must be cheap and
 /// non-blocking: `emit` runs on the hot path of whatever emitted.
@@ -40,35 +39,6 @@ impl VecSink {
 impl TelemetrySink for VecSink {
     fn emit(&self, ev: &TelemetryEvent) {
         self.events.lock().push(ev.clone());
-    }
-}
-
-/// JSON-lines to any writer — one `TelemetryEvent` per line, the offline
-/// replay format the ROADMAP's conformance checking consumes.
-pub struct JsonlSink<W: Write + Send + 'static> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send + 'static> JsonlSink<W> {
-    pub fn new(out: W) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Flush and hand back the writer (for tests inspecting a buffer).
-    pub fn into_inner(self) -> W {
-        self.out.into_inner()
-    }
-}
-
-impl<W: Write + Send + 'static> TelemetrySink for JsonlSink<W> {
-    fn emit(&self, ev: &TelemetryEvent) {
-        let line = serde_json::to_string(ev).unwrap_or_default();
-        let mut out = self.out.lock();
-        // Telemetry must never take down the component it observes:
-        // swallow write errors (disk full, closed pipe).
-        let _ = writeln!(out, "{line}");
     }
 }
 
@@ -126,27 +96,6 @@ mod tests {
             tenant: tenant.map(str::to_string),
             kind,
         }
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let sink = JsonlSink::new(Vec::<u8>::new());
-        sink.emit(&ev(
-            1,
-            None,
-            TelemetryKind::Trace {
-                stage: "ingested".into(),
-            },
-        ));
-        sink.emit(&ev(2, Some("t"), TelemetryKind::wal("enqueued")));
-        let buf = sink.into_inner();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let back: TelemetryEvent = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(back.seq, 1);
-        let back: TelemetryEvent = serde_json::from_str(lines[1]).unwrap();
-        assert_eq!(back.tenant.as_deref(), Some("t"));
     }
 
     #[test]

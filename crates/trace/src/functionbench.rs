@@ -161,22 +161,6 @@ impl FbApp {
             }),
         }
     }
-
-    /// §5's trace-to-benchmark mapping: represent a trace function by the
-    /// FunctionBench app with the closest mean running time.
-    pub fn closest_by_runtime(mean_ms: u64) -> FbApp {
-        let mut best = FbApp::PyAes;
-        let mut best_d = u64::MAX;
-        for app in FbApp::all() {
-            let (_, run, _) = app.table3();
-            let d = run.abs_diff(mean_ms);
-            if d < best_d {
-                best_d = d;
-                best = app;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -207,16 +191,6 @@ mod tests {
             let out = (b.body)("{\"x\":1}");
             assert!(out.starts_with('{'), "{}: {out}", app.name());
         }
-    }
-
-    #[test]
-    fn closest_by_runtime_maps_sensibly() {
-        // The paper's example: an 8s function maps to the ~9s app
-        // (Image Manip at 9s here; their text used ML-training at 6s).
-        assert_eq!(FbApp::closest_by_runtime(8_000), FbApp::ImageManip);
-        assert_eq!(FbApp::closest_by_runtime(50), FbApp::PyAes);
-        assert_eq!(FbApp::closest_by_runtime(60_000), FbApp::VideoEncoding);
-        assert_eq!(FbApp::closest_by_runtime(2_449), FbApp::WebServing);
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! three evaluation samples (RARE / REPRESENTATIVE / RANDOM, Table 2) are
 //! drawn in [`samples`].
 //!
-//! [`functionbench`] carries the seven Table 3 applications; [`lookbusy`]
-//! generates fixed CPU/memory load functions; [`loadgen`] provides the
-//! open- and closed-loop load generation framework of §5.
+//! [`functionbench`] carries the seven Table 3 applications; [`loadgen`]
+//! provides the open- and closed-loop load generation framework of §5.
+//! [`azure_csv`] imports the real dataset's CSVs; nothing in the repo calls
+//! it because those files cannot ship here — it stays as the documented way
+//! to replay the paper's actual trace once they are present.
 
 pub mod azure;
 pub mod azure_csv;
 pub mod functionbench;
 pub mod loadgen;
-pub mod lookbusy;
 pub mod samples;
 
 pub use azure::{AzureTraceConfig, FunctionProfile, SyntheticAzureTrace, TraceEvent};

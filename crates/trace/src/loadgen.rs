@@ -226,23 +226,6 @@ impl OpenLoopRunner {
     }
 }
 
-/// Little's law (§5): expected concurrent invocations of a function =
-/// arrival rate × mean residence time.
-pub fn littles_law_concurrency(mean_iat_ms: f64, mean_exec_ms: f64) -> f64 {
-    if mean_iat_ms <= 0.0 {
-        return 0.0;
-    }
-    mean_exec_ms / mean_iat_ms
-}
-
-/// Expected system load for a set of functions — the sum of per-function
-/// concurrencies; used to pick a `rate_scale` that fits the target server.
-pub fn expected_load(functions: impl Iterator<Item = (f64, f64)>) -> f64 {
-    functions
-        .map(|(iat, exec)| littles_law_concurrency(iat, exec))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,14 +397,6 @@ mod tests {
             .unwrap()
             .iter()
             .all(|s| s.as_deref() == Some("acme")));
-    }
-
-    #[test]
-    fn littles_law() {
-        assert_eq!(littles_law_concurrency(100.0, 200.0), 2.0);
-        assert_eq!(littles_law_concurrency(0.0, 200.0), 0.0);
-        let load = expected_load([(100.0, 200.0), (50.0, 25.0)].into_iter());
-        assert!((load - 2.5).abs() < 1e-12);
     }
 
     #[test]

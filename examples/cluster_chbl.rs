@@ -70,7 +70,8 @@ fn main() {
     );
 
     let st = cluster.stats();
-    println!("\nper-worker dispatch counts: {:?}", st.dispatched);
+    let dispatched: Vec<u64> = st.slots.iter().map(|s| s.dispatched).collect();
+    println!("\nper-worker dispatch counts: {dispatched:?}");
     println!("forwarded (bounded-load overflow): {}", st.forwarded);
     for w in &workers {
         let s = w.status();

@@ -78,6 +78,73 @@ if grep -rn '"ILU_' crates/bench; then
     exit 1
 fi
 
+echo "=== reachability guard (no unreachable module, no never-set knob) ==="
+# What nothing can turn on is deleted, not parked (DESIGN.md "Keep-or-kill
+# audit"). Two greps keep that honest; the one allow-list below names every
+# exception with its reason. crates/perf is the benchmark's own island.
+REACH_ALLOW="
+crates/trace/src/azure_csv.rs  the documented importer for the paper's real Azure dataset, which cannot ship here; a figure waits for the files
+WorkerConfig.eviction_period_ms  set by for_testing (20 ms) against the 500 ms default: two values in use
+WorkerConfig.netns_pool  read by src/bin/iluvatar-worker.rs for --backend inprocess; for_testing shrinks it
+"
+allowed() { grep -q "^$1  " <<<"$REACH_ALLOW"; }
+reach_fail=0
+# Rule 1: every `pub mod x;` exports a type (failing that, a function or
+# constant) that some other file names. `pub use` re-exports do not count:
+# they are how an unused module looks used.
+reach_tmp=$(mktemp -d)
+trap 'rm -rf "$reach_tmp"' EXIT
+while read -r f; do
+    mkdir -p "$reach_tmp/$(dirname "$f")"
+    perl -0pe 's/^\s*pub use [^;]*;//mg' "$f" >"$reach_tmp/$f"
+done < <(find crates src tests examples -name '*.rs' -not -path 'crates/perf/*')
+while IFS=: read -r decl _ line; do
+    mod=$(sed -E 's/^\s*pub mod (\w+);.*/\1/' <<<"$line")
+    dir=$(dirname "$decl")
+    base=$(basename "$decl" .rs)
+    case "$base" in lib | mod | main) sub="$dir" ;; *) sub="$dir/$base" ;; esac
+    file="$sub/$mod.rs"
+    [[ -f "$file" ]] || file="$sub/$mod/mod.rs"
+    allowed "$file" && continue
+    names=$(grep -ohP '^pub (struct|enum|trait|type) \K\w+' "$file" || true)
+    [[ -n "$names" ]] || names=$(grep -ohP '^pub (fn|const|static) \K\w+' "$file" || true)
+    # shellcheck disable=SC2086  # one -e per exported name
+    if ! grep -rlw $(printf -- '-e %s ' $names) "$reach_tmp" | grep -qvxF "$reach_tmp/$file"; then
+        echo "unreachable module: nothing $file exports is named outside it" >&2
+        reach_fail=1
+    fi
+done < <(grep -rn -E '^\s*pub mod \w+;' crates/*/src --include='*.rs' | grep -v '^crates/perf/')
+# Rule 2: every field of the worker, dispatch and autoscale configs is
+# assigned (`field: value` in a literal, or `.field = value`) in some file
+# other than the one defining it — among the files that name a config of
+# its family, so an unrelated struct's same-named field does not count.
+worker_family='WorkerConfig|QueueConfig|ConcurrencyConfig|ResilienceConfig|LifecycleConfig|WalConfig|AdmissionConfig|CacheConfig'
+while read -r family st file; do
+    users=$(grep -rlE --include='*.rs' "\b($family)\b" crates src tests examples | grep -vxF "$file")
+    fields=$(awk -v s="pub struct $st {" '$0==s{on=1;next} on&&/^}/{exit} on&&/^    pub [a-z_0-9]+:/{sub(/:.*/,"",$2);print $2}' "$file")
+    [[ -n "$fields" ]] || { echo "reachability guard: no fields parsed for $st in $file" >&2; exit 1; }
+    for f in $fields; do
+        allowed "$st.$f" && continue
+        # shellcheck disable=SC2086  # $users is a file list
+        if ! grep -qP "(?<!pub )\b$f:\s|\.$f\s*[-+*]?=[^=]" $users; then
+            echo "never-set knob: $st.$f is assigned in no file but $file; make it a constant next to its use" >&2
+            reach_fail=1
+        fi
+    done
+done <<EOF
+$worker_family WorkerConfig crates/core/src/config.rs
+$worker_family QueueConfig crates/core/src/config.rs
+$worker_family ConcurrencyConfig crates/core/src/config.rs
+$worker_family ResilienceConfig crates/core/src/config.rs
+$worker_family LifecycleConfig crates/core/src/config.rs
+$worker_family WalConfig crates/core/src/config.rs
+$worker_family AdmissionConfig crates/admission/src/lib.rs
+$worker_family CacheConfig crates/cache/src/lib.rs
+DispatchConfig DispatchConfig crates/dispatch/src/lib.rs
+AutoscaleConfig AutoscaleConfig crates/autoscale/src/lib.rs
+EOF
+[[ $reach_fail -eq 0 ]] || exit 1
+
 echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
 # Every seeded scenario must replay bit-identically: same seed, same
 # digest. --verify-determinism runs the scenario twice as fresh processes

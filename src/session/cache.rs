@@ -151,7 +151,7 @@ pub fn run(args: &Args) -> u64 {
     }
 
     // Hits never reached a worker: dispatch totals are misses + bypasses.
-    let dispatched: u64 = cluster.scrape().dispatched.iter().sum();
+    let dispatched: u64 = cluster.scrape().stats.dispatched();
     let expected = p1_miss + TENANTS.len() as u64 + misses + TENANTS.len() as u64;
     assert_eq!(
         dispatched, expected,

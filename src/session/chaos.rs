@@ -53,7 +53,6 @@ pub(super) fn chaos_worker(
             backoff_base_ms: 1,
             backoff_cap_ms: 4,
             agent_timeout_ms: 40,
-            ..Default::default()
         },
         admission: AdmissionConfig::enabled_with(vec![
             TenantSpec::new("chaos-a"),

@@ -101,9 +101,9 @@ fn chbl_forwards_under_load_imbalance() {
     }
     let st = cluster.stats();
     assert!(
-        st.forwarded > 0 && st.dispatched.iter().all(|&d| d > 0),
-        "overload must spill to the second worker: dispatched={:?} forwarded={}",
-        st.dispatched,
+        st.forwarded > 0 && st.slots.iter().all(|s| s.dispatched > 0),
+        "overload must spill to the second worker: slots={:?} forwarded={}",
+        st.slots,
         st.forwarded
     );
 }
@@ -133,11 +133,11 @@ fn least_loaded_balances_closed_loop() {
         t.join().unwrap();
     }
     let st = cluster.stats();
-    assert_eq!(st.dispatched.iter().sum::<u64>(), 40);
+    assert_eq!(st.dispatched(), 40);
     // Both workers should participate under concurrent least-loaded.
     assert!(
-        st.dispatched.iter().all(|&d| d > 0),
-        "dispatched={:?}",
-        st.dispatched
+        st.slots.iter().all(|s| s.dispatched > 0),
+        "slots={:?}",
+        st.slots
     );
 }

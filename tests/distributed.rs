@@ -60,7 +60,7 @@ fn chbl_over_http_workers() {
     assert_eq!(completed, 12);
     // Both workers are reachable and report status through the API.
     let st = cluster.stats();
-    assert_eq!(st.dispatched.iter().sum::<u64>(), 12);
+    assert_eq!(st.dispatched(), 12);
 }
 
 #[test]
