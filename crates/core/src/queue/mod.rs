@@ -14,17 +14,19 @@
 //!   per-tenant sub-queues).
 //! * queue bypass — short functions skip the queue when the system is under
 //!   a load limit; decided by [`InvocationQueue::should_bypass`].
+//! * the executors' wait point — [`InvocationQueue::wait_work`] parks an
+//!   idle executor on the queue's own condvar until a push, a bypass
+//!   [`InvocationQueue::hand_off`] or `close` gives it something to do.
 
 pub mod regulator;
 
 use crate::config::{QueueConfig, QueuePolicyKind};
 use crate::invocation::ResultSender;
-use iluvatar_sync::TimeMs;
+use iluvatar_sync::{SemaphorePermit, TimeMs};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Quantum used when `QueueConfig::drr_quantum_ms` is 0 (unset).
 pub const DEFAULT_DRR_QUANTUM_MS: u64 = 50;
@@ -276,7 +278,22 @@ impl QueueImpl {
 
 struct QueueState {
     q: QueueImpl,
+    /// Bypassed invocations on their way to an executor, each with the run
+    /// permit it already holds.
+    handoffs: VecDeque<(QueuedInvocation, SemaphorePermit)>,
+    /// Executors parked in [`InvocationQueue::wait_work`].
+    parked: usize,
     closed: bool,
+}
+
+/// What [`InvocationQueue::wait_work`] woke an executor for.
+pub enum Work {
+    /// A bypassed invocation and the run permit it was admitted under.
+    Handoff(QueuedInvocation, SemaphorePermit),
+    /// The policy queue is non-empty and this run permit was free: pop.
+    Queued(SemaphorePermit),
+    /// Closed and drained: the executor exits.
+    Closed,
 }
 
 /// Reasons a push can fail.
@@ -306,7 +323,12 @@ impl InvocationQueue {
         };
         Self {
             cfg,
-            state: Mutex::new(QueueState { q, closed: false }),
+            state: Mutex::new(QueueState {
+                q,
+                handoffs: VecDeque::new(),
+                parked: 0,
+                closed: false,
+            }),
             cv: Condvar::new(),
             seq: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
@@ -365,20 +387,59 @@ impl InvocationQueue {
         Ok(())
     }
 
-    /// Blocking pop with timeout. `None` on timeout or when closed+drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<QueuedInvocation> {
+    /// Hand a bypassed invocation, with the run permit it holds, to the next
+    /// executor to come around; executors take hand-offs before queued work.
+    /// Never called on a closed queue: closing takes `&mut Worker`, ingest
+    /// `&Worker`.
+    pub fn hand_off(&self, item: QueuedInvocation, permit: SemaphorePermit) {
+        self.state.lock().handoffs.push_back((item, permit));
+        self.cv.notify_one();
+    }
+
+    /// The executors' wait point: park until there is something to do.
+    /// Queued work can start only under a run permit, so `try_permit` is
+    /// asked for one — under the queue lock — whenever the policy queue is
+    /// non-empty; an executor that gets none parks "starved" on the same
+    /// condvar. No wake-up is lost that way: a permit is released either by
+    /// an executor, which comes straight back here itself, or inside a
+    /// hand-off, or is followed by [`InvocationQueue::wake_all`], and the
+    /// last two take the lock this executor holds from its failed attempt
+    /// until it is parked.
+    pub fn wait_work(&self, try_permit: impl Fn() -> Option<SemaphorePermit>) -> Work {
         let mut st = self.state.lock();
         loop {
-            if let Some(item) = st.q.pop() {
-                return Some(item);
+            if let Some((item, permit)) = st.handoffs.pop_front() {
+                return Work::Handoff(item, permit);
             }
-            if st.closed {
-                return None;
+            if st.q.len() > 0 {
+                if let Some(permit) = try_permit() {
+                    return Work::Queued(permit);
+                }
+            } else if st.closed {
+                drop(st);
+                // A starved sibling parked behind the backlog that has just
+                // been drained must see `Closed` too.
+                self.cv.notify_all();
+                return Work::Closed;
             }
-            if self.cv.wait_for(&mut st, timeout).timed_out() {
-                return st.q.pop();
-            }
+            st.parked += 1;
+            self.cv.wait(&mut st);
+            st.parked -= 1;
         }
+    }
+
+    /// Work is waiting and no executor is parked to be woken for it — the
+    /// pool's cue to grow.
+    pub fn unattended(&self) -> bool {
+        let st = self.state.lock();
+        st.parked == 0 && (st.q.len() > 0 || !st.handoffs.is_empty())
+    }
+
+    /// Wake every parked executor to look again: run permits appeared
+    /// without an executor releasing them. Call it after they did.
+    pub fn wake_all(&self) {
+        let _st = self.state.lock();
+        self.cv.notify_all();
     }
 
     /// Non-blocking pop.
@@ -431,14 +492,11 @@ impl InvocationQueue {
         self.bypassed.load(Ordering::Relaxed)
     }
 
-    /// Close the queue; waiters drain the remaining items and then get None.
+    /// Close the queue: pushes fail, executors drain what is left and then
+    /// get [`Work::Closed`].
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.cv.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
     }
 }
 
@@ -446,6 +504,7 @@ impl InvocationQueue {
 mod tests {
     use super::*;
     use crate::invocation::InvocationHandle;
+    use iluvatar_sync::Semaphore;
 
     fn item(fqdn: &str, arrived: TimeMs, exec: f64, iat: f64) -> QueuedInvocation {
         titem(fqdn, arrived, exec, iat, None, 1.0)
@@ -552,32 +611,76 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_returns_none_when_empty() {
-        let q = queue(QueuePolicyKind::Fcfs);
-        assert!(q.pop_timeout(Duration::from_millis(10)).is_none());
+    fn wait_work_parks_until_push() {
+        let q = std::sync::Arc::new(queue(QueuePolicyKind::Fcfs));
+        let q2 = std::sync::Arc::clone(&q);
+        let t = std::thread::spawn(move || {
+            let sem = Semaphore::new(1);
+            matches!(q2.wait_work(|| sem.try_acquire()), Work::Queued(_))
+        });
+        q.push(item("x", 0, 0.0, 0.0)).unwrap();
+        assert!(t.join().unwrap(), "a push wakes the parked executor");
+        assert!(q.unattended(), "queued work, nobody parked");
+        assert_eq!(q.try_pop().unwrap().fqdn, "x");
+        assert!(!q.unattended(), "nothing waiting");
     }
 
     #[test]
-    fn pop_blocks_until_push() {
+    fn hand_off_beats_queued_work_and_carries_its_permit() {
+        let sem = Semaphore::new(2);
+        let q = queue(QueuePolicyKind::Fcfs);
+        q.push(item("queued", 0, 0.0, 0.0)).unwrap();
+        q.hand_off(item("direct", 5, 0.0, 0.0), sem.try_acquire().unwrap());
+        match q.wait_work(|| sem.try_acquire()) {
+            Work::Handoff(i, permit) => {
+                assert_eq!(i.fqdn, "direct");
+                assert_eq!(sem.in_use(), 1, "no second permit was taken");
+                drop(permit);
+                assert_eq!(sem.in_use(), 0);
+            }
+            _ => panic!("the hand-off comes first"),
+        }
+        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)));
+    }
+
+    #[test]
+    fn starved_waiter_sleeps_on_the_backlog_until_woken() {
         let q = std::sync::Arc::new(queue(QueuePolicyKind::Fcfs));
-        let q2 = std::sync::Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
         q.push(item("x", 0, 0.0, 0.0)).unwrap();
-        assert_eq!(t.join().unwrap().unwrap().fqdn, "x");
+        let sem = Semaphore::new(0);
+        let (q2, sem2) = (std::sync::Arc::clone(&q), sem.clone());
+        let t = std::thread::spawn(move || {
+            matches!(q2.wait_work(|| sem2.try_acquire()), Work::Queued(_))
+        });
+        // Parked although the queue is non-empty: there is no permit.
+        while q.unattended() {
+            std::thread::yield_now();
+        }
+        assert!(!t.is_finished());
+        sem.resize(1);
+        q.wake_all();
+        assert!(
+            t.join().unwrap(),
+            "woken, it finds the permit and the backlog"
+        );
     }
 
     #[test]
     fn close_rejects_push_and_drains() {
         let q = queue(QueuePolicyKind::Fcfs);
+        let sem = Semaphore::new(1);
         q.push(item("x", 0, 0.0, 0.0)).unwrap();
         q.close();
         assert_eq!(
             q.push(item("y", 0, 0.0, 0.0)).unwrap_err(),
             PushError::Closed
         );
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_some(), "drains");
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_none());
+        assert!(
+            matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)),
+            "drains"
+        );
+        assert!(q.try_pop().is_some());
+        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Closed));
     }
 
     #[test]
@@ -726,7 +829,12 @@ mod tests {
             PushError::Full
         );
         q.close();
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_some(), "drains");
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_none());
+        let sem = Semaphore::new(1);
+        assert!(
+            matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)),
+            "drains"
+        );
+        assert!(q.try_pop().is_some());
+        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Closed));
     }
 }

@@ -39,12 +39,10 @@ impl ConcurrencyRegulator {
         Self { cfg, sem, aimd }
     }
 
-    /// Block until a run slot is available.
-    pub fn acquire(&self) -> SemaphorePermit {
-        self.sem.acquire()
-    }
-
-    /// Non-blocking slot acquisition (used by the bypass path).
+    /// Take a run slot if one is free. Nothing blocks on the regulator: an
+    /// executor that finds none parks on the queue instead, and the limit
+    /// (never above `max_limit` in dynamic mode) is also the executor pool's
+    /// size bound.
     pub fn try_acquire(&self) -> Option<SemaphorePermit> {
         self.sem.try_acquire()
     }
@@ -100,8 +98,8 @@ mod tests {
     #[test]
     fn fixed_mode_enforces_limit() {
         let r = ConcurrencyRegulator::new(cfg(2, false));
-        let _a = r.acquire();
-        let _b = r.acquire();
+        let _a = r.try_acquire().unwrap();
+        let _b = r.try_acquire().unwrap();
         assert!(r.try_acquire().is_none());
         assert_eq!(r.running(), 2);
         assert_eq!(r.tick(10.0), 2, "tick is a no-op in fixed mode");
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn grown_limit_admits_more_work() {
         let r = ConcurrencyRegulator::new(cfg(1, true));
-        let _a = r.acquire();
+        let _a = r.try_acquire().unwrap();
         assert!(r.try_acquire().is_none());
         r.tick(0.0); // limit 2
         assert!(r.try_acquire().is_some());

@@ -10,10 +10,17 @@
 //! ```text
 //! invoke → enqueue_invocation → add_item_to_q ─┐            (caller thread)
 //!                                              ▼
-//!    dequeue → acquire_container → prepare_invoke → call_container
+//!    spawn_worker (take a run permit) → dequeue
+//!            → acquire_container → prepare_invoke → call_container
 //!            → download_result → return_container → return_results
-//!                                              (dispatch thread, permit-bound)
+//!                          (one `iluvatar-exec-N` thread, start to finish)
 //! ```
+//!
+//! The run stage is a bounded pool of at most `regulator.limit()` executor
+//! threads, each looping *wait for work → take a run permit → pop → record
+//! `Dequeued` → `complete` → release* ([`executor_loop`]): the thread that
+//! dequeues an invocation is the thread that runs it, and no invocation
+//! gets a thread of its own.
 
 use crate::api::WireWarm;
 use crate::breakdown::{groups_from_spans, stages_from_traces, BreakdownReport, TenantBreakdown};
@@ -25,24 +32,25 @@ use crate::metrics::{MetricsSnapshot, PowerModel, SystemMetrics};
 use crate::policies::make_policy;
 use crate::pool::{ContainerPool, EvictSink};
 use crate::queue::regulator::ConcurrencyRegulator;
-use crate::queue::{InvocationQueue, PushError, QueuedInvocation};
+use crate::queue::{InvocationQueue, PushError, QueuedInvocation, Work};
 use crate::registration::{RegisterError, Registration, Registry};
 use crate::spans::{names, Spans};
 use crate::wal::{
     AppendOutcome, BucketLevel, CounterBaselines, DrrDeficit, PendingInvocation, Wal, WalRecord,
     WalSnapshot,
 };
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use iluvatar_admission::{AdmissionController, AdmissionDecision, TenantSnapshot, DEFAULT_TENANT};
 use iluvatar_cache::{CacheLookup, CacheStatus, ResultCache, TenantCacheStats};
 use iluvatar_containers::image::Platform;
 use iluvatar_containers::types::SharedContainer;
-use iluvatar_containers::{BackendError, ContainerBackend, FunctionSpec};
+use iluvatar_containers::{BackendError, ContainerBackend, FunctionSpec, InvokeOutput};
 use iluvatar_sync::storage::{RealStorage, Storage};
 use iluvatar_sync::{fnv1a64, Backoff, BackoffConfig, Clock, SemaphorePermit, TaskPool, TimeMs};
 use iluvatar_telemetry::{
     CounterBridge, FlightRecorder, TelemetryBus, TelemetryKind, TelemetrySink,
 };
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -177,6 +185,14 @@ struct Shared {
     pool: ContainerPool,
     queue: InvocationQueue,
     regulator: ConcurrencyRegulator,
+    /// The executor pool: at most `regulator.limit()` long-lived threads,
+    /// grown on demand, joined by `shutdown`.
+    executors: Mutex<Vec<JoinHandle<()>>>,
+    /// `executors.len()`, readable without the lock on the ingest path.
+    executor_count: AtomicUsize,
+    /// Serialises pop + `Dequeued` bookkeeping across executors, so the
+    /// telemetry stream and the WAL see dequeues in pop order.
+    dispatch: Mutex<()>,
     backend: Arc<dyn ContainerBackend>,
     spans: Spans,
     journal: TraceJournal,
@@ -411,7 +427,7 @@ impl Shared {
     }
 
     /// Stage 2 — accept: build the queue item, make it durable, then hand
-    /// it to the queue or (bypass) straight to a run thread.
+    /// it to the queue or (bypass) straight to an executor.
     fn accept(
         self: &Arc<Self>,
         a: Arrival<'_>,
@@ -439,18 +455,24 @@ impl Shared {
                 drop(enq);
                 self.journal
                     .record(id, TraceEventKind::ResultReturned { ok: false });
+                if bypass {
+                    // The one place a run permit is released by a thread
+                    // that is not an executor: tell the starved ones.
+                    drop(route);
+                    self.queue.wake_all();
+                }
                 return Err(e);
             }
         }
         if let Route::Bypass(permit) = route {
             self.queue.note_bypass();
             self.journal.record(id, TraceEventKind::Bypassed);
-            let dequeued_at = item.arrived_at;
-            self.spawn_run(item, dequeued_at, permit);
+            self.queue.hand_off(item, permit);
+            self.grow_if_unattended();
             return Ok(handle);
         }
         // Journal `Enqueued` before the push: once the item is in the queue
-        // the dispatch loop races us, and a `Dequeued` landing first would
+        // the executors race us, and a `Dequeued` landing first would
         // scramble the timeline (and the deterministic journal digest). On
         // the rare rejected push the event is immediately contradicted by
         // `ResultReturned(false)`, which reads fine.
@@ -461,7 +483,10 @@ impl Shared {
         };
         drop(enq);
         let err = match push {
-            Ok(()) => return Ok(handle),
+            Ok(()) => {
+                self.grow_if_unattended();
+                return Ok(handle);
+            }
             Err(PushError::Full) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 InvokeError::QueueFull
@@ -480,31 +505,61 @@ impl Shared {
         Err(err)
     }
 
-    /// Stage 3 — the one place an invocation gets a thread; `permit` is
-    /// held until the invocation completes.
-    fn spawn_run(
-        self: &Arc<Self>,
-        item: QueuedInvocation,
-        dequeued_at: TimeMs,
-        permit: SemaphorePermit,
-    ) {
-        let _g = self.spans.time(names::SPAWN_WORKER);
-        let s = Arc::clone(self);
-        let spawned = std::thread::Builder::new()
-            .name("iluvatar-invoke".into())
-            .spawn(move || {
-                s.complete(item, dequeued_at);
-                drop(permit);
-            });
-        if spawned.is_err() {
-            // Thread spawn failure: treat as a drop.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Add an executor when work is waiting, none is parked to take it and
+    /// the pool is below the concurrency limit. Called by whoever just added
+    /// work and by an executor that took some and left more behind (two
+    /// pushes can ride one wake-up). A failed spawn is not an error: the
+    /// work stays where it is for a live executor — there is always at
+    /// least the one the constructor made.
+    fn grow_if_unattended(self: &Arc<Self>) {
+        if self.executor_count.load(Ordering::Relaxed) >= self.regulator.limit()
+            || !self.queue.unattended()
+        {
+            return;
         }
+        let _ = self.spawn_executor();
+    }
+
+    fn spawn_executor(self: &Arc<Self>) -> std::io::Result<()> {
+        let mut executors = self.executors.lock();
+        // `shutdown` raises its flag before it takes the handles out from
+        // under this lock, so no executor can be born behind its back.
+        if self.shutdown.load(Ordering::SeqCst) || executors.len() >= self.regulator.limit() {
+            return Ok(());
+        }
+        let s = Arc::clone(self);
+        let handle = std::thread::Builder::new()
+            .name(format!("iluvatar-exec-{}", executors.len()))
+            .spawn(move || executor_loop(s))?;
+        executors.push(handle);
+        self.executor_count
+            .store(executors.len(), Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Stage 3 — dequeue, with a run permit already in hand. The dispatch
+    /// mutex makes the pop and its bookkeeping one step, so two executors
+    /// cannot publish their `Dequeued`s in the opposite order to their pops.
+    fn dequeue(&self) -> Option<(QueuedInvocation, TimeMs)> {
+        let _in_pop_order = self.dispatch.lock();
+        let item = {
+            let _g = self.spans.time(names::DEQUEUE);
+            self.queue.try_pop()
+        }?;
+        let dequeued_at = self.clock.now_ms();
+        // Publish the observed queue delay — the overload-shedding signal.
+        self.last_queue_delay_ms.store(
+            dequeued_at.saturating_sub(item.arrived_at),
+            Ordering::Relaxed,
+        );
+        self.journal.record(item.trace_id, TraceEventKind::Dequeued);
+        let _ = self.wal_append(|| WalRecord::Dequeued { id: item.trace_id });
+        Some((item, dequeued_at))
     }
 
     /// Stage 4 — complete: execute, book the outcome, log the completion,
     /// release the result.
-    fn complete(&self, item: QueuedInvocation, dequeued_at: TimeMs) {
+    fn complete(&self, item: QueuedInvocation, dequeued_at: TimeMs, agent: &mut AgentCompanion) {
         self.running.fetch_add(1, Ordering::Relaxed);
         let found_idle = self.running_fn.update_or_insert(
             item.fqdn.clone(),
@@ -514,7 +569,7 @@ impl Shared {
                 *n == 1
             },
         );
-        let outcome = execute(self, &item, dequeued_at, found_idle);
+        let outcome = execute(self, &item, dequeued_at, found_idle, agent);
         self.running_fn
             .update(&item.fqdn, |n| *n = n.saturating_sub(1));
         self.running.fetch_sub(1, Ordering::Relaxed);
@@ -595,9 +650,9 @@ struct Arrival<'a> {
     expect_warm: bool,
 }
 
-/// How an accepted invocation reaches a run thread.
+/// How an accepted invocation reaches an executor.
 enum Route {
-    /// Through the queue; the monitor dispatches it under the limit.
+    /// Through the queue; an executor pops it once it holds a run permit.
     Queue,
     /// Around the queue, holding the run permit it will execute under.
     Bypass(SemaphorePermit),
@@ -609,7 +664,6 @@ enum Route {
 pub struct Worker {
     shared: Arc<Shared>,
     tasks: TaskPool,
-    monitor: Option<JoinHandle<()>>,
     destroyer: Option<JoinHandle<()>>,
     destroy_tx: Option<Sender<SharedContainer>>,
 }
@@ -681,6 +735,9 @@ impl Worker {
             pool: ContainerPool::new(cfg.memory_mb, policy, Arc::clone(&clock), sink),
             queue: InvocationQueue::new(cfg.queue.clone()),
             regulator: ConcurrencyRegulator::new(cfg.concurrency.clone()),
+            executors: Mutex::new(Vec::new()),
+            executor_count: AtomicUsize::new(0),
+            dispatch: Mutex::new(()),
             backend: Arc::clone(&backend),
             spans: Spans::new(),
             journal: TraceJournal::new(TRACE_CAPACITY, trace_seed, Arc::clone(&clock)),
@@ -793,25 +850,24 @@ impl Worker {
                 "aimd-tick",
                 Duration::from_millis(s.regulator.interval_ms()),
                 move || {
-                    s.regulator.tick(s.normalized_load());
+                    let before = s.regulator.limit();
+                    if s.regulator.tick(s.normalized_load()) > before {
+                        // Run permits nobody released: starved executors
+                        // should look again, and the pool may grow.
+                        s.queue.wake_all();
+                        s.grow_if_unattended();
+                    }
                 },
             );
         }
 
-        // The queue monitor dispatches invocations under the concurrency
-        // limit (§3.3, "Function Queuing").
-        let monitor = {
-            let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("iluvatar-queue-monitor".into())
-                .spawn(move || monitor_loop(s))
-                .expect("spawn queue monitor")
-        };
+        // The first executor; the rest are grown on demand, up to the
+        // concurrency limit (§3.3, "Function Queuing").
+        shared.spawn_executor().expect("spawn first executor");
 
         Self {
             shared,
             tasks,
-            monitor: Some(monitor),
             destroyer: Some(destroyer),
             destroy_tx: Some(destroy_tx),
         }
@@ -1103,9 +1159,10 @@ impl Worker {
             return;
         }
         s.queue.close();
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
-        }
+        // Executors see `killed` as they wake and leave without popping.
+        // They are detached, not joined: one may be inside an agent call
+        // that outlives the crash.
+        s.executors.lock().clear();
         self.tasks.shutdown();
         self.destroy_tx = None;
         if let Some(d) = self.destroyer.take() {
@@ -1229,8 +1286,9 @@ impl Worker {
         (worker, report)
     }
 
-    /// Drain and stop. Queued invocations are completed first; a final
-    /// compacted snapshot is written unless the worker was killed.
+    /// Drain and stop. Queued invocations are completed first and every
+    /// executor is joined, so on return nothing accepted is still running;
+    /// a final compacted snapshot is written unless the worker was killed.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -1243,8 +1301,9 @@ impl Worker {
             Ordering::SeqCst,
         );
         s.queue.close();
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
+        let executors = std::mem::take(&mut *s.executors.lock());
+        for e in executors {
+            let _ = e.join();
         }
         if !s.killed.load(Ordering::SeqCst) {
             // Final compaction + flush (the WAL flushes per append; this
@@ -1284,42 +1343,119 @@ impl Drop for Worker {
     }
 }
 
-fn monitor_loop(s: Arc<Shared>) {
+/// One executor of the run stage: wait for work → take a run permit → pop
+/// → record `Dequeued` → `complete` → release. It pops only with a permit
+/// in hand, so everything still waiting stays ordered by the queue policy,
+/// and holds none while idle, so `regulator.running()` counts invocations.
+fn executor_loop(s: Arc<Shared>) {
+    let mut agent = AgentCompanion::default();
     loop {
+        let work = s.queue.wait_work(|| {
+            let _g = s.spans.time(names::SPAWN_WORKER);
+            s.regulator.try_acquire()
+        });
         if s.killed.load(Ordering::Relaxed) {
+            // Crash semantics: abandon what is queued (and a hand-off in
+            // flight). With no Dequeued/Completed record it replays after
+            // recovery.
             return;
         }
-        // Fast path: time the dequeue op itself (a Table 1 row); fall back
-        // to a blocking wait when the queue is momentarily empty.
-        let fast = {
-            let _g = s.spans.time(names::DEQUEUE);
-            s.queue.try_pop()
-        };
-        let item = match fast.or_else(|| s.queue.pop_timeout(Duration::from_millis(50))) {
-            Some(i) => i,
-            None => {
-                if s.queue.is_closed() {
-                    return;
-                }
-                continue;
+        let (item, dequeued_at, permit) = match work {
+            Work::Closed => return,
+            Work::Handoff(item, permit) => {
+                let at = item.arrived_at;
+                (item, at, permit)
             }
+            Work::Queued(permit) => match s.dequeue() {
+                Some((item, at)) => (item, at, permit),
+                // A sibling emptied the queue first.
+                None => continue,
+            },
         };
-        if s.killed.load(Ordering::Relaxed) {
-            // Crash semantics: abandon the popped item. Its WAL state (no
-            // Dequeued/Completed record) replays it after recovery.
-            return;
+        s.grow_if_unattended();
+        s.complete(item, dequeued_at, &mut agent);
+        drop(permit);
+    }
+}
+
+/// An agent call handed to an executor's companion thread.
+struct AgentCall {
+    container: SharedContainer,
+    args: String,
+    trace_hex: String,
+    tenant: Option<String>,
+}
+
+type AgentReply = Result<InvokeOutput, BackendError>;
+
+impl AgentCall {
+    fn make(&self, backend: &dyn ContainerBackend) -> AgentReply {
+        backend.invoke_ctx(
+            &self.container,
+            &self.args,
+            Some(&self.trace_hex),
+            self.tenant.as_deref(),
+        )
+    }
+}
+
+/// The agent-call timeout helper of one executor (`agent_timeout_ms > 0`):
+/// a companion thread that makes the blocking call so the executor can stop
+/// waiting at the deadline. It is made on first use and replaced only after
+/// a timeout abandoned it, so a healthy call spawns nothing.
+#[derive(Default)]
+struct AgentCompanion {
+    link: Option<(Sender<AgentCall>, Receiver<AgentReply>, JoinHandle<()>)>,
+}
+
+impl AgentCompanion {
+    /// Make `call` with a deadline; `None` when it passed. The abandoned
+    /// companion finishes its call against a container the caller is about
+    /// to discard, finds its channels gone and exits.
+    fn call(
+        &mut self,
+        backend: &Arc<dyn ContainerBackend>,
+        call: AgentCall,
+        timeout: Duration,
+    ) -> Option<AgentReply> {
+        if self.link.is_none() {
+            let (call_tx, call_rx) = bounded::<AgentCall>(1);
+            let (reply_tx, reply_rx) = bounded::<AgentReply>(1);
+            let b = Arc::clone(backend);
+            let spawned = std::thread::Builder::new()
+                .name("iluvatar-agent-call".into())
+                .spawn(move || {
+                    while let Ok(call) = call_rx.recv() {
+                        if reply_tx.send(call.make(b.as_ref())).is_err() {
+                            return;
+                        }
+                    }
+                });
+            match spawned {
+                Ok(thread) => self.link = Some((call_tx, reply_rx, thread)),
+                // No helper to be had: call inline, unbounded.
+                Err(_) => return Some(call.make(backend.as_ref())),
+            }
         }
-        let dequeued_at = s.clock.now_ms();
-        // Publish the observed queue delay — the overload-shedding signal.
-        s.last_queue_delay_ms.store(
-            dequeued_at.saturating_sub(item.arrived_at),
-            Ordering::Relaxed,
-        );
-        s.journal.record(item.trace_id, TraceEventKind::Dequeued);
-        let _ = s.wal_append(|| WalRecord::Dequeued { id: item.trace_id });
-        // Hold dispatch until a run slot frees up — the concurrency limit.
-        let permit = s.regulator.acquire();
-        s.spawn_run(item, dequeued_at, permit);
+        let (call_tx, reply_rx, _) = self.link.as_ref().expect("made above");
+        call_tx
+            .send(call)
+            .expect("the companion outlives its link unless abandoned");
+        let reply = reply_rx.recv_timeout(timeout).ok();
+        if reply.is_none() {
+            // Dropping the link detaches the thread.
+            self.link = None;
+        }
+        reply
+    }
+}
+
+impl Drop for AgentCompanion {
+    fn drop(&mut self) {
+        if let Some((call_tx, _, thread)) = self.link.take() {
+            drop(call_tx);
+            let _ = thread.join();
+        }
     }
 }
 
@@ -1440,6 +1576,7 @@ fn execute(
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
     found_idle: bool,
+    agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
     let reg = s
         .registry
@@ -1447,7 +1584,7 @@ fn execute(
         .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
     let res = &s.cfg.resilience;
     if res.max_retries == 0 {
-        return attempt_invoke(s, &reg, item, dequeued_at, found_idle);
+        return attempt_invoke(s, &reg, item, dequeued_at, found_idle, agent);
     }
     // Seeding with the trace id keeps the whole schedule deterministic per
     // invocation while decorrelating concurrent retriers.
@@ -1461,7 +1598,7 @@ fn execute(
     );
     let mut attempt: u32 = 0;
     loop {
-        let err = match attempt_invoke(s, &reg, item, dequeued_at, found_idle) {
+        let err = match attempt_invoke(s, &reg, item, dequeued_at, found_idle, agent) {
             Ok(r) => return Ok(r),
             // Backend failures are transient by assumption (the container
             // was quarantined); everything else is a control-plane verdict.
@@ -1508,6 +1645,7 @@ fn attempt_invoke(
     item: &QueuedInvocation,
     dequeued_at: TimeMs,
     found_idle: bool,
+    agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
     // --- acquire_container: warm hit or cold start -----------------------
     let acq_g = s.spans.time(names::ACQUIRE_CONTAINER);
@@ -1541,7 +1679,7 @@ fn attempt_invoke(
                     item.trace_id,
                     TraceEventKind::ContainerAcquired { cold: false },
                 );
-                return finish_invoke(s, reg, item, dequeued_at, c, false);
+                return finish_invoke(s, reg, item, dequeued_at, c, false, agent);
             }
             let mb = reg.spec.limits.memory_mb;
             if !s.pool.reserve(mb) {
@@ -1564,7 +1702,7 @@ fn attempt_invoke(
     drop(acq_g);
     s.journal
         .record(item.trace_id, TraceEventKind::ContainerAcquired { cold });
-    finish_invoke(s, reg, item, dequeued_at, container, cold)
+    finish_invoke(s, reg, item, dequeued_at, container, cold, agent)
 }
 
 /// The post-acquisition half of the hot path: agent round trip, container
@@ -1576,6 +1714,7 @@ fn finish_invoke(
     dequeued_at: TimeMs,
     container: SharedContainer,
     cold: bool,
+    agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
     // --- agent communication ---------------------------------------------
     let prep_g = s.spans.time(names::PREPARE_INVOKE);
@@ -1590,35 +1729,26 @@ fn finish_invoke(
         s.backend
             .invoke_ctx(&container, args, Some(&trace_hex), tenant)
     } else {
-        // Bound the agent hop: run the call on a helper thread and abandon
-        // it on timeout. The container is quarantined below, so the orphaned
-        // call can only touch a container already leaving the pool.
-        let (tx, rx) = bounded(1);
-        let backend = Arc::clone(&s.backend);
-        let c2 = Arc::clone(&container);
-        let args2 = args.to_string();
-        let hex2 = trace_hex.clone();
-        let tenant2 = item.tenant.clone();
-        let spawned = std::thread::Builder::new()
-            .name("iluvatar-agent-call".into())
-            .spawn(move || {
-                let _ = tx.send(backend.invoke_ctx(&c2, &args2, Some(&hex2), tenant2.as_deref()));
-            });
-        match spawned {
-            Err(_) => s
-                .backend
-                .invoke_ctx(&container, args, Some(&trace_hex), tenant),
-            Ok(_) => match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
-                Ok(r) => r,
-                Err(_) => {
-                    s.agent_timeouts.fetch_add(1, Ordering::Relaxed);
-                    s.journal
-                        .record(item.trace_id, TraceEventKind::AgentTimeout);
-                    Err(BackendError::InvokeFailed(format!(
-                        "agent call timed out after {timeout_ms}ms"
-                    )))
-                }
-            },
+        // Bound the agent hop: the executor's companion makes the call and
+        // is abandoned on timeout. The container is quarantined below, so
+        // the orphaned call can only touch a container already leaving the
+        // pool.
+        let call = AgentCall {
+            container: Arc::clone(&container),
+            args: args.to_string(),
+            trace_hex,
+            tenant: item.tenant.clone(),
+        };
+        match agent.call(&s.backend, call, Duration::from_millis(timeout_ms)) {
+            Some(r) => r,
+            None => {
+                s.agent_timeouts.fetch_add(1, Ordering::Relaxed);
+                s.journal
+                    .record(item.trace_id, TraceEventKind::AgentTimeout);
+                Err(BackendError::InvokeFailed(format!(
+                    "agent call timed out after {timeout_ms}ms"
+                )))
+            }
         }
     };
     drop(call_g);
@@ -2117,5 +2247,111 @@ mod tests {
         assert_eq!(s.cold_ms, 25.0, "(100+400)ms at 0.05 scale");
         assert_eq!(s.warm_ms, 5.0);
         assert_eq!(w.characteristics().init_cost_ms("f-1"), 20.0);
+    }
+
+    #[test]
+    fn aimd_raise_grows_the_pool_but_never_past_max_limit() {
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.concurrency = crate::config::ConcurrencyConfig {
+            limit: 1,
+            dynamic: true,
+            congestion_load: 1e9, // never congested: the limit only rises
+            interval_ms: 5,
+            max_limit: 3,
+            ..Default::default()
+        };
+        let w = test_worker(cfg);
+        w.register(spec("f", 400, 0, 64)).unwrap(); // 20 ms real
+        let handles: Vec<_> = (0..24)
+            .map(|_| w.async_invoke("f-1", "{}").unwrap())
+            .collect();
+        for h in handles {
+            h.wait().unwrap();
+            assert!(w.shared.executor_count.load(Ordering::Relaxed) <= 3);
+        }
+        assert_eq!(w.shared.regulator.limit(), 3);
+        assert_eq!(
+            w.shared.executor_count.load(Ordering::Relaxed),
+            3,
+            "the backlog behind one executor drew the pool up with the limit"
+        );
+    }
+
+    /// `SimBackend` that notes the thread making each agent call and hangs
+    /// the calls it is told to.
+    struct CallerNoting {
+        sim: SimBackend,
+        callers: Mutex<Vec<(std::thread::ThreadId, String)>>,
+        hang_ms: AtomicU64,
+    }
+
+    impl ContainerBackend for CallerNoting {
+        fn name(&self) -> &'static str {
+            "caller-noting"
+        }
+        fn create(
+            &self,
+            spec: &FunctionSpec,
+        ) -> Result<iluvatar_containers::Container, BackendError> {
+            self.sim.create(spec)
+        }
+        fn invoke(
+            &self,
+            c: &iluvatar_containers::Container,
+            args: &str,
+        ) -> Result<InvokeOutput, BackendError> {
+            let me = std::thread::current();
+            self.callers
+                .lock()
+                .push((me.id(), me.name().unwrap_or("?").to_string()));
+            std::thread::sleep(Duration::from_millis(
+                self.hang_ms.swap(0, Ordering::SeqCst),
+            ));
+            self.sim.invoke(c, args)
+        }
+        fn destroy(&self, c: &iluvatar_containers::Container) -> Result<(), BackendError> {
+            self.sim.destroy(c)
+        }
+    }
+
+    #[test]
+    fn agent_timeout_reuses_one_companion_until_a_timeout_abandons_it() {
+        let clock = SystemClock::shared();
+        let backend = Arc::new(CallerNoting {
+            sim: SimBackend::new(
+                Arc::clone(&clock),
+                SimBackendConfig {
+                    time_scale: 0.05,
+                    ..Default::default()
+                },
+            ),
+            callers: Mutex::new(Vec::new()),
+            hang_ms: AtomicU64::new(0),
+        });
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.concurrency.limit = 1;
+        cfg.resilience.agent_timeout_ms = 100;
+        let w = Worker::new(cfg, Arc::clone(&backend) as _, clock);
+        w.register(spec("f", 20, 0, 64)).unwrap();
+
+        for _ in 0..10 {
+            w.invoke("f-1", "{}").unwrap();
+        }
+        let healthy = backend.callers.lock().clone();
+        assert!(healthy.iter().all(|(_, n)| n == "iluvatar-agent-call"));
+        assert!(
+            healthy.iter().all(|(id, _)| *id == healthy[0].0),
+            "ten healthy calls, one executor: one companion, spawned once"
+        );
+
+        backend.hang_ms.store(400, Ordering::SeqCst);
+        assert!(matches!(
+            w.invoke("f-1", "{}"),
+            Err(InvokeError::Backend(m)) if m.contains("timed out")
+        ));
+        w.invoke("f-1", "{}").unwrap();
+        let after = backend.callers.lock().last().unwrap().0;
+        assert_ne!(after, healthy[0].0, "the hung companion was replaced");
+        assert_eq!(w.status().agent_timeouts, 1);
     }
 }

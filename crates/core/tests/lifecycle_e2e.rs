@@ -200,3 +200,66 @@ fn recovered_tenant_counters_match_a_no_kill_run() {
         "recovery reconstructed the tenant books"
     );
 }
+
+/// `shutdown()` joins the executors, so when it returns nothing accepted is
+/// still running: every handle answers at once, the final snapshot holds no
+/// pending invocation, and `stopped` means stopped.
+#[test]
+fn shutdown_returns_only_once_everything_accepted_has_finished() {
+    let clock: Arc<dyn iluvatar_sync::Clock> = SystemClock::shared();
+    let wal = temp_wal();
+    let mut cfg = lifecycle_cfg("stopper", &wal);
+    cfg.concurrency.limit = 2;
+    let mut worker = Worker::new(cfg, backend(&clock), clock);
+    // 40 ms real per call, three calls deep behind two run slots.
+    worker
+        .register(FunctionSpec::new("slow", "1").with_timing(2_000, 0))
+        .unwrap();
+    let handles: Vec<_> = (0..6)
+        .map(|_| worker.async_invoke("slow-1", "{}").unwrap())
+        .collect();
+
+    worker.shutdown();
+
+    for h in &handles {
+        let done = h.poll().expect("shutdown returned with a call in flight");
+        done.expect("a drained invocation succeeds");
+    }
+    let st = worker.status();
+    assert_eq!((st.lifecycle.as_str(), st.running), ("stopped", 0));
+    let replayed = iluvatar_core::wal::replay(std::path::Path::new(&wal)).unwrap();
+    assert!(
+        replayed.pending.is_empty(),
+        "the final snapshot lists {} pending",
+        replayed.pending.len()
+    );
+    assert_eq!(replayed.counters.completed, 6);
+}
+
+/// `kill()` is a crash: it does not wait for the call an executor is in.
+#[test]
+fn kill_returns_while_a_call_is_still_in_flight() {
+    let clock: Arc<dyn iluvatar_sync::Clock> = SystemClock::shared();
+    let wal = temp_wal();
+    let mut worker = Worker::new(lifecycle_cfg("victim", &wal), backend(&clock), clock);
+    // 1 s real: far longer than anything `kill` itself does.
+    worker
+        .register(FunctionSpec::new("slow", "1").with_timing(50_000, 0))
+        .unwrap();
+    let handle = worker.async_invoke("slow-1", "{}").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while worker.status().running == 0 {
+        assert!(Instant::now() < deadline, "the call never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let t0 = Instant::now();
+    worker.kill();
+    let took = t0.elapsed();
+
+    assert!(handle.poll().is_none(), "the call outlives the kill");
+    assert!(
+        took < Duration::from_millis(500),
+        "kill() waited {took:?} for the in-flight call"
+    );
+}

@@ -3,11 +3,15 @@
 //! The worker's *concurrency regulator* (§4.1) bounds the number of
 //! concurrently running functions. The bound changes at runtime under the
 //! AIMD policy, so the semaphore supports growing and shrinking its permit
-//! count while waiters are queued; shrinking below the number of permits
-//! currently held simply delays future acquisitions until enough permits
-//! drain back.
+//! count; shrinking below the number of permits currently held simply
+//! delays future acquisitions until enough permits drain back.
+//!
+//! Acquisition never blocks: the executors that take permits wait for work
+//! and for permits in one place (the invocation queue's condvar), because
+//! an executor parked here could not be reached by a bypassed invocation
+//! that arrives holding the last permit.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 struct State {
@@ -19,7 +23,6 @@ struct State {
 
 struct Inner {
     state: Mutex<State>,
-    cv: Condvar,
 }
 
 /// A counting semaphore. Cloning shares the same permit pool.
@@ -41,24 +44,11 @@ impl Semaphore {
                     available: permits as isize,
                     capacity: permits,
                 }),
-                cv: Condvar::new(),
             }),
         }
     }
 
-    /// Block until a permit is available.
-    pub fn acquire(&self) -> SemaphorePermit {
-        let mut st = self.inner.state.lock();
-        while st.available <= 0 {
-            self.inner.cv.wait(&mut st);
-        }
-        st.available -= 1;
-        SemaphorePermit {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Take a permit if one is free, without blocking.
+    /// Take a permit if one is free.
     pub fn try_acquire(&self) -> Option<SemaphorePermit> {
         let mut st = self.inner.state.lock();
         if st.available > 0 {
@@ -78,9 +68,6 @@ impl Semaphore {
         let delta = new as isize - st.capacity as isize;
         st.capacity = new;
         st.available += delta;
-        if delta > 0 {
-            self.inner.cv.notify_all();
-        }
     }
 
     pub fn capacity(&self) -> usize {
@@ -102,10 +89,7 @@ impl Semaphore {
 
 impl Drop for SemaphorePermit {
     fn drop(&mut self) {
-        let mut st = self.inner.state.lock();
-        st.available += 1;
-        drop(st);
-        self.inner.cv.notify_one();
+        self.inner.state.lock().available += 1;
     }
 }
 
@@ -114,7 +98,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn try_acquire_respects_capacity() {
@@ -128,36 +111,18 @@ mod tests {
     }
 
     #[test]
-    fn acquire_blocks_until_release() {
-        let s = Semaphore::new(1);
-        let p = s.acquire();
-        let s2 = s.clone();
-        let t = thread::spawn(move || {
-            let _p = s2.acquire();
-        });
-        thread::sleep(Duration::from_millis(30));
-        assert!(!t.is_finished(), "second acquire must block");
-        drop(p);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn resize_grow_wakes_waiters() {
+    fn resize_grow_adds_permits() {
         let s = Semaphore::new(0);
-        let s2 = s.clone();
-        let t = thread::spawn(move || {
-            let _p = s2.acquire();
-        });
-        thread::sleep(Duration::from_millis(20));
+        assert!(s.try_acquire().is_none());
         s.resize(1);
-        t.join().unwrap();
+        assert!(s.try_acquire().is_some());
     }
 
     #[test]
     fn resize_shrink_creates_debt() {
         let s = Semaphore::new(2);
-        let a = s.acquire();
-        let b = s.acquire();
+        let a = s.try_acquire().unwrap();
+        let b = s.try_acquire().unwrap();
         s.resize(1);
         assert_eq!(s.available(), 0);
         drop(a);
@@ -177,7 +142,10 @@ mod tests {
                 let (s, running, peak) = (s.clone(), Arc::clone(&running), Arc::clone(&peak));
                 thread::spawn(move || {
                     for _ in 0..50 {
-                        let _p = s.acquire();
+                        let Some(_p) = s.try_acquire() else {
+                            thread::yield_now();
+                            continue;
+                        };
                         let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         std::hint::spin_loop();

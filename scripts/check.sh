@@ -38,8 +38,18 @@ if [[ $(grep -c 'QueuedInvocation {' <<<"$worker_src") -gt 1 ]]; then
     echo "worker.rs builds QueuedInvocation in more than one place; go through Shared::accept" >&2
     exit 1
 fi
-if grep -rn 'iluvatar-bypass' src/ crates/ | grep -v '^crates/perf/'; then
-    echo "a second invocation spawn site is back; go through Shared::spawn_run" >&2
+# The run stage is the executor pool: no thread per invocation, no
+# dispatcher thread in front of it, and worker.rs spawns threads in three
+# places only (DESIGN.md "Execution model").
+if grep -rn -e 'iluvatar-bypass' -e 'iluvatar-invoke' -e 'fn monitor_loop' src/ crates/ |
+    grep -v '^crates/perf/'; then
+    echo "a per-invocation thread or the queue monitor is back; work reaches an executor through InvocationQueue::{push, hand_off}" >&2
+    exit 1
+fi
+spawned=$(grep -A1 'thread::Builder::new()' <<<"$worker_src" | grep -oE '"iluvatar-[a-z-]+' | sort | tr '\n' ' ')
+if [[ "$spawned" != '"iluvatar-agent-call "iluvatar-destroyer "iluvatar-exec- ' ||
+    $(grep -c 'thread::Builder' <<<"$worker_src") -ne 3 ]]; then
+    echo "worker.rs spawns threads outside the constructor (destroyer), executor growth and the agent-call companion: $spawned" >&2
     exit 1
 fi
 bodies=$(grep -rl 'struct InvokeBody' crates/ | grep -v '^crates/perf/' || true)

@@ -1,12 +1,16 @@
 //! "Off means off": a default-config worker serving warm invocations
 //! publishes the six journal stages per invocation and nothing from any
-//! optional subsystem, and runs only its four standing threads plus the
-//! per-invocation run thread. This is the in-tree zero-cost-when-off row the
-//! DESIGN.md keep-or-kill audit cites for every subsystem it keeps.
+//! optional subsystem, and runs only its three standing threads plus the
+//! executors its load called for — no thread per invocation. This is the
+//! in-tree zero-cost-when-off row the DESIGN.md keep-or-kill audit cites for
+//! every subsystem it keeps.
 //!
 //! One `#[test]` in a file of its own: `/proc/self/task` lists every thread
 //! of the process, so no sibling test may share it.
 
+mod common;
+
+use common::thread_names;
 use iluvatar::prelude::*;
 use iluvatar_core::TelemetrySink;
 use iluvatar_telemetry::VecSink;
@@ -15,16 +19,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const INVOCATIONS: usize = 50;
-
-/// `comm` of every live thread of this process (the kernel cuts it to 15
-/// bytes, so callers match prefixes).
-fn thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .map(|c| c.trim().to_string())
-        .collect()
-}
 
 #[test]
 fn default_worker_runs_no_optional_subsystem() {
@@ -79,8 +73,17 @@ fn default_worker_runs_no_optional_subsystem() {
     }
 
     let threads = thread_names();
+    // A sequential client needs one executor; a second appears only if a
+    // call arrived while the first was still on its way back to the queue.
+    let executors = threads
+        .iter()
+        .filter(|t| t.starts_with("iluvatar-exec"))
+        .count();
+    assert!(
+        (1..=2).contains(&executors),
+        "{executors} executors for one sequential client: {threads:?}"
+    );
     for standing in [
-        "iluvatar-queue-", // iluvatar-queue-monitor
         "iluvatar-destro", // iluvatar-destroyer
         "iluvatar-keepal", // iluvatar-keepalive-evict
         "iluvatar-metric", // iluvatar-metrics-sample
@@ -91,6 +94,8 @@ fn default_worker_runs_no_optional_subsystem() {
         );
     }
     for optional in [
+        "iluvatar-invoke", // a thread per invocation
+        "iluvatar-queue-", // a dispatcher in front of the executors
         "iluvatar-bg-",    // one-off job pool
         "iluvatar-quaran", // quarantine-sweep
         "iluvatar-wal-re", // wal-rearm

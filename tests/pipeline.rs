@@ -3,10 +3,13 @@
 //! * every route through `accept` (queue, bypass, full-queue reject,
 //!   throttled reject, recovered re-enqueue) leaves exactly the journal
 //!   label sequence and WAL op sequence the session digests fold;
+//! * a bypassed invocation runs on one of the executors, not on a thread
+//!   of its own;
 //! * the `InvokeError` ↔ HTTP status table and its lossy return trip;
 //! * `X-Iluvatar-Tenant` beats the body's `tenant` on worker and balancer.
 
 use iluvatar::prelude::*;
+use iluvatar_containers::{BackendError, Container, ContainerBackend, InvokeOutput};
 use iluvatar_core::api::{error_resp, InvokeBody, WireResult, WorkerApi};
 use iluvatar_core::config::QueuePolicyKind;
 use iluvatar_core::{
@@ -17,7 +20,7 @@ use iluvatar_lb::cluster::{RemoteWorker, WorkerHandle};
 use iluvatar_lb::LbApi;
 use iluvatar_sync::storage::RealStorage;
 use iluvatar_telemetry::VecSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn backend(clock: &Arc<dyn Clock>) -> Arc<SimBackend> {
@@ -33,7 +36,15 @@ fn backend(clock: &Arc<dyn Clock>) -> Arc<SimBackend> {
 /// A WAL-journaled worker with `sink` tapping its telemetry stream.
 fn tapped_worker(cfg: WorkerConfig) -> (Worker, Arc<VecSink>) {
     let clock: Arc<dyn Clock> = SystemClock::shared();
-    let worker = Worker::new(cfg, backend(&clock), clock);
+    tapped_worker_on(cfg, backend(&clock), clock)
+}
+
+fn tapped_worker_on(
+    cfg: WorkerConfig,
+    backend: Arc<dyn ContainerBackend>,
+    clock: Arc<dyn Clock>,
+) -> (Worker, Arc<VecSink>) {
+    let worker = Worker::new(cfg, backend, clock);
     let sink = Arc::new(VecSink::new());
     worker
         .telemetry()
@@ -212,6 +223,68 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
         assert_eq!(wal_ops, labels(&["dequeued", "completed"]));
     }
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `SimBackend`, noting the name of the thread that makes each agent call.
+struct NotingBackend {
+    sim: Arc<SimBackend>,
+    callers: Mutex<Vec<String>>,
+}
+
+impl ContainerBackend for NotingBackend {
+    fn name(&self) -> &'static str {
+        "noting"
+    }
+    fn create(&self, spec: &FunctionSpec) -> Result<Container, BackendError> {
+        self.sim.create(spec)
+    }
+    fn invoke(&self, c: &Container, args: &str) -> Result<InvokeOutput, BackendError> {
+        let caller = std::thread::current().name().unwrap_or("?").to_string();
+        self.callers.lock().unwrap().push(caller);
+        self.sim.invoke(c, args)
+    }
+    fn destroy(&self, c: &Container) -> Result<(), BackendError> {
+        self.sim.destroy(c)
+    }
+}
+
+#[test]
+fn bypass_runs_on_an_executor_with_the_same_timeline() {
+    let dir = std::env::temp_dir().join(format!("iluvatar-bypass-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = WorkerConfig::for_testing();
+    cfg.lifecycle = LifecycleConfig::with_wal(dir.join("bypass.wal").to_str().unwrap());
+    cfg.queue.bypass_threshold_ms = 1000;
+    cfg.concurrency.limit = 2;
+    let clock: Arc<dyn Clock> = SystemClock::shared();
+    let noting = Arc::new(NotingBackend {
+        sim: backend(&clock),
+        callers: Mutex::new(Vec::new()),
+    });
+    let (w, sink) = tapped_worker_on(cfg, Arc::clone(&noting) as _, clock);
+    w.register(FunctionSpec::new("f", "1").with_timing(100, 0))
+        .unwrap();
+
+    // Unseen, the function queues once; from then on it is known-short and
+    // a sequential caller always finds one of the two run slots free.
+    w.invoke("f-1", "{}").unwrap();
+    for _ in 0..20 {
+        let id = w.invoke("f-1", "{}").unwrap().trace_id;
+        let (journal, wal_ops) = finished_timeline(&sink, id);
+        assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
+        assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
+    }
+    let mut callers = noting.callers.lock().unwrap().clone();
+    assert_eq!(callers.len(), 21);
+    callers.sort();
+    callers.dedup();
+    assert!(
+        callers.len() <= 2 && callers.iter().all(|c| c.starts_with("iluvatar-exec-")),
+        "agent calls were made by {callers:?}, not by at most two executors"
+    );
+    drop(w);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
