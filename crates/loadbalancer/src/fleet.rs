@@ -278,28 +278,26 @@ impl Fleet {
         now_ms: u64,
     ) -> Result<Option<ScaleEvent>, String> {
         let before = self.live();
-        // Clamp to the configured ceiling; draining workers do not count
-        // against it — they are leaving.
+        // Clamp to the configured ceiling — draining workers do not count
+        // against it, they are leaving — and to the cluster's free slots: a
+        // draining worker keeps its slot until `reap` detaches it, so
+        // nothing is spawned that cannot attach.
         let room = self.cfg.max_workers.saturating_sub(before);
-        let add = add.min(room);
-        if add == 0 {
-            return Ok(None);
-        }
+        let free = self.cluster.len() - self.cluster.live();
+        let add = add.min(room).min(free);
         let mut added = 0usize;
-        for _ in 0..add {
-            let seq = self.spawn_seq.fetch_add(1, Ordering::Relaxed) as usize;
-            let worker = self.factory.spawn(seq)?;
-            // Replay every known function before the worker becomes
-            // routable, so its first dispatch never 404s.
-            for spec in self.specs.lock().iter() {
-                worker.register(spec.clone())?;
-            }
-            self.cluster.attach(worker)?;
-            added += 1;
+        let mut spawned = Ok(());
+        while added < add && spawned.is_ok() {
+            spawned = self.spawn_attached();
+            added += usize::from(spawned.is_ok());
+        }
+        if added == 0 {
+            return spawned.map(|()| None);
         }
         // New slots start unhealthy until their admission probe; run one
         // probe round now so the fleet change takes effect this interval.
         self.cluster.refresh_loads();
+        // Journal exactly what was attached, also when a later spawn failed.
         let event = ScaleEvent {
             t_ms: now_ms,
             direction: ScaleDirection::Up,
@@ -308,7 +306,18 @@ impl Fleet {
             to: before + added,
         };
         self.journal_event(event.clone());
-        Ok(Some(event))
+        spawned.map(|()| Some(event))
+    }
+
+    /// Spawn one worker, replay every known function on it before it
+    /// becomes routable (so its first dispatch never 404s), and attach it.
+    fn spawn_attached(&self) -> Result<(), String> {
+        let seq = self.spawn_seq.fetch_add(1, Ordering::Relaxed) as usize;
+        let worker = self.factory.spawn(seq)?;
+        for spec in self.specs.lock().iter() {
+            worker.register(spec.clone())?;
+        }
+        self.cluster.attach(worker).map(|_| ())
     }
 
     fn scale_down(
@@ -687,6 +696,41 @@ mod tests {
             )
             .unwrap();
         assert!(none.is_none(), "at the ceiling: nothing to journal");
+    }
+
+    #[test]
+    fn scale_up_never_spawns_past_the_free_slots_draining_workers_still_hold() {
+        // Capacity == max_workers (4), as every rig builds it.
+        let (cluster, fleet, spawned) = fleet_of(cfg());
+        let up = |add| ScalingDecision::ScaleUp {
+            add,
+            reason: "test",
+        };
+        let down = ScalingDecision::ScaleDown {
+            remove: 2,
+            reason: "test",
+        };
+        fleet.apply(&up(3), 0).unwrap();
+        // Two busy workers drain: they leave the live count at once but
+        // keep their slots until their work finishes.
+        let workers = spawned.lock().clone();
+        workers
+            .iter()
+            .for_each(|w| w.busy.store(1, Ordering::SeqCst));
+        fleet.apply(&down, 100).unwrap();
+        assert_eq!((fleet.live(), fleet.draining(), cluster.live()), (2, 2, 4));
+        // Room under max_workers, but no free slot: nothing to spawn.
+        assert_eq!(fleet.apply(&up(2), 200), Ok(None));
+        assert_eq!(spawned.lock().len(), 4, "nothing spawned, nothing leaked");
+        // One drain finishes: exactly one slot, one spawn, one attach, and
+        // a journaled event that says so.
+        workers[3].busy.store(0, Ordering::SeqCst);
+        assert_eq!(fleet.reap(), 1);
+        let e = fleet.apply(&up(2), 300).unwrap().expect("one slot is free");
+        assert_eq!((e.from, e.to), (2, 3));
+        assert_eq!(spawned.lock().len(), 5, "spawned == attached");
+        assert_eq!((fleet.live(), cluster.live()), (3, 4));
+        assert_eq!(fleet.events().last(), Some(&e));
     }
 
     #[test]

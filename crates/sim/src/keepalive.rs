@@ -136,6 +136,20 @@ impl SimOutcome {
     }
 }
 
+/// What became of one arrival at the instant it arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// Started on an idle warm container.
+    Warm,
+    /// Started with a cold start (kept or ephemeral).
+    Cold,
+    /// Every invoker slot was busy: waiting in the backlog; its warm/cold
+    /// outcome is decided when a slot frees.
+    Backlogged,
+    /// Backlog full, or no memory under `drop_on_full`.
+    Dropped,
+}
+
 struct CacheItem {
     id: u64,
     meta: EntryMeta,
@@ -168,10 +182,13 @@ pub struct KeepaliveSim {
     /// Misses since the last `take_misses` call (provisioning input).
     misses_window: u64,
     /// Invoker-slot model: finish times of executing invocations and the
-    /// FIFO backlog of arrivals waiting for a slot.
+    /// FIFO backlog of `(fn index, arrival time)` waiting for a slot.
     executing: BinaryHeap<std::cmp::Reverse<u64>>,
-    backlog: std::collections::VecDeque<u32>,
+    backlog: std::collections::VecDeque<(u32, u64)>,
     backlogged: u64,
+    /// Wait of the most recently started invocation, ms (0 when it found a
+    /// free slot) — the worker's "most recently dequeued" queue delay.
+    last_queue_delay_ms: u64,
     // Time-weighted occupancy.
     occ_acc: f64,
     occ_last_t: u64,
@@ -201,6 +218,7 @@ impl KeepaliveSim {
             executing: BinaryHeap::new(),
             backlog: std::collections::VecDeque::new(),
             backlogged: 0,
+            last_queue_delay_ms: 0,
             occ_acc: 0.0,
             occ_last_t: 0,
             peak_used_mb: 0,
@@ -255,27 +273,25 @@ impl KeepaliveSim {
     }
 
     /// Process one arrival.
-    pub fn on_event(&mut self, t: u64, func: u32) {
+    pub fn on_event(&mut self, t: u64, func: u32) -> Arrival {
         // Housekeeping strictly before the arrival.
-        self.run_sweeps(t);
-        self.fire_preloads(t);
-        self.occupancy_tick(t);
-        self.drain_completions(t);
+        self.advance(t);
 
         // Invoker concurrency (§2.2's overcommitted invoker slots): full
         // slots push the arrival into the backlog; a full backlog drops it.
         if let Some(limit) = self.cfg.concurrency {
             if self.executing.len() >= limit {
                 if self.backlog.len() < self.cfg.backlog_cap {
-                    self.backlog.push_back(func);
+                    self.backlog.push_back((func, t));
                     self.backlogged += 1;
-                } else {
-                    self.out[func as usize].dropped += 1;
+                    return Arrival::Backlogged;
                 }
-                return;
+                self.out[func as usize].dropped += 1;
+                return Arrival::Dropped;
             }
         }
-        self.start(t, func);
+        self.last_queue_delay_ms = 0;
+        self.start(t, func)
     }
 
     /// Process completions up to time `t`, starting backlogged work as
@@ -286,7 +302,8 @@ impl KeepaliveSim {
                 break;
             }
             self.executing.pop();
-            if let Some(func) = self.backlog.pop_front() {
+            if let Some((func, arrived)) = self.backlog.pop_front() {
+                self.last_queue_delay_ms = finish - arrived;
                 self.start(finish, func);
             }
         }
@@ -307,29 +324,37 @@ impl KeepaliveSim {
         self.executing.len()
     }
 
-    /// Function indices with at least one container (idle or busy)
-    /// resident in this worker's cache — the warm set a scale-down of
-    /// this worker would destroy.
-    pub fn resident_fns(&self) -> Vec<u32> {
-        self.items
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(f, _)| f as u32)
-            .collect()
+    /// Wait of the most recently started invocation, ms.
+    pub fn last_queue_delay_ms(&self) -> u64 {
+        self.last_queue_delay_ms
     }
 
-    /// Whether the function has any resident container on this worker.
-    pub fn is_resident(&self, func: u32) -> bool {
-        self.items
-            .get(func as usize)
-            .map(|v| !v.is_empty())
-            .unwrap_or(false)
+    /// Per-function warm residency at `now`: for each function with a
+    /// resident container, `(fqdn, GB·s)` — memory × time since insertion
+    /// summed over its containers (`ContainerPool::warm_residency`'s
+    /// formula), in function-index order.
+    pub fn warm_residency(&self, now: u64) -> impl Iterator<Item = (&str, f64)> + '_ {
+        let gb_s = move |i: &CacheItem| {
+            let held_s = now.saturating_sub(i.meta.inserted_ms) as f64 / 1000.0;
+            i.meta.memory_mb as f64 / 1024.0 * held_s
+        };
+        let resident = self.items.iter().zip(&self.profiles);
+        resident
+            .filter(|(items, _)| !items.is_empty())
+            .map(move |(items, p)| (p.fqdn.as_str(), items.iter().map(gb_s).sum()))
+    }
+
+    /// Insert a ready container for `func` at `t` ahead of demand (the
+    /// fleet's warm handoff), through the preload path: a no-op when an
+    /// idle one exists or free memory does not allow.
+    pub fn prewarm(&mut self, t: u64, func: u32) {
+        self.advance(t);
+        self.preload(t, func);
     }
 
     /// Advance housekeeping (sweeps, preloads, occupancy, completions) to
-    /// time `t` without an arrival — the elastic cluster simulator calls
-    /// this at control-loop ticks so queue observations are current.
+    /// time `t` without an arrival, so queue and residency readings at `t`
+    /// are current.
     pub fn advance(&mut self, t: u64) {
         self.run_sweeps(t);
         self.fire_preloads(t);
@@ -338,7 +363,7 @@ impl KeepaliveSim {
     }
 
     /// Begin executing one invocation at time `t` (a slot is available).
-    fn start(&mut self, t: u64, func: u32) {
+    fn start(&mut self, t: u64, func: u32) -> Arrival {
         let f = func as usize;
         let fqdn = self.profiles[f].fqdn.clone();
         self.policy.on_arrival(&fqdn, t);
@@ -357,7 +382,7 @@ impl KeepaliveSim {
             if self.cfg.concurrency.is_some() {
                 self.executing.push(std::cmp::Reverse(t + warm_ms));
             }
-            return;
+            return Arrival::Warm;
         }
 
         // Cold path: need memory for a new container.
@@ -368,18 +393,18 @@ impl KeepaliveSim {
             if freed < shortfall {
                 if self.cfg.drop_on_full {
                     self.out[f].dropped += 1;
-                } else {
-                    // Ephemeral run outside the cache: still user-visible
-                    // cold latency, but nothing is kept.
-                    self.out[f].cold += 1;
-                    self.cold_penalty_ms += init_ms;
-                    self.base_exec_ms += warm_ms;
-                    if self.cfg.concurrency.is_some() {
-                        self.executing
-                            .push(std::cmp::Reverse(t + warm_ms + init_ms));
-                    }
+                    return Arrival::Dropped;
                 }
-                return;
+                // Ephemeral run outside the cache: still user-visible
+                // cold latency, but nothing is kept.
+                self.out[f].cold += 1;
+                self.cold_penalty_ms += init_ms;
+                self.base_exec_ms += warm_ms;
+                if self.cfg.concurrency.is_some() {
+                    self.executing
+                        .push(std::cmp::Reverse(t + warm_ms + init_ms));
+                }
+                return Arrival::Cold;
             }
         }
         self.used_mb += mem;
@@ -400,6 +425,7 @@ impl KeepaliveSim {
             self.executing
                 .push(std::cmp::Reverse(t + warm_ms + init_ms));
         }
+        Arrival::Cold
     }
 
     /// Run pending expiry sweeps up to time `t`.
@@ -444,27 +470,31 @@ impl KeepaliveSim {
                 break;
             }
             self.preloads.pop();
-            let f = func as usize;
-            // Only preload if nothing idle exists and free memory allows —
-            // prefetching never evicts live entries.
-            let has_idle = self.items[f].iter().any(|i| i.busy_until <= at);
-            let mem = self.profiles[f].memory_mb;
-            if !has_idle && self.used_mb + mem <= self.cfg.cache_mb {
-                self.used_mb += mem;
-                let fqdn = self.profiles[f].fqdn.clone();
-                let mut meta = EntryMeta::new(&fqdn, mem, self.profiles[f].init_ms as f64, at);
-                meta.freq = self.freq[f];
-                self.policy.on_insert(&mut meta, at);
-                let id = self.next_id;
-                self.next_id += 1;
-                // Ready immediately: the background preload absorbed init.
-                self.items[f].push(CacheItem {
-                    id,
-                    meta,
-                    busy_until: at,
-                });
-                self.preload_count += 1;
-            }
+            self.preload(at, func);
+        }
+    }
+
+    /// Insert a ready container for `func` at `at` — only if nothing idle
+    /// exists and free memory allows: preloading never evicts live entries.
+    fn preload(&mut self, at: u64, func: u32) {
+        let f = func as usize;
+        let has_idle = self.items[f].iter().any(|i| i.busy_until <= at);
+        let mem = self.profiles[f].memory_mb;
+        if !has_idle && self.used_mb + mem <= self.cfg.cache_mb {
+            self.used_mb += mem;
+            let fqdn = self.profiles[f].fqdn.clone();
+            let mut meta = EntryMeta::new(&fqdn, mem, self.profiles[f].init_ms as f64, at);
+            meta.freq = self.freq[f];
+            self.policy.on_insert(&mut meta, at);
+            let id = self.next_id;
+            self.next_id += 1;
+            // Ready immediately: the background preload absorbed init.
+            self.items[f].push(CacheItem {
+                id,
+                meta,
+                busy_until: at,
+            });
+            self.preload_count += 1;
         }
     }
 
@@ -523,11 +553,12 @@ impl KeepaliveSim {
         freed
     }
 
-    /// Finalize and collect results.
-    pub fn finish(mut self, end_time: u64) -> SimOutcome {
+    /// Finalize and collect results. By reference, so a simulator shared
+    /// behind a worker handle can be finished where it stands.
+    pub fn finish(&mut self, end_time: u64) -> SimOutcome {
         self.drain_completions(end_time);
         // Backlogged work that never got a slot counts as dropped.
-        while let Some(func) = self.backlog.pop_front() {
+        while let Some((func, _)) = self.backlog.pop_front() {
             self.out[func as usize].dropped += 1;
         }
         self.occupancy_tick(end_time);
@@ -544,7 +575,7 @@ impl KeepaliveSim {
             preloads: self.preload_count,
             cold_penalty_ms: self.cold_penalty_ms,
             base_exec_ms: self.base_exec_ms,
-            per_function: self.out,
+            per_function: self.out.clone(),
             evictions: self.evictions,
             expirations: self.expirations,
             mean_used_mb: if end_time > 0 {

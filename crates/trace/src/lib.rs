@@ -13,12 +13,8 @@
 //!
 //! [`functionbench`] carries the seven Table 3 applications; [`loadgen`]
 //! provides the open- and closed-loop load generation framework of §5.
-//! [`azure_csv`] imports the real dataset's CSVs; nothing in the repo calls
-//! it because those files cannot ship here — it stays as the documented way
-//! to replay the paper's actual trace once they are present.
 
 pub mod azure;
-pub mod azure_csv;
 pub mod functionbench;
 pub mod loadgen;
 pub mod samples;
