@@ -32,16 +32,16 @@ const E2E_ROW: &str = "e2e (critical path)";
 /// in EXPERIMENTS.md "Overhead budget — recorded baseline". A recorded
 /// value below the histogram's 1 µs resolution budgets as 1 µs.
 const RECORDED_US: &[(&str, f64, f64)] = &[
-    ("Ingestion & Queuing", 2_256.0, 7_232.0),
-    ("Container Operations", 0.0, 2.0),
-    ("Agent Communication", 0.0, 2_160.0),
-    ("Returning", 27.0, 2_800.0),
-    (E2E_ROW, 7_000.0, 8_000.0),
+    ("Ingestion & Queuing", 174.0, 3_104.0),
+    ("Container Operations", 0.0, 1.0),
+    ("Agent Communication", 0.0, 2_240.0),
+    ("Returning", 20.0, 632.0),
+    (E2E_ROW, 3_000.0, 5_000.0),
 ];
 
 pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
-    // The budget must hold with durability on: WAL enabled, group commit
-    // batching fsyncs off the hot path (`wal.fsync = group`).
+    // The budget must hold with durability on: WAL enabled, every accept
+    // and result waiting for its covering group fsync (`wal.fsync = group`).
     let wal_dir = std::env::temp_dir().join(format!("iluvatar-overhead-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
     std::fs::create_dir_all(&wal_dir)?;

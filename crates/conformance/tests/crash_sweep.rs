@@ -7,18 +7,25 @@
 //! completion. The write ladder (retry → rotate) is what makes this hold:
 //! a fault on the k-th attempt is retried on the (k+1)-th, so accepted
 //! records always land even though individual writes keep failing.
+//!
+//! The grid runs twice: under `fsync = "always"` with one serial submitter,
+//! and under `fsync = "group"` — the mode the benchmark runs — with four
+//! concurrent submitters, so leaders, followers and the kill interleave.
 
 use iluvatar_chaos::{DiskFaultPlanConfig, FaultSpec, FaultyStorage};
-use iluvatar_conformance::Checker;
+use iluvatar_conformance::{Checker, CheckerSink};
 use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
 use iluvatar_containers::{ContainerBackend, FunctionSpec};
 use iluvatar_core::{
-    wal, AdmissionConfig, LifecycleConfig, TenantSpec, WalConfig, WalRecord, Worker, WorkerConfig,
+    wal, AdmissionConfig, InvocationHandle, LifecycleConfig, TenantSpec, WalConfig, WalRecord,
+    Worker, WorkerConfig,
 };
 use iluvatar_sync::{RealStorage, SystemClock};
+use iluvatar_telemetry::TelemetrySink;
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("iluvatar-crashsweep-{tag}-{}", std::process::id()));
@@ -27,12 +34,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn worker_cfg(wal_path: &str) -> WorkerConfig {
+fn worker_cfg(wal_path: &str, fsync: &str) -> WorkerConfig {
     WorkerConfig {
         lifecycle: LifecycleConfig {
             snapshot_every: 6,
             wal: WalConfig {
-                fsync: "always".into(),
+                fsync: fsync.into(),
                 retry_limit: 3,
                 ..WalConfig::default()
             },
@@ -103,10 +110,64 @@ impl FaultKind {
     }
 }
 
+fn submit(worker: &Worker, i: u64) -> Option<InvocationHandle> {
+    let tenant = if i.is_multiple_of(2) {
+        "sweep-a"
+    } else {
+        "sweep-b"
+    };
+    let args = format!("{{\"i\":{i}}}");
+    worker.async_invoke_tenant("f-1", &args, Some(tenant)).ok()
+}
+
+/// The `always` trace: 18 submissions from one thread, killed before the
+/// 13th — queued work stays pending in the log.
+fn serial_trace(worker: &mut Worker) -> Vec<InvocationHandle> {
+    let mut accepted = Vec::new();
+    for i in 0..18u64 {
+        if i == 12 {
+            worker.kill();
+        }
+        accepted.extend(submit(worker, i));
+    }
+    accepted
+}
+
+/// The `group` trace: four submitters, six submissions each, killed as soon
+/// as twelve were accepted — with submissions, their leaders' fsyncs and
+/// the executors' completion waits all in flight.
+fn concurrent_trace(worker: &mut Worker) -> Vec<InvocationHandle> {
+    let count = AtomicUsize::new(0);
+    let worker = RwLock::new(worker);
+    std::thread::scope(|s| {
+        let submitter = |t: u64| {
+            let (worker, count) = (&worker, &count);
+            s.spawn(move || {
+                let mut mine = Vec::new();
+                for i in 0..6 {
+                    if let Some(h) = submit(&worker.read().unwrap(), t * 6 + i) {
+                        count.fetch_add(1, Ordering::SeqCst);
+                        mine.push(h);
+                    }
+                }
+                mine
+            })
+        };
+        let submitters: Vec<_> = (0..4).map(submitter).collect();
+        while count.load(Ordering::SeqCst) < 12 && !submitters.iter().all(|t| t.is_finished()) {
+            std::thread::yield_now();
+        }
+        worker.write().unwrap().kill();
+        let joined = submitters.into_iter().map(|t| t.join().unwrap());
+        joined.flatten().collect()
+    })
+}
+
 /// One sweep cell: run a seeded trace under the fault plan, kill mid-trace,
 /// then check the surviving log and recover from it.
-fn sweep_cell(kind: FaultKind, k: u64) {
-    let dir = temp_dir(&format!("{}-{k}", kind.tag()));
+fn sweep_cell(kind: FaultKind, k: u64, fsync: &str) {
+    let tag = format!("{fsync}/{}/k={k}", kind.tag());
+    let dir = temp_dir(&format!("{fsync}-{}-{k}", kind.tag()));
     let wal_path = dir.join("queue.wal").to_str().unwrap().to_string();
     let clock = SystemClock::shared();
     let spec = FunctionSpec::new("f", "1").with_timing(100, 300);
@@ -115,32 +176,33 @@ fn sweep_cell(kind: FaultKind, k: u64) {
         kind.plan(0xC4A5_11E5 ^ k, k),
     ));
 
+    // The conformance checker rides the bus online, across both
+    // incarnations: `accepted-not-durable` and `result-before-durable` are
+    // rules about the live stream, not the file.
+    let sink = Arc::new(CheckerSink::new(
+        Checker::new().with_require_terminal(false),
+    ));
+    let cfg = worker_cfg(&wal_path, fsync);
+    let name = cfg.name.clone();
     let mut worker = Worker::new_with_storage(
-        worker_cfg(&wal_path),
+        cfg,
         mk_backend(&clock),
         Arc::clone(&clock),
         Arc::clone(&storage),
     );
+    worker
+        .telemetry()
+        .add_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
     worker.register(spec.clone()).expect("register");
-    let mut accepted = 0usize;
-    for i in 0..18u64 {
-        if i == 12 {
-            // Crash mid-trace: queued work stays pending in the log.
-            worker.kill();
-        }
-        let tenant = if i % 2 == 0 { "sweep-a" } else { "sweep-b" };
-        if worker
-            .async_invoke_tenant("f-1", &format!("{{\"i\":{i}}}"), Some(tenant))
-            .is_ok()
-        {
-            accepted += 1;
-        }
-    }
+    let accepted = match fsync {
+        "group" => concurrent_trace(&mut worker),
+        _ => serial_trace(&mut worker),
+    };
     drop(worker);
     assert!(
-        accepted >= 12,
-        "{}/k={k}: the ladder should keep appends landing ({accepted} accepted)",
-        kind.tag()
+        accepted.len() >= 12,
+        "{tag}: the ladder should keep appends landing ({} accepted)",
+        accepted.len()
     );
 
     // The surviving log replays to a model-legal state.
@@ -156,15 +218,13 @@ fn sweep_cell(kind: FaultKind, k: u64) {
     let report = checker.finish();
     assert!(
         report.ok(),
-        "{}/k={k}: recovery state violates the model: {:?}",
-        kind.tag(),
+        "{tag}: recovery state violates the model: {:?}",
         report.violations
     );
     if matches!(kind, FaultKind::TornWrite) {
         assert!(
             replayed.corrupt_frames > 0,
-            "{}/k={k}: torn writes must leave quarantined half-frames",
-            kind.tag()
+            "{tag}: torn writes must leave quarantined half-frames"
         );
     }
 
@@ -180,34 +240,54 @@ fn sweep_cell(kind: FaultKind, k: u64) {
     for p in &replayed.pending {
         assert!(
             !completed.contains(&p.id),
-            "{}/k={k}: completed id {} resurrected into the pending set",
-            kind.tag(),
+            "{tag}: completed id {} resurrected into the pending set",
             p.id
+        );
+    }
+
+    // Accepted ⟹ durable: every submission that returned `Ok` left its
+    // `Enqueued` record in the surviving log, and a handle that came back
+    // with a result names one of them.
+    let enqueued: HashSet<u64> = scan
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Enqueued { inv } => Some(inv.id),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        accepted.len() <= enqueued.len(),
+        "{tag}: {} accepted, {} enqueued records survive",
+        accepted.len(),
+        enqueued.len()
+    );
+    for result in accepted.into_iter().filter_map(|h| h.wait().ok()) {
+        assert!(
+            enqueued.contains(&result.trace_id),
+            "{tag}: trace {} returned a result but its enqueue is not in the log",
+            result.trace_id
         );
     }
 
     // Full recovery under the same (still-faulty) storage: every replayed
     // invocation runs to completion, none is double-counted.
+    sink.note_restart(&name);
     let (recovered, rep) = Worker::recover_full(
-        worker_cfg(&wal_path),
+        worker_cfg(&wal_path, fsync),
         mk_backend(&clock),
         Arc::clone(&clock),
         std::slice::from_ref(&spec),
-        &[],
+        &[Arc::clone(&sink) as Arc<dyn TelemetrySink>],
         storage,
     );
     assert_eq!(
         rep.replayed,
         replayed.pending.len(),
-        "{}/k={k}: recovery must re-enqueue exactly the pending set",
-        kind.tag()
+        "{tag}: recovery must re-enqueue exactly the pending set"
     );
     for (_id, handle) in rep.handles {
-        assert!(
-            handle.wait().is_ok(),
-            "{}/k={k}: a replayed invocation failed",
-            kind.tag()
-        );
+        assert!(handle.wait().is_ok(), "{tag}: a replayed invocation failed");
     }
     let st = recovered.status();
     // Exactly-once across incarnations: the recovered counter is the
@@ -215,30 +295,46 @@ fn sweep_cell(kind: FaultKind, k: u64) {
     assert_eq!(
         st.completed,
         replayed.counters.completed + rep.replayed as u64,
-        "{}/k={k}: replayed work must complete exactly once",
-        kind.tag()
+        "{tag}: replayed work must complete exactly once"
     );
     drop(recovered);
+    let online = sink.finish();
+    assert!(online.ok(), "{tag}: live stream: {:?}", online.violations);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+const KINDS: [FaultKind; 3] = [
+    FaultKind::FsyncFail,
+    FaultKind::TornWrite,
+    FaultKind::Enospc,
+];
 
 #[test]
 fn fsync_failure_sweep_recovers_model_legal() {
     for k in [2, 3, 5, 7] {
-        sweep_cell(FaultKind::FsyncFail, k);
+        sweep_cell(FaultKind::FsyncFail, k, "always");
     }
 }
 
 #[test]
 fn torn_write_sweep_recovers_model_legal() {
     for k in [2, 3, 5, 7] {
-        sweep_cell(FaultKind::TornWrite, k);
+        sweep_cell(FaultKind::TornWrite, k, "always");
     }
 }
 
 #[test]
 fn enospc_sweep_recovers_model_legal() {
     for k in [2, 3, 5, 7] {
-        sweep_cell(FaultKind::Enospc, k);
+        sweep_cell(FaultKind::Enospc, k, "always");
+    }
+}
+
+#[test]
+fn group_commit_sweep_recovers_model_legal() {
+    for kind in KINDS {
+        for k in [2, 3, 5, 7] {
+            sweep_cell(kind, k, "group");
+        }
     }
 }

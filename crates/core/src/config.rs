@@ -210,12 +210,14 @@ pub struct LifecycleConfig {
 /// append deadline.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WalConfig {
-    /// Fsync policy: `"never"`, `"group"` (amortized group commit every
-    /// `group_ms`), or `"always"` (fsync per record).
+    /// Fsync policy: `"never"`, `"group"` (leader/follower group commit:
+    /// an accept that is not yet covered fsyncs, or rides the fsync in
+    /// flight), or `"always"` (fsync per record).
     #[serde(default)]
     pub fsync: String,
-    /// Group-commit flush interval, ms, when `fsync = "group"`. 0 selects
-    /// the built-in default of 2.
+    /// When `fsync = "group"`: the longest a record nobody waits on
+    /// (`Dequeued`, `Shed`, lease records) may sit un-fsynced, ms. No
+    /// accept or result ever waits for it. 0 selects the default of 2.
     #[serde(default)]
     pub group_ms: u64,
     /// What to do when the write ladder (retry → rotate) is exhausted:

@@ -19,10 +19,10 @@
 //!
 //! Durability contract: an invocation is *accepted* only after its
 //! `Enqueued` record hit the log per the active [`FsyncPolicy`]
-//! (`never` = flushed to the OS, `group(ms)` = covered by the next group
-//! fsync, `always` = fsynced inline). Completions whose record did not land
-//! before a crash are re-enqueued and re-executed on recovery —
-//! at-least-once execution, exactly-once accounting.
+//! (`never` = flushed to the OS, `group` = covered by a group fsync the
+//! waiters run themselves, `always` = fsynced inline). Completions whose
+//! record did not land before a crash are re-enqueued and re-executed on
+//! recovery — at-least-once execution, exactly-once accounting.
 //!
 //! I/O errors no longer brick the log. The recovery ladder runs bounded
 //! retries with backoff, then rotates to a fresh segment, and only then
@@ -192,10 +192,6 @@ impl WalRecord {
 
     /// The trace id the record is about, if any (snapshots have none).
     pub fn trace_id(&self) -> Option<u64> {
-        self.id()
-    }
-
-    fn id(&self) -> Option<u64> {
         match self {
             WalRecord::Enqueued { inv } => Some(inv.id),
             WalRecord::Dequeued { id }
@@ -305,24 +301,20 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
         }
         if bytes[i..i + 4] != FRAME_MAGIC {
             scan.corrupt_frames += 1;
-            match find_magic(bytes, i + 1) {
-                Some(j) => {
-                    i = j;
-                    continue;
-                }
-                None => break,
-            }
+            let Some(j) = find_magic(bytes, i + 1) else {
+                break;
+            };
+            i = j;
+            continue;
         }
         let len = u32::from_le_bytes([bytes[i + 4], bytes[i + 5], bytes[i + 6], bytes[i + 7]]);
         if len > MAX_FRAME_PAYLOAD {
             scan.corrupt_frames += 1;
-            match find_magic(bytes, i + 4) {
-                Some(j) => {
-                    i = j;
-                    continue;
-                }
-                None => break,
-            }
+            let Some(j) = find_magic(bytes, i + 4) else {
+                break;
+            };
+            i = j;
+            continue;
         }
         let end = i + FRAME_HEADER + len as usize;
         if end > bytes.len() {
@@ -335,13 +327,11 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
             // The disk lied (bit-rot) or a torn write ran into the next
             // frame; either way resync on the next magic.
             scan.corrupt_frames += 1;
-            match find_magic(bytes, i + 4) {
-                Some(j) => {
-                    i = j;
-                    continue;
-                }
-                None => break,
-            }
+            let Some(j) = find_magic(bytes, i + 4) else {
+                break;
+            };
+            i = j;
+            continue;
         }
         match serde_json::from_slice::<WalRecord>(payload) {
             Ok(rec) => scan.records.push(rec),
@@ -352,23 +342,20 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     scan
 }
 
+fn base_name(base: &Path) -> String {
+    base.file_name()
+        .map_or("wal".into(), |n| n.to_string_lossy().into_owned())
+}
+
 /// The on-disk name of segment `idx` for a WAL based at `base`.
 pub fn segment_path(base: &Path, idx: u64) -> PathBuf {
-    let name = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "wal".to_string());
-    base.with_file_name(format!("{name}.{idx:04}.log"))
+    base.with_file_name(format!("{}.{idx:04}.log", base_name(base)))
 }
 
 /// Discover existing segments of `base`, sorted by index.
 pub fn discover_segments(storage: &dyn Storage, base: &Path) -> Vec<(u64, PathBuf)> {
     let dir = base.parent().unwrap_or_else(|| Path::new("."));
-    let name = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "wal".to_string());
-    let prefix = format!("{name}.");
+    let prefix = format!("{}.", base_name(base));
     let mut out = Vec::new();
     for p in storage.list(dir).unwrap_or_default() {
         let Some(fname) = p.file_name().map(|n| n.to_string_lossy().into_owned()) else {
@@ -397,8 +384,11 @@ pub enum FsyncPolicy {
     /// Flush to the OS only (the pre-hardening behavior). Fast; loses the
     /// OS cache on power failure.
     Never,
-    /// A background flusher fsyncs every `interval_ms`; acceptance-path
-    /// appends wait for the covering group fsync (group commit).
+    /// Group commit on demand: an acceptance-path append that is not yet
+    /// covered fsyncs itself (the leader) unless an fsync is in flight, in
+    /// which case it rides the next one (a follower). `interval_ms` bounds
+    /// only how long a record nobody waits on (`Dequeued`, `Shed`, lease
+    /// records) may sit un-fsynced before the sweeper commits it.
     Group { interval_ms: u64 },
     /// fsync inline on every append.
     Always,
@@ -503,39 +493,6 @@ pub struct WalIoCounts {
     pub abandoned: u64,
 }
 
-#[derive(Default)]
-struct IoStats {
-    appends: AtomicU64,
-    retries: AtomicU64,
-    rotations: AtomicU64,
-    write_errors: AtomicU64,
-    fsync_errors: AtomicU64,
-    stall_sheds: AtomicU64,
-    non_durable_records: AtomicU64,
-    degraded_entered: AtomicU64,
-    rearms: AtomicU64,
-    segments_retired: AtomicU64,
-    abandoned: AtomicU64,
-}
-
-impl IoStats {
-    fn counts(&self) -> WalIoCounts {
-        WalIoCounts {
-            appends: self.appends.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            rotations: self.rotations.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            fsync_errors: self.fsync_errors.load(Ordering::Relaxed),
-            stall_sheds: self.stall_sheds.load(Ordering::Relaxed),
-            non_durable_records: self.non_durable_records.load(Ordering::Relaxed),
-            degraded_entered: self.degraded_entered.load(Ordering::Relaxed),
-            rearms: self.rearms.load(Ordering::Relaxed),
-            segments_retired: self.segments_retired.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The log
 
@@ -562,6 +519,11 @@ struct Writer {
     /// Frames written since the last successful fsync, kept so a rotation
     /// mid-ladder can rewrite them onto the fresh segment.
     unsynced: Vec<u8>,
+    /// Whether a segment older than the current one may still be on disk
+    /// (found at open, or left behind by a rotation). Compaction lists the
+    /// directory only then.
+    older_segments: bool,
+    admitted: u64,
 }
 
 #[derive(Default)]
@@ -569,13 +531,21 @@ struct CommitProgress {
     synced: u64,
     failed: u64,
     poisoned: bool,
+    /// A leader is inside [`Inner::sync_pass`]; everyone else follows.
+    leading: bool,
+    /// Highest sequence written by an append nobody waits on — the
+    /// sweeper's work while it is above `synced` and `failed`.
+    unwaited: u64,
+    /// The sweeper found the log clean and sleeps until armed.
+    sweeper_parked: bool,
+    shutdown: bool,
 }
 
 struct GroupCommit {
     progress: Mutex<CommitProgress>,
+    /// Followers, woken by every leader that returns.
     cv: Condvar,
-    shutdown: Mutex<bool>,
-    shutdown_cv: Condvar,
+    sweeper_cv: Condvar,
 }
 
 /// Observer of WAL I/O health transitions (`wal_io` telemetry bridge).
@@ -590,12 +560,15 @@ struct Inner {
     /// `elapsed_ms + 1` while a storage op is in flight, 0 when idle — the
     /// stall gate reads this without taking the writer lock.
     io_started: AtomicU64,
-    stats: IoStats,
+    /// Appends that have reached the writer lock, ever; `Writer::admitted`
+    /// counts those that got it. A leader lets the difference write first.
+    arrived: AtomicU64,
+    stats: Mutex<WalIoCounts>,
     notify: Mutex<Option<IoNotify>>,
     group: Option<GroupCommit>,
     /// Enqueued records whose group-commit wait timed out: the caller was
-    /// shed, so the flusher retracts them (Completed ok=false) after the
-    /// covering fsync, keeping replay from resurrecting them.
+    /// shed, so the next leader retracts them (Completed ok=false) after
+    /// the covering fsync, keeping replay from resurrecting them.
     abandoned: Mutex<Vec<(u64, Option<String>)>>,
 }
 
@@ -603,7 +576,7 @@ struct Inner {
 /// (internally locked) so the worker can append from any hot-path thread.
 pub struct Wal {
     inner: Arc<Inner>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    sweeper: Option<std::thread::JoinHandle<()>>,
 }
 
 struct IoGuard<'a>(&'a AtomicU64);
@@ -641,8 +614,8 @@ impl Inner {
         started != 0 && self.now_ms().saturating_sub(started - 1) > dl
     }
 
-    fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    fn bump(&self, counter: impl FnOnce(&mut WalIoCounts) -> &mut u64) {
+        *counter(&mut self.stats.lock()) += 1;
     }
 
     /// Open segment `idx` and make it current. The old handle is only
@@ -654,7 +627,8 @@ impl Inner {
                 w.out = f;
                 w.seg_index = next;
                 w.seg_bytes = 0;
-                self.bump(&self.stats.rotations);
+                w.older_segments = true;
+                self.bump(|s| &mut s.rotations);
                 self.emit("rotate");
                 true
             }
@@ -662,48 +636,58 @@ impl Inner {
         }
     }
 
-    /// Write `frame` (and fsync under `always`), running the recovery
-    /// ladder: bounded retries with backoff, then rotation, then one more
-    /// try on the fresh segment. `extra` is rewritten onto the fresh
-    /// segment before `frame` on rotation (group-commit unsynced frames).
-    fn persist_locked(&self, w: &mut Writer, frame: &[u8], extra: &[u8]) -> bool {
-        let attempt = |w: &mut Writer, inner: &Inner, with_extra: bool| -> std::io::Result<()> {
-            let _g = inner.io_guard();
-            if with_extra && !extra.is_empty() {
-                w.out.write_all(extra)?;
+    /// The recovery ladder every storage op runs under the writer lock:
+    /// `op`, bounded retries with backoff, then rotation and one more try on
+    /// the fresh segment (`op(w, true)`, which first rewrites whatever the
+    /// old segment may have dropped). Failures are booked on `errors`.
+    fn ladder_locked(
+        &self,
+        w: &mut Writer,
+        errors: fn(&mut WalIoCounts) -> &mut u64,
+        op: impl Fn(&mut Writer, bool) -> std::io::Result<()>,
+    ) -> bool {
+        let attempt = |w: &mut Writer, rotated: bool| {
+            let _g = self.io_guard();
+            let ok = op(w, rotated).is_ok();
+            if !ok {
+                self.bump(errors);
             }
-            w.out.write_all(frame)?;
-            w.out.flush()?;
-            if matches!(inner.opts.fsync, FsyncPolicy::Always) {
-                w.out.sync()?;
-            }
-            Ok(())
+            ok
         };
-        match attempt(w, self, false) {
-            Ok(()) => return true,
-            Err(_) => self.bump(&self.stats.write_errors),
-        }
-        for i in 0..self.opts.retry_limit {
-            self.bump(&self.stats.retries);
-            self.emit("retry");
-            std::thread::sleep(Duration::from_millis(
-                self.opts.retry_backoff_ms * (i as u64 + 1),
-            ));
-            // A partial first write leaves a torn frame mid-segment; replay
-            // quarantines it and a duplicated record replays idempotently,
-            // so rewriting the whole frame is safe.
-            match attempt(w, self, false) {
-                Ok(()) => return true,
-                Err(_) => self.bump(&self.stats.write_errors),
+        for i in 0..=self.opts.retry_limit as u64 {
+            if i > 0 {
+                self.bump(|s| &mut s.retries);
+                self.emit("retry");
+                std::thread::sleep(Duration::from_millis(self.opts.retry_backoff_ms * i));
+            }
+            if attempt(w, false) {
+                return true;
             }
         }
-        if self.rotate_locked(w) {
-            match attempt(w, self, true) {
-                Ok(()) => return true,
-                Err(_) => self.bump(&self.stats.write_errors),
-            }
-        }
-        false
+        self.rotate_locked(w) && attempt(w, true)
+    }
+
+    /// Write `frame` (and fsync under `always`) through the ladder. A
+    /// partial write leaves a torn frame mid-segment; replay quarantines it
+    /// and a duplicated record replays idempotently, so a retry rewrites the
+    /// whole frame, and a rotation the group-commit `unsynced` frames too.
+    fn persist_locked(&self, w: &mut Writer, frame: &[u8]) -> bool {
+        let always = self.opts.fsync == FsyncPolicy::Always;
+        self.ladder_locked(
+            w,
+            |s| &mut s.write_errors,
+            |w, rotated| {
+                if rotated && !w.unsynced.is_empty() {
+                    w.out.write_all(&w.unsynced)?;
+                }
+                w.out.write_all(frame)?;
+                w.out.flush()?;
+                if always {
+                    w.out.sync()?;
+                }
+                Ok(())
+            },
+        )
     }
 
     /// Absorb a record into the in-memory pending book. `landed = false`
@@ -716,18 +700,13 @@ impl Inner {
                     w.pending.insert(inv.id, inv.clone());
                 }
             }
-            WalRecord::Dequeued { id } => {
+            WalRecord::Dequeued { id } | WalRecord::LeaseIssued { id, .. } => {
                 if let Some(p) = w.pending.get_mut(id) {
                     p.dequeued = true;
                 }
             }
             WalRecord::Completed { id, .. } => {
                 w.pending.remove(id);
-            }
-            WalRecord::LeaseIssued { id, .. } => {
-                if let Some(p) = w.pending.get_mut(id) {
-                    p.dequeued = true;
-                }
             }
             WalRecord::LeaseRequeued { id } => {
                 if let Some(p) = w.pending.get_mut(id) {
@@ -749,7 +728,7 @@ impl Inner {
         if self.rotate_locked(w) {
             w.degraded = false;
             w.unsynced.clear();
-            self.bump(&self.stats.rearms);
+            self.bump(|s| &mut s.rearms);
             self.emit("rearmed");
             true
         } else {
@@ -762,13 +741,30 @@ impl Inner {
         if !w.degraded {
             w.degraded = true;
             w.degraded_since_ms = self.now_ms();
-            self.bump(&self.stats.degraded_entered);
+            self.bump(|s| &mut s.degraded_entered);
             self.emit("degraded");
         }
     }
 
-    /// Returns the group-commit sequence to wait for, when the caller must.
-    fn append_locked(&self, w: &mut Writer, rec: &WalRecord) -> (AppendOutcome, Option<u64>) {
+    /// Degraded: absorb `rec` into the book without writing it (a snapshot
+    /// is simply skipped).
+    fn absorb_locked(&self, w: &mut Writer, rec: &WalRecord) -> (AppendOutcome, Option<u64>) {
+        if !matches!(rec, WalRecord::Snapshot { .. }) {
+            Self::update_book(w, rec, false);
+            w.mutations_since_snapshot += 1;
+            self.bump(|s| &mut s.non_durable_records);
+        }
+        (AppendOutcome::NotDurable, None)
+    }
+
+    /// Write `frame` — `rec` encoded, before the lock was taken — and book
+    /// it. Returns the record's group-commit sequence in group mode.
+    fn append_locked(
+        &self,
+        w: &mut Writer,
+        rec: &WalRecord,
+        frame: &[u8],
+    ) -> (AppendOutcome, Option<u64>) {
         if w.poisoned {
             return (AppendOutcome::Poisoned, None);
         }
@@ -793,44 +789,24 @@ impl Inner {
             let overdue =
                 self.now_ms().saturating_sub(w.degraded_since_ms) >= self.opts.rearm_after_ms;
             if !(wants_rearm && overdue && self.try_rearm_locked(w)) {
-                if matches!(rec, WalRecord::Snapshot { .. }) {
-                    return (AppendOutcome::NotDurable, None);
-                }
-                Self::update_book(w, rec, false);
-                w.mutations_since_snapshot += 1;
-                self.bump(&self.stats.non_durable_records);
-                return (AppendOutcome::NotDurable, None);
+                return self.absorb_locked(w, rec);
             }
         }
-        let frame = encode_frame(rec);
         if w.seg_bytes > 0 && w.seg_bytes + frame.len() as u64 > self.opts.segment_bytes {
             // Best effort; failure to rotate just grows the segment.
             let _ = self.rotate_locked(w);
         }
-        let extra = if matches!(self.opts.fsync, FsyncPolicy::Group { .. }) {
-            w.unsynced.clone()
-        } else {
-            Vec::new()
-        };
-        if !self.persist_locked(w, &frame, &extra) {
-            match self.opts.on_error {
-                WalOnError::Reject => return (AppendOutcome::Unavailable, None),
-                WalOnError::Degrade => {
-                    self.enter_degraded_locked(w);
-                    if matches!(rec, WalRecord::Snapshot { .. }) {
-                        return (AppendOutcome::NotDurable, None);
-                    }
-                    Self::update_book(w, rec, false);
-                    w.mutations_since_snapshot += 1;
-                    self.bump(&self.stats.non_durable_records);
-                    return (AppendOutcome::NotDurable, None);
-                }
+        if !self.persist_locked(w, frame) {
+            if self.opts.on_error == WalOnError::Reject {
+                return (AppendOutcome::Unavailable, None);
             }
+            self.enter_degraded_locked(w);
+            return self.absorb_locked(w, rec);
         }
         w.seg_bytes += frame.len() as u64;
-        self.bump(&self.stats.appends);
+        self.bump(|s| &mut s.appends);
         let seq = if matches!(self.opts.fsync, FsyncPolicy::Group { .. }) {
-            w.unsynced.extend_from_slice(&frame);
+            w.unsynced.extend_from_slice(frame);
             w.written_seq += 1;
             Some(w.written_seq)
         } else {
@@ -845,14 +821,22 @@ impl Inner {
         (AppendOutcome::Landed, seq)
     }
 
-    /// Wait for the group fsync covering `seq`. On deadline: mark enqueues
-    /// abandoned (the flusher retracts them) and shed the caller.
-    fn wait_group(&self, seq: u64, rec: &WalRecord) -> AppendOutcome {
+    /// Make `seq` durable — the one place that decides who fsyncs in group
+    /// mode. A caller not yet covered leads ([`Self::sync_pass`], which
+    /// publishes its verdict) unless a leader is in flight; then it follows
+    /// and re-checks when that leader returns. So a lone append costs one
+    /// fsync, and whatever arrives behind a leader rides the next one.
+    /// `waiter` is the record an acceptance-path caller waits on: a follower
+    /// is shed at the append deadline (its `Enqueued` marked abandoned),
+    /// the leader rides its own I/O out — its record *is* durable by then.
+    /// The sweeper passes `None`: no deadline, nothing to abandon.
+    fn commit(&self, seq: u64, waiter: Option<&WalRecord>) -> AppendOutcome {
         let Some(g) = self.group.as_ref() else {
             return AppendOutcome::Landed;
         };
         let dl = self.opts.append_deadline_ms;
-        let deadline = (dl > 0).then(|| Instant::now() + Duration::from_millis(dl));
+        let deadline =
+            (waiter.is_some() && dl > 0).then(|| Instant::now() + Duration::from_millis(dl));
         let mut p = g.progress.lock();
         loop {
             if p.synced >= seq {
@@ -865,104 +849,129 @@ impl Inner {
                     AppendOutcome::NotDurable
                 };
             }
-            match deadline {
-                None => g.cv.wait(&mut p),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d || g.cv.wait_for(&mut p, d - now).timed_out() {
-                        if p.synced >= seq {
-                            return AppendOutcome::Landed;
-                        }
-                        drop(p);
-                        if let WalRecord::Enqueued { inv } = rec {
-                            self.abandoned.lock().push((inv.id, inv.tenant.clone()));
-                            self.bump(&self.stats.abandoned);
-                        }
-                        self.bump(&self.stats.stall_sheds);
-                        self.emit("stall_shed");
-                        return AppendOutcome::Stalled;
-                    }
+            if !p.leading {
+                p.leading = true;
+                drop(p);
+                self.sync_pass(g);
+                p = g.progress.lock();
+                p.leading = false;
+                g.cv.notify_all();
+                continue;
+            }
+            let timed_out = match deadline {
+                None => {
+                    g.cv.wait(&mut p);
+                    false
                 }
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    g.cv.wait_for(&mut p, left).timed_out()
+                }
+            };
+            if timed_out && p.synced.max(p.failed) < seq {
+                drop(p);
+                if let Some(WalRecord::Enqueued { inv }) = waiter {
+                    self.abandoned.lock().push((inv.id, inv.tenant.clone()));
+                    self.bump(|s| &mut s.abandoned);
+                }
+                self.bump(|s| &mut s.stall_sheds);
+                self.emit("stall_shed");
+                return AppendOutcome::Stalled;
             }
         }
     }
 
-    /// One flusher pass: fsync written-but-unsynced frames, then retract
-    /// abandoned enqueues. Returns false once the log is poisoned.
-    fn group_sync_pass(&self) -> bool {
-        let mut w = self.writer.lock();
-        if w.poisoned {
-            let mut p = self.group.as_ref().unwrap().progress.lock();
-            p.failed = p.failed.max(w.written_seq);
-            p.poisoned = true;
-            self.group.as_ref().unwrap().cv.notify_all();
-            return false;
+    /// A record nobody waits on was written at `seq`: wake the sweeper if
+    /// it found the log clean, so the record is fsynced within the group
+    /// interval even with no other traffic.
+    fn arm_sweeper(&self, seq: u64) {
+        let Some(g) = self.group.as_ref() else {
+            return;
+        };
+        let mut p = g.progress.lock();
+        p.unwaited = p.unwaited.max(seq);
+        if p.sweeper_parked {
+            p.sweeper_parked = false;
+            g.sweeper_cv.notify_one();
         }
-        if w.unsynced.is_empty() {
-            return true;
+    }
+
+    /// The sweeper thread: parked while the log is clean; once armed it
+    /// lets the unwaited records sit one group interval, then commits them
+    /// like any other caller. On shutdown it commits what is left and fails
+    /// whatever that could not cover, so no waiter outlives the log.
+    fn sweep(&self, interval: Duration) {
+        let g = self.group.as_ref().expect("sweeper runs in group mode");
+        let mut p = g.progress.lock();
+        while !p.shutdown {
+            if p.unwaited <= p.synced.max(p.failed) {
+                p.sweeper_parked = true;
+                g.sweeper_cv.wait(&mut p);
+                continue;
+            }
+            g.sweeper_cv.wait_for(&mut p, interval);
+            let seq = p.unwaited;
+            drop(p);
+            self.commit(seq, None);
+            p = g.progress.lock();
+        }
+        drop(p);
+        let written = self.writer.lock().written_seq;
+        self.commit(written, None);
+        let mut p = g.progress.lock();
+        p.failed = p.failed.max(written);
+        g.cv.notify_all();
+    }
+
+    /// The leader's I/O: fsync every frame written so far through the
+    /// ladder, retract abandoned enqueues, and publish what is now durable
+    /// or lost — still under the writer lock, so the verdict and a
+    /// concurrent `poison` cannot pass each other.
+    fn sync_pass(&self, g: &GroupCommit) {
+        // Whoever was already queued on the writer lock when this leader
+        // was elected writes first, and so rides this fsync, not the next.
+        let due = self.arrived.load(Ordering::SeqCst);
+        let mut w = self.writer.lock();
+        while w.admitted < due {
+            drop(w);
+            std::thread::yield_now();
+            w = self.writer.lock();
         }
         let covered = w.written_seq;
-        let mut ok = {
-            let _g = self.io_guard();
-            w.out.sync().is_ok()
+        // With nothing left to sync, whatever `synced` does not already
+        // cover was dropped by the kill or given up by a re-arm.
+        let syncable = !w.poisoned && !w.unsynced.is_empty();
+        let fsync = |w: &mut Writer, rotated: bool| {
+            if rotated {
+                w.out.write_all(&w.unsynced)?;
+                w.out.flush()?;
+            }
+            w.out.sync().inspect_err(|_| self.emit("fsync_error"))
         };
-        if !ok {
-            self.bump(&self.stats.fsync_errors);
-            self.emit("fsync_error");
-            for i in 0..self.opts.retry_limit {
-                self.bump(&self.stats.retries);
-                std::thread::sleep(Duration::from_millis(
-                    self.opts.retry_backoff_ms * (i as u64 + 1),
-                ));
-                let _g = self.io_guard();
-                if w.out.sync().is_ok() {
-                    ok = true;
-                    break;
-                }
-                self.bump(&self.stats.fsync_errors);
-            }
-        }
-        if !ok && self.rotate_locked(&mut w) {
-            // Rewrite everything the failed segment may have dropped, then
-            // barrier the fresh segment.
-            let unsynced = std::mem::take(&mut w.unsynced);
-            let _g = self.io_guard();
-            ok =
-                w.out.write_all(&unsynced).is_ok() && w.out.flush().is_ok() && w.out.sync().is_ok();
-            if !ok {
-                w.unsynced = unsynced;
-            }
-        }
-        let g = self.group.as_ref().unwrap();
-        if ok {
+        let durable = syncable && self.ladder_locked(&mut w, |s| &mut s.fsync_errors, fsync);
+        if durable {
             w.unsynced.clear();
-            let retract: Vec<_> = std::mem::take(&mut *self.abandoned.lock());
-            for (id, tenant) in retract {
-                if w.pending.contains_key(&id) {
-                    let rec = WalRecord::Completed {
-                        id,
-                        ok: false,
-                        tenant,
-                    };
-                    let _ = self.append_locked(&mut w, &rec);
+            // (An enqueue that has completed since is `Skipped`.)
+            for (id, tenant) in std::mem::take(&mut *self.abandoned.lock()) {
+                let rec = WalRecord::Completed {
+                    id,
+                    ok: false,
+                    tenant,
+                };
+                if let (_, Some(seq)) = self.append_locked(&mut w, &rec, &encode_frame(&rec)) {
+                    self.arm_sweeper(seq);
                 }
             }
-            let mut p = g.progress.lock();
-            p.synced = p.synced.max(covered);
-            g.cv.notify_all();
-        } else {
-            match self.opts.on_error {
-                WalOnError::Degrade => {
-                    self.enter_degraded_locked(&mut w);
-                    w.unsynced.clear();
-                }
-                WalOnError::Reject => {}
-            }
-            let mut p = g.progress.lock();
-            p.failed = p.failed.max(covered);
-            g.cv.notify_all();
+        } else if syncable && self.opts.on_error == WalOnError::Degrade {
+            self.enter_degraded_locked(&mut w);
+            w.unsynced.clear();
         }
-        true
+        let mut p = g.progress.lock();
+        if durable {
+            p.synced = p.synced.max(covered);
+        } else {
+            p.failed = p.failed.max(covered);
+        }
     }
 }
 
@@ -986,11 +995,8 @@ impl Wal {
         opts: WalOptions,
         storage: Arc<dyn Storage>,
     ) -> std::io::Result<Self> {
-        let seg_index = discover_segments(storage.as_ref(), path)
-            .last()
-            .map(|(i, _)| *i)
-            .unwrap_or(0)
-            + 1;
+        let existing = discover_segments(storage.as_ref(), path);
+        let seg_index = existing.last().map_or(0, |(i, _)| *i) + 1;
         let out = storage.open_append(&segment_path(path, seg_index))?;
         let opts = WalOptions {
             snapshot_every: opts.snapshot_every.max(1),
@@ -999,8 +1005,7 @@ impl Wal {
         let group = matches!(opts.fsync, FsyncPolicy::Group { .. }).then(|| GroupCommit {
             progress: Mutex::new(CommitProgress::default()),
             cv: Condvar::new(),
-            shutdown: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
+            sweeper_cv: Condvar::new(),
         });
         let inner = Arc::new(Inner {
             path: path.to_path_buf(),
@@ -1017,44 +1022,27 @@ impl Wal {
                 degraded_since_ms: 0,
                 written_seq: 0,
                 unsynced: Vec::new(),
+                older_segments: !existing.is_empty(),
+                admitted: 0,
             }),
             epoch: Instant::now(),
             io_started: AtomicU64::new(0),
-            stats: IoStats::default(),
+            arrived: AtomicU64::new(0),
+            stats: Mutex::new(WalIoCounts::default()),
             notify: Mutex::new(None),
             group,
             abandoned: Mutex::new(Vec::new()),
         });
-        let flusher = if let FsyncPolicy::Group { interval_ms } = inner.opts.fsync {
-            let tick = Duration::from_millis(interval_ms.max(1));
-            let inner2 = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || loop {
-                        let g = inner2.group.as_ref().unwrap();
-                        let stop = {
-                            let mut s = g.shutdown.lock();
-                            if !*s {
-                                g.shutdown_cv.wait_for(&mut s, tick);
-                            }
-                            *s
-                        };
-                        inner2.group_sync_pass();
-                        if stop {
-                            let mut p = g.progress.lock();
-                            let written = inner2.writer.lock().written_seq;
-                            p.failed = p.failed.max(written);
-                            g.cv.notify_all();
-                            break;
-                        }
-                    })
-                    .expect("spawn wal-flusher"),
-            )
-        } else {
-            None
+        let sweeper = match inner.opts.fsync {
+            FsyncPolicy::Group { interval_ms } => {
+                let inner = Arc::clone(&inner);
+                let interval = Duration::from_millis(interval_ms.max(1));
+                let thread = std::thread::Builder::new().name("wal-sweeper".into());
+                Some(thread.spawn(move || inner.sweep(interval))?)
+            }
+            _ => None,
         };
-        Ok(Self { inner, flusher })
+        Ok(Self { inner, sweeper })
     }
 
     pub fn path(&self) -> &Path {
@@ -1073,25 +1061,32 @@ impl Wal {
     /// anything but `Landed`/`NotDurable` as a shed.
     pub fn append(&self, rec: &WalRecord) -> AppendOutcome {
         if self.inner.stall_gate_tripped() {
-            self.inner.bump(&self.inner.stats.stall_sheds);
+            self.inner.bump(|s| &mut s.stall_sheds);
             self.inner.emit("stall_shed");
             return AppendOutcome::Stalled;
         }
+        let frame = encode_frame(rec);
         let (out, seq) = {
+            self.inner.arrived.fetch_add(1, Ordering::SeqCst);
             let mut w = self.inner.writer.lock();
-            self.inner.append_locked(&mut w, rec)
+            w.admitted += 1;
+            self.inner.append_locked(&mut w, rec, &frame)
         };
         match (out, seq) {
             (AppendOutcome::Landed, Some(seq)) if Self::must_wait(rec) => {
-                self.inner.wait_group(seq, rec)
+                self.inner.commit(seq, Some(rec))
+            }
+            (AppendOutcome::Landed, Some(seq)) => {
+                self.inner.arm_sweeper(seq);
+                out
             }
             _ => out,
         }
     }
 
     /// Only acceptance (`Enqueued`) and the result barrier (`Completed`)
-    /// wait for the covering group fsync; dequeues/sheds/snapshots are
-    /// books-only and ride the next tick.
+    /// wait for the covering group fsync; dequeues/sheds/lease records are
+    /// books-only: they ride the next commit, or the sweeper's.
     fn must_wait(rec: &WalRecord) -> bool {
         matches!(
             rec,
@@ -1123,7 +1118,7 @@ impl Wal {
         let mut snap = fill();
         snap.pending = w.pending.values().cloned().collect();
         let rec = WalRecord::Snapshot { snap };
-        let (out, _) = self.inner.append_locked(&mut w, &rec);
+        let (out, seq) = self.inner.append_locked(&mut w, &rec, &encode_frame(&rec));
         if !out.is_landed() {
             return false;
         }
@@ -1136,7 +1131,10 @@ impl Wal {
         ) {
             let _g = self.inner.io_guard();
             if w.out.sync().is_err() {
-                self.inner.bump(&self.inner.stats.fsync_errors);
+                self.inner.bump(|s| &mut s.fsync_errors);
+                if let Some(seq) = seq {
+                    self.inner.arm_sweeper(seq);
+                }
                 return true; // snapshot landed; just skip compaction
             }
             if let Some(g) = self.inner.group.as_ref() {
@@ -1147,16 +1145,20 @@ impl Wal {
                 g.cv.notify_all();
             }
         }
-        let current = w.seg_index;
-        let mut retired = false;
-        for (idx, p) in discover_segments(self.inner.storage.as_ref(), &self.inner.path) {
-            if idx < current && self.inner.storage.remove(&p).is_ok() {
-                self.inner.bump(&self.inner.stats.segments_retired);
-                retired = true;
+        if w.older_segments {
+            let older: Vec<_> = discover_segments(self.inner.storage.as_ref(), &self.inner.path)
+                .into_iter()
+                .filter(|(idx, _)| *idx < w.seg_index)
+                .collect();
+            let retired = older
+                .iter()
+                .filter(|(_, p)| self.inner.storage.remove(p).is_ok())
+                .count() as u64;
+            w.older_segments = retired < older.len() as u64;
+            self.inner.stats.lock().segments_retired += retired;
+            if retired > 0 {
+                self.inner.emit("compact");
             }
-        }
-        if retired {
-            self.inner.emit("compact");
         }
         true
     }
@@ -1175,11 +1177,13 @@ impl Wal {
     /// had died at this instant. Used by `Worker::kill` and the chaos
     /// harness; never by graceful drain.
     pub fn poison(&self) {
-        self.inner.writer.lock().poisoned = true;
+        let mut w = self.inner.writer.lock();
+        w.poisoned = true;
         if let Some(g) = self.inner.group.as_ref() {
-            let written = self.inner.writer.lock().written_seq;
+            // Still under the writer lock: a leader that finds the log
+            // poisoned finds its waiters already told so.
             let mut p = g.progress.lock();
-            p.failed = p.failed.max(written);
+            p.failed = p.failed.max(w.written_seq);
             p.poisoned = true;
             g.cv.notify_all();
         }
@@ -1206,7 +1210,7 @@ impl Wal {
 
     /// I/O health counters for `/status` and session digests.
     pub fn io_counts(&self) -> WalIoCounts {
-        self.inner.stats.counts()
+        *self.inner.stats.lock()
     }
 
     /// Number of incomplete invocations in the log's book (drain progress).
@@ -1218,10 +1222,10 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         if let Some(g) = self.inner.group.as_ref() {
-            *g.shutdown.lock() = true;
-            g.shutdown_cv.notify_all();
+            g.progress.lock().shutdown = true;
+            g.sweeper_cv.notify_all();
         }
-        if let Some(h) = self.flusher.take() {
+        if let Some(h) = self.sweeper.take() {
             let _ = h.join();
         }
     }
@@ -1311,12 +1315,7 @@ fn apply_record(st: &mut ReplayState, cur: &mut ReplayCursor, rec: WalRecord) {
             tenant_entry(&mut st.tenants, &inv.tenant).admitted += 1;
             cur.pending.insert(inv.id, inv);
         }
-        WalRecord::Dequeued { id } => {
-            if let Some(p) = cur.pending.get_mut(&id) {
-                p.dequeued = true;
-            }
-        }
-        WalRecord::LeaseIssued { id, .. } => {
+        WalRecord::Dequeued { id } | WalRecord::LeaseIssued { id, .. } => {
             if let Some(p) = cur.pending.get_mut(&id) {
                 p.dequeued = true;
             }
@@ -1873,113 +1872,438 @@ mod tests {
         cleanup(&p);
     }
 
+    /// A disk whose fsyncs the test holds: while the gate is held every
+    /// `sync()` blocks after announcing itself, so a test can park a leader
+    /// inside its fsync, arrange the followers, and then let it return — no
+    /// sleeps. It also scripts fsync failures, counts directory listings and
+    /// keeps an order log of frames written, fsyncs returned and (pushed by
+    /// the tests themselves) appends returned.
+    #[derive(Default)]
+    struct Gate {
+        st: Mutex<GateState>,
+        cv: Condvar,
+        lists: AtomicU64,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        held: bool,
+        /// fsyncs that reached the disk / that returned.
+        entered: u64,
+        done: u64,
+        /// These fsyncs fail, numbered from 1 in the order they arrive.
+        fail: Vec<u64>,
+        log: Vec<(&'static str, u64)>,
+    }
+
+    impl Gate {
+        fn hold(&self) {
+            self.st.lock().held = true;
+        }
+        fn open(&self) {
+            self.st.lock().held = false;
+            self.cv.notify_all();
+        }
+        /// Block until `n` fsyncs have reached the disk (5 s bound, so a
+        /// broken protocol fails the test instead of hanging it).
+        fn wait_entered(&self, n: u64) {
+            let mut st = self.st.lock();
+            while st.entered < n {
+                let r = self.cv.wait_for(&mut st, Duration::from_secs(5));
+                assert!(!r.timed_out(), "fsync #{n} never reached the disk");
+            }
+        }
+        fn syncs(&self) -> u64 {
+            self.st.lock().done
+        }
+        fn log(&self, what: &'static str, id: u64) {
+            self.st.lock().log.push((what, id));
+        }
+    }
+
+    struct GateStorage(Arc<Gate>);
+
+    struct GateFile {
+        f: Box<dyn StorageFile>,
+        gate: Arc<Gate>,
+    }
+
+    impl StorageFile for GateFile {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            for rec in scan_frames(buf).records {
+                self.gate.log(rec.op_label(), rec.trace_id().unwrap_or(0));
+            }
+            self.f.write_all(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.f.flush()
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            let mut st = self.gate.st.lock();
+            st.entered += 1;
+            self.gate.cv.notify_all();
+            while st.held {
+                self.gate.cv.wait(&mut st);
+            }
+            let fail = st.fail.contains(&st.entered);
+            drop(st);
+            let r = if fail {
+                Err(io::Error::other("injected fsync error"))
+            } else {
+                self.f.sync()
+            };
+            let mut st = self.gate.st.lock();
+            st.done += 1;
+            let n = st.done;
+            st.log
+                .push((if r.is_ok() { "synced" } else { "sync_failed" }, n));
+            r
+        }
+    }
+
+    impl Storage for GateStorage {
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(GateFile {
+                f: RealStorage.open_append(path)?,
+                gate: Arc::clone(&self.0),
+            }))
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealStorage.read(path)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealStorage.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            self.0.lists.fetch_add(1, Ordering::Relaxed);
+            RealStorage.list(dir)
+        }
+    }
+
+    /// Group commit whose sweep interval is 10 s: nothing that passes
+    /// under these options depends on a tick.
+    fn no_tick() -> WalOptions {
+        WalOptions {
+            fsync: FsyncPolicy::Group {
+                interval_ms: 10_000,
+            },
+            ..WalOptions::default()
+        }
+    }
+
+    /// A log over a [`Gate`].
+    fn gated(name: &str, opts: WalOptions) -> (PathBuf, Arc<Gate>, Arc<Wal>) {
+        let p = tmp(name);
+        let gate = Arc::new(Gate::default());
+        let wal = Wal::open_with(&p, opts, Arc::new(GateStorage(Arc::clone(&gate)))).unwrap();
+        (p, gate, Arc::new(wal))
+    }
+
+    fn enq(id: u64) -> WalRecord {
+        WalRecord::Enqueued {
+            inv: inv(id, "f-1", None),
+        }
+    }
+
+    /// Append `rec` on its own thread, logging its return on the gate.
+    fn spawn_append(
+        wal: &Arc<Wal>,
+        gate: &Arc<Gate>,
+        rec: WalRecord,
+    ) -> std::thread::JoinHandle<AppendOutcome> {
+        let (wal, gate) = (Arc::clone(wal), Arc::clone(gate));
+        std::thread::spawn(move || {
+            let out = wal.append(&rec);
+            gate.log("returned", rec.trace_id().unwrap_or(0));
+            out
+        })
+    }
+
+    /// What `append` does up to the point where it would call `commit`:
+    /// the frame is written and booked, nobody waits for it yet.
+    fn write_only(wal: &Wal, rec: &WalRecord) -> u64 {
+        let mut w = wal.inner.writer.lock();
+        let (out, seq) = wal.inner.append_locked(&mut w, rec, &encode_frame(rec));
+        assert!(out.is_landed());
+        seq.expect("group mode numbers its frames")
+    }
+
+    /// Park a leader inside a held fsync (`Enqueued` 1), then start `n`
+    /// more appends (`Enqueued` 2..) and return once every one of them has
+    /// reached the writer lock. The caller opens the gate.
+    fn burst_behind_a_held_fsync(
+        wal: &Arc<Wal>,
+        gate: &Arc<Gate>,
+        n: u64,
+    ) -> Vec<std::thread::JoinHandle<AppendOutcome>> {
+        gate.hold();
+        let entered = gate.st.lock().entered;
+        let arrived = wal.inner.arrived.load(Ordering::SeqCst);
+        let mut threads = vec![spawn_append(wal, gate, enq(1))];
+        gate.wait_entered(entered + 1);
+        threads.extend((2..2 + n).map(|id| spawn_append(wal, gate, enq(id))));
+        while wal.inner.arrived.load(Ordering::SeqCst) < arrived + 1 + n {
+            std::thread::yield_now();
+        }
+        threads
+    }
+
+    #[test]
+    fn a_lone_append_commits_itself_without_waiting_for_a_tick() {
+        let (p, gate, wal) = gated("lone", no_tick());
+        let t0 = Instant::now();
+        assert_eq!(wal.append(&enq(1)), AppendOutcome::Landed);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "one fsync, not the 10 s sweep interval"
+        );
+        assert_eq!(gate.syncs(), 1);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn appends_behind_a_held_fsync_all_ride_the_next_one() {
+        let (p, gate, wal) = gated("ride", no_tick());
+        let threads = burst_behind_a_held_fsync(&wal, &gate, 4);
+        assert_eq!(gate.syncs(), 0, "nobody returns while fsync #1 is held");
+        assert!(threads.iter().all(|t| !t.is_finished()));
+        gate.open();
+        for t in threads {
+            assert_eq!(t.join().unwrap(), AppendOutcome::Landed);
+        }
+        assert_eq!(
+            gate.syncs(),
+            2,
+            "one fsync for the leader, one for the rest"
+        );
+        // No append returned before the fsync covering its frame did.
+        let log = gate.st.lock().log.clone();
+        for id in 1..=5 {
+            let at = |what| log.iter().position(|e| *e == (what, id)).unwrap();
+            let covering = log[at("enqueued")..]
+                .iter()
+                .position(|e| e.0 == "synced")
+                .expect("a later fsync covers the frame");
+            assert!(at("enqueued") + covering < at("returned"), "{log:?}");
+        }
+        cleanup(&p);
+    }
+
+    #[test]
+    fn a_failed_covering_fsync_fails_every_covered_waiter_and_the_next_append_leads() {
+        for on_error in [WalOnError::Degrade, WalOnError::Reject] {
+            let opts = WalOptions {
+                on_error,
+                retry_limit: 1,
+                retry_backoff_ms: 0,
+                rearm_after_ms: 0,
+                ..no_tick()
+            };
+            let (p, gate, wal) = gated("failed", opts);
+            let mut threads = burst_behind_a_held_fsync(&wal, &gate, 3);
+            // fsync #1 lands its leader; the pass covering the other three
+            // fails its whole ladder: sync, retry, sync on a fresh segment.
+            gate.st.lock().fail = vec![2, 3, 4];
+            gate.open();
+            assert_eq!(threads.remove(0).join().unwrap(), AppendOutcome::Landed);
+            for t in threads {
+                assert_eq!(t.join().unwrap(), AppendOutcome::NotDurable);
+            }
+            assert_eq!(wal.is_degraded(), on_error == WalOnError::Degrade);
+            let c = wal.io_counts();
+            assert_eq!((c.fsync_errors, c.retries, c.rotations), (3, 1, 1));
+            // The next append elects a new leader (re-arming first under
+            // `degrade`) and lands.
+            assert_eq!(wal.append(&enq(9)), AppendOutcome::Landed);
+            assert!(!wal.is_degraded());
+            cleanup(&p);
+        }
+    }
+
+    #[test]
+    fn poison_during_a_held_fsync_strands_nobody() {
+        let (p, gate, wal) = gated("poison-held", no_tick());
+        // Three frames written ahead of the leader: its fsync covers them,
+        // so their waiters are followers parked on it.
+        let seqs: Vec<u64> = (2..5).map(|id| write_only(&wal, &enq(id))).collect();
+        gate.hold();
+        let leader = spawn_append(&wal, &gate, enq(1));
+        gate.wait_entered(1);
+        let follow = |seq| {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.inner.commit(seq, Some(&enq(0))))
+        };
+        let followers: Vec<_> = seqs.into_iter().map(follow).collect();
+        // The kill takes effect when it gets the writer lock, behind the
+        // fsync: what that fsync covers is durable and says so, everything
+        // after it is dropped — including waiters whose frame is written.
+        let killer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.poison())
+        };
+        assert!(!leader.is_finished() && !killer.is_finished());
+        gate.open();
+        assert_eq!(leader.join().unwrap(), AppendOutcome::Landed);
+        for f in followers {
+            assert_eq!(f.join().unwrap(), AppendOutcome::Landed);
+        }
+        killer.join().unwrap();
+        assert_eq!(wal.append(&enq(9)), AppendOutcome::Poisoned);
+        assert_eq!(gate.syncs(), 1);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn poison_wakes_every_uncovered_waiter_poisoned() {
+        let (p, gate, wal) = gated("poison-wakes", no_tick());
+        let seqs: Vec<u64> = (1..5).map(|id| write_only(&wal, &enq(id))).collect();
+        wal.poison();
+        for seq in seqs {
+            assert_eq!(
+                wal.inner.commit(seq, Some(&enq(0))),
+                AppendOutcome::Poisoned
+            );
+        }
+        assert_eq!(gate.syncs(), 0, "a poisoned log is never fsynced");
+        cleanup(&p);
+    }
+
+    #[test]
+    fn the_sweeper_commits_an_unwaited_record_and_parks_on_a_clean_log() {
+        let opts = WalOptions {
+            fsync: FsyncPolicy::Group { interval_ms: 20 },
+            ..WalOptions::default()
+        };
+        let (p, gate, wal) = gated("sweeper", opts);
+        assert_eq!(wal.append(&enq(1)), AppendOutcome::Landed);
+        assert_eq!(gate.syncs(), 1);
+        // Nobody waits on a `Dequeued`; with no other traffic the sweeper
+        // fsyncs it one interval later.
+        assert_eq!(
+            wal.append(&WalRecord::Dequeued { id: 1 }),
+            AppendOutcome::Landed
+        );
+        gate.wait_entered(2);
+        // Clean log: the sweeper parks, and an idle log performs no fsync.
+        let parked = || {
+            wal.inner
+                .group
+                .as_ref()
+                .unwrap()
+                .progress
+                .lock()
+                .sweeper_parked
+        };
+        while !parked() {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(gate.syncs(), 2, "no timed wake-ups on a clean log");
+        assert!(parked());
+        cleanup(&p);
+    }
+
+    #[test]
+    fn drop_with_waiters_parked_releases_all_of_them() {
+        let (p, gate, wal) = gated("drop", no_tick());
+        let inner = Arc::clone(&wal.inner);
+        let seqs: Vec<u64> = (1..5).map(|id| write_only(&wal, &enq(id))).collect();
+        gate.hold();
+        // The first waiter leads into the held fsync, the rest follow it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        for seq in seqs {
+            let (inner, tx) = (Arc::clone(&inner), tx.clone());
+            std::thread::spawn(move || tx.send(inner.commit(seq, Some(&enq(0)))));
+            gate.wait_entered(1);
+        }
+        // The drop joins the sweeper, whose last commit follows the same
+        // leader: nothing may deadlock, and nobody is left behind.
+        let wal = Arc::try_unwrap(wal).ok().expect("sole owner");
+        let dropper = std::thread::spawn(move || drop(wal));
+        gate.open();
+        for _ in 0..4 {
+            let out = rx.recv_timeout(Duration::from_secs(5)).expect("released");
+            assert_eq!(out, AppendOutcome::Landed);
+        }
+        dropper.join().unwrap();
+        assert_eq!(gate.syncs(), 1, "one fsync covered every parked waiter");
+        cleanup(&p);
+    }
+
     #[test]
     fn group_commit_lands_appends_and_sheds_on_stall() {
-        let p = tmp("group");
-        struct StallScript {
-            stall_sync: AtomicU64,
-        }
-        struct StallStorage {
-            real: RealStorage,
-            script: Arc<StallScript>,
-        }
-        struct StallFile {
-            f: Box<dyn StorageFile>,
-            script: Arc<StallScript>,
-        }
-        impl StorageFile for StallFile {
-            fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-                self.f.write_all(buf)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                self.f.flush()
-            }
-            fn sync(&mut self) -> io::Result<()> {
-                let ms = self.script.stall_sync.swap(0, Ordering::SeqCst);
-                if ms > 0 {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                self.f.sync()
-            }
-        }
-        impl Storage for StallStorage {
-            fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-                Ok(Box::new(StallFile {
-                    f: self.real.open_append(path)?,
-                    script: Arc::clone(&self.script),
-                }))
-            }
-            fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-                self.real.read(path)
-            }
-            fn remove(&self, path: &Path) -> io::Result<()> {
-                self.real.remove(path)
-            }
-            fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-                self.real.list(dir)
-            }
-        }
-        let script = Arc::new(StallScript {
-            stall_sync: AtomicU64::new(0),
-        });
-        let storage = Arc::new(StallStorage {
-            real: RealStorage,
-            script: Arc::clone(&script),
-        });
-        // The deadline needs headroom over flusher-thread scheduling jitter
-        // (the whole workspace test suite may be hammering every core) while
-        // staying well under the 1.5 s scripted stall.
         let opts = WalOptions {
             fsync: FsyncPolicy::Group { interval_ms: 1 },
             append_deadline_ms: 600,
             ..WalOptions::default()
         };
-        let wal = Arc::new(Wal::open_with(&p, opts, storage).unwrap());
+        let (p, gate, wal) = gated("group", opts);
         // Healthy group commit: the append waits for the covering fsync.
-        assert_eq!(
-            wal.append(&WalRecord::Enqueued {
-                inv: inv(1, "f-1", None)
-            }),
-            AppendOutcome::Landed
-        );
-        // Stall the next fsync well past the deadline, then append: the
-        // waiter times out, is shed, and the flusher retracts it.
-        script.stall_sync.store(1_500, Ordering::SeqCst);
+        assert_eq!(wal.append(&enq(1)), AppendOutcome::Landed);
+        // The follower's frame is on the log before the disk stalls.
+        let follower_seq = write_only(&wal, &enq(3));
+        gate.hold();
+        let entered = gate.st.lock().entered;
+        let leader = spawn_append(&wal, &gate, enq(2));
+        gate.wait_entered(entered + 1);
+        // The follower is shed at its deadline while the leader rides the
+        // stall; the next leader retracts its enqueue.
         let t0 = Instant::now();
-        let out = wal.append(&WalRecord::Enqueued {
-            inv: inv(2, "f-1", None),
-        });
-        assert_eq!(out, AppendOutcome::Stalled);
-        assert!(
-            t0.elapsed() < Duration::from_millis(1_200),
-            "the caller was shed at the deadline, not blocked through the stall"
+        assert_eq!(
+            wal.inner.commit(follower_seq, Some(&enq(3))),
+            AppendOutcome::Stalled
         );
+        assert!(t0.elapsed() >= Duration::from_millis(600));
+        assert!(!leader.is_finished(), "the leader rides the stall out");
         // While the fsync is still stuck, the pre-write gate sheds without
         // even taking the writer lock.
-        std::thread::sleep(Duration::from_millis(200));
-        let out = wal.append(&WalRecord::Enqueued {
-            inv: inv(3, "f-1", None),
-        });
-        assert_eq!(out, AppendOutcome::Stalled);
-        // After the stall clears, appends land again and the abandoned
-        // enqueue has been retracted.
-        std::thread::sleep(Duration::from_millis(1_600));
-        assert!(wal
-            .append(&WalRecord::Enqueued {
-                inv: inv(4, "f-1", None)
-            })
-            .is_landed());
-        assert!(wal.io_counts().stall_sheds >= 2);
+        while !wal.inner.stall_gate_tripped() {
+            std::thread::yield_now();
+        }
+        assert_eq!(wal.append(&enq(4)), AppendOutcome::Stalled);
+        // The stall clears: the leader's record is durable, appends land
+        // again and the abandoned enqueue has been retracted.
+        gate.open();
+        assert_eq!(leader.join().unwrap(), AppendOutcome::Landed);
+        assert_eq!(wal.append(&enq(5)), AppendOutcome::Landed);
+        assert_eq!(wal.io_counts().stall_sheds, 2);
         assert_eq!(wal.io_counts().abandoned, 1);
         drop(Arc::try_unwrap(wal).ok().expect("sole owner"));
         let st = replay(&p).unwrap();
         let ids: Vec<u64> = st.pending.iter().map(|x| x.id).collect();
         assert_eq!(
             ids,
-            vec![1, 4],
+            vec![1, 2, 5],
             "the shed enqueue was retracted, never to be replayed as pending"
         );
         assert_eq!(st.counters.failed, 1, "retraction books as a failure");
+        cleanup(&p);
+    }
+
+    #[test]
+    fn snapshots_list_the_directory_only_while_an_older_segment_is_live() {
+        let (p, gate, wal) = gated("lists", no_tick());
+        assert!(wal.snapshot_with(WalSnapshot::default));
+        let lists = gate.lists.load(Ordering::Relaxed);
+        for id in 1..=1_000 {
+            write_only(&wal, &enq(id));
+            write_only(
+                &wal,
+                &WalRecord::Completed {
+                    id,
+                    ok: true,
+                    tenant: None,
+                },
+            );
+            assert!(wal.snapshot_with(WalSnapshot::default));
+        }
+        assert_eq!(gate.lists.load(Ordering::Relaxed), lists, "no rotation");
+        assert!(wal.inner.rotate_locked(&mut wal.inner.writer.lock()));
+        assert!(wal.snapshot_with(WalSnapshot::default));
+        assert!(wal.snapshot_with(WalSnapshot::default));
+        assert_eq!(gate.lists.load(Ordering::Relaxed), lists + 1);
+        assert_eq!(wal.io_counts().segments_retired, 1);
+        assert_eq!(discover_segments(&RealStorage, &p).len(), 1);
         cleanup(&p);
     }
 }

@@ -212,8 +212,8 @@ struct Shared {
     retrying: AtomicUsize,
     /// Multi-tenant admission control; a no-op pass-through when disabled.
     admission: AdmissionController,
-    /// Queue delay of the most recently dequeued invocation, ms — the
-    /// overload signal feeding best-effort shedding.
+    /// Queue delay of the most recently dequeued invocation, ms. Read it
+    /// through [`Shared::queue_delay_ms`].
     last_queue_delay_ms: AtomicU64,
     shutdown: AtomicBool,
     /// Queue write-ahead log; `None` when lifecycle journaling is disabled.
@@ -245,6 +245,19 @@ impl Shared {
     fn normalized_load(&self) -> f64 {
         (self.running.load(Ordering::Relaxed) + self.queue.len()) as f64
             / self.cfg.cores.max(1) as f64
+    }
+
+    /// The overload signal feeding best-effort shedding and `/status`: the
+    /// wait of the most recent dequeue while anything is still queued, 0 on
+    /// an empty queue — nobody is waiting, whatever the last one to leave
+    /// saw. (The raw reading is only written by a dequeue, so on its own it
+    /// latches: a worker shedding every arrival never dequeues again.)
+    fn queue_delay_ms(&self) -> u64 {
+        if self.queue.is_empty() {
+            0
+        } else {
+            self.last_queue_delay_ms.load(Ordering::Relaxed)
+        }
     }
 
     fn lifecycle_label(&self) -> &'static str {
@@ -366,8 +379,7 @@ impl Shared {
         if self.admission.enabled() {
             let tname = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
             tenant_weight = self.admission.weight_of(tname);
-            let queue_delay = self.last_queue_delay_ms.load(Ordering::Relaxed);
-            let verdict = self.admission.admit(tname, queue_delay);
+            let verdict = self.admission.admit(tname, self.queue_delay_ms());
             if verdict != AdmissionDecision::Admit {
                 let throttled = verdict == AdmissionDecision::Throttled;
                 let id = self.journal.begin(fqdn);
@@ -984,7 +996,7 @@ impl Worker {
             tenants: Vec::new(),
             lifecycle: s.lifecycle_label().to_string(),
             drain_pending: (s.queue.len() + s.running.load(Ordering::Relaxed)) as u64,
-            queue_delay_ms: s.last_queue_delay_ms.load(Ordering::Relaxed),
+            queue_delay_ms: s.queue_delay_ms(),
             cache_hits,
             cache_misses,
             cache_evictions,

@@ -159,3 +159,51 @@ fn guaranteed_tenant_unaffected_by_overload_shedding() {
     );
     assert_eq!(free.shed, free_shed);
 }
+
+#[test]
+fn overload_signal_clears_once_the_queue_drains() {
+    let clock = SystemClock::shared();
+    let backend = Arc::new(SimBackend::new(
+        Arc::clone(&clock),
+        SimBackendConfig {
+            time_scale: 0.05,
+            ..Default::default()
+        },
+    ));
+    let mut cfg = WorkerConfig::for_testing();
+    cfg.concurrency.limit = 1;
+    cfg.admission = AdmissionConfig {
+        enabled: true,
+        shed_queue_delay_ms: 5,
+        tenants: vec![TenantSpec::new("free").with_class(PriorityClass::BestEffort)],
+    };
+    let w = Worker::new(cfg, backend, clock);
+    w.register(spec("slow", 1500)).unwrap();
+
+    // A burst of best-effort work on one slot: all four are admitted on an
+    // idle worker, and the second one to leave the queue has waited 75 ms.
+    let burst: Vec<_> = (0..4)
+        .map(|_| w.async_invoke_tenant("slow-1", "{}", Some("free")).unwrap())
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while w.status().queue_delay_ms <= 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(matches!(
+        w.invoke_tenant("slow-1", "{}", Some("free")),
+        Err(InvokeError::Shed(_))
+    ));
+
+    // The queue drains. Every arrival is best-effort, so while the shed
+    // holds nothing is dequeued: a reading that only a dequeue can lower
+    // would shed this tenant forever on an empty queue.
+    for h in burst {
+        h.wait().unwrap();
+    }
+    assert_eq!(w.status().queue_delay_ms, 0, "nobody is waiting");
+    w.invoke_tenant("slow-1", "{}", Some("free"))
+        .expect("an idle worker admits best-effort work");
+    let stats = w.tenant_stats();
+    let free = stats.iter().find(|t| t.tenant == "free").unwrap();
+    assert_eq!((free.shed, free.served), (1, 5));
+}

@@ -324,9 +324,15 @@ impl KeepaliveSim {
         self.executing.len()
     }
 
-    /// Wait of the most recently started invocation, ms.
+    /// Wait of the most recently started invocation, ms, while anything is
+    /// still backlogged; 0 on an empty backlog (the worker's
+    /// `Shared::queue_delay_ms` rule — nobody is waiting).
     pub fn last_queue_delay_ms(&self) -> u64 {
-        self.last_queue_delay_ms
+        if self.backlog.is_empty() {
+            0
+        } else {
+            self.last_queue_delay_ms
+        }
     }
 
     /// Per-function warm residency at `now`: for each function with a

@@ -264,14 +264,13 @@ fn elastic(kind: ScalingPolicyKind, min: usize, max: usize) -> Replay {
     replay(&fns, cfg, chbl(), min, Some(c), &burst_trace())
 }
 
-// The two shrink tests run the concurrency-target controller: the tail of
-// the burst trace is one function, CH-BL keeps it on one worker, and the
-// worker's queue delay is that of its most recent dequeue — an idle
-// worker's reading never decays, so queue-delay control holds the fleet.
+// The tail of the burst trace is one function and CH-BL keeps it on one
+// worker: the others go idle, and an idle worker reports no queue delay, so
+// queue-delay control sees the quiet and shrinks the fleet.
 
 #[test]
 fn burst_grows_then_shrinks_the_fleet() {
-    let out = elastic(ScalingPolicyKind::ConcurrencyTarget, 1, 6);
+    let out = elastic(ScalingPolicyKind::ReactiveQueueDelay, 1, 6);
     let peak = out.fleet_sizes.iter().map(|&(_, n)| n).max().unwrap();
     assert!(peak >= 3, "burst must grow the fleet, peak {peak}");
     let last = out.fleet_sizes.last().unwrap().1;
@@ -284,7 +283,7 @@ fn burst_grows_then_shrinks_the_fleet() {
 
 #[test]
 fn scale_down_evictions_are_tracked_and_recovered() {
-    let out = elastic(ScalingPolicyKind::ConcurrencyTarget, 1, 6);
+    let out = elastic(ScalingPolicyKind::ReactiveQueueDelay, 1, 6);
     assert!(out.has(ScaleDirection::Down), "the quiet tail scales down");
     // The burst spread fns 1..8 over the scaled-up workers; draining them
     // strands warm containers, and the fleet answers each drain by handing

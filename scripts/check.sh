@@ -182,6 +182,29 @@ AutoscaleConfig AutoscaleConfig crates/autoscale/src/lib.rs
 EOF
 [[ $reach_fail -eq 0 ]] || exit 1
 
+echo "=== commit on demand (a durable accept waits for an fsync, never for a tick) ==="
+# In group mode one routine decides who fsyncs (`Inner::commit`: lead, or
+# follow the leader in flight), and the only clock on the must-wait path is
+# the caller's own append deadline. The group interval belongs to the
+# sweeper, which is just another caller of `commit` (DESIGN.md "Group
+# commit"). A fixed-interval flusher cost 35x capacity for six PRs.
+wal_src=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/wal.rs)
+wal_fn() { awk -v f="    fn $1(" 'index($0, f) == 1 { on = 1 } on { print } on && /^    }$/ { exit }' <<<"$wal_src"; }
+if [[ $(grep -c 'wait_for(' <<<"$wal_src") -ne 2 ||
+    $(wal_fn commit | grep -c 'wait_for(') -ne 1 ||
+    $(wal_fn sweep | grep -c 'wait_for(') -ne 1 ]]; then
+    echo "wal.rs waits on a timer outside commit()'s deadline wait and the sweeper" >&2
+    exit 1
+fi
+if wal_fn commit | grep -nE 'interval|sleep\('; then
+    echo "commit() consults the group interval or sleeps: a waiter's fsync must not wait for a tick" >&2
+    exit 1
+fi
+if [[ $(grep -c 'leading = true' <<<"$wal_src") -ne 1 || $(grep -c 'self\.sync_pass(' <<<"$wal_src") -ne 1 ]]; then
+    echo "a group-commit leader is elected, or the group fsync run, outside commit()" >&2
+    exit 1
+fi
+
 echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
 # Every seeded scenario must replay bit-identically: same seed, same
 # digest. --verify-determinism runs the scenario twice as fresh processes

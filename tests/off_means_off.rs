@@ -3,7 +3,9 @@
 //! optional subsystem, and runs only its three standing threads plus the
 //! executors its load called for — no thread per invocation. This is the
 //! in-tree zero-cost-when-off row the DESIGN.md keep-or-kill audit cites for
-//! every subsystem it keeps.
+//! every subsystem it keeps. And idle means idle: a worker whose group-commit
+//! WAL is *on* performs no fsync while nothing arrives — the log commits
+//! when asked, not when a clock says.
 //!
 //! One `#[test]` in a file of its own: `/proc/self/task` lists every thread
 //! of the process, so no sibling test may share it.
@@ -11,7 +13,10 @@
 mod common;
 
 use common::thread_names;
+use iluvatar::chaos::{disk_sites, DiskFaultPlanConfig, FaultyStorage};
+use iluvatar::core::config::{LifecycleConfig, WalConfig};
 use iluvatar::prelude::*;
+use iluvatar::sync::RealStorage;
 use iluvatar_core::TelemetrySink;
 use iluvatar_telemetry::VecSink;
 use std::collections::BTreeMap;
@@ -108,4 +113,62 @@ fn default_worker_runs_no_optional_subsystem() {
             "a default worker runs a `{optional}*` thread: {threads:?}"
         );
     }
+    drop(worker);
+    idle_group_commit_worker_performs_no_fsync();
+}
+
+/// A group-mode worker that has served (so its log has seen every record
+/// kind, the unwaited `Dequeued` included) and is then left alone for
+/// 100 ms: a fault-free `FaultyStorage` counts the fsyncs.
+fn idle_group_commit_worker_performs_no_fsync() {
+    let dir = std::env::temp_dir().join(format!("iluvatar-idle-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let disk = Arc::new(FaultyStorage::new(
+        Arc::new(RealStorage),
+        DiskFaultPlanConfig::default(),
+    ));
+    let fsyncs = || {
+        let seen = disk.plan().stats().sites;
+        let site = seen.iter().find(|s| s.0 == disk_sites::WAL_FSYNC_FAIL);
+        site.expect("the fsync site is registered").1
+    };
+    let clock: Arc<dyn Clock> = SystemClock::shared();
+    let backend = Arc::new(SimBackend::new(
+        Arc::clone(&clock),
+        SimBackendConfig {
+            time_scale: 0.01,
+            ..Default::default()
+        },
+    ));
+    let cfg = WorkerConfig {
+        lifecycle: LifecycleConfig {
+            wal: WalConfig {
+                fsync: "group".into(),
+                group_ms: 2,
+                ..Default::default()
+            },
+            ..LifecycleConfig::with_wal(dir.join("queue.wal").to_str().unwrap())
+        },
+        ..WorkerConfig::default()
+    };
+    let worker = Worker::new_with_storage(cfg, backend, clock, disk.clone());
+    worker
+        .register(FunctionSpec::new("f", "1").with_timing(100, 0))
+        .unwrap();
+    for _ in 0..5 {
+        worker.invoke("f-1", "{}").unwrap();
+    }
+    // Ten sweep intervals for the sweeper to find the log clean and park.
+    std::thread::sleep(Duration::from_millis(20));
+    let busy = fsyncs();
+    assert!(busy >= 10, "{busy} fsyncs for 5 durable invocations");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        fsyncs(),
+        busy,
+        "an idle group-commit log fsynced on a timer"
+    );
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
 }
