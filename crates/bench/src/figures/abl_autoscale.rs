@@ -182,8 +182,12 @@ impl Replay {
         let spawned = self.spawned.clone();
         self.integrate_to(t, &spawned.lock());
         self.fleet.note_arrival(&p.fqdn);
+        // Route on fresh loads: a probe round per arrival (production
+        // probes once per scrape period).
+        let cluster = self.fleet.cluster();
+        cluster.probe_round();
         // A full backlog is the only refusal, and the worker counts it.
-        if let Ok(served) = self.fleet.cluster().invoke(&p.fqdn, "") {
+        if let Ok(served) = cluster.invoke(&p.fqdn, "") {
             if let Some(drained_at) = self.stranded.remove(&p.fqdn) {
                 let init = if served.cold { p.init_ms } else { 0 };
                 self.recovery_ms.push(t - drained_at + init);

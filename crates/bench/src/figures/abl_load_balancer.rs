@@ -2,7 +2,7 @@
 //! round-robin and least-loaded. The production [`Cluster`] routes every
 //! trace event over eight virtual-time [`SimWorker`]s ("a large cluster can
 //! be simulated with multiple simulated workers", §3.4), on the load each
-//! worker itself reports.
+//! worker itself reports, probed afresh before every arrival.
 //!
 //! The paper's claim: CH-BL "runs functions on the same servers to maximize
 //! warm starts, and forwards them to other servers only when the server's
@@ -61,6 +61,9 @@ fn replay(trace: &SyntheticAzureTrace, policy: LbPolicy) -> Row {
     let cluster = Cluster::new(handles.collect(), policy);
     for e in &trace.events {
         clock.set(e.time_ms);
+        // Route on fresh loads: a probe round per arrival (production
+        // probes once per scrape period).
+        cluster.probe_round();
         // A full backlog is the only refusal, and the worker counts it.
         let _ = cluster.invoke(&trace.profiles[e.func as usize].fqdn, "");
     }

@@ -279,14 +279,6 @@ fn route(
             let mut wire = worker.status();
             wire.http_requests = served();
             wire.tenants = worker.tenant_stats();
-            wire.warm_residency = worker
-                .warm_residency()
-                .into_iter()
-                .map(|(fqdn, gb_s)| WireWarm {
-                    fqdn,
-                    gb_s: if gb_s.is_finite() { gb_s } else { 0.0 },
-                })
-                .collect();
             json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
         }
         (Method::Get, "/metrics") => Response::ok(exposition::render_worker(worker, served()))

@@ -72,6 +72,12 @@ pub struct WorkerStatus {
     /// (running + queued) / cores — the queue-aware load signal §4 argues
     /// is less stale and noisy than the OS load average.
     pub normalized_load: f64,
+    /// The denominator of `normalized_load`: each invocation the balancer
+    /// adds between probe rounds raises the load by `1 / cores`. 0 from a
+    /// peer that predates the field — the balancer then moves its view of
+    /// this worker only at probe rounds.
+    #[serde(default)]
+    pub cores: usize,
     pub completed: u64,
     pub dropped: u64,
     /// Invocations that reached dispatch but errored (backend failures).
@@ -129,8 +135,8 @@ pub struct WorkerStatus {
     /// fleet's least-warm scale-down victim signal. Always finite.
     #[serde(default)]
     pub warm_gb_s: f64,
-    /// Per-function warm residency — the fleet's handoff shopping list;
-    /// filled by the `/status` route, empty from [`Worker::status`].
+    /// Per-function warm residency — the fleet's handoff shopping list.
+    /// `warm_gb_s` is its sum: both come from one walk of the pool.
     #[serde(default)]
     pub warm_residency: Vec<WireWarm>,
     /// WAL degraded mode: the disk is failing, serving continues with
@@ -973,7 +979,18 @@ impl Worker {
         let pool = s.pool.stats();
         let (cache_hits, cache_misses, cache_evictions) =
             s.cache.as_ref().map(|c| c.totals()).unwrap_or((0, 0, 0));
-        let warm_gb_s: f64 = self.warm_residency().iter().map(|(_, g)| g).sum();
+        // The vendored serde_json writes non-finite floats as null; clamp
+        // so the wire form always parses back.
+        let finite = |g: f64| if g.is_finite() { g } else { 0.0 };
+        let warm_residency: Vec<WireWarm> = self
+            .warm_residency()
+            .into_iter()
+            .map(|(fqdn, gb_s)| WireWarm {
+                fqdn,
+                gb_s: finite(gb_s),
+            })
+            .collect();
+        let warm_gb_s = finite(warm_residency.iter().map(|w| w.gb_s).sum());
         WorkerStatus {
             name: s.cfg.name.clone(),
             queue_len: s.queue.len(),
@@ -982,6 +999,7 @@ impl Worker {
             used_mem_mb: pool.used_mb,
             free_mem_mb: s.pool.free_mb(),
             normalized_load: s.normalized_load(),
+            cores: s.cfg.cores.max(1),
             completed: s.completed.load(Ordering::Relaxed),
             dropped: s.dropped.load(Ordering::Relaxed),
             failed: s.failed.load(Ordering::Relaxed),
@@ -1000,14 +1018,8 @@ impl Worker {
             cache_hits,
             cache_misses,
             cache_evictions,
-            // The vendored serde_json writes non-finite floats as null;
-            // clamp so the wire form always parses back.
-            warm_gb_s: if warm_gb_s.is_finite() {
-                warm_gb_s
-            } else {
-                0.0
-            },
-            warm_residency: Vec::new(),
+            warm_gb_s,
+            warm_residency,
             wal_degraded: s.wal.as_ref().is_some_and(|w| w.is_degraded()),
             wal_non_durable: s.wal_non_durable.load(Ordering::Relaxed),
             wal_stall_sheds: s.wal_stall_shed.load(Ordering::Relaxed),
@@ -1979,6 +1991,26 @@ mod tests {
             .collect();
         // Some load should be visible while in flight (best effort).
         let _ = w.status();
+    }
+
+    #[test]
+    fn status_walks_the_warm_pool_once() {
+        let w = test_worker(WorkerConfig::for_testing());
+        w.register(spec("f", 50, 0, 64)).unwrap();
+        w.register(spec("g", 50, 0, 128)).unwrap();
+        w.prewarm("f-1").unwrap();
+        w.prewarm("g-1").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let st = w.status();
+        // The list and its total come from the same walk, so they agree to
+        // the bit — two walks would each read their own clock.
+        let listed: Vec<&str> = st.warm_residency.iter().map(|r| r.fqdn.as_str()).collect();
+        assert_eq!(listed, ["f-1", "g-1"]);
+        let sum: f64 = st.warm_residency.iter().map(|r| r.gb_s).sum();
+        assert!(st.warm_gb_s > 0.0);
+        assert_eq!(sum, st.warm_gb_s);
+        // The balancer's per-invocation step rides the same status.
+        assert_eq!(st.cores, WorkerConfig::for_testing().cores);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use iluvatar_cache::{CacheLookup, CacheStatus, ResultCache, TenantCacheStats};
 use iluvatar_containers::FunctionSpec;
 use iluvatar_core::{
     merge_span_exports, BreakdownReport, InvocationResult, InvokeError, SpanExport, TenantSnapshot,
-    Worker,
+    Worker, WorkerStatus,
 };
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind};
 use parking_lot::{Mutex, RwLock};
@@ -29,13 +29,35 @@ use std::time::{Duration, Instant};
 /// already dispatching before giving up and dispatching its own copy.
 const SINGLE_FLIGHT_WAIT_MS: u64 = 10_000;
 
-/// One health probe of a worker: its load plus whether it is draining.
-/// Draining workers are routed around but not treated as failed — they are
-/// finishing in-flight work and will either stop or return to service.
+/// One health probe of a worker: its load, whether it is draining, and how
+/// much load one more invocation adds. Draining workers are routed around
+/// but not treated as failed — they are finishing in-flight work and will
+/// either stop or return to service.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeResult {
     pub load: f64,
     pub draining: bool,
+    /// Load one more outstanding invocation adds: `1 / cores` for a worker
+    /// whose load is (running + queued) / cores. Between probe rounds the
+    /// balancer adds `step` per hop it has in flight to the worker. 0 when
+    /// the handle cannot say (a peer that omits `WorkerStatus.cores`, test
+    /// stubs): routing then moves only at probe rounds ("tick-only").
+    pub step: f64,
+}
+
+impl ProbeResult {
+    /// The probe a worker's status answers.
+    fn of_status(s: &WorkerStatus) -> Self {
+        Self {
+            load: s.normalized_load,
+            draining: matches!(s.lifecycle.as_str(), "draining" | "stopped"),
+            step: if s.cores > 0 {
+                1.0 / s.cores as f64
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 /// Queue/lifecycle detail one handle reports for fleet scaling decisions.
@@ -62,11 +84,12 @@ pub trait WorkerHandle: Send + Sync + 'static {
     /// The queue-aware normalized load the worker reports (§4).
     fn load(&self) -> f64;
     /// Health probe: load plus lifecycle. The default derives it from
-    /// [`load`](Self::load) and never reports draining.
+    /// [`load`](Self::load), never reports draining and has no step.
     fn probe(&self) -> ProbeResult {
         ProbeResult {
             load: self.load(),
             draining: false,
+            step: 0.0,
         }
     }
     fn register(&self, spec: FunctionSpec) -> Result<(), String>;
@@ -163,13 +186,11 @@ impl WorkerHandle for RemoteWorker {
 
     fn probe(&self) -> ProbeResult {
         match self.client.status() {
-            Ok(s) => ProbeResult {
-                load: s.normalized_load,
-                draining: matches!(s.lifecycle.as_str(), "draining" | "stopped"),
-            },
+            Ok(s) => ProbeResult::of_status(&s),
             Err(_) => ProbeResult {
                 load: f64::INFINITY,
                 draining: false,
+                step: 0.0,
             },
         }
     }
@@ -301,11 +322,7 @@ impl WorkerHandle for Worker {
     }
 
     fn probe(&self) -> ProbeResult {
-        let s = self.status();
-        ProbeResult {
-            load: s.normalized_load,
-            draining: s.lifecycle != "running",
-        }
+        ProbeResult::of_status(&self.status())
     }
 
     fn span_export(&self) -> Vec<SpanExport> {
@@ -532,6 +549,15 @@ struct Slot {
     /// Probe suppression deadline: a draining worker that sent a
     /// `Retry-After` is not re-probed until the hint expires.
     probe_after: Mutex<Option<Instant>>,
+    /// Load at the last probe round (`f64` bits); `+∞` when that round
+    /// found the slot empty, evicted, suppressed or draining.
+    probed: AtomicU64,
+    /// The last probe's per-invocation step (`f64` bits).
+    step: AtomicU64,
+    /// Hops this balancer has outstanding to the slot ([`InFlight`]).
+    inflight: AtomicU64,
+    /// `inflight` when the last probe was sent: the hops that probe saw.
+    inflight_at_probe: AtomicU64,
 }
 
 impl Slot {
@@ -550,11 +576,60 @@ impl Slot {
             breaker: Mutex::new(Breaker::new()),
             draining: AtomicBool::new(false),
             probe_after: Mutex::new(None),
+            probed: AtomicU64::new(f64::INFINITY.to_bits()),
+            step: AtomicU64::new(0),
+            inflight: AtomicU64::new(0),
+            inflight_at_probe: AtomicU64::new(0),
         }
     }
 
     fn routable(&self) -> bool {
         self.healthy.load(Ordering::Relaxed) && !self.draining.load(Ordering::Relaxed)
+    }
+
+    fn probed(&self) -> f64 {
+        f64::from_bits(self.probed.load(Ordering::Relaxed))
+    }
+
+    /// Record one probe round's reading; `inflight_at_probe` is what
+    /// `inflight` was when the probe was sent.
+    fn set_probed(&self, load: f64, step: f64, inflight_at_probe: u64) {
+        self.probed.store(load.to_bits(), Ordering::Relaxed);
+        self.step.store(step.to_bits(), Ordering::Relaxed);
+        self.inflight_at_probe
+            .store(inflight_at_probe, Ordering::Relaxed);
+    }
+
+    /// What routing reads: the last probe plus this balancer's own hops
+    /// since, `probed + (inflight − inflight_at_probe) × step`, clamped at
+    /// 0. `+∞` while the slot is empty or not routable (evicted or
+    /// draining since the last round).
+    fn estimate(&self) -> f64 {
+        if !self.present.load(Ordering::Relaxed) || !self.routable() {
+            return f64::INFINITY;
+        }
+        let delta = self.inflight.load(Ordering::Relaxed) as f64
+            - self.inflight_at_probe.load(Ordering::Relaxed) as f64;
+        let step = f64::from_bits(self.step.load(Ordering::Relaxed));
+        (self.probed() + delta * step).max(0.0)
+    }
+}
+
+/// One hop outstanding to a slot: counted into its `inflight` when taken,
+/// counted out when dropped — on every exit of the call, error and unwind
+/// included.
+struct InFlight<'a>(&'a Slot);
+
+impl<'a> InFlight<'a> {
+    fn enter(slot: &'a Slot) -> Self {
+        slot.inflight.fetch_add(1, Ordering::Relaxed);
+        Self(slot)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -565,9 +640,6 @@ pub struct Cluster {
     slots: Vec<Slot>,
     policy: PolicyState,
     forwarded: AtomicU64,
-    /// Cached loads, refreshed on each dispatch (stateless balancer —
-    /// loads come from worker status, not balancer bookkeeping).
-    loads: Mutex<Vec<f64>>,
     breaker_cfg: BreakerConfig,
     evictions: AtomicU64,
     rerouted: AtomicU64,
@@ -595,6 +667,8 @@ impl Cluster {
     /// A cluster with `capacity` slots (at least `workers.len()`), the
     /// first `workers.len()` of them occupied. Extra slots start empty and
     /// are filled by [`Cluster::attach`] (the autoscaler's scale-up path).
+    /// Construction runs the first probe round, so routing starts from
+    /// what the workers report.
     pub fn with_capacity(
         workers: Vec<Arc<dyn WorkerHandle>>,
         policy: LbPolicy,
@@ -612,11 +686,10 @@ impl Cluster {
             LbPolicy::LeastLoaded => PolicyState::LeastLoaded,
         };
         let mut workers = workers.into_iter();
-        Self {
+        let cluster = Self {
             policy,
             slots: (0..n).map(|i| Slot::new(i, workers.next())).collect(),
             forwarded: AtomicU64::new(0),
-            loads: Mutex::new(vec![0.0; n]),
             breaker_cfg: BreakerConfig {
                 failure_threshold: breaker_cfg.failure_threshold.max(1),
                 ..breaker_cfg
@@ -627,7 +700,9 @@ impl Cluster {
             tenant_cache: Mutex::new(vec![Vec::new(); n]),
             telemetry: OnceLock::new(),
             cache: OnceLock::new(),
-        }
+        };
+        cluster.probe_round();
+        cluster
     }
 
     /// Attach the canonical telemetry bus. First call wins; events emitted
@@ -871,46 +946,62 @@ impl Cluster {
         }
     }
 
-    pub(crate) fn refresh_loads(&self) -> Vec<f64> {
-        let mut loads = vec![f64::INFINITY; self.slots.len()];
-        for (i, l) in loads.iter_mut().enumerate() {
-            let Some(w) = self.handle(i) else { continue };
-            // Honour the worker's Retry-After: while the hint is live the
-            // worker is still draining by its own word — don't waste a
-            // probe on it, keep routing around.
-            if self.probe_suppressed(i) {
-                self.slots[i].draining.store(true, Ordering::Relaxed);
-                continue;
-            }
-            // Still cooling down: don't probe, keep routing around it.
-            if self.advance_breaker(i) == BreakerState::Open {
-                continue;
-            }
-            let p = w.probe();
-            if !p.load.is_finite() {
-                // The status poll failed: a breaker failure.
-                self.record_failure(i);
-            } else {
-                // The worker answered. Draining is not a failure — it
-                // closes the breaker but looks infinitely loaded so every
-                // load-aware policy routes around it.
-                self.record_success(i);
-                self.slots[i].draining.store(p.draining, Ordering::Relaxed);
-                if !p.draining {
-                    *l = p.load;
+    /// Probe every attached worker once — the only place the balancer asks
+    /// a worker for its load. Runs at construction, on every [`scrape`]
+    /// (the `LbApi` scrape tick) and after a fleet scale-up; routing reads
+    /// the per-slot estimate it leaves behind. Besides loads, the round is
+    /// the health check: it evicts workers whose probe failed, admits
+    /// attached and cooled-down ones through HalfOpen, refreshes draining
+    /// flags and honours `Retry-After` suppression. An Open breaker is
+    /// therefore readmitted, and a finished drain noticed, at the next
+    /// round — the scrape period is the staleness window.
+    ///
+    /// [`scrape`]: Cluster::scrape
+    pub fn probe_round(&self) {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let (mut load, mut step) = (f64::INFINITY, 0.0);
+            let at_probe = slot.inflight.load(Ordering::Relaxed);
+            if let Some(w) = self.handle(i) {
+                if self.probe_suppressed(i) {
+                    // Honour the worker's Retry-After: while the hint is
+                    // live the worker is still draining by its own word —
+                    // don't waste a probe on it, keep routing around.
+                    slot.draining.store(true, Ordering::Relaxed);
+                } else if self.advance_breaker(i) != BreakerState::Open {
+                    // (An Open breaker is still cooling down: no probe, and
+                    // routing keeps going around it.)
+                    let p = w.probe();
+                    if !p.load.is_finite() {
+                        // The status poll failed: a breaker failure.
+                        self.record_failure(i);
+                    } else {
+                        // The worker answered. Draining is not a failure —
+                        // it closes the breaker but looks infinitely loaded
+                        // so every load-aware policy routes around it.
+                        self.record_success(i);
+                        slot.draining.store(p.draining, Ordering::Relaxed);
+                        if !p.draining {
+                            (load, step) = (p.load, p.step);
+                        }
+                    }
                 }
             }
+            slot.set_probed(load, step, at_probe);
         }
-        *self.loads.lock() = loads.clone();
-        loads
     }
 
-    /// Choose the worker for `fqdn` under the configured policy.
+    /// Every slot's routing estimate, cluster order.
+    fn estimates(&self) -> Vec<f64> {
+        self.slots.iter().map(Slot::estimate).collect()
+    }
+
+    /// Choose the worker for `fqdn` under the configured policy. Reads the
+    /// per-slot estimates; never probes.
     pub fn pick(&self, fqdn: &str) -> usize {
         let n = self.slots.len();
         match &self.policy {
             PolicyState::ChBl(ring) => {
-                let loads = self.refresh_loads();
+                let loads = self.estimates();
                 let (w, hops) = ring.pick(fqdn, &loads);
                 if hops > 0 {
                     self.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -930,7 +1021,7 @@ impl Cluster {
                 choice
             }
             PolicyState::LeastLoaded => {
-                let loads = self.refresh_loads();
+                let loads = self.estimates();
                 (0..loads.len())
                     .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).unwrap())
                     .unwrap()
@@ -975,7 +1066,7 @@ impl Cluster {
             // not a worker failure, just reroute.
             return self.reroute(fqdn, args, tenant, w, InvokeError::ShuttingDown);
         };
-        match handle.invoke_tenant(fqdn, args, tenant) {
+        match self.hop(w, &*handle, fqdn, args, tenant) {
             Err(InvokeError::Backend(e)) => {
                 // The worker died mid-call: a breaker failure.
                 self.record_failure(w);
@@ -1049,6 +1140,20 @@ impl Cluster {
         }
     }
 
+    /// One call to the worker in slot `idx`, counted in the slot's
+    /// in-flight estimate for exactly as long as it is outstanding.
+    fn hop(
+        &self,
+        idx: usize,
+        handle: &dyn WorkerHandle,
+        fqdn: &str,
+        args: &str,
+        tenant: Option<&str>,
+    ) -> Result<InvocationResult, InvokeError> {
+        let _hop = InFlight::enter(&self.slots[idx]);
+        handle.invoke_tenant(fqdn, args, tenant)
+    }
+
     fn reroute(
         &self,
         fqdn: &str,
@@ -1061,7 +1166,7 @@ impl Cluster {
         let mut tried = vec![false; self.slots.len()];
         tried[failed] = true;
         loop {
-            let loads = self.loads.lock().clone();
+            let loads = self.estimates();
             let next = (0..self.slots.len())
                 .filter(|&i| {
                     !tried[i]
@@ -1093,7 +1198,7 @@ impl Cluster {
                 e.0 += 1;
                 e.1 += 1;
             }
-            match handle.invoke_tenant(fqdn, args, tenant) {
+            match self.hop(i, &*handle, fqdn, args, tenant) {
                 Err(InvokeError::Backend(e)) => {
                     self.record_failure(i);
                     err = InvokeError::Backend(e);
@@ -1154,21 +1259,18 @@ impl Cluster {
         out
     }
 
-    /// Slot states and counters as of the last probe round.
+    /// Slot states and counters; loads as of the last probe round.
     pub fn stats(&self) -> ClusterStats {
-        let loads = self.loads.lock().clone();
-        self.stats_with(&loads)
-    }
-
-    fn stats_with(&self, loads: &[f64]) -> ClusterStats {
         ClusterStats {
             slots: self
                 .slots
                 .iter()
-                .zip(loads)
-                .map(|(s, &load)| SlotStatus {
+                .map(|s| SlotStatus {
                     name: s.name.lock().clone(),
-                    load: if load.is_finite() { load } else { -1.0 },
+                    load: match s.probed() {
+                        load if load.is_finite() => load,
+                        _ => -1.0,
+                    },
                     dispatched: s.dispatched.load(Ordering::Relaxed),
                     healthy: s.healthy.load(Ordering::Relaxed),
                     breaker: s.breaker.lock().state.label().to_string(),
@@ -1185,16 +1287,16 @@ impl Cluster {
     /// Scrape every worker's status and span distributions and merge them
     /// into one cluster view (§5 aggregation).
     pub fn scrape(&self) -> ClusterSnapshot {
-        // The scrape doubles as the periodic health check: refresh_loads
-        // evicts workers whose status poll failed and readmits recovered
-        // ones, so the LB's scrape task keeps the health view current even
-        // when no invocations are flowing.
-        let loads = self.refresh_loads();
+        // The scrape is the periodic probe round: it refreshes the loads
+        // routing reads, evicts workers whose status poll failed and
+        // readmits recovered ones, so the LB's scrape task keeps both views
+        // current even when no invocations are flowing.
+        self.probe_round();
         let sets: Vec<Vec<SpanExport>> = (0..self.slots.len())
             .map(|i| self.handle(i).map(|w| w.span_export()).unwrap_or_default())
             .collect();
         ClusterSnapshot {
-            stats: self.stats_with(&loads),
+            stats: self.stats(),
             spans: merge_span_exports(&sets),
             tenants: self.tenant_rollup(),
         }
@@ -1311,6 +1413,11 @@ mod tests {
         *stubs[0].load.write() = 5.0;
         *stubs[1].load.write() = 0.1;
         *stubs[2].load.write() = 3.0;
+        // Routing keeps the construction round's view (all idle → slot 0)
+        // until the next probe round.
+        cluster.invoke("f-1", "{}").unwrap();
+        assert_eq!(stubs[0].calls.load(Ordering::SeqCst), 1, "old view");
+        cluster.probe_round();
         for _ in 0..4 {
             cluster.invoke("f-1", "{}").unwrap();
         }
@@ -1334,12 +1441,17 @@ mod tests {
             .position(|s| s.calls.load(Ordering::SeqCst) > 0)
             .unwrap();
         assert_eq!(cluster.stats().forwarded, 0);
-        // Overload the home: next invocation forwards.
+        // Overload the home: until a probe round reports it, routing keeps
+        // the old view and the home keeps the function.
         *stubs[home_idx].load.write() = 1_000.0;
+        cluster.invoke("sticky-1", "{}").unwrap();
+        assert_eq!(stubs[home_idx].calls.load(Ordering::SeqCst), 11, "old view");
+        // The scrape tick's round sees it: the next invocation forwards.
+        cluster.probe_round();
         cluster.invoke("sticky-1", "{}").unwrap();
         assert_eq!(
             stubs[home_idx].calls.load(Ordering::SeqCst),
-            10,
+            11,
             "overloaded home skipped"
         );
         assert_eq!(cluster.stats().forwarded, 1);
@@ -1402,8 +1514,8 @@ mod tests {
         );
     }
 
-    /// A stub whose invocations can be failed and whose probe reports a
-    /// settable draining flag.
+    /// A stub whose invocations can be failed or held, and whose probe
+    /// reports a settable draining flag and a step of 0.25 (four cores).
     struct FlakyWorker {
         name: String,
         fail: AtomicBool,
@@ -1411,6 +1523,8 @@ mod tests {
         retry_after_ms: AtomicU64,
         calls: AtomicU64,
         probes: AtomicU64,
+        /// An invocation waits here while a test holds the lock.
+        gate: Mutex<()>,
     }
 
     impl FlakyWorker {
@@ -1422,8 +1536,19 @@ mod tests {
                 retry_after_ms: AtomicU64::new(0),
                 calls: AtomicU64::new(0),
                 probes: AtomicU64::new(0),
+                gate: Mutex::new(()),
             })
         }
+    }
+
+    fn flaky_cluster(n: usize, policy: LbPolicy) -> (Vec<Arc<FlakyWorker>>, Arc<Cluster>) {
+        let workers: Vec<Arc<FlakyWorker>> =
+            (0..n).map(|i| FlakyWorker::new(&format!("w{i}"))).collect();
+        let handles: Vec<Arc<dyn WorkerHandle>> = workers
+            .iter()
+            .map(|w| Arc::clone(w) as Arc<dyn WorkerHandle>)
+            .collect();
+        (workers, Arc::new(Cluster::new(handles, policy)))
     }
 
     impl WorkerHandle for FlakyWorker {
@@ -1444,6 +1569,7 @@ mod tests {
             ProbeResult {
                 load: self.load(),
                 draining: self.draining.load(Ordering::SeqCst),
+                step: 0.25,
             }
         }
 
@@ -1452,6 +1578,7 @@ mod tests {
         }
 
         fn invoke(&self, _fqdn: &str, _args: &str) -> Result<InvocationResult, InvokeError> {
+            drop(self.gate.lock());
             if self.draining.load(Ordering::SeqCst) {
                 return Err(InvokeError::ShuttingDown);
             }
@@ -1510,7 +1637,7 @@ mod tests {
         // The worker recovers, but the cooldown hasn't elapsed: the scrape
         // must not probe it back in yet.
         flaky.fail.store(false, Ordering::SeqCst);
-        cluster.refresh_loads();
+        cluster.probe_round();
         assert_eq!(
             cluster.stats().slots[0].breaker,
             "open",
@@ -1519,7 +1646,7 @@ mod tests {
         // After the cooldown the next scrape goes HalfOpen and the
         // successful probe re-closes the breaker.
         std::thread::sleep(std::time::Duration::from_millis(40));
-        cluster.refresh_loads();
+        cluster.probe_round();
         let st = cluster.stats();
         assert_eq!(st.slots[0].breaker, "closed", "probe readmitted the worker");
         assert!(st.slots[0].healthy);
@@ -1545,7 +1672,7 @@ mod tests {
         assert_eq!(cluster.stats().evictions, 1);
         // Repeated failing probes bounce HalfOpen→Open without new edges.
         for _ in 0..3 {
-            cluster.refresh_loads();
+            cluster.probe_round();
         }
         let st = cluster.stats();
         assert_eq!(st.evictions, 1, "re-opening is not a new eviction");
@@ -1574,7 +1701,7 @@ mod tests {
         assert!(st.slots[0].draining, "but is flagged draining");
         // A scrape after the drain ends clears the flag.
         draining.draining.store(false, Ordering::SeqCst);
-        cluster.refresh_loads();
+        cluster.probe_round();
         let st = cluster.stats();
         assert!(!st.slots[0].draining);
         cluster.invoke("f-1", "{}").unwrap();
@@ -1599,7 +1726,7 @@ mod tests {
         // Scrapes during the suppression window must not probe w0 again,
         // and must keep reporting it as draining.
         for _ in 0..5 {
-            cluster.refresh_loads();
+            cluster.probe_round();
         }
         assert_eq!(
             draining.probes.load(Ordering::SeqCst),
@@ -1627,7 +1754,7 @@ mod tests {
         // Hint expires; the worker finishes draining and returns.
         std::thread::sleep(std::time::Duration::from_millis(30));
         draining.draining.store(false, Ordering::SeqCst);
-        cluster.refresh_loads();
+        cluster.probe_round();
         let st = cluster.stats();
         assert!(!st.slots[0].draining, "probe after expiry clears the flag");
         assert!(st.slots[0].healthy);
@@ -1660,7 +1787,7 @@ mod tests {
         );
         assert_eq!(st.slots[1].breaker, "open");
         // One probe round admits it (HalfOpen → Closed), no eviction edge.
-        cluster.refresh_loads();
+        cluster.probe_round();
         let st = cluster.stats();
         assert!(st.slots[1].healthy, "admission probe closed the breaker");
         assert_eq!(st.slots[1].breaker, "closed");
@@ -1699,7 +1826,7 @@ mod tests {
         assert_eq!(idx, 1, "freed slot is reused");
         // The slot's last-known name updated with the new tenant cache
         // reconciled (w1 reported no tenants here, so just no panic).
-        cluster.refresh_loads();
+        cluster.probe_round();
         assert!(cluster.stats().slots[1].healthy);
     }
 
@@ -1865,5 +1992,140 @@ mod tests {
         let report = cluster.breakdown();
         assert_eq!(report.source, "cluster");
         assert_eq!(report.invocations, 0, "stubs expose no breakdown");
+    }
+
+    fn probes(workers: &[Arc<FlakyWorker>]) -> Vec<u64> {
+        workers
+            .iter()
+            .map(|w| w.probes.load(Ordering::SeqCst))
+            .collect()
+    }
+
+    #[test]
+    fn routing_makes_no_request() {
+        for policy in [LbPolicy::ChBl(ChBlConfig::default()), LbPolicy::LeastLoaded] {
+            let (workers, cluster) = flaky_cluster(3, policy);
+            let before = probes(&workers);
+            assert_eq!(before, [1, 1, 1], "construction is one probe round");
+            for i in 0..1_000 {
+                // Halfway through a worker dies: its hop fails, the breaker
+                // trips and the reroute runs — still without a probe.
+                if i == 500 {
+                    workers[0].fail.store(true, Ordering::SeqCst);
+                }
+                cluster.invoke(&format!("f{}-1", i % 7), "{}").unwrap();
+            }
+            assert_eq!(probes(&workers), before, "1 000 invocations, no probe");
+            let served: u64 = workers.iter().map(|w| w.calls.load(Ordering::SeqCst)).sum();
+            assert_eq!(served, 1_000);
+        }
+    }
+
+    #[test]
+    fn own_hops_count_until_they_return() {
+        let (workers, cluster) = flaky_cluster(2, LbPolicy::LeastLoaded);
+        let held = workers[0].gate.lock();
+        // Both idle: the tie goes to slot 0, where the hop parks.
+        let c = Arc::clone(&cluster);
+        let parked = std::thread::spawn(move || c.invoke("f-1", "{}").unwrap());
+        while cluster.slots[0].inflight.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(cluster.slots[0].estimate(), 0.1 + 0.25, "probe + one step");
+        assert_eq!(cluster.slots[1].estimate(), 0.1);
+        assert_eq!(cluster.pick("f-1"), 1, "the next call goes to the idle one");
+        drop(held);
+        parked.join().unwrap();
+        assert_eq!(cluster.slots[0].estimate(), 0.1, "counted out on return");
+        assert_eq!(probes(&workers), [1, 1]);
+    }
+
+    /// Detaches the dispatch target from inside the dispatch event, i.e.
+    /// between `pick` and the hop — where a scale-down race lands.
+    #[derive(Default)]
+    struct DetachOnDispatch {
+        cluster: OnceLock<std::sync::Weak<Cluster>>,
+        armed: AtomicBool,
+        detached: Mutex<Option<Arc<dyn WorkerHandle>>>,
+    }
+
+    impl iluvatar_telemetry::TelemetrySink for DetachOnDispatch {
+        fn emit(&self, ev: &iluvatar_telemetry::TelemetryEvent) {
+            let TelemetryKind::Dispatch { target } = &ev.kind else {
+                return;
+            };
+            if !self.armed.swap(false, Ordering::SeqCst) {
+                return;
+            }
+            let cluster = self.cluster.get().and_then(|c| c.upgrade()).unwrap();
+            let idx = cluster.stats().slots.iter().position(|s| &s.name == target);
+            *self.detached.lock() = cluster.detach(idx.unwrap());
+        }
+    }
+
+    #[test]
+    fn every_exit_counts_its_hop_out() {
+        use iluvatar_sync::ManualClock;
+
+        let (workers, cluster) = flaky_cluster(3, LbPolicy::LeastLoaded);
+        let race = Arc::new(DetachOnDispatch::default());
+        race.cluster.set(Arc::downgrade(&cluster)).unwrap();
+        let bus = TelemetryBus::new("lb", Arc::new(ManualClock::starting_at(0)));
+        bus.add_sink(Arc::clone(&race) as Arc<dyn iluvatar_telemetry::TelemetrySink>);
+        cluster.set_telemetry(bus);
+
+        let mut exits = [0u32; 4];
+        for i in 0..1_000 {
+            let target = &workers[cluster.pick("f-1")];
+            // Successes, a `Backend` reroute, a 503 reroute, a detach between
+            // pick and dispatch.
+            let exit = [0, 0, 0, 1, 0, 2, 0, 3, 0, 0][i % 10];
+            match exit {
+                1 => target.fail.store(true, Ordering::SeqCst),
+                2 => target.draining.store(true, Ordering::SeqCst),
+                3 => race.armed.store(true, Ordering::SeqCst),
+                _ => {}
+            }
+            cluster.invoke("f-1", "{}").unwrap();
+            exits[exit] += 1;
+            if exit > 0 {
+                // Undo, and let the scrape tick's round readmit the worker.
+                target.fail.store(false, Ordering::SeqCst);
+                target.draining.store(false, Ordering::SeqCst);
+                if let Some(h) = race.detached.lock().take() {
+                    cluster.attach(h).unwrap();
+                }
+                cluster.probe_round();
+            }
+        }
+        assert_eq!(exits, [700, 100, 100, 100]);
+        let st = cluster.stats();
+        assert_eq!(st.rerouted, 300, "every non-success exit rerouted");
+        for (i, slot) in cluster.slots.iter().enumerate() {
+            assert_eq!(slot.inflight.load(Ordering::SeqCst), 0, "slot {i} leaked");
+            assert_eq!(slot.estimate(), slot.probed(), "slot {i}");
+        }
+    }
+
+    #[test]
+    fn open_breaker_is_readmitted_by_a_probe_round_not_an_invoke() {
+        let (workers, cluster) = flaky_cluster(2, LbPolicy::LeastLoaded);
+        workers[0].fail.store(true, Ordering::SeqCst);
+        cluster.invoke("f-1", "{}").unwrap();
+        assert_eq!(cluster.stats().slots[0].breaker, "open");
+        // Recovered, and the cooldown (0) long over: invocations still do
+        // not readmit it.
+        workers[0].fail.store(false, Ordering::SeqCst);
+        for _ in 0..5 {
+            cluster.invoke("f-1", "{}").unwrap();
+        }
+        assert_eq!(cluster.stats().slots[0].breaker, "open");
+        assert_eq!(workers[0].calls.load(Ordering::SeqCst), 0);
+        assert_eq!(workers[1].calls.load(Ordering::SeqCst), 6);
+        // The next round does, and traffic returns.
+        cluster.probe_round();
+        assert_eq!(cluster.stats().slots[0].breaker, "closed");
+        cluster.invoke("f-1", "{}").unwrap();
+        assert_eq!(workers[0].calls.load(Ordering::SeqCst), 1);
     }
 }

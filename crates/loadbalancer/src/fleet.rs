@@ -296,7 +296,7 @@ impl Fleet {
         }
         // New slots start unhealthy until their admission probe; run one
         // probe round now so the fleet change takes effect this interval.
-        self.cluster.refresh_loads();
+        self.cluster.probe_round();
         // Journal exactly what was attached, also when a later spawn failed.
         let event = ScaleEvent {
             t_ms: now_ms,
@@ -563,6 +563,7 @@ mod tests {
             ProbeResult {
                 load: self.load(),
                 draining: self.draining.load(Ordering::SeqCst),
+                step: 0.0,
             }
         }
 

@@ -8,6 +8,11 @@
 //! the real worker computes them. A driver steps a `ManualClock` through a
 //! trace and calls `cluster.invoke` / `fleet.tick`; nothing here decides
 //! where an invocation goes or how large the fleet is.
+//!
+//! An arrival is answered at once in virtual time, so the balancer never
+//! has a hop outstanding to a `SimWorker`: between probe rounds its view
+//! of one is simply the last probe. A driver that wants routing on fresh
+//! loads calls `cluster.probe_round()` before each `invoke`.
 
 use crate::keepalive::{Arrival, KeepaliveSim, SimConfig, SimOutcome};
 use iluvatar_core::{FunctionSpec, InvocationResult, InvokeError};
@@ -93,6 +98,7 @@ impl WorkerHandle for SimWorker {
         ProbeResult {
             load: self.load(),
             draining: self.is_draining(),
+            step: 1.0 / self.slots.max(1) as f64,
         }
     }
 

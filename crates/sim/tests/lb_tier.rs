@@ -76,6 +76,9 @@ fn sim_worker_keeps_the_worker_handle_contract() {
     assert_eq!(w1.load(), 3.0, "(executing + backlogged) / slots");
     assert!(w0.warm_profile()[0].1 > 0.0 && st.warm_gb_s == 0.0);
 
+    // A round-robin balancer whose only probe round (its construction) ran
+    // before the drain below: it has not heard of it.
+    let unaware = Cluster::new(handles(), LbPolicy::RoundRobin);
     let down = ScalingDecision::ScaleDown {
         remove: 1,
         reason: "test",
@@ -86,12 +89,11 @@ fn sim_worker_keeps_the_worker_handle_contract() {
     assert_eq!(fleet.handoffs(), 1, "f1 was prewarmed on the survivor");
 
     // A draining handle answers 503, and a balancer that has not heard of
-    // the drain (round robin never probes) re-routes on it: w0 takes both.
+    // the drain re-routes on it: w0 takes both.
     assert!(matches!(
         w1.invoke("f2", ""),
         Err(InvokeError::ShuttingDown)
     ));
-    let unaware = Cluster::new(handles(), LbPolicy::RoundRobin);
     let served: Vec<_> = (0..2).map(|_| unaware.invoke("f1", "").unwrap()).collect();
     assert!(!served[0].cold, "the handed-off container served f1 warm");
     assert_eq!(unaware.stats().rerouted, 1);
@@ -178,6 +180,8 @@ fn replay(
         if let Some(fleet) = &fleet {
             fleet.note_arrival(fqdn);
         }
+        // Fresh loads per arrival, as the LB-tier figures route.
+        cluster.probe_round();
         let served = cluster.invoke(fqdn, "");
         served.expect("the backlog cap is generous");
     }

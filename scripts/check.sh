@@ -79,7 +79,7 @@ echo "=== duplication guard (one cluster, one fleet) ==="
 # end of a file) and comments are exempt; the allow-list names the one
 # exception with its reason.
 LB_TIER_ALLOW="
-crates/bench/src/figures/abl_dispatch.rs  the push arm routes on a 250 ms-stale load vector and the real Cluster probes on every pick: no stale mode until push routing moves the probe to the scrape tick
+crates/bench/src/figures/abl_dispatch.rs  the push arm routes on a 250 ms-stale load vector with a private simulated pull plane beside it; moving both onto the real Cluster (probe rounds at the scrape period) and PullPlane is ROADMAP's abl_dispatch item
 "
 lb_tier_fail=0
 while read -r f; do
@@ -94,6 +94,27 @@ done < <(find src crates -name '*.rs' -not -path '*/tests/*' -not -path 'crates/
     -not -path 'crates/loadbalancer/*' -not -path 'crates/autoscale/*' | sort)
 if [[ $lb_tier_fail -ne 0 ]]; then
     echo "a CH-BL ring or a ScalingPolicy is driven outside crates/loadbalancer and crates/autoscale; build a Cluster / Fleet over WorkerHandles (iluvatar_sim::SimWorker in virtual time)" >&2
+    exit 1
+fi
+
+echo "=== routing never probes (the probe round is the only prober) ==="
+# `Cluster::pick`, `invoke_tenant` and `reroute` read per-slot estimates (last
+# probe + the balancer's own hops in flight); a worker is asked for its load
+# only by `probe_round`, which runs at construction, on the scrape tick and
+# after a fleet scale-up (DESIGN.md "Dispatch modes"). Probing on every pick
+# cost two GET /status per push invocation. Test code is exempt.
+probe_sites=$(for f in crates/loadbalancer/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { fn = substr($0, RSTART, RLENGTH); sub(/.* /, "", fn) }
+        /^ *\/\// { next }
+        /\.probe\(\)/ { print f ": " fn " calls .probe()" }
+        /probe_round\(/ && !/fn probe_round\(/ { print f ": " fn " calls probe_round()" }'
+done)
+bad_probes=$(grep -v -e ': probe_round calls \.probe()$' \
+    -e ': \(with_capacity\|scrape\|scale_up\) calls probe_round()$' <<<"$probe_sites" || true)
+if [[ -n "$bad_probes" ]]; then
+    echo "$bad_probes" >&2
+    echo "a worker is probed outside Cluster::probe_round, or a round runs outside construction, scrape and Fleet::scale_up; pick / invoke_tenant / reroute route on the estimates" >&2
     exit 1
 fi
 

@@ -63,6 +63,36 @@ fn chbl_over_http_workers() {
     assert_eq!(st.dispatched(), 12);
 }
 
+/// Routing makes no request of its own: N invocations through a CH-BL
+/// balancer cost the workers exactly N requests — the invokes — whatever
+/// the fleet size. (Probing on every pick cost one `/status` per worker
+/// per invocation on top.)
+#[test]
+fn routing_costs_no_worker_requests() {
+    for n in [2, 4] {
+        let (_workers, apis): (Vec<_>, Vec<_>) =
+            (0..n).map(|i| http_worker(&format!("remote-{i}"))).unzip();
+        let handles: Vec<Arc<dyn WorkerHandle>> = apis
+            .iter()
+            .map(|a| Arc::new(RemoteWorker::connect(a.addr())) as Arc<dyn WorkerHandle>)
+            .collect();
+        let cluster = Cluster::new(handles, LbPolicy::ChBl(ChBlConfig::default()));
+        for i in 0..4 {
+            cluster
+                .register_all(FunctionSpec::new(format!("fn{i}"), "1").with_timing(10, 40))
+                .unwrap();
+        }
+        let served = || apis.iter().map(|a| a.served()).sum::<u64>();
+        let before = served();
+        let invocations = 40;
+        for k in 0..invocations {
+            cluster.invoke(&format!("fn{}-1", k % 4), "{}").unwrap();
+        }
+        assert_eq!(served() - before, invocations, "{n} workers");
+        assert_eq!(cluster.stats().dispatched(), invocations);
+    }
+}
+
 #[test]
 fn remote_worker_surfaces_errors() {
     let (_w, api) = http_worker("remote-err");
