@@ -187,7 +187,7 @@ impl Replay {
         let cluster = self.fleet.cluster();
         cluster.probe_round();
         // A full backlog is the only refusal, and the worker counts it.
-        if let Ok(served) = cluster.invoke(&p.fqdn, "") {
+        if let Ok(served) = cluster.invoke_tenant(&p.fqdn, "", None) {
             if let Some(drained_at) = self.stranded.remove(&p.fqdn) {
                 let init = if served.cold { p.init_ms } else { 0 };
                 self.recovery_ms.push(t - drained_at + init);

@@ -44,10 +44,10 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     // warm and the cache fills. Not measured.
     for tenant in TENANTS {
         for a in 0..UNIQUE_ARGS {
-            let (_, status) = worker
-                .invoke_tenant_cached("f-1", &format!("{{\"k\":{a}}}"), Some(tenant))
+            let r = worker
+                .invoke_tenant("f-1", &format!("{{\"k\":{a}}}"), Some(tenant))
                 .expect("warm invoke");
-            assert_eq!(status, CacheStatus::Miss, "first sight must miss");
+            assert_eq!(r.cache, CacheStatus::Miss, "first sight must miss");
         }
     }
 
@@ -57,11 +57,11 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     for i in 0..SAMPLES {
         let args = format!("{{\"fresh\":{i}}}");
         let t0 = Instant::now();
-        let (_, status) = worker
-            .invoke_tenant_cached("f-1", &args, Some("acme"))
+        let r = worker
+            .invoke_tenant("f-1", &args, Some("acme"))
             .expect("dispatch invoke");
         dispatch_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(status, CacheStatus::Miss);
+        assert_eq!(r.cache, CacheStatus::Miss);
     }
 
     // Hit phase: repeated arguments, tenants interleaved on identical
@@ -72,11 +72,11 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
         let tenant = TENANTS[i % TENANTS.len()];
         let args = format!("{{\"k\":{}}}", i as u64 % UNIQUE_ARGS);
         let t0 = Instant::now();
-        let (r, status) = worker
-            .invoke_tenant_cached("f-1", &args, Some(tenant))
+        let r = worker
+            .invoke_tenant("f-1", &args, Some(tenant))
             .expect("repeat invoke");
         let dt = t0.elapsed().as_secs_f64() * 1e3;
-        match status {
+        match r.cache {
             CacheStatus::Hit => {
                 hit_ms.push(dt);
                 hits += 1;

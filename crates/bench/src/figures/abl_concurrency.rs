@@ -37,7 +37,7 @@ fn measure(limit: usize, dynamic: bool) -> Vec<String> {
     worker
         .register(FunctionSpec::new("f", "1").with_timing(40, 100))
         .unwrap();
-    worker.invoke("f-1", "{}").unwrap();
+    worker.invoke_tenant("f-1", "{}", None).unwrap();
 
     let start = Instant::now();
     let out = closed_loop(

@@ -65,7 +65,7 @@ fn replay(trace: &SyntheticAzureTrace, policy: LbPolicy) -> Row {
         // probes once per scrape period).
         cluster.probe_round();
         // A full backlog is the only refusal, and the worker counts it.
-        let _ = cluster.invoke(&trace.profiles[e.func as usize].fqdn, "");
+        let _ = cluster.invoke_tenant(&trace.profiles[e.func as usize].fqdn, "", None);
     }
     let end = trace.events.last().map_or(0, |e| e.time_ms);
     let outcomes: Vec<_> = workers.iter().map(|w| w.finish(end)).collect();

@@ -69,9 +69,10 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
         .expect("register over HTTP");
 
     // One cold start, then the warm replay the budgets are written for.
-    client.invoke("f-1", "{}").expect("cold start");
+    let invoke = || client.invoke_tenant("f-1", "{}", None);
+    invoke().expect("cold start");
     for _ in 0..ITERATIONS {
-        client.invoke("f-1", "{}").expect("warm invoke");
+        invoke().expect("warm invoke");
     }
 
     // `ResultReturned` lands in the journal just after the result reaches

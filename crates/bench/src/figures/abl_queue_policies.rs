@@ -69,8 +69,8 @@ fn measure(policy: QueuePolicyKind, bypass: bool) -> Vec<String> {
         .register(FunctionSpec::new("long", "1").with_timing(300, 600))
         .unwrap();
     // Prime both so measurement is warm-dominated.
-    worker.invoke("short-1", "{}").unwrap();
-    worker.invoke("long-1", "{}").unwrap();
+    worker.invoke_tenant("short-1", "{}", None).unwrap();
+    worker.invoke_tenant("long-1", "{}", None).unwrap();
 
     let runner = OpenLoopRunner::new(build_schedule());
     let out = runner.run(Arc::new(WorkerTarget(Arc::clone(&worker))) as Arc<dyn InvokerTarget>);

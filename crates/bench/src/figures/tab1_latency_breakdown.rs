@@ -33,9 +33,10 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
         .expect("register over HTTP");
 
     // One cold start, then measure pure warm invocations.
-    client.invoke("pyaes-1", "{}").expect("cold start");
+    let invoke = || client.invoke_tenant("pyaes-1", "{}", None);
+    invoke().expect("cold start");
     for _ in 0..ITERATIONS {
-        let r = client.invoke("pyaes-1", "{}").expect("warm invoke");
+        let r = invoke().expect("warm invoke");
         assert!(!r.cold, "Table 1 measures warm invocations");
     }
 

@@ -273,7 +273,7 @@ fn sweep_cell(kind: FaultKind, k: u64, fsync: &str) {
     // Full recovery under the same (still-faulty) storage: every replayed
     // invocation runs to completion, none is double-counted.
     sink.note_restart(&name);
-    let (recovered, rep) = Worker::recover_full(
+    let (recovered, rep) = Worker::recover(
         worker_cfg(&wal_path, fsync),
         mk_backend(&clock),
         Arc::clone(&clock),

@@ -190,6 +190,8 @@ fn sampled_prefixes_survive_full_worker_recovery() {
             mk_backend(&clock),
             Arc::clone(&clock),
             std::slice::from_ref(&spec),
+            &[],
+            Arc::new(RealStorage),
         );
         for (_id, handle) in report.handles {
             assert!(

@@ -207,10 +207,12 @@ pub fn error_resp(e: &InvokeError, retry_after_secs: Option<u64>) -> Response {
     }
 }
 
-/// A completed invocation as its `WireResult` JSON response.
+/// A completed invocation as its `WireResult` JSON response, with the
+/// cache verdict in `X-Iluvatar-Cache`.
 pub fn result_resp(r: InvocationResult) -> Response {
+    let cache = r.cache.as_str();
     let wire: WireResult = r.into();
-    json_resp(Status::OK, serde_json::to_string(&wire).unwrap())
+    json_resp(Status::OK, serde_json::to_string(&wire).unwrap()).with_header(CACHE_HEADER, cache)
 }
 
 /// `Retry-After` seconds advertised on the worker's 503s (draining,
@@ -321,8 +323,8 @@ fn route(
             Err(bad) => bad,
         },
         (Method::Post, "/invoke") => match parse_body::<InvokeBody>(&req) {
-            Ok(b) => match worker.invoke_tenant_cached(&b.fqdn, &b.args, tenant_of(&req, &b)) {
-                Ok((r, cache)) => result_resp(r).with_header(CACHE_HEADER, cache.as_str()),
+            Ok(b) => match worker.invoke_tenant(&b.fqdn, &b.args, tenant_of(&req, &b)) {
+                Ok(r) => result_resp(r),
                 Err(e) => invoke_err(&e),
             },
             Err(bad) => bad,
@@ -499,11 +501,7 @@ impl WorkerApiClient {
         Self::expect_ok(self.call(req)?).map(|_| ())
     }
 
-    pub fn invoke(&self, fqdn: &str, args: &str) -> Result<WireResult, ApiError> {
-        self.invoke_tenant(fqdn, args, None)
-    }
-
-    /// Invoke on behalf of a tenant.
+    /// Invoke and wait for the result; `tenant` labels it for admission.
     pub fn invoke_tenant(
         &self,
         fqdn: &str,
@@ -514,11 +512,6 @@ impl WorkerApiClient {
     }
 
     /// Submit without waiting; redeem with [`WorkerApiClient::result`].
-    pub fn async_invoke(&self, fqdn: &str, args: &str) -> Result<u64, ApiError> {
-        self.async_invoke_tenant(fqdn, args, None)
-    }
-
-    /// Tenant-labelled async submission.
     pub fn async_invoke_tenant(
         &self,
         fqdn: &str,
@@ -634,9 +627,9 @@ mod tests {
         client
             .register(&FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
-        let r = client.invoke("f-1", "{}").unwrap();
+        let r = client.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(r.cold);
-        let r2 = client.invoke("f-1", "{}").unwrap();
+        let r2 = client.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(!r2.cold);
         assert!(r2.exec_ms > 0);
     }
@@ -644,7 +637,7 @@ mod tests {
     #[test]
     fn invoke_unregistered_is_404() {
         let (_w, _api, client) = served_worker();
-        match client.invoke("ghost-1", "{}") {
+        match client.invoke_tenant("ghost-1", "{}", None) {
             Err(ApiError::Status(404, _)) => {}
             other => panic!("expected 404, got {other:?}"),
         }
@@ -656,7 +649,7 @@ mod tests {
         client
             .register(&FunctionSpec::new("slow", "1").with_timing(500, 0))
             .unwrap();
-        let cookie = client.async_invoke("slow-1", "{}").unwrap();
+        let cookie = client.async_invoke_tenant("slow-1", "{}", None).unwrap();
         // Poll until done.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
@@ -700,7 +693,7 @@ mod tests {
         // queue bound itself never rejects a submission.
         let mut cookies = Vec::new();
         for _ in 0..8 + 5 {
-            cookies.push(client.async_invoke("f-1", "{}").unwrap());
+            cookies.push(client.async_invoke_tenant("f-1", "{}", None).unwrap());
             while worker.status().completed < cookies.len() as u64 {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -732,7 +725,7 @@ mod tests {
             .register(&FunctionSpec::new("p", "1").with_timing(50, 1000))
             .unwrap();
         client.prewarm("p-1").unwrap();
-        let r = client.invoke("p-1", "{}").unwrap();
+        let r = client.invoke_tenant("p-1", "{}", None).unwrap();
         assert!(!r.cold, "prewarmed over HTTP");
         let st = client.status().unwrap();
         assert_eq!(st.name, "test-worker");
@@ -762,7 +755,7 @@ mod tests {
         client
             .register(&FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
-        client.invoke("f-1", "{}").unwrap();
+        client.invoke_tenant("f-1", "{}", None).unwrap();
         let text = client.metrics_text().unwrap();
         assert!(
             text.contains("# TYPE iluvatar_queue_depth gauge"),
@@ -790,7 +783,7 @@ mod tests {
         client
             .register(&FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
-        let r = client.invoke("f-1", "{}").unwrap();
+        let r = client.invoke_tenant("f-1", "{}", None).unwrap();
         assert_ne!(r.trace_id, 0, "results carry their trace id");
         // `result_returned` lands just after the result is delivered; poll.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -812,7 +805,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status.0, 400);
         // /traces lists newest-first and honors last=N.
-        client.invoke("f-1", "{}").unwrap();
+        client.invoke_tenant("f-1", "{}", None).unwrap();
         let recent = client.traces(1).unwrap();
         assert_eq!(recent.len(), 1);
         assert!(recent[0].trace_id > r.trace_id);
@@ -876,8 +869,8 @@ mod tests {
             .register(&FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
         assert_eq!(client.last_telemetry_seq(), 0, "no stamped response yet");
-        client.invoke("f-1", "{}").unwrap();
-        client.invoke("f-1", "{}").unwrap();
+        client.invoke_tenant("f-1", "{}", None).unwrap();
+        client.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(
             client.last_telemetry_seq() > 0,
             "/invoke responses carry X-Iluvatar-Seq"
@@ -919,7 +912,7 @@ mod tests {
         client
             .register(&FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
-        client.invoke("f-1", "{}").unwrap();
+        client.invoke_tenant("f-1", "{}", None).unwrap();
         let spans = client.spans().unwrap();
         assert!(!spans.is_empty());
         let call = spans.iter().find(|s| s.name == "call_container").unwrap();

@@ -518,8 +518,8 @@ mod tests {
         worker
             .register(FunctionSpec::new("f", "1").with_timing(100, 400))
             .unwrap();
-        worker.invoke("f-1", "{}").unwrap();
-        worker.invoke("f-1", "{}").unwrap();
+        worker.invoke_tenant("f-1", "{}", None).unwrap();
+        worker.invoke_tenant("f-1", "{}", None).unwrap();
         let text = render_worker(&worker, 7);
         assert_valid_prom(&text);
         for family in [

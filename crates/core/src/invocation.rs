@@ -1,7 +1,9 @@
 //! Invocation request/response types and the async invocation handle.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use iluvatar_cache::{CacheStatus, CachedResult, ResultCache};
 use iluvatar_sync::TimeMs;
+use std::sync::Arc;
 
 /// Why an invocation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,13 +67,17 @@ pub struct InvocationResult {
     /// Tenant the invocation was accounted to (None when admission control
     /// is disabled and no label was supplied).
     pub tenant: Option<String>,
+    /// What the result cache did for this invocation; rides the
+    /// `X-Iluvatar-Cache` response header. `Bypass` unless a cache served
+    /// (`Hit`) or was filled from (`Miss`) this result.
+    pub cache: CacheStatus,
 }
 
 impl InvocationResult {
     /// The result a cache hit is served as, on the worker and the balancer
     /// alike: the original run's body and execution time, and zeros for
     /// everything this serve skipped (no trace, queue, or container).
-    pub fn from_cache(hit: iluvatar_cache::CachedResult) -> Self {
+    pub fn from_cache(hit: CachedResult) -> Self {
         Self {
             body: hit.body,
             exec_ms: hit.exec_ms,
@@ -81,6 +87,7 @@ impl InvocationResult {
             arrived_at: 0,
             trace_id: 0,
             tenant: Some(hit.tenant),
+            cache: CacheStatus::Hit,
         }
     }
 
@@ -104,27 +111,53 @@ impl InvocationResult {
 /// completion channel).
 pub type ResultSender = Sender<Result<InvocationResult, InvokeError>>;
 
-/// Handle returned by `async_invoke`; redeem with [`InvocationHandle::wait`].
+/// Handle returned by `async_invoke_tenant`; redeem with
+/// [`InvocationHandle::wait`] or [`InvocationHandle::poll`].
 pub struct InvocationHandle {
     rx: Receiver<Result<InvocationResult, InvokeError>>,
+    /// Set on a cache miss.
+    pub(crate) fill: Option<Box<CacheFill>>,
 }
+
+/// The cache a missed invocation's successful result fills once redeemed,
+/// and the call that keys the entry: fqdn, args, tenant label.
+pub(crate) type CacheFill = (Arc<ResultCache>, String, String, Option<String>);
 
 impl InvocationHandle {
     /// Create a connected (sender, handle) pair — public so external queue
     /// drivers and benchmarks can construct `QueuedInvocation`s.
     pub fn pair() -> (ResultSender, Self) {
         let (tx, rx) = bounded(1);
-        (tx, Self { rx })
+        (tx, Self { rx, fill: None })
     }
 
     /// Block until the invocation completes.
     pub fn wait(self) -> Result<InvocationResult, InvokeError> {
-        self.rx.recv().unwrap_or(Err(InvokeError::ShuttingDown))
+        let outcome = self.rx.recv().unwrap_or(Err(InvokeError::ShuttingDown));
+        self.redeem(outcome)
     }
 
     /// Non-blocking poll; `None` while still in flight.
     pub fn poll(&self) -> Option<Result<InvocationResult, InvokeError>> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().map(|outcome| self.redeem(outcome))
+    }
+
+    /// Hand over a received outcome, filling the cache first on a miss —
+    /// so a served hit always repeats a completion already logged.
+    fn redeem(
+        &self,
+        outcome: Result<InvocationResult, InvokeError>,
+    ) -> Result<InvocationResult, InvokeError> {
+        match (&self.fill, outcome) {
+            (Some(fill), Ok(mut r)) => {
+                let (cache, fqdn, args, tenant) = &**fill;
+                let trace = Some(r.trace_id);
+                cache.fill(fqdn, tenant.as_deref(), args, &r.body, r.exec_ms, trace);
+                r.cache = CacheStatus::Miss;
+                Ok(r)
+            }
+            (_, outcome) => outcome,
+        }
     }
 }
 
@@ -142,6 +175,7 @@ mod tests {
             arrived_at: 0,
             trace_id: 0,
             tenant: None,
+            cache: CacheStatus::Bypass,
         }
     }
 

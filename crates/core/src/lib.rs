@@ -47,6 +47,7 @@ pub use config::{
     ConcurrencyConfig, KeepalivePolicyKind, LifecycleConfig, QueueConfig, QueuePolicyKind,
     ResilienceConfig, WalConfig, WorkerConfig,
 };
+pub use iluvatar_cache::CacheStatus;
 pub use invocation::{InvocationHandle, InvocationResult, InvokeError};
 pub use journal::{journal_digest, TraceEvent, TraceEventKind, TraceJournal, TraceRecord};
 pub use queue::{DrrQueue, DEFAULT_DRR_QUANTUM_MS};

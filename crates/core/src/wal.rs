@@ -670,14 +670,15 @@ impl Inner {
     /// Write `frame` (and fsync under `always`) through the ladder. A
     /// partial write leaves a torn frame mid-segment; replay quarantines it
     /// and a duplicated record replays idempotently, so a retry rewrites the
-    /// whole frame, and a rotation the group-commit `unsynced` frames too.
-    fn persist_locked(&self, w: &mut Writer, frame: &[u8]) -> bool {
+    /// whole frame, and a rotation — the ladder's, or a size rotation just
+    /// taken (`fresh`) — the group-commit `unsynced` frames too.
+    fn persist_locked(&self, w: &mut Writer, frame: &[u8], fresh: bool) -> bool {
         let always = self.opts.fsync == FsyncPolicy::Always;
         self.ladder_locked(
             w,
             |s| &mut s.write_errors,
             |w, rotated| {
-                if rotated && !w.unsynced.is_empty() {
+                if (fresh || rotated) && !w.unsynced.is_empty() {
                     w.out.write_all(&w.unsynced)?;
                 }
                 w.out.write_all(frame)?;
@@ -792,11 +793,11 @@ impl Inner {
                 return self.absorb_locked(w, rec);
             }
         }
-        if w.seg_bytes > 0 && w.seg_bytes + frame.len() as u64 > self.opts.segment_bytes {
-            // Best effort; failure to rotate just grows the segment.
-            let _ = self.rotate_locked(w);
-        }
-        if !self.persist_locked(w, frame) {
+        // Best effort; failure to rotate just grows the segment.
+        let fresh = w.seg_bytes > 0
+            && w.seg_bytes + frame.len() as u64 > self.opts.segment_bytes
+            && self.rotate_locked(w);
+        if !self.persist_locked(w, frame, fresh) {
             if self.opts.on_error == WalOnError::Reject {
                 return (AppendOutcome::Unavailable, None);
             }
@@ -2304,6 +2305,99 @@ mod tests {
         assert_eq!(gate.lists.load(Ordering::Relaxed), lists + 1);
         assert_eq!(wal.io_counts().segments_retired, 1);
         assert_eq!(discover_segments(&RealStorage, &p).len(), 1);
+        cleanup(&p);
+    }
+
+    /// A disk that keeps, per file handle, the bytes an fsync covered and
+    /// the bytes written since that handle's last fsync — what a crash
+    /// keeps and what it may drop. A dropped handle's tail stays unsynced.
+    #[derive(Default)]
+    struct Ledger(Mutex<Vec<(Vec<u8>, Vec<u8>)>>);
+
+    struct LedgerStorage(Arc<Ledger>);
+
+    struct LedgerFile {
+        f: Box<dyn StorageFile>,
+        ledger: Arc<Ledger>,
+        idx: usize,
+    }
+
+    impl StorageFile for LedgerFile {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.ledger.0.lock()[self.idx].1.extend_from_slice(buf);
+            self.f.write_all(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.f.flush()
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.f.sync()?;
+            let (synced, unsynced) = &mut self.ledger.0.lock()[self.idx];
+            synced.append(unsynced);
+            Ok(())
+        }
+    }
+
+    impl Storage for LedgerStorage {
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            let mut handles = self.0 .0.lock();
+            handles.push(Default::default());
+            Ok(Box::new(LedgerFile {
+                f: RealStorage.open_append(path)?,
+                ledger: Arc::clone(&self.0),
+                idx: handles.len() - 1,
+            }))
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealStorage.read(path)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealStorage.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            RealStorage.list(dir)
+        }
+    }
+
+    #[test]
+    fn a_size_rotation_leaves_no_landed_frame_only_in_an_unsynced_tail() {
+        let p = tmp("rotate-tail");
+        let ledger = Arc::new(Ledger::default());
+        let opts = WalOptions {
+            segment_bytes: 256,
+            ..no_tick()
+        };
+        let storage = Arc::new(LedgerStorage(Arc::clone(&ledger)));
+        let wal = Wal::open_with(&p, opts, storage).unwrap();
+        // The unwaited `Dequeued` sits in `unsynced` until the `Completed`
+        // behind it commits; every few invocations that `Completed` is the
+        // frame that crosses `segment_bytes` and rotates.
+        let mut landed = Vec::new();
+        for id in 1..=24 {
+            for rec in [
+                enq(id),
+                WalRecord::Dequeued { id },
+                WalRecord::Completed {
+                    id,
+                    ok: true,
+                    tenant: None,
+                },
+            ] {
+                assert_eq!(wal.append(&rec), AppendOutcome::Landed);
+                landed.push(encode_frame(&rec));
+            }
+        }
+        assert!(wal.io_counts().rotations >= 8, "{:?}", wal.io_counts());
+        // Every append returned and the last waited: the log says all of it
+        // is durable, so every frame must sit in some handle's synced bytes.
+        let handles = ledger.0.lock();
+        for (n, frame) in landed.iter().enumerate() {
+            let durable = handles
+                .iter()
+                .any(|(synced, _)| synced.windows(frame.len()).any(|w| w == frame));
+            assert!(durable, "frame #{n} was reported durable but never fsynced");
+        }
+        drop(handles);
         cleanup(&p);
     }
 }

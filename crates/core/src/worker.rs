@@ -901,12 +901,7 @@ impl Worker {
         self.shared.registry.register(spec)
     }
 
-    /// Synchronous invocation: blocks until the function completes.
-    pub fn invoke(&self, fqdn: &str, args: &str) -> Result<InvocationResult, InvokeError> {
-        self.invoke_tenant(fqdn, args, None)
-    }
-
-    /// Synchronous invocation on behalf of an explicit tenant.
+    /// Synchronous invocation: [`Worker::async_invoke_tenant`], redeemed.
     pub fn invoke_tenant(
         &self,
         fqdn: &str,
@@ -917,44 +912,14 @@ impl Worker {
         self.async_invoke_tenant(fqdn, args, tenant)?.wait()
     }
 
-    /// Synchronous invocation through the result cache. A hit returns the
-    /// cached body without touching the queue, pool, or a container; a miss
-    /// dispatches via [`Worker::invoke_tenant`] and fills the cache from
-    /// the completed result (after its `Completed` WAL record is durable,
-    /// so a served hit always points at a logged completion); bypass (cache
-    /// disabled, or the function not registered idempotent) is a plain
-    /// dispatch. The returned [`CacheStatus`] feeds the
-    /// `X-Iluvatar-Cache` response header.
-    pub fn invoke_tenant_cached(
-        &self,
-        fqdn: &str,
-        args: &str,
-        tenant: Option<&str>,
-    ) -> Result<(InvocationResult, CacheStatus), InvokeError> {
-        let Some(cache) = &self.shared.cache else {
-            return Ok((self.invoke_tenant(fqdn, args, tenant)?, CacheStatus::Bypass));
-        };
-        match cache.lookup(fqdn, tenant, args) {
-            CacheLookup::Hit(hit) => Ok((InvocationResult::from_cache(hit), CacheStatus::Hit)),
-            CacheLookup::Miss(_) => {
-                let r = self.invoke_tenant(fqdn, args, tenant)?;
-                cache.fill(fqdn, tenant, args, &r.body, r.exec_ms, Some(r.trace_id));
-                Ok((r, CacheStatus::Miss))
-            }
-            CacheLookup::Bypass => {
-                Ok((self.invoke_tenant(fqdn, args, tenant)?, CacheStatus::Bypass))
-            }
-        }
-    }
-
-    /// Asynchronous invocation: returns a handle immediately.
-    pub fn async_invoke(&self, fqdn: &str, args: &str) -> Result<InvocationHandle, InvokeError> {
-        self.async_invoke_tenant(fqdn, args, None)
-    }
-
-    /// Asynchronous invocation on behalf of an explicit tenant. A `None`
+    /// The one invocation entry: returns a handle immediately. A `None`
     /// tenant falls back to the function registration's tenant, then to the
-    /// default tenant.
+    /// default tenant. With the result cache on, the consult comes first,
+    /// under the caller's label: a hit is a handle already holding the
+    /// cached result (no trace, admission token, queue, pool or container),
+    /// a miss fills the cache when its result is redeemed — after the
+    /// `Completed` record is durable. The verdict rides on
+    /// [`InvocationResult::cache`].
     pub fn async_invoke_tenant(
         &self,
         fqdn: &str,
@@ -962,10 +927,26 @@ impl Worker {
         tenant: Option<&str>,
     ) -> Result<InvocationHandle, InvokeError> {
         let s = &self.shared;
+        let fill = match s.cache.as_ref().map(|c| (c, c.lookup(fqdn, tenant, args))) {
+            Some((_, CacheLookup::Hit(hit))) => {
+                let (tx, handle) = InvocationHandle::pair();
+                let _ = tx.send(Ok(InvocationResult::from_cache(hit)));
+                return Ok(handle);
+            }
+            Some((cache, CacheLookup::Miss(_))) => Some(Box::new((
+                Arc::clone(cache),
+                fqdn.to_string(),
+                args.to_string(),
+                tenant.map(str::to_string),
+            ))),
+            _ => None,
+        };
         let _g = s.spans.time(names::INVOKE);
         let arrival = s.admit(fqdn, args, tenant)?;
         let route = s.route(arrival.expected_exec_ms);
-        s.accept(arrival, route)
+        let mut handle = s.accept(arrival, route)?;
+        handle.fill = fill;
+        Ok(handle)
     }
 
     /// Prewarm (§3.2): start a container + agent and park it in the pool,
@@ -1202,24 +1183,16 @@ impl Worker {
     /// function set — registration is control-plane configuration, not
     /// queue state, and is re-applied on boot exactly like the load
     /// balancer re-registers a re-admitted worker.
+    ///
+    /// `sinks` are attached *before* the replayed invocations are
+    /// re-enqueued: replay starts executing the moment items hit the queue,
+    /// so a sink attached after `recover` returns races the re-execution
+    /// and observes a torn stream; stream consumers that must see the
+    /// complete recovered timeline (the conformance checker) pass them here.
+    /// Recovery-path reads (and the recovered worker's appends) run under
+    /// `storage` (`RealStorage` in production), so the chaos harness can
+    /// inject a fault plan.
     pub fn recover(
-        cfg: WorkerConfig,
-        backend: Arc<dyn ContainerBackend>,
-        clock: Arc<dyn Clock>,
-        specs: &[FunctionSpec],
-    ) -> (Worker, RecoveryReport) {
-        Self::recover_full(cfg, backend, clock, specs, &[], Arc::new(RealStorage))
-    }
-
-    /// [`Worker::recover`] with telemetry sinks attached *before* the
-    /// replayed invocations are re-enqueued, and a pluggable storage layer.
-    /// Replay starts executing the moment items hit the queue — a sink
-    /// attached after `recover` returns races the re-execution and observes
-    /// a torn stream; stream consumers that must see the complete recovered
-    /// timeline (the conformance checker) pass their sinks here. Recovery-
-    /// path reads (and the recovered worker's appends) run under `storage`,
-    /// so the chaos harness can inject a fault plan.
-    pub fn recover_full(
         cfg: WorkerConfig,
         backend: Arc<dyn ContainerBackend>,
         clock: Arc<dyn Clock>,
@@ -1807,6 +1780,7 @@ fn finish_invoke(
         arrived_at: item.arrived_at,
         trace_id: item.trace_id,
         tenant: item.tenant.clone(),
+        cache: CacheStatus::Bypass,
     })
 }
 
@@ -1845,7 +1819,7 @@ mod tests {
     fn invoke_unregistered_fails() {
         let w = test_worker(WorkerConfig::for_testing());
         assert!(matches!(
-            w.invoke("ghost-1", "{}"),
+            w.invoke_tenant("ghost-1", "{}", None),
             Err(InvokeError::NotRegistered(_))
         ));
     }
@@ -1854,10 +1828,10 @@ mod tests {
     fn cold_then_warm_invocation() {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 100, 900, 128)).unwrap();
-        let r1 = w.invoke("f-1", "{}").unwrap();
+        let r1 = w.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(r1.cold, "first invocation is a cold start");
         assert_eq!(r1.exec_ms, 50, "cold = (warm + init) at 0.05 time scale");
-        let r2 = w.invoke("f-1", "{}").unwrap();
+        let r2 = w.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(!r2.cold, "second hits the warm container");
         assert_eq!(r2.exec_ms, 5, "warm at 0.05 time scale");
         let st = w.status();
@@ -1871,7 +1845,7 @@ mod tests {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 100, 900, 128)).unwrap();
         w.prewarm("f-1").unwrap();
-        let r = w.invoke("f-1", "{}").unwrap();
+        let r = w.invoke_tenant("f-1", "{}", None).unwrap();
         assert!(!r.cold, "prewarmed container serves a warm start");
         // Note: the null backend charges init on the first *invoke*; the
         // control plane still counts it warm because no sandbox was created
@@ -1883,7 +1857,7 @@ mod tests {
     fn async_invoke_returns_immediately() {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 200, 0, 128)).unwrap();
-        let h = w.async_invoke("f-1", "{}").unwrap();
+        let h = w.async_invoke_tenant("f-1", "{}", None).unwrap();
         let r = h.wait().unwrap();
         assert_eq!(r.exec_ms, 10, "200ms at 0.05 time scale");
     }
@@ -1895,7 +1869,7 @@ mod tests {
         let w = Arc::new(test_worker(cfg));
         w.register(spec("f", 500, 0, 64)).unwrap();
         let handles: Vec<_> = (0..6)
-            .map(|_| w.async_invoke("f-1", "{}").unwrap())
+            .map(|_| w.async_invoke_tenant("f-1", "{}", None).unwrap())
             .collect();
         // While in flight, running may never exceed the limit.
         let mut peak = 0;
@@ -1917,12 +1891,12 @@ mod tests {
         cfg.concurrency.limit = 1;
         let w = test_worker(cfg);
         w.register(spec("f", 300, 0, 64)).unwrap();
-        let _h1 = w.async_invoke("f-1", "{}").unwrap();
+        let _h1 = w.async_invoke_tenant("f-1", "{}", None).unwrap();
         // Fill: one running (may still be queued briefly), one queued, rest dropped.
         let mut dropped = 0;
         let mut handles = Vec::new();
         for _ in 0..12 {
-            match w.async_invoke("f-1", "{}") {
+            match w.async_invoke_tenant("f-1", "{}", None) {
                 Ok(h) => handles.push(h),
                 Err(InvokeError::QueueFull) => dropped += 1,
                 Err(e) => panic!("unexpected {e}"),
@@ -1939,7 +1913,7 @@ mod tests {
         let w = test_worker(cfg);
         w.register(spec("f", 10, 0, 128)).unwrap();
         assert!(matches!(
-            w.invoke("f-1", "{}"),
+            w.invoke_tenant("f-1", "{}", None),
             Err(InvokeError::NoResources)
         ));
         assert_eq!(w.status().dropped, 1);
@@ -1955,12 +1929,12 @@ mod tests {
         w.register(spec("a", 10, 0, 128)).unwrap();
         w.register(spec("b", 10, 0, 128)).unwrap();
         w.register(spec("c", 10, 0, 128)).unwrap();
-        w.invoke("a-1", "{}").unwrap();
-        w.invoke("b-1", "{}").unwrap();
-        w.invoke("c-1", "{}").unwrap(); // forces eviction of a
-        let r = w.invoke("b-1", "{}").unwrap();
+        w.invoke_tenant("a-1", "{}", None).unwrap();
+        w.invoke_tenant("b-1", "{}", None).unwrap();
+        w.invoke_tenant("c-1", "{}", None).unwrap(); // forces eviction of a
+        let r = w.invoke_tenant("b-1", "{}", None).unwrap();
         assert!(!r.cold, "b stayed warm");
-        let r = w.invoke("a-1", "{}").unwrap();
+        let r = w.invoke_tenant("a-1", "{}", None).unwrap();
         assert!(r.cold, "a was evicted (LRU)");
     }
 
@@ -1971,9 +1945,9 @@ mod tests {
         cfg.queue.policy = QueuePolicyKind::Eedf;
         let w = test_worker(cfg);
         w.register(spec("tiny", 100, 0, 64)).unwrap();
-        w.invoke("tiny-1", "{}").unwrap(); // first: unseen, expected 0 → queued
-        w.invoke("tiny-1", "{}").unwrap(); // now known-short → bypass
-        w.invoke("tiny-1", "{}").unwrap();
+        w.invoke_tenant("tiny-1", "{}", None).unwrap(); // first: unseen, expected 0 → queued
+        w.invoke_tenant("tiny-1", "{}", None).unwrap(); // now known-short → bypass
+        w.invoke_tenant("tiny-1", "{}", None).unwrap();
         let s = &w.shared;
         assert!(s.queue.bypassed() >= 2, "bypassed {}", s.queue.bypassed());
     }
@@ -1987,7 +1961,7 @@ mod tests {
         assert_eq!(st.normalized_load, 0.0);
         assert_eq!(st.free_mem_mb, 1024);
         let _h: Vec<_> = (0..4)
-            .map(|_| w.async_invoke("f-1", "{}").unwrap())
+            .map(|_| w.async_invoke_tenant("f-1", "{}", None).unwrap())
             .collect();
         // Some load should be visible while in flight (best effort).
         let _ = w.status();
@@ -2018,7 +1992,7 @@ mod tests {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 20, 0, 64)).unwrap();
         for _ in 0..3 {
-            w.invoke("f-1", "{}").unwrap();
+            w.invoke_tenant("f-1", "{}", None).unwrap();
         }
         for name in [
             names::INVOKE,
@@ -2040,10 +2014,10 @@ mod tests {
     fn shutdown_then_invoke_fails() {
         let mut w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 10, 0, 64)).unwrap();
-        w.invoke("f-1", "{}").unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
         w.shutdown();
         assert!(matches!(
-            w.invoke("f-1", "{}"),
+            w.invoke_tenant("f-1", "{}", None),
             Err(InvokeError::ShuttingDown)
         ));
     }
@@ -2059,8 +2033,8 @@ mod tests {
         let w = test_worker(cfg);
         w.register(spec("f", 1000, 4000, 128)).unwrap();
         // Two near-simultaneous invocations of the same cold function.
-        let h1 = w.async_invoke("f-1", "{}").unwrap();
-        let h2 = w.async_invoke("f-1", "{}").unwrap();
+        let h1 = w.async_invoke_tenant("f-1", "{}", None).unwrap();
+        let h2 = w.async_invoke_tenant("f-1", "{}", None).unwrap();
         let r1 = h1.wait().unwrap();
         let r2 = h2.wait().unwrap();
         let colds = [r1.cold, r2.cold].iter().filter(|&&c| c).count();
@@ -2083,11 +2057,14 @@ mod tests {
         // a 50 ms warm run, so the third arrives while it still runs.
         let (tx, rx) = std::sync::mpsc::channel();
         for _ in 0..2 {
-            let (tx, h) = (tx.clone(), w.async_invoke("f-1", "{}").unwrap());
+            let (tx, h) = (
+                tx.clone(),
+                w.async_invoke_tenant("f-1", "{}", None).unwrap(),
+            );
             std::thread::spawn(move || tx.send(h.wait().unwrap()).unwrap());
         }
         let r1 = rx.recv().unwrap();
-        let r3 = w.invoke("f-1", "{}").unwrap();
+        let r3 = w.invoke_tenant("f-1", "{}", None).unwrap();
         let r2 = rx.recv().unwrap();
         let colds = [r1.cold, r2.cold, r3.cold].iter().filter(|&&c| c).count();
         assert_eq!(colds, 1, "one cold start serves the whole herd");
@@ -2101,8 +2078,8 @@ mod tests {
         cfg.concurrency.limit = 4;
         let w = test_worker(cfg);
         w.register(spec("f", 1000, 4000, 128)).unwrap();
-        let h1 = w.async_invoke("f-1", "{}").unwrap();
-        let h2 = w.async_invoke("f-1", "{}").unwrap();
+        let h1 = w.async_invoke_tenant("f-1", "{}", None).unwrap();
+        let h2 = w.async_invoke_tenant("f-1", "{}", None).unwrap();
         let r1 = h1.wait().unwrap();
         let r2 = h2.wait().unwrap();
         assert!(r1.cold && r2.cold, "without suppression both cold-start");
@@ -2120,7 +2097,7 @@ mod tests {
         // limited to: recommendations are empty for unpredictable fns and
         // the periodic task doesn't crash while running.
         for _ in 0..3 {
-            w.invoke("p-1", "{}").unwrap();
+            w.invoke_tenant("p-1", "{}", None).unwrap();
         }
         std::thread::sleep(Duration::from_millis(300));
         assert!(w.status().completed == 3);
@@ -2130,7 +2107,7 @@ mod tests {
     fn metrics_collected_in_background() {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 200, 0, 64)).unwrap();
-        w.invoke("f-1", "{}").unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
         std::thread::sleep(Duration::from_millis(600));
         let m = w.metrics();
         assert!(m.samples >= 1, "metrics task must run");
@@ -2221,7 +2198,7 @@ mod tests {
         let w = test_worker(cfg);
         w.register(spec("f", 20, 0, 64).with_tenant("acme"))
             .unwrap();
-        let r = w.invoke("f-1", "{}").unwrap();
+        let r = w.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(
             r.tenant.as_deref(),
             Some("acme"),
@@ -2283,8 +2260,8 @@ mod tests {
     fn characteristics_learned_from_invocations() {
         let w = test_worker(WorkerConfig::for_testing());
         w.register(spec("f", 100, 400, 64)).unwrap();
-        w.invoke("f-1", "{}").unwrap();
-        w.invoke("f-1", "{}").unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
         let s = w.characteristics().summary("f-1");
         assert_eq!(s.invocations, 2);
         assert_eq!(s.cold_starts, 1);
@@ -2307,7 +2284,7 @@ mod tests {
         let w = test_worker(cfg);
         w.register(spec("f", 400, 0, 64)).unwrap(); // 20 ms real
         let handles: Vec<_> = (0..24)
-            .map(|_| w.async_invoke("f-1", "{}").unwrap())
+            .map(|_| w.async_invoke_tenant("f-1", "{}", None).unwrap())
             .collect();
         for h in handles {
             h.wait().unwrap();
@@ -2379,7 +2356,7 @@ mod tests {
         w.register(spec("f", 20, 0, 64)).unwrap();
 
         for _ in 0..10 {
-            w.invoke("f-1", "{}").unwrap();
+            w.invoke_tenant("f-1", "{}", None).unwrap();
         }
         let healthy = backend.callers.lock().clone();
         assert!(healthy.iter().all(|(_, n)| n == "iluvatar-agent-call"));
@@ -2390,10 +2367,10 @@ mod tests {
 
         backend.hang_ms.store(400, Ordering::SeqCst);
         assert!(matches!(
-            w.invoke("f-1", "{}"),
+            w.invoke_tenant("f-1", "{}", None),
             Err(InvokeError::Backend(m)) if m.contains("timed out")
         ));
-        w.invoke("f-1", "{}").unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
         let after = backend.callers.lock().last().unwrap().0;
         assert_ne!(after, healthy[0].0, "the hung companion was replaced");
         assert_eq!(w.status().agent_timeouts, 1);

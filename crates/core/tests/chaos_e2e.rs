@@ -80,7 +80,7 @@ fn cold_start_failures_retry_exactly_n_then_fail_cleanly() {
     };
     let (mut worker, injector) = chaos_worker(faults, resilience);
 
-    let err = worker.invoke("f-1", "{}").unwrap_err();
+    let err = worker.invoke_tenant("f-1", "{}", None).unwrap_err();
     match &err {
         InvokeError::Backend(msg) => {
             assert!(
@@ -139,7 +139,7 @@ fn hung_agent_trips_deadline_and_completes_on_fresh_container() {
     let (mut worker, _injector) = chaos_worker(faults, resilience);
 
     let started = Instant::now();
-    let r = worker.invoke("f-1", "{}").unwrap();
+    let r = worker.invoke_tenant("f-1", "{}", None).unwrap();
     assert!(
         started.elapsed() < Duration::from_millis(1_400),
         "deadline must fire long before the 1.5s hang resolves"
@@ -196,7 +196,7 @@ fn run_digest(seed: u64, invocations: usize) -> u64 {
     let (mut worker, _injector) = chaos_worker(faults, resilience);
     let mut ids = Vec::new();
     for i in 0..invocations {
-        match worker.invoke("f-1", &format!("{{\"i\":{i}}}")) {
+        match worker.invoke_tenant("f-1", &format!("{{\"i\":{i}}}"), None) {
             Ok(r) => ids.push(r.trace_id),
             // Failures (retry exhaustion) are part of the timeline too; the
             // trace is the newest journaled record.
@@ -289,7 +289,7 @@ fn online_checker_stays_clean_under_backend_and_disk_chaos() {
     for i in 0..24 {
         // Serialize: each trace completes before the next starts emitting,
         // so stream order is sound for the per-invocation timeline model.
-        if let Ok(h) = worker.async_invoke("f-1", &format!("{{\"i\":{i}}}")) {
+        if let Ok(h) = worker.async_invoke_tenant("f-1", &format!("{{\"i\":{i}}}"), None) {
             let _ = h.wait();
         }
         let live = sink.violations();

@@ -6,7 +6,7 @@ use iluvatar_containers::{ContainerBackend, FunctionSpec};
 use iluvatar_core::api::{WorkerApi, WorkerApiClient};
 use iluvatar_core::{AdmissionConfig, LifecycleConfig, TenantSpec, Worker, WorkerConfig};
 use iluvatar_http::{Method, Request};
-use iluvatar_sync::SystemClock;
+use iluvatar_sync::{RealStorage, SystemClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,7 +65,7 @@ fn drain_finishes_in_flight_and_rejects_new_with_retry_after() {
         .register(&FunctionSpec::new("slow", "1").with_timing(2_000, 3_000))
         .unwrap();
 
-    let cookie = client.async_invoke("slow-1", "{}").unwrap();
+    let cookie = client.async_invoke_tenant("slow-1", "{}", None).unwrap();
     let pending = client.drain().unwrap();
     assert!(
         pending >= 1,
@@ -165,6 +165,8 @@ fn recovered_tenant_counters_match_a_no_kill_run() {
                 backend(&clock),
                 Arc::clone(&clock),
                 std::slice::from_ref(&spec),
+                &[],
+                Arc::new(RealStorage),
             );
             for (_id, h) in report.handles {
                 h.wait().expect("replayed invocation completes");
@@ -216,7 +218,7 @@ fn shutdown_returns_only_once_everything_accepted_has_finished() {
         .register(FunctionSpec::new("slow", "1").with_timing(2_000, 0))
         .unwrap();
     let handles: Vec<_> = (0..6)
-        .map(|_| worker.async_invoke("slow-1", "{}").unwrap())
+        .map(|_| worker.async_invoke_tenant("slow-1", "{}", None).unwrap())
         .collect();
 
     worker.shutdown();
@@ -246,7 +248,7 @@ fn kill_returns_while_a_call_is_still_in_flight() {
     worker
         .register(FunctionSpec::new("slow", "1").with_timing(50_000, 0))
         .unwrap();
-    let handle = worker.async_invoke("slow-1", "{}").unwrap();
+    let handle = worker.async_invoke_tenant("slow-1", "{}", None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while worker.status().running == 0 {
         assert!(Instant::now() < deadline, "the call never started");

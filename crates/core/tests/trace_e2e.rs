@@ -49,7 +49,7 @@ fn kinds(r: &iluvatar_core::TraceRecord) -> Vec<TraceEventKind> {
 fn sync_invoke_journals_timeline_and_agent_sees_the_id() {
     let (mut worker, backend) = worker_over_inprocess();
 
-    let cold = worker.invoke("echo-1", "7").unwrap();
+    let cold = worker.invoke_tenant("echo-1", "7", None).unwrap();
     assert_eq!(cold.body, "[7]");
     assert_ne!(cold.trace_id, 0, "every invocation gets a trace id");
     assert!(cold.cold);
@@ -84,7 +84,7 @@ fn sync_invoke_journals_timeline_and_agent_sees_the_id() {
     );
 
     // A second invocation is warm and gets its own, distinct trace.
-    let warm = worker.invoke("echo-1", "8").unwrap();
+    let warm = worker.invoke_tenant("echo-1", "8", None).unwrap();
     assert!(!warm.cold);
     assert_ne!(warm.trace_id, cold.trace_id);
     let r2 = completed_trace(&worker, warm.trace_id);
@@ -121,7 +121,7 @@ fn tenant_label_crosses_the_agent_hop() {
     worker
         .register(FunctionSpec::new("billed", "1").with_tenant("umbrella"))
         .unwrap();
-    let r = worker.invoke("billed-1", "x").unwrap();
+    let r = worker.invoke_tenant("billed-1", "x", None).unwrap();
     assert_eq!(r.tenant.as_deref(), Some("umbrella"));
     assert!(backend.observed_tenants().contains(&"umbrella".to_string()));
 
@@ -132,7 +132,7 @@ fn tenant_label_crosses_the_agent_hop() {
 fn async_invoke_carries_the_same_id_end_to_end() {
     let (mut worker, backend) = worker_over_inprocess();
 
-    let handle = worker.async_invoke("echo-1", "{}").unwrap();
+    let handle = worker.async_invoke_tenant("echo-1", "{}", None).unwrap();
     let result = handle.wait().unwrap();
     assert_ne!(result.trace_id, 0);
 

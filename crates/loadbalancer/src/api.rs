@@ -32,7 +32,7 @@ use iluvatar_core::api::{
 use iluvatar_core::exposition::{render_span_histograms, PromWriter};
 use iluvatar_dispatch::{DispatchMode, EnqueueError, PullPlane};
 use iluvatar_http::server::Handler;
-use iluvatar_http::{HttpServer, Method, Request, Response, Status, CACHE_HEADER, SEQ_HEADER};
+use iluvatar_http::{HttpServer, Method, Request, Response, Status, SEQ_HEADER};
 use iluvatar_sync::{SystemClock, TaskPool};
 use iluvatar_telemetry::{CounterBridge, FlightRecorder, TelemetryBus, TelemetrySink};
 use parking_lot::Mutex;
@@ -548,8 +548,8 @@ impl LbApi {
                         let resp = if let Some(plane) = via_pull {
                             pull_invoke(plane, &b.fqdn, &b.args, tenant)
                         } else {
-                            match cluster.invoke_cached(&b.fqdn, &b.args, tenant) {
-                                Ok((r, cache)) => {
+                            match cluster.invoke_tenant(&b.fqdn, &b.args, tenant) {
+                                Ok(r) => {
                                     // Keep the hybrid warm signal alive for
                                     // fqdns the push path keeps serving.
                                     if let Some(p) = dispatch_for_handler
@@ -558,7 +558,7 @@ impl LbApi {
                                     {
                                         p.note_warm(&b.fqdn, "chbl");
                                     }
-                                    result_resp(r).with_header(CACHE_HEADER, cache.as_str())
+                                    result_resp(r)
                                 }
                                 // The balancer has no Retry-After hint of
                                 // its own.
@@ -635,7 +635,7 @@ mod tests {
     use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
     use iluvatar_core::config::WorkerConfig;
     use iluvatar_core::{FunctionSpec, Worker};
-    use iluvatar_http::HttpClient;
+    use iluvatar_http::{HttpClient, CACHE_HEADER};
     use iluvatar_sync::SystemClock;
     use std::time::Instant;
 

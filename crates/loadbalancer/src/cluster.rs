@@ -221,6 +221,7 @@ impl WorkerHandle for RemoteWorker {
                     arrived_at: 0,
                     trace_id: r.trace_id,
                     tenant: r.tenant,
+                    cache: CacheStatus::Bypass,
                 })
             }
             Err(ApiError::Status(status, body)) => (status, body),
@@ -309,7 +310,7 @@ impl WorkerHandle for Worker {
     }
 
     fn invoke(&self, fqdn: &str, args: &str) -> Result<InvocationResult, InvokeError> {
-        Worker::invoke(self, fqdn, args)
+        Worker::invoke_tenant(self, fqdn, args, None)
     }
 
     fn invoke_tenant(
@@ -1029,19 +1030,48 @@ impl Cluster {
         }
     }
 
-    /// Balance and invoke synchronously. A transport/backend failure evicts
-    /// the worker and re-routes the invocation to the least-loaded healthy
-    /// peer, so a worker dying mid-run loses no in-flight work at this
-    /// layer — callers see an error only when every worker has failed.
-    pub fn invoke(&self, fqdn: &str, args: &str) -> Result<InvocationResult, InvokeError> {
-        self.invoke_tenant(fqdn, args, None)
+    /// Balance and invoke synchronously — the balancer's one invocation
+    /// entry. The balancing key includes the tenant so two tenants sharing
+    /// a hot function land on different home workers (per-tenant locality),
+    /// and the label rides the worker hop for admission control and
+    /// accounting. A transport/backend failure evicts the worker and
+    /// re-routes the invocation to the least-loaded healthy peer, so a
+    /// worker dying mid-run loses no in-flight work at this layer — callers
+    /// see an error only when every worker has failed.
+    ///
+    /// With a cache attached ([`Cluster::set_cache`]) it is consulted before
+    /// a worker is picked, single-flight: concurrent misses on one key
+    /// coalesce behind the first dispatcher, and followers are served its
+    /// fill as a hit. The balancer's verdict rides on
+    /// [`InvocationResult::cache`]; a bypass keeps the hop's own.
+    pub fn invoke_tenant(
+        &self,
+        fqdn: &str,
+        args: &str,
+        tenant: Option<&str>,
+    ) -> Result<InvocationResult, InvokeError> {
+        let Some(cache) = self.cache.get() else {
+            return self.dispatch(fqdn, args, tenant);
+        };
+        let key = match cache.lookup_single_flight(fqdn, tenant, args, SINGLE_FLIGHT_WAIT_MS) {
+            CacheLookup::Hit(hit) => return Ok(InvocationResult::from_cache(hit)),
+            CacheLookup::Bypass => return self.dispatch(fqdn, args, tenant),
+            CacheLookup::Miss(key) => key,
+        };
+        let outcome = self.dispatch(fqdn, args, tenant).map(|mut r| {
+            cache.fill(fqdn, tenant, args, &r.body, r.exec_ms, Some(r.trace_id));
+            r.cache = CacheStatus::Miss;
+            r
+        });
+        // Flight leadership goes back on every exit: a failed dispatch (or
+        // a fill the cache rejected) must not leave followers waiting out
+        // their whole budget.
+        cache.abandon(&key);
+        outcome
     }
 
-    /// Tenant-labelled dispatch. The balancing key includes the tenant so
-    /// two tenants sharing a hot function land on different home workers
-    /// (per-tenant locality), and the label rides the worker hop for
-    /// admission control and accounting.
-    pub fn invoke_tenant(
+    /// Pick a worker and hop to it, rerouting around failures.
+    fn dispatch(
         &self,
         fqdn: &str,
         args: &str,
@@ -1079,47 +1109,6 @@ impl Cluster {
                 self.reroute(fqdn, args, tenant, w, InvokeError::ShuttingDown)
             }
             other => other,
-        }
-    }
-
-    /// Tenant-labelled dispatch through the balancer-side result cache:
-    /// consult before picking a worker, fill from the completed result on
-    /// the way back. Without an attached cache every call is a `Bypass`
-    /// around a plain [`Cluster::invoke_tenant`] — signature and behaviour
-    /// of the uncached path are untouched. The returned [`CacheStatus`]
-    /// feeds the `X-Iluvatar-Cache` response header.
-    pub fn invoke_cached(
-        &self,
-        fqdn: &str,
-        args: &str,
-        tenant: Option<&str>,
-    ) -> Result<(InvocationResult, CacheStatus), InvokeError> {
-        let Some(cache) = self.cache.get() else {
-            return Ok((self.invoke_tenant(fqdn, args, tenant)?, CacheStatus::Bypass));
-        };
-        // Single-flight: concurrent misses on one key coalesce behind the
-        // first dispatcher instead of stampeding the workers; followers
-        // block briefly and are served the leader's fill as a hit.
-        match cache.lookup_single_flight(fqdn, tenant, args, SINGLE_FLIGHT_WAIT_MS) {
-            CacheLookup::Hit(hit) => Ok((InvocationResult::from_cache(hit), CacheStatus::Hit)),
-            CacheLookup::Miss(key) => match self.invoke_tenant(fqdn, args, tenant) {
-                Ok(r) => {
-                    cache.fill(fqdn, tenant, args, &r.body, r.exec_ms, Some(r.trace_id));
-                    // A rejected fill (oversized body) also releases the
-                    // flight; this is belt and braces for followers.
-                    cache.abandon(&key);
-                    Ok((r, CacheStatus::Miss))
-                }
-                Err(e) => {
-                    // Failed dispatches must hand flight leadership back,
-                    // or followers wait out their whole budget.
-                    cache.abandon(&key);
-                    Err(e)
-                }
-            },
-            CacheLookup::Bypass => {
-                Ok((self.invoke_tenant(fqdn, args, tenant)?, CacheStatus::Bypass))
-            }
         }
     }
 
@@ -1373,6 +1362,7 @@ mod tests {
                 arrived_at: 0,
                 trace_id: 0,
                 tenant: None,
+                cache: CacheStatus::Bypass,
             })
         }
 
@@ -1400,7 +1390,7 @@ mod tests {
     fn round_robin_cycles() {
         let (stubs, cluster) = stub_cluster(3, LbPolicy::RoundRobin);
         for _ in 0..9 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         for s in &stubs {
             assert_eq!(s.calls.load(Ordering::SeqCst), 3);
@@ -1415,11 +1405,11 @@ mod tests {
         *stubs[2].load.write() = 3.0;
         // Routing keeps the construction round's view (all idle → slot 0)
         // until the next probe round.
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(stubs[0].calls.load(Ordering::SeqCst), 1, "old view");
         cluster.probe_round();
         for _ in 0..4 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert_eq!(stubs[1].calls.load(Ordering::SeqCst), 4);
     }
@@ -1429,7 +1419,7 @@ mod tests {
         let (stubs, cluster) = stub_cluster(4, LbPolicy::ChBl(ChBlConfig::default()));
         // Low load: all invocations of one function land on one worker.
         for _ in 0..10 {
-            cluster.invoke("sticky-1", "{}").unwrap();
+            cluster.invoke_tenant("sticky-1", "{}", None).unwrap();
         }
         let with_calls: Vec<_> = stubs
             .iter()
@@ -1444,11 +1434,11 @@ mod tests {
         // Overload the home: until a probe round reports it, routing keeps
         // the old view and the home keeps the function.
         *stubs[home_idx].load.write() = 1_000.0;
-        cluster.invoke("sticky-1", "{}").unwrap();
+        cluster.invoke_tenant("sticky-1", "{}", None).unwrap();
         assert_eq!(stubs[home_idx].calls.load(Ordering::SeqCst), 11, "old view");
         // The scrape tick's round sees it: the next invocation forwards.
         cluster.probe_round();
-        cluster.invoke("sticky-1", "{}").unwrap();
+        cluster.invoke_tenant("sticky-1", "{}", None).unwrap();
         assert_eq!(
             stubs[home_idx].calls.load(Ordering::SeqCst),
             11,
@@ -1468,7 +1458,7 @@ mod tests {
     fn stats_count_dispatches() {
         let (_stubs, cluster) = stub_cluster(2, LbPolicy::RoundRobin);
         for _ in 0..5 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         let st = cluster.stats();
         assert_eq!(st.dispatched(), 5);
@@ -1480,7 +1470,7 @@ mod tests {
         for _ in 0..4 {
             cluster.invoke_tenant("f-1", "{}", Some("acme")).unwrap();
         }
-        cluster.invoke("f-1", "{}").unwrap(); // unlabelled: no tenant counter
+        cluster.invoke_tenant("f-1", "{}", None).unwrap(); // unlabelled: no tenant counter
         let roll = cluster.tenant_rollup();
         let acme = roll.iter().find(|t| t.tenant == "acme").unwrap();
         assert_eq!(acme.lb_dispatched, 4);
@@ -1595,6 +1585,7 @@ mod tests {
                 arrived_at: 0,
                 trace_id: 0,
                 tenant: None,
+                cache: CacheStatus::Bypass,
             })
         }
 
@@ -1622,14 +1613,14 @@ mod tests {
         );
         // One failure: under the threshold, the breaker stays closed.
         flaky.fail.store(true, Ordering::SeqCst);
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         let st = cluster.stats();
         assert_eq!(st.evictions, 0, "first failure stays under threshold");
         assert_eq!(st.slots[0].breaker, "closed");
         assert!(st.slots[0].healthy);
         // Second failure trips it: Closed→Open, one eviction edge.
-        cluster.invoke("f-1", "{}").unwrap();
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         let st = cluster.stats();
         assert_eq!(st.evictions, 1, "threshold reached: one trip");
         assert_eq!(st.slots[0].breaker, "open");
@@ -1668,7 +1659,7 @@ mod tests {
             0,
         );
         flaky.fail.store(true, Ordering::SeqCst);
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(cluster.stats().evictions, 1);
         // Repeated failing probes bounce HalfOpen→Open without new edges.
         for _ in 0..3 {
@@ -1692,7 +1683,7 @@ mod tests {
         // Every invocation lands on the healthy worker: round-robin picks
         // w0 half the time, gets 503, and reroutes without tripping.
         for _ in 0..6 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert_eq!(ok.calls.load(Ordering::SeqCst), 6, "all served by w1");
         let st = cluster.stats();
@@ -1704,7 +1695,7 @@ mod tests {
         cluster.probe_round();
         let st = cluster.stats();
         assert!(!st.slots[0].draining);
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
     }
 
     #[test]
@@ -1720,7 +1711,7 @@ mod tests {
         draining.retry_after_ms.store(60_000, Ordering::SeqCst);
         // The 503 carries a 60 s Retry-After: the reroute must record it.
         for _ in 0..4 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         let probes_at_hint = draining.probes.load(Ordering::SeqCst);
         // Scrapes during the suppression window must not probe w0 again,
@@ -1749,8 +1740,8 @@ mod tests {
         let cluster = Cluster::new(handles, LbPolicy::RoundRobin);
         draining.draining.store(true, Ordering::SeqCst);
         draining.retry_after_ms.store(20, Ordering::SeqCst);
-        cluster.invoke("f-1", "{}").unwrap();
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         // Hint expires; the worker finishes draining and returns.
         std::thread::sleep(std::time::Duration::from_millis(30));
         draining.draining.store(false, Ordering::SeqCst);
@@ -1794,7 +1785,7 @@ mod tests {
         assert_eq!(st.evictions, 0);
         // Round-robin now reaches both workers.
         for _ in 0..4 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert!(
             w1.calls.load(Ordering::SeqCst) >= 1,
@@ -1834,7 +1825,7 @@ mod tests {
     fn detached_slot_keeps_dispatch_counters() {
         let (stubs, cluster) = stub_cluster(2, LbPolicy::RoundRobin);
         for _ in 0..6 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert_eq!(stubs[1].calls.load(Ordering::SeqCst), 3);
         cluster.detach(1);
@@ -1849,7 +1840,7 @@ mod tests {
         );
         // All further traffic flows to the remaining worker.
         for _ in 0..4 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert_eq!(stubs[0].calls.load(Ordering::SeqCst), 7);
     }
@@ -1899,7 +1890,7 @@ mod tests {
     fn scrape_reports_loads_and_dispatches() {
         let (stubs, cluster) = stub_cluster(2, LbPolicy::RoundRobin);
         *stubs[1].load.write() = 2.5;
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         let snap = cluster.scrape();
         let slots = &snap.stats.slots;
         assert_eq!(slots.len(), 2);
@@ -1978,7 +1969,7 @@ mod tests {
         cluster.set_telemetry(bus);
 
         // Force dispatch onto the dead worker: round-robin starts at 0.
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(live.calls.load(Ordering::SeqCst), 1, "rerouted to live");
         let labels: Vec<String> = sink.events().iter().map(|e| e.kind.label()).collect();
         assert!(labels.contains(&"breaker:open".to_string()), "{labels:?}");
@@ -1988,7 +1979,7 @@ mod tests {
     #[test]
     fn stub_breakdown_merges_to_empty_report() {
         let (_stubs, cluster) = stub_cluster(2, LbPolicy::RoundRobin);
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         let report = cluster.breakdown();
         assert_eq!(report.source, "cluster");
         assert_eq!(report.invocations, 0, "stubs expose no breakdown");
@@ -2013,7 +2004,9 @@ mod tests {
                 if i == 500 {
                     workers[0].fail.store(true, Ordering::SeqCst);
                 }
-                cluster.invoke(&format!("f{}-1", i % 7), "{}").unwrap();
+                cluster
+                    .invoke_tenant(&format!("f{}-1", i % 7), "{}", None)
+                    .unwrap();
             }
             assert_eq!(probes(&workers), before, "1 000 invocations, no probe");
             let served: u64 = workers.iter().map(|w| w.calls.load(Ordering::SeqCst)).sum();
@@ -2027,7 +2020,7 @@ mod tests {
         let held = workers[0].gate.lock();
         // Both idle: the tie goes to slot 0, where the hop parks.
         let c = Arc::clone(&cluster);
-        let parked = std::thread::spawn(move || c.invoke("f-1", "{}").unwrap());
+        let parked = std::thread::spawn(move || c.invoke_tenant("f-1", "{}", None).unwrap());
         while cluster.slots[0].inflight.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -2086,7 +2079,7 @@ mod tests {
                 3 => race.armed.store(true, Ordering::SeqCst),
                 _ => {}
             }
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
             exits[exit] += 1;
             if exit > 0 {
                 // Undo, and let the scrape tick's round readmit the worker.
@@ -2111,13 +2104,13 @@ mod tests {
     fn open_breaker_is_readmitted_by_a_probe_round_not_an_invoke() {
         let (workers, cluster) = flaky_cluster(2, LbPolicy::LeastLoaded);
         workers[0].fail.store(true, Ordering::SeqCst);
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(cluster.stats().slots[0].breaker, "open");
         // Recovered, and the cooldown (0) long over: invocations still do
         // not readmit it.
         workers[0].fail.store(false, Ordering::SeqCst);
         for _ in 0..5 {
-            cluster.invoke("f-1", "{}").unwrap();
+            cluster.invoke_tenant("f-1", "{}", None).unwrap();
         }
         assert_eq!(cluster.stats().slots[0].breaker, "open");
         assert_eq!(workers[0].calls.load(Ordering::SeqCst), 0);
@@ -2125,7 +2118,7 @@ mod tests {
         // The next round does, and traffic returns.
         cluster.probe_round();
         assert_eq!(cluster.stats().slots[0].breaker, "closed");
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
         assert_eq!(workers[0].calls.load(Ordering::SeqCst), 1);
     }
 }

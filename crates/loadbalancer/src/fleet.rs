@@ -518,7 +518,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::cluster::{BreakerConfig, HandleStats, LbPolicy, ProbeResult};
-    use iluvatar_core::{InvocationResult, InvokeError};
+    use iluvatar_core::{CacheStatus, InvocationResult, InvokeError};
     use parking_lot::RwLock;
     use std::sync::atomic::AtomicBool;
 
@@ -585,6 +585,7 @@ mod tests {
                 arrived_at: 0,
                 trace_id: 0,
                 tenant: None,
+                cache: CacheStatus::Bypass,
             })
         }
 

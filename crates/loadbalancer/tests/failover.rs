@@ -5,7 +5,7 @@
 use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
 use iluvatar_containers::FunctionSpec;
 use iluvatar_core::api::WorkerApi;
-use iluvatar_core::{InvocationResult, InvokeError, Worker, WorkerConfig};
+use iluvatar_core::{CacheStatus, InvocationResult, InvokeError, Worker, WorkerConfig};
 use iluvatar_http::{HttpClient, Method, Request};
 use iluvatar_lb::cluster::RemoteWorker;
 use iluvatar_lb::{ChBlConfig, Cluster, LbApi, LbPolicy, WorkerHandle};
@@ -77,6 +77,7 @@ impl WorkerHandle for KillableWorker {
             arrived_at: 0,
             trace_id: 0,
             tenant: None,
+            cache: CacheStatus::Bypass,
         })
     }
 }
@@ -95,7 +96,7 @@ fn mid_call_death_evicts_and_reroutes_without_loss() {
     cluster.register_all(FunctionSpec::new("f", "1")).unwrap();
 
     for _ in 0..5 {
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
     }
     let before = cluster.stats();
     let home = if before.slots[0].dispatched > 0 { 0 } else { 1 };
@@ -112,7 +113,7 @@ fn mid_call_death_evicts_and_reroutes_without_loss() {
     stubs[home].kill();
     for i in 0..10 {
         let r = cluster
-            .invoke("f-1", "{}")
+            .invoke_tenant("f-1", "{}", None)
             .unwrap_or_else(|e| panic!("invocation {i} lost: {e}"));
         assert_eq!(r.body, "ok");
     }
@@ -300,7 +301,7 @@ fn lb_routes_around_draining_worker_without_eviction() {
         .unwrap();
 
     for _ in 0..5 {
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
     }
     let home = if cluster.stats().slots[0].dispatched > 0 {
         0
@@ -314,7 +315,7 @@ fn lb_routes_around_draining_worker_without_eviction() {
     client.drain().unwrap();
     for i in 0..10 {
         cluster
-            .invoke("f-1", "{}")
+            .invoke_tenant("f-1", "{}", None)
             .unwrap_or_else(|e| panic!("invocation {i} lost to the drain: {e}"));
     }
     let st = cluster.stats();

@@ -15,7 +15,7 @@
 //! loads calls `cluster.probe_round()` before each `invoke`.
 
 use crate::keepalive::{Arrival, KeepaliveSim, SimConfig, SimOutcome};
-use iluvatar_core::{FunctionSpec, InvocationResult, InvokeError};
+use iluvatar_core::{CacheStatus, FunctionSpec, InvocationResult, InvokeError};
 use iluvatar_lb::{HandleStats, ProbeResult, WorkerHandle};
 use iluvatar_sync::Clock;
 use iluvatar_trace::azure::FunctionProfile;
@@ -135,6 +135,7 @@ impl WorkerHandle for SimWorker {
             arrived_at: now,
             trace_id: 0,
             tenant: None,
+            cache: CacheStatus::Bypass,
         })
     }
 

@@ -68,9 +68,12 @@ fn sim_worker_keeps_the_worker_handle_contract() {
     // w0 has kept f0 warm for a minute; w1 has only just taken three f1
     // arrivals — one executing, two backlogged, residency still zero — so
     // w1 is the least-warm victim.
-    assert!(w0.invoke("f0", "").unwrap().cold, "nothing was warm");
+    assert!(
+        w0.invoke_tenant("f0", "", None).unwrap().cold,
+        "nothing was warm"
+    );
     clock.set(60_000);
-    (0..3).for_each(|_| drop(w1.invoke("f1", "").unwrap()));
+    (0..3).for_each(|_| drop(w1.invoke_tenant("f1", "", None).unwrap()));
     let st = w1.stats();
     assert_eq!((st.running, st.queue_len, st.drain_pending), (1, 2, 3));
     assert_eq!(w1.load(), 3.0, "(executing + backlogged) / slots");
@@ -91,10 +94,12 @@ fn sim_worker_keeps_the_worker_handle_contract() {
     // A draining handle answers 503, and a balancer that has not heard of
     // the drain re-routes on it: w0 takes both.
     assert!(matches!(
-        w1.invoke("f2", ""),
+        w1.invoke_tenant("f2", "", None),
         Err(InvokeError::ShuttingDown)
     ));
-    let served: Vec<_> = (0..2).map(|_| unaware.invoke("f1", "").unwrap()).collect();
+    let served: Vec<_> = (0..2)
+        .map(|_| unaware.invoke_tenant("f1", "", None).unwrap())
+        .collect();
     assert!(!served[0].cold, "the handed-off container served f1 warm");
     assert_eq!(unaware.stats().rerouted, 1);
 
@@ -109,7 +114,7 @@ fn sim_worker_keeps_the_worker_handle_contract() {
     // Through the handle alone: a prewarm makes the next arrival warm.
     w0.prewarm("f2").unwrap();
     clock.set(200_000);
-    assert!(!w0.invoke("f2", "").unwrap().cold);
+    assert!(!w0.invoke_tenant("f2", "", None).unwrap().cold);
     // 1 + 3 + 2 + 1 arrivals were accepted; each is counted exactly once.
     let (warm, cold, dropped) = totals(&[w0.finish(300_000), w1.finish(300_000)]);
     assert_eq!((warm, cold, dropped), (5, 2, 0));
@@ -182,7 +187,7 @@ fn replay(
         }
         // Fresh loads per arrival, as the LB-tier figures route.
         cluster.probe_round();
-        let served = cluster.invoke(fqdn, "");
+        let served = cluster.invoke_tenant(fqdn, "", None);
         served.expect("the backlog cap is generous");
     }
     let end = trace.last().unwrap().time_ms;

@@ -54,7 +54,9 @@ fn main() {
     let mut total = 0;
     for round in 0..5 {
         for i in 0..12 {
-            let r = cluster.invoke(&format!("fn{i}-1"), "{}").unwrap();
+            let r = cluster
+                .invoke_tenant(&format!("fn{i}-1"), "{}", None)
+                .unwrap();
             total += 1;
             if !r.cold {
                 warm += 1;

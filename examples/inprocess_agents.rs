@@ -44,9 +44,13 @@ fn main() {
         FbApp::WebServing,
     ] {
         let fqdn = format!("{}-1", app.name());
-        let cold = worker.invoke(&fqdn, r#"{"demo":true}"#).unwrap();
+        let cold = worker
+            .invoke_tenant(&fqdn, r#"{"demo":true}"#, None)
+            .unwrap();
         let t = Instant::now();
-        let warm = worker.invoke(&fqdn, r#"{"demo":true}"#).unwrap();
+        let warm = worker
+            .invoke_tenant(&fqdn, r#"{"demo":true}"#, None)
+            .unwrap();
         let wall = t.elapsed().as_micros();
         println!(
             "{:<16} cold e2e {:>4}ms | warm e2e {:>3}ms (wall {:>5}µs) overhead {:>2}ms | result: {:.40}...",
@@ -64,7 +68,7 @@ fn main() {
     // should cost low single-digit milliseconds (Table 1's ~2ms).
     let mut overheads = Vec::new();
     for _ in 0..200 {
-        let r = worker.invoke("pyaes-1", "{}").unwrap();
+        let r = worker.invoke_tenant("pyaes-1", "{}", None).unwrap();
         overheads.push(r.overhead_ms() as f64);
     }
     println!(

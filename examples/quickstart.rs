@@ -38,7 +38,9 @@ fn main() {
     );
 
     // First invocation: cold start (container create + init).
-    let r1 = worker.invoke("hello-1", r#"{"name":"world"}"#).unwrap();
+    let r1 = worker
+        .invoke_tenant("hello-1", r#"{"name":"world"}"#, None)
+        .unwrap();
     println!(
         "invocation 1: cold={} exec={}ms e2e={}ms control-plane overhead={}ms",
         r1.cold,
@@ -48,7 +50,9 @@ fn main() {
     );
 
     // Second invocation: warm start from the keep-alive pool.
-    let r2 = worker.invoke("hello-1", r#"{"name":"again"}"#).unwrap();
+    let r2 = worker
+        .invoke_tenant("hello-1", r#"{"name":"again"}"#, None)
+        .unwrap();
     println!(
         "invocation 2: cold={} exec={}ms e2e={}ms overhead={}ms",
         r2.cold,
@@ -63,12 +67,12 @@ fn main() {
         .register(FunctionSpec::new("ml", "1").with_timing(600, 4_000))
         .unwrap();
     worker.prewarm("ml-1").unwrap();
-    let r3 = worker.invoke("ml-1", "{}").unwrap();
+    let r3 = worker.invoke_tenant("ml-1", "{}", None).unwrap();
     println!("prewarmed ml-1: cold={} e2e={}ms", r3.cold, r3.e2e_ms);
 
     // Async invocations overlap.
     let handles: Vec<_> = (0..4)
-        .map(|_| worker.async_invoke("hello-1", "{}").unwrap())
+        .map(|_| worker.async_invoke_tenant("hello-1", "{}", None).unwrap())
         .collect();
     for (i, h) in handles.into_iter().enumerate() {
         let r = h.wait().unwrap();

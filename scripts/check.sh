@@ -69,6 +69,41 @@ if [[ -n "$tables" ]]; then
     exit 1
 fi
 
+echo "=== one invoke entry per tier (the cache consult lives inside it) ==="
+# The worker's entry is `async_invoke_tenant` (`invoke_tenant` redeems it),
+# the balancer's `Cluster::invoke_tenant`, the client's `*_tenant` pair; the
+# result cache is consulted inside the entry, so no caller can pick an
+# uncached door (DESIGN.md "Invocation pipeline"). Test code is exempt; the
+# `WorkerHandle` trait's `fn invoke` is not a `pub fn`.
+for f in crates/core/src/worker.rs crates/core/src/api.rs crates/loadbalancer/src/cluster.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nE '^\s*pub fn (invoke|async_invoke|invoke_tenant_cached|invoke_cached|recover_full)\b'; then
+        echo "$f: a second invoke (or recover) entry is back; callers pass a None tenant to the *_tenant entry" >&2
+        exit 1
+    fi
+done
+# Which non-test functions of a tier's sources call `$1`.
+callers_of() {
+    local call=$1
+    shift
+    for f in "$@"; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" -v call=".$call(" '
+            match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { fn = substr($0, RSTART, RLENGTH); sub(/.* /, "", fn) }
+            /^ *\/\// { next }
+            index($0, call) { print f ": " fn }'
+    done | sort -u
+}
+consults=$(callers_of lookup crates/core/src/*.rs)
+if [[ "$consults" != 'crates/core/src/worker.rs: async_invoke_tenant' ]]; then
+    echo "the worker's ResultCache::lookup is called from ${consults:-nowhere}; it belongs to async_invoke_tenant alone" >&2
+    exit 1
+fi
+consults=$(callers_of lookup_single_flight crates/loadbalancer/src/*.rs)
+if [[ "$consults" != 'crates/loadbalancer/src/cluster.rs: invoke_tenant' ]]; then
+    echo "the balancer's lookup_single_flight is called from ${consults:-nowhere}; it belongs to Cluster::invoke_tenant alone" >&2
+    exit 1
+fi
+
 echo "=== duplication guard (one cluster, one fleet) ==="
 # Routing and fleet sizing have one implementation each: `Cluster` builds
 # the only CH-BL ring and `Fleet` drives the only `ScalingPolicy` (DESIGN.md

@@ -70,7 +70,7 @@ fn main() {
                 usage();
             }
             let body = args.get(3).map(|s| s.as_str()).unwrap_or("{}");
-            match client.invoke(&args[2], body) {
+            match client.invoke_tenant(&args[2], body, None) {
                 Ok(r) => println!(
                     "{} ({}; exec {}ms, e2e {}ms, queued {}ms)",
                     r.body,

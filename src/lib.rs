@@ -12,7 +12,7 @@
 //! let backend = Arc::new(SimBackend::new(Arc::clone(&clock), Default::default()));
 //! let worker = Worker::new(WorkerConfig::default(), backend, clock);
 //! worker.register(FunctionSpec::new("hello", "1").with_timing(20, 100)).unwrap();
-//! let result = worker.invoke("hello-1", "{}").unwrap();
+//! let result = worker.invoke_tenant("hello-1", "{}", None).unwrap();
 //! println!("cold={} e2e={}ms overhead={}ms", result.cold, result.e2e_ms, result.overhead_ms());
 //! ```
 

@@ -113,7 +113,7 @@ pub(super) fn burst(seed: u64, clock: &Arc<dyn Clock>, bus: Option<Arc<Telemetry
             let fqdn = format!("f{}-1", (tick + i) % 4);
             fleet.note_arrival(&fqdn);
             cluster
-                .invoke(&fqdn, "{}")
+                .invoke_tenant(&fqdn, "{}", None)
                 .expect("elasticity must not drop invocations");
             out.invoked += 1;
         }

@@ -74,19 +74,19 @@ pub fn run(args: &Args) -> u64 {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut statuses = String::new();
     let mut run = |fqdn: &str, args: &str, tenant: &str| -> CacheStatus {
-        let (r, status) = cluster
-            .invoke_cached(fqdn, args, Some(tenant))
+        let r = cluster
+            .invoke_tenant(fqdn, args, Some(tenant))
             .expect("invoke");
-        if status == CacheStatus::Hit {
+        if r.cache == CacheStatus::Hit {
             assert_eq!(
                 r.tenant.as_deref(),
                 Some(tenant),
                 "hit served across the tenant wall"
             );
         }
-        statuses.push_str(status.as_str());
+        statuses.push_str(r.cache.as_str());
         statuses.push(';');
-        status
+        r.cache
     };
 
     // Phase 1 — first sight: every idempotent (tenant, fn, arg) triple is a

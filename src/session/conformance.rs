@@ -57,13 +57,13 @@ fn scenario_chaos(seed: u64) -> (Vec<TelemetryEvent>, String) {
         // Arguments repeat (i mod 6): once a result is cached, later
         // identical submissions are served without touching the backend.
         let args = format!("{{\"i\":{}}}", i % 6);
-        let id = match worker.invoke_tenant_cached("f-1", &args, Some(tenant_of(i))) {
-            Ok((_, CacheStatus::Hit)) => {
+        let id = match worker.invoke_tenant("f-1", &args, Some(tenant_of(i))) {
+            Ok(r) if r.cache == CacheStatus::Hit => {
                 // A hit mints no trace: nothing to wait on.
                 cache_hits += 1;
                 continue;
             }
-            Ok((r, _)) => r.trace_id,
+            Ok(r) => r.trace_id,
             Err(_) => worker.recent_traces(1)[0].trace_id,
         };
         // Serialize: each trace completes before the next starts emitting.

@@ -5,7 +5,7 @@
 //! WAL-journaled worker and, at the submission the chaos plan's
 //! `worker_kill` site picks (`--kill-at`, default 12), kills the worker
 //! outright — no drain, no final snapshot. The session then rebuilds a
-//! worker with [`Worker::recover_full`], awaits every replayed
+//! worker with [`Worker::recover`], awaits every replayed
 //! invocation, and asserts the crash-safety contract: **no invocation
 //! accepted before the kill is lost**, and the post-recovery state
 //! (accepted trace ids, per-tenant books, completion totals) is a pure
@@ -101,7 +101,7 @@ pub(super) fn recover_all(
     accepted: &[u64],
     sinks: &[Arc<dyn TelemetrySink>],
 ) -> (Worker, RecoveryReport) {
-    let (recovered, mut report) = Worker::recover_full(
+    let (recovered, mut report) = Worker::recover(
         cfg(wal_path),
         sim_backend(clock),
         Arc::clone(clock),

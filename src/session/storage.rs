@@ -428,7 +428,7 @@ fn phase_kill_recover(seed: u64) -> String {
     }
 
     sink.note_restart("test-worker");
-    let (recovered, rep) = Worker::recover_full(
+    let (recovered, rep) = Worker::recover(
         mk_cfg(),
         sim_backend(&clock),
         clock,

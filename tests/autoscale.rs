@@ -84,7 +84,7 @@ fn seeded_burst_scales_real_fleet_without_drops() {
         for i in 0..arrivals.min(5) {
             let fqdn = format!("ride{}-1", (tick + i) % 3);
             fleet.note_arrival(&fqdn);
-            if cluster.invoke(&fqdn, "{}").is_err() {
+            if cluster.invoke_tenant(&fqdn, "{}", None).is_err() {
                 errors += 1;
             }
         }

@@ -56,7 +56,7 @@ fn overload_runs_on_at_most_limit_executors_and_loses_nothing() {
             let (mut handles, mut rejected) = (Vec::new(), 0u64);
             let until = Instant::now() + Duration::from_secs(1);
             while Instant::now() < until {
-                match w.async_invoke("f-1", "{}") {
+                match w.async_invoke_tenant("f-1", "{}", None) {
                     Ok(h) => handles.push(h),
                     Err(InvokeError::QueueFull) => rejected += 1,
                     Err(e) => panic!("a refusal under overload must be QueueFull, got {e}"),
@@ -105,7 +105,7 @@ fn overload_runs_on_at_most_limit_executors_and_loses_nothing() {
     // --- twenty lifetimes leak no thread ----------------------------------
     for _ in 0..20 {
         let w = worker();
-        w.invoke("f-1", "{}").unwrap();
+        w.invoke_tenant("f-1", "{}", None).unwrap();
     }
     assert_eq!(thread_names().len(), threads_at_start);
 }

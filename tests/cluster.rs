@@ -47,7 +47,9 @@ fn chbl_locality_maximizes_warm_starts() {
     let mut cold = 0;
     for round in 0..4 {
         for i in 0..6 {
-            let r = cluster.invoke(&format!("fn{i}-1"), "{}").unwrap();
+            let r = cluster
+                .invoke_tenant(&format!("fn{i}-1"), "{}", None)
+                .unwrap();
             if r.cold {
                 cold += 1;
                 assert_eq!(round, 0, "cold starts only in the first round");
@@ -72,7 +74,7 @@ fn round_robin_spreads_and_loses_locality() {
         .register_all(FunctionSpec::new("f", "1").with_timing(50, 500))
         .unwrap();
     for _ in 0..6 {
-        cluster.invoke("f-1", "{}").unwrap();
+        cluster.invoke_tenant("f-1", "{}", None).unwrap();
     }
     // Every worker saw the function → 3 cold starts (vs CH-BL's 1).
     let cold: u64 = workers.iter().map(|w| w.status().cold_starts).sum();
@@ -92,7 +94,7 @@ fn chbl_forwards_under_load_imbalance() {
         .map(|_| {
             let c = Arc::clone(&cluster);
             std::thread::spawn(move || {
-                let _ = c.invoke("busy-1", "{}");
+                let _ = c.invoke_tenant("busy-1", "{}", None);
             })
         })
         .collect();
@@ -124,7 +126,7 @@ fn least_loaded_balances_closed_loop() {
             let c = Arc::clone(&cluster);
             std::thread::spawn(move || {
                 for _ in 0..5 {
-                    let _ = c.invoke("f-1", "{}");
+                    let _ = c.invoke_tenant("f-1", "{}", None);
                 }
             })
         })

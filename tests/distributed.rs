@@ -49,7 +49,9 @@ fn chbl_over_http_workers() {
     let mut cold = 0;
     for _round in 0..3 {
         for i in 0..4 {
-            let r = cluster.invoke(&format!("fn{i}-1"), "{}").unwrap();
+            let r = cluster
+                .invoke_tenant(&format!("fn{i}-1"), "{}", None)
+                .unwrap();
             if r.cold {
                 cold += 1;
             }
@@ -86,7 +88,9 @@ fn routing_costs_no_worker_requests() {
         let before = served();
         let invocations = 40;
         for k in 0..invocations {
-            cluster.invoke(&format!("fn{}-1", k % 4), "{}").unwrap();
+            cluster
+                .invoke_tenant(&format!("fn{}-1", k % 4), "{}", None)
+                .unwrap();
         }
         assert_eq!(served() - before, invocations, "{n} workers");
         assert_eq!(cluster.stats().dispatched(), invocations);
@@ -97,7 +101,7 @@ fn routing_costs_no_worker_requests() {
 fn remote_worker_surfaces_errors() {
     let (_w, api) = http_worker("remote-err");
     let remote = RemoteWorker::connect(api.addr());
-    match remote.invoke("ghost-1", "{}") {
+    match remote.invoke_tenant("ghost-1", "{}", None) {
         Err(InvokeError::NotRegistered(f)) => assert_eq!(f, "ghost-1"),
         other => panic!("expected NotRegistered, got {other:?}"),
     }

@@ -41,10 +41,10 @@ fn real_agent_full_lifecycle() {
     );
     worker.register(FunctionSpec::new("echo", "1")).unwrap();
 
-    let r1 = worker.invoke("echo-1", "42").unwrap();
+    let r1 = worker.invoke_tenant("echo-1", "42", None).unwrap();
     assert!(r1.cold);
     assert_eq!(r1.body, "[42]");
-    let r2 = worker.invoke("echo-1", "43").unwrap();
+    let r2 = worker.invoke_tenant("echo-1", "43", None).unwrap();
     assert!(!r2.cold, "keep-alive served the second invocation warm");
     assert_eq!(r2.body, "[43]");
     assert_eq!(backend.live_containers(), 1, "one warm container pooled");
@@ -69,7 +69,14 @@ fn real_agents_concurrent_functions() {
     }
     let handles: Vec<_> = (0..4)
         .flat_map(|i| (0..3).map(move |_| i).collect::<Vec<_>>())
-        .map(|i| (i, worker.async_invoke(&format!("f{i}-1"), "{}").unwrap()))
+        .map(|i| {
+            (
+                i,
+                worker
+                    .async_invoke_tenant(&format!("f{i}-1"), "{}", None)
+                    .unwrap(),
+            )
+        })
         .collect();
     for (i, h) in handles {
         let r = h.wait().unwrap();
@@ -84,7 +91,9 @@ fn functionbench_behaviors_run_on_real_agents() {
     for app in [FbApp::PyAes, FbApp::MatrixMultiply, FbApp::WebServing] {
         backend.register_behavior(format!("{}-1", app.name()), app.behavior());
         worker.register(app.spec()).unwrap();
-        let r = worker.invoke(&format!("{}-1", app.name()), "{}").unwrap();
+        let r = worker
+            .invoke_tenant(&format!("{}-1", app.name()), "{}", None)
+            .unwrap();
         assert!(
             r.body.starts_with('{'),
             "{} returned {}",
@@ -129,15 +138,15 @@ fn keepalive_policy_changes_eviction_order_end_to_end() {
             }),
     )
     .unwrap();
-    w.invoke("dear-1", "{}").unwrap();
-    w.invoke("cheap-1", "{}").unwrap();
+    w.invoke_tenant("dear-1", "{}", None).unwrap();
+    w.invoke_tenant("cheap-1", "{}", None).unwrap();
     // Learn the init costs with one more round (both warm now).
-    w.invoke("dear-1", "{}").unwrap();
-    w.invoke("cheap-1", "{}").unwrap();
+    w.invoke_tenant("dear-1", "{}", None).unwrap();
+    w.invoke_tenant("cheap-1", "{}", None).unwrap();
     // Third function forces an eviction: GD should sacrifice `cheap`
     // (low init cost) even though `dear` is older.
-    w.invoke("third-1", "{}").unwrap();
-    let r_dear = w.invoke("dear-1", "{}").unwrap();
+    w.invoke_tenant("third-1", "{}", None).unwrap();
+    let r_dear = w.invoke_tenant("dear-1", "{}", None).unwrap();
     assert!(!r_dear.cold, "GD protected the high-init-cost function");
 }
 
@@ -155,7 +164,7 @@ fn queue_backpressure_and_recovery() {
     let mut accepted = Vec::new();
     let mut rejected = 0;
     for _ in 0..10 {
-        match w.async_invoke("slow-1", "{}") {
+        match w.async_invoke_tenant("slow-1", "{}", None) {
             Ok(h) => accepted.push(h),
             Err(InvokeError::QueueFull) => rejected += 1,
             Err(e) => panic!("unexpected error {e}"),
@@ -166,7 +175,7 @@ fn queue_backpressure_and_recovery() {
         h.wait().unwrap();
     }
     // After draining, new work is accepted again.
-    assert!(w.invoke("slow-1", "{}").is_ok());
+    assert!(w.invoke_tenant("slow-1", "{}", None).is_ok());
 }
 
 #[test]
@@ -176,5 +185,5 @@ fn worker_config_json_drives_behavior() {
     let w = sim_worker(cfg);
     w.register(FunctionSpec::new("f", "1").with_timing(10, 10))
         .unwrap();
-    assert!(w.invoke("f-1", "{}").is_ok());
+    assert!(w.invoke_tenant("f-1", "{}", None).is_ok());
 }

@@ -1,7 +1,9 @@
-//! "Off means off": a default-config worker serving warm invocations
-//! publishes the six journal stages per invocation and nothing from any
-//! optional subsystem, and runs only its three standing threads plus the
-//! executors its load called for — no thread per invocation. This is the
+//! "Off means off": a default-config worker serving warm invocations —
+//! through the sync entry and the async one alike — publishes the six
+//! journal stages per invocation and nothing from any optional subsystem
+//! (no `cache:*` event; every result reads `Bypass`), and runs only its
+//! three standing threads plus the executors its load called for — no
+//! thread per invocation. This is the
 //! in-tree zero-cost-when-off row the DESIGN.md keep-or-kill audit cites for
 //! every subsystem it keeps. And idle means idle: a worker whose group-commit
 //! WAL is *on* performs no fsync while nothing arrives — the log commits
@@ -46,9 +48,20 @@ fn default_worker_runs_no_optional_subsystem() {
         .telemetry()
         .add_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
 
-    for _ in 0..INVOCATIONS {
-        let r = worker.invoke("f-1", "{}").unwrap();
+    // Half through the sync entry, half through the async one it wraps:
+    // with the cache off, neither consults it and every result says so.
+    for i in 0..INVOCATIONS {
+        let r = if i % 2 == 0 {
+            worker.invoke_tenant("f-1", "{}", None)
+        } else {
+            worker
+                .async_invoke_tenant("f-1", "{}", None)
+                .unwrap()
+                .wait()
+        }
+        .unwrap();
         assert!(!r.cold, "prewarmed: every invocation is warm");
+        assert_eq!(r.cache, CacheStatus::Bypass, "the cache is off");
     }
     // `result_returned` lands just after the caller is released; poll.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -157,7 +170,7 @@ fn idle_group_commit_worker_performs_no_fsync() {
         .register(FunctionSpec::new("f", "1").with_timing(100, 0))
         .unwrap();
     for _ in 0..5 {
-        worker.invoke("f-1", "{}").unwrap();
+        worker.invoke_tenant("f-1", "{}", None).unwrap();
     }
     // Ten sweep intervals for the sweeper to find the log clean and park.
     std::thread::sleep(Duration::from_millis(20));

@@ -130,7 +130,7 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     w.register(spec(100)).unwrap();
 
     // Unseen function: no expected runtime yet, so it queues.
-    let queued = w.invoke("f-1", "{}").unwrap().trace_id;
+    let queued = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
     let (journal, wal_ops) = finished_timeline(&sink, queued);
     assert_eq!(
         journal,
@@ -140,7 +140,7 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
 
     // Now known-short: around the queue. One WAL record covers both the
     // enqueue and the dequeue.
-    let bypassed = w.invoke("f-1", "{}").unwrap().trace_id;
+    let bypassed = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
     let (journal, wal_ops) = finished_timeline(&sink, bypassed);
     assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
     assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
@@ -171,7 +171,7 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let mut handles = Vec::new();
     let mut full = 0;
     for _ in 0..8 {
-        match w.async_invoke("f-1", "{}") {
+        match w.async_invoke_tenant("f-1", "{}", None) {
             Ok(h) => handles.push(h),
             Err(InvokeError::QueueFull) => full += 1,
             Err(e) => panic!("unexpected {e}"),
@@ -196,14 +196,14 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let (mut w, _) = tapped_worker(cfg.clone());
     w.register(spec(1500)).unwrap();
     let accepted: Vec<_> = (0..3)
-        .map(|_| w.async_invoke("f-1", "{}").unwrap())
+        .map(|_| w.async_invoke_tenant("f-1", "{}", None).unwrap())
         .collect();
     w.kill();
     drop(accepted);
     drop(w);
     let sink = Arc::new(VecSink::new());
     let clock: Arc<dyn Clock> = SystemClock::shared();
-    let (recovered, report) = Worker::recover_full(
+    let (recovered, report) = Worker::recover(
         cfg,
         backend(&clock),
         clock,
@@ -269,9 +269,9 @@ fn bypass_runs_on_an_executor_with_the_same_timeline() {
 
     // Unseen, the function queues once; from then on it is known-short and
     // a sequential caller always finds one of the two run slots free.
-    w.invoke("f-1", "{}").unwrap();
+    w.invoke_tenant("f-1", "{}", None).unwrap();
     for _ in 0..20 {
-        let id = w.invoke("f-1", "{}").unwrap().trace_id;
+        let id = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
         let (journal, wal_ops) = finished_timeline(&sink, id);
         assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
         assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
