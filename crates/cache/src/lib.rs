@@ -110,6 +110,16 @@ impl CacheStatus {
             CacheStatus::Bypass => "bypass",
         }
     }
+
+    /// The verdict an `X-Iluvatar-Cache` value names.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "hit" => Some(CacheStatus::Hit),
+            "miss" => Some(CacheStatus::Miss),
+            "bypass" => Some(CacheStatus::Bypass),
+            _ => None,
+        }
+    }
 }
 
 /// Outcome of a consult.

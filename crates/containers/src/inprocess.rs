@@ -118,10 +118,10 @@ impl ContainerBackend for InProcessBackend {
             .with_header("Content-Type", "application/json")
             .with_body(args.as_bytes().to_vec());
         if let Some(t) = trace {
-            req = req.with_header(TRACE_HEADER, t);
+            req = req.with_header(TRACE_HEADER, t.to_string());
         }
         if let Some(t) = tenant {
-            req = req.with_header(TENANT_HEADER, t);
+            req = req.with_header(TENANT_HEADER, t.to_string());
         }
         let resp = self
             .client

@@ -43,6 +43,7 @@ use crate::journal::TraceRecord;
 use crate::spans::SpanExport;
 use crate::worker::{Worker, WorkerStatus};
 use iluvatar_admission::DEFAULT_TENANT;
+use iluvatar_cache::CacheStatus;
 use iluvatar_containers::FunctionSpec;
 use iluvatar_http::server::{Handler, ServerHandle};
 use iluvatar_http::{
@@ -83,7 +84,7 @@ impl InvokeBody {
         .expect("InvokeBody encodes");
         let req = Request::new(Method::Post, path).with_body(body);
         match tenant {
-            Some(t) => req.with_header(TENANT_HEADER, t),
+            Some(t) => req.with_header(TENANT_HEADER, t.to_string()),
             None => req,
         }
     }
@@ -114,6 +115,24 @@ pub struct WireResult {
     /// Tenant the invocation was accounted to.
     #[serde(default)]
     pub tenant: Option<String>,
+}
+
+impl WireResult {
+    /// The result this wire form carries, with the cache verdict its
+    /// response travelled with.
+    pub fn into_result(self, cache: CacheStatus) -> InvocationResult {
+        InvocationResult {
+            body: self.body,
+            exec_ms: self.exec_ms,
+            e2e_ms: self.e2e_ms,
+            cold: self.cold,
+            queue_ms: self.queue_ms,
+            arrived_at: 0,
+            trace_id: self.trace_id,
+            tenant: self.tenant,
+            cache,
+        }
+    }
 }
 
 impl From<InvocationResult> for WireResult {
@@ -487,8 +506,18 @@ impl WorkerApiClient {
 
     /// Send `req`, require a success status, decode the JSON body.
     fn fetch<T: Deserialize>(&self, req: Request) -> Result<T, ApiError> {
-        let resp = Self::expect_ok(self.call(req)?)?;
-        serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
+        decode(&Self::expect_ok(self.call(req)?)?)
+    }
+
+    /// A successful invoke response as the result it carries, with the
+    /// worker's cache verdict from `X-Iluvatar-Cache`.
+    fn invocation_result(resp: Response) -> Result<InvocationResult, ApiError> {
+        let resp = Self::expect_ok(resp)?;
+        let cache = resp
+            .header(CACHE_HEADER)
+            .and_then(CacheStatus::parse)
+            .unwrap_or(CacheStatus::Bypass);
+        decode::<WireResult>(&resp).map(|w| w.into_result(cache))
     }
 
     fn get<T: Deserialize>(&self, path: impl Into<String>) -> Result<T, ApiError> {
@@ -502,13 +531,14 @@ impl WorkerApiClient {
     }
 
     /// Invoke and wait for the result; `tenant` labels it for admission.
+    /// The result carries the worker's cache verdict.
     pub fn invoke_tenant(
         &self,
         fqdn: &str,
         args: &str,
         tenant: Option<&str>,
-    ) -> Result<WireResult, ApiError> {
-        self.fetch(InvokeBody::request("/invoke", fqdn, args, tenant))
+    ) -> Result<InvocationResult, ApiError> {
+        Self::invocation_result(self.call(InvokeBody::request("/invoke", fqdn, args, tenant))?)
     }
 
     /// Submit without waiting; redeem with [`WorkerApiClient::result`].
@@ -527,15 +557,12 @@ impl WorkerApiClient {
     }
 
     /// Poll for an async result; `Ok(None)` while still pending.
-    pub fn result(&self, cookie: u64) -> Result<Option<WireResult>, ApiError> {
+    pub fn result(&self, cookie: u64) -> Result<Option<InvocationResult>, ApiError> {
         let resp = self.call(Request::new(Method::Get, format!("/result/{cookie}")))?;
         if resp.status == Status::NOT_FOUND && resp.body_str().contains("pending") {
             return Ok(None);
         }
-        let resp = Self::expect_ok(resp)?;
-        serde_json::from_str(resp.body_str())
-            .map(Some)
-            .map_err(|e| ApiError::Decode(e.to_string()))
+        Self::invocation_result(resp).map(Some)
     }
 
     /// Ask the worker to stop accepting work and finish what it has.
@@ -577,10 +604,7 @@ impl WorkerApiClient {
         if resp.status == Status::NOT_FOUND {
             return Ok(None);
         }
-        let resp = Self::expect_ok(resp)?;
-        serde_json::from_str(resp.body_str())
-            .map(Some)
-            .map_err(|e| ApiError::Decode(e.to_string()))
+        decode(&Self::expect_ok(resp)?).map(Some)
     }
 
     /// The `last` most recent traces, newest first.
@@ -597,6 +621,11 @@ impl WorkerApiClient {
     pub fn flight_recorder(&self) -> Result<FlightDump, ApiError> {
         self.get("/debug/flightrecorder")
     }
+}
+
+/// A response's JSON body as a `T`.
+fn decode<T: Deserialize>(resp: &Response) -> Result<T, ApiError> {
+    serde_json::from_str(resp.body_str()).map_err(|e| ApiError::Decode(e.to_string()))
 }
 
 #[cfg(test)]

@@ -10,12 +10,13 @@
 //! them, transparently reconnecting when the server closed a pooled socket
 //! while it sat idle.
 
+use crate::buf::ReadBuf;
 use crate::message::{Request, Response};
 use crate::parse::{parse_response, ParseOutcome};
 use crate::HttpError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -45,26 +46,58 @@ impl RoundtripError {
     }
 }
 
-/// Issue `req` over `stream` and block for the full response.
-fn roundtrip(stream: &mut TcpStream, req: &Request) -> Result<Response, RoundtripError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let fail = |error: HttpError, buf: &[u8]| RoundtripError {
-        error,
-        response_started: !buf.is_empty(),
-    };
-    stream
-        .write_all(&req.encode())
-        .map_err(|e| fail(e.into(), &buf))?;
-    let mut tmp = [0u8; 16 * 1024];
-    loop {
-        match parse_response(&buf).map_err(|e| fail(e.into(), &buf))? {
-            ParseOutcome::Complete(resp, _used) => return Ok(resp),
-            ParseOutcome::Incomplete => {}
+/// A connection with the buffers its round trips reuse: pooled together,
+/// so a warm call allocates none.
+struct Conn {
+    stream: TcpStream,
+    buf: ReadBuf,
+    out: Vec<u8>,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr, timeout: Duration) -> Result<Self, HttpError> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Self {
+            stream,
+            buf: ReadBuf::new(),
+            out: Vec::with_capacity(1024),
+        })
+    }
+
+    /// Issue `req` and block for the full response.
+    fn roundtrip(&mut self, req: &Request) -> Result<Response, RoundtripError> {
+        self.buf.clear();
+        self.out.clear();
+        req.encode_into(&mut self.out);
+        let written = self.stream.write_all(&self.out);
+        if self.out.capacity() > 64 * 1024 {
+            self.out = Vec::with_capacity(1024);
         }
-        match stream.read(&mut tmp) {
-            Ok(0) => return Err(fail(HttpError::ConnectionClosed, &buf)),
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e) => return Err(fail(e.into(), &buf)),
+        written.map_err(|e| RoundtripError {
+            error: e.into(),
+            response_started: false,
+        })?;
+        loop {
+            let response_started = !self.buf.filled().is_empty();
+            let fail = |error| RoundtripError {
+                error,
+                response_started,
+            };
+            match parse_response(self.buf.filled()).map_err(|e| fail(e.into()))? {
+                ParseOutcome::Complete(resp, used) => {
+                    self.buf.consume(used);
+                    return Ok(resp);
+                }
+                ParseOutcome::Incomplete => {}
+            }
+            match self.buf.read_from(&mut self.stream) {
+                Ok(0) => return Err(fail(HttpError::ConnectionClosed)),
+                Ok(_) => {}
+                Err(e) => return Err(fail(e.into())),
+            }
         }
     }
 }
@@ -75,84 +108,116 @@ pub struct HttpClient;
 impl HttpClient {
     /// Send `req` to `addr` over a new connection.
     pub fn send(addr: SocketAddr, req: &Request, timeout: Duration) -> Result<Response, HttpError> {
-        let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        roundtrip(&mut stream, req).map_err(|e| e.error)
+        Conn::open(addr, timeout)?
+            .roundtrip(req)
+            .map_err(|e| e.error)
     }
+}
+
+/// One target address's connections.
+#[derive(Default)]
+struct AddrPool {
+    idle: Vec<Conn>,
+    /// Sends to this address in progress.
+    busy: usize,
+    /// The most sends ever in progress at once: the idle cap. Parking more
+    /// than that could never be used; parking fewer makes a caller that
+    /// runs that many sends dial (and the server spawn a connection
+    /// thread) on every burst.
+    peak: usize,
 }
 
 /// A connection-pooling client.
 ///
 /// Idle connections are keyed by target address. `send` checks a connection
 /// out of the pool (or dials), performs the round trip, and returns the
-/// connection on success. A pooled connection that the server closed while
-/// it sat idle is detected by the failed round trip and retried once on a
-/// fresh connection; any other failure (a read timeout, a reset mid-body)
-/// surfaces, because the request may already be executing.
+/// connection on success; each address parks at most as many idle
+/// connections as it has seen sends in flight at once. A pooled connection
+/// that the server closed while it sat idle is detected by the failed round
+/// trip and retried once on a fresh connection; any other failure (a read
+/// timeout, a reset mid-body) surfaces, because the request may already be
+/// executing.
 pub struct PooledClient {
-    idle: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
+    pools: Mutex<HashMap<SocketAddr, AddrPool>>,
     timeout: Duration,
-    max_idle_per_addr: usize,
 }
 
 impl PooledClient {
     pub fn new(timeout: Duration) -> Self {
         Self {
-            idle: Mutex::new(HashMap::new()),
+            pools: Mutex::new(HashMap::new()),
             timeout,
-            max_idle_per_addr: 4,
         }
     }
 
-    fn checkout(&self, addr: SocketAddr) -> Option<TcpStream> {
-        self.idle.lock().get_mut(&addr)?.pop()
+    fn checkout(&self, addr: SocketAddr) -> Option<Conn> {
+        let mut pools = self.pools.lock();
+        let pool = pools.entry(addr).or_default();
+        pool.busy += 1;
+        pool.peak = pool.peak.max(pool.busy);
+        pool.idle.pop()
     }
 
-    fn checkin(&self, addr: SocketAddr, stream: TcpStream) {
-        let mut idle = self.idle.lock();
-        let slot = idle.entry(addr).or_default();
-        if slot.len() < self.max_idle_per_addr {
-            slot.push(stream);
+    /// End a checkout, parking `conn` for reuse when the send succeeded.
+    fn checkin(&self, addr: SocketAddr, conn: Option<Conn>) {
+        let mut pools = self.pools.lock();
+        let pool = pools.entry(addr).or_default();
+        pool.busy = pool.busy.saturating_sub(1);
+        if let Some(conn) = conn {
+            if pool.idle.len() < pool.peak {
+                pool.idle.push(conn);
+            }
         }
-    }
-
-    fn dial(&self, addr: SocketAddr) -> Result<TcpStream, HttpError> {
-        let stream = TcpStream::connect_timeout(&addr, self.timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        Ok(stream)
     }
 
     /// Send `req`, reusing a pooled connection when possible.
     pub fn send(&self, addr: SocketAddr, req: &Request) -> Result<Response, HttpError> {
-        if let Some(mut stream) = self.checkout(addr) {
-            match roundtrip(&mut stream, req) {
-                Ok(resp) => {
-                    self.checkin(addr, stream);
-                    return Ok(resp);
-                }
+        let pooled = self.checkout(addr);
+        match self.send_on(addr, pooled, req) {
+            Ok((resp, conn)) => {
+                self.checkin(addr, Some(conn));
+                Ok(resp)
+            }
+            Err(e) => {
+                self.checkin(addr, None);
+                Err(e)
+            }
+        }
+    }
+
+    fn send_on(
+        &self,
+        addr: SocketAddr,
+        pooled: Option<Conn>,
+        req: &Request,
+    ) -> Result<(Response, Conn), HttpError> {
+        if let Some(mut conn) = pooled {
+            match conn.roundtrip(req) {
+                Ok(resp) => return Ok((resp, conn)),
                 // Pooled socket had gone away; fall through to redial.
                 Err(stale) if stale.socket_was_gone() => {}
                 Err(other) => return Err(other.error),
             }
         }
-        let mut stream = self.dial(addr)?;
-        let resp = roundtrip(&mut stream, req).map_err(|e| e.error)?;
-        self.checkin(addr, stream);
-        Ok(resp)
+        let mut conn = Conn::open(addr, self.timeout)?;
+        let resp = conn.roundtrip(req).map_err(|e| e.error)?;
+        Ok((resp, conn))
     }
 
     /// Number of idle pooled connections to `addr`.
     pub fn idle_count(&self, addr: SocketAddr) -> usize {
-        self.idle.lock().get(&addr).map(|v| v.len()).unwrap_or(0)
+        self.pools
+            .lock()
+            .get(&addr)
+            .map(|p| p.idle.len())
+            .unwrap_or(0)
     }
 
     /// Drop all idle connections to `addr` (container destroyed).
     pub fn evict(&self, addr: SocketAddr) {
-        self.idle.lock().remove(&addr);
+        if let Some(pool) = self.pools.lock().get_mut(&addr) {
+            pool.idle.clear();
+        }
     }
 }
 
@@ -161,6 +226,7 @@ mod tests {
     use super::*;
     use crate::message::{Method, Response as Resp};
     use crate::server::HttpServer;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -265,14 +331,61 @@ mod tests {
     }
 
     #[test]
-    fn pool_caps_idle_connections() {
+    fn idle_cap_follows_peak_concurrency() {
         let (s, _) = server();
         let pc = PooledClient::new(Duration::from_secs(2));
-        // Sequential sends only ever park one connection, so force several.
-        let streams: Vec<_> = (0..8).map(|_| pc.dial(s.addr()).unwrap()).collect();
-        for st in streams {
-            pc.checkin(s.addr(), st);
+        // Three sends in flight at once: three connections may park.
+        let conns: Vec<_> = (0..3)
+            .map(|_| {
+                assert!(pc.checkout(s.addr()).is_none());
+                Conn::open(s.addr(), pc.timeout).unwrap()
+            })
+            .collect();
+        for c in conns {
+            pc.checkin(s.addr(), Some(c));
         }
-        assert_eq!(pc.idle_count(s.addr()), pc.max_idle_per_addr);
+        assert_eq!(pc.idle_count(s.addr()), 3);
+        // A fourth could never be used by the concurrency seen so far.
+        let extra = Conn::open(s.addr(), pc.timeout).unwrap();
+        pc.checkin(s.addr(), Some(extra));
+        assert_eq!(pc.idle_count(s.addr()), 3);
+    }
+
+    #[test]
+    fn concurrent_senders_reuse_at_most_their_own_number_of_connections() {
+        // The handler runs on the server's per-connection thread, so
+        // distinct handler threads are distinct connections.
+        let threads_seen = Arc::new(Mutex::new(HashSet::new()));
+        let seen = Arc::clone(&threads_seen);
+        let s = HttpServer::start(Arc::new(move |req: Request| {
+            seen.lock().insert(std::thread::current().id());
+            Resp::ok(req.body.clone())
+        }))
+        .unwrap();
+        let pc = Arc::new(PooledClient::new(Duration::from_secs(5)));
+        let senders: Vec<_> = (0..8)
+            .map(|t| {
+                let pc = Arc::clone(&pc);
+                let addr = s.addr();
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        let body = format!("{t}/{i}");
+                        let resp = pc
+                            .send(
+                                addr,
+                                &Request::new(Method::Post, "/").with_body(body.clone()),
+                            )
+                            .unwrap();
+                        assert_eq!(resp.body_str(), body);
+                    }
+                })
+            })
+            .collect();
+        for t in senders {
+            t.join().unwrap();
+        }
+        let conns = threads_seen.lock().len();
+        assert!(conns <= 8, "8 senders used {conns} connections");
+        assert!(pc.idle_count(s.addr()) <= 8);
     }
 }

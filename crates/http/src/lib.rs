@@ -12,14 +12,15 @@
 //! `Content-Length`; chunked encoding is intentionally unsupported (the
 //! agent never emits it).
 
+mod buf;
 pub mod client;
 pub mod message;
 pub mod parse;
 pub mod server;
 
 pub use client::{HttpClient, PooledClient};
-pub use message::{Method, Request, Response, Status};
-pub use parse::{parse_request, parse_response, ParseError, ParseOutcome};
+pub use message::{Headers, Method, Request, Response, Status};
+pub use parse::{parse_request, parse_response, ParseError, ParseOutcome, MAX_BODY};
 pub use server::{HttpServer, ServerHandle};
 
 /// Header carrying the invocation trace id across the worker → agent hop,

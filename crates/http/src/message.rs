@@ -1,6 +1,8 @@
 //! HTTP request/response value types and serialization.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use std::borrow::Cow;
+use std::fmt;
 
 /// The request methods the agent protocol uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,12 +66,117 @@ impl Status {
     }
 }
 
+/// A header section: name/value pairs in arrival (or insertion) order.
+///
+/// A parsed section copies the received header lines once and keeps each
+/// name and value as a span of that copy, so parsing costs no allocation per
+/// header line. Headers set in code take `&'static str` names and values
+/// without allocating, or owned `String`s where the text is computed.
+#[derive(Clone, Default)]
+pub struct Headers {
+    /// The received header lines; empty for a message built in code.
+    lines: String,
+    fields: Vec<(Text, Text)>,
+}
+
+#[derive(Clone)]
+enum Text {
+    Set(Cow<'static, str>),
+    /// `start..end` of [`Headers::lines`].
+    Span(usize, usize),
+}
+
+impl Headers {
+    /// An empty section over received header lines, for the parser to
+    /// fill with [`Headers::push_span`].
+    pub(crate) fn received(lines: &str) -> Self {
+        Self {
+            lines: lines.to_owned(),
+            fields: Vec::with_capacity(8),
+        }
+    }
+
+    /// A field whose name and value are `start..end` spans of the lines.
+    pub(crate) fn push_span(&mut self, name: (usize, usize), value: (usize, usize)) {
+        self.fields
+            .push((Text::Span(name.0, name.1), Text::Span(value.0, value.1)));
+    }
+
+    pub fn push(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) {
+        self.fields
+            .push((Text::Set(name.into()), Text::Set(value.into())));
+    }
+
+    fn text<'a>(&'a self, t: &'a Text) -> &'a str {
+        match t {
+            Text::Set(s) => s,
+            Text::Span(start, end) => &self.lines[*start..*end],
+        }
+    }
+
+    /// `(name, value)` pairs in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.fields
+            .iter()
+            .map(|(n, v)| (self.text(n), self.text(v)))
+    }
+
+    /// The first value under `name`, compared case-insensitively.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    /// Header lines onto the wire, `Content-Length` (always recomputed)
+    /// last.
+    fn encode_into(&self, body_len: usize, out: &mut Vec<u8>) {
+        for (k, v) in self.iter() {
+            if k.eq_ignore_ascii_case("content-length") {
+                continue;
+            }
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"Content-Length: ");
+        put_decimal(out, body_len);
+        out.extend_from_slice(b"\r\n\r\n");
+    }
+}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// `n` in decimal, without going through `format!`.
+fn put_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
 /// An HTTP/1.1 request.
 #[derive(Debug, Clone)]
 pub struct Request {
     pub method: Method,
     pub path: String,
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     pub body: Bytes,
 }
 
@@ -78,7 +185,7 @@ impl Request {
         Self {
             method,
             path: path.into(),
-            headers: Vec::new(),
+            headers: Headers::default(),
             body: Bytes::new(),
         }
     }
@@ -88,35 +195,36 @@ impl Request {
         self
     }
 
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.headers.push(name, value);
         self
     }
 
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
+        self.headers.get(name)
+    }
+
+    /// Append the wire form to `out`. `Content-Length` is always emitted.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(128 + self.body.len());
+        out.extend_from_slice(self.method.as_str().as_bytes());
+        out.push(b' ');
+        out.extend_from_slice(self.path.as_bytes());
+        out.extend_from_slice(b" HTTP/1.1\r\n");
+        self.headers.encode_into(self.body.len(), out);
+        out.extend_from_slice(&self.body);
     }
 
     /// Serialize onto the wire. `Content-Length` is always emitted.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(128 + self.body.len());
-        buf.put_slice(self.method.as_str().as_bytes());
-        buf.put_u8(b' ');
-        buf.put_slice(self.path.as_bytes());
-        buf.put_slice(b" HTTP/1.1\r\n");
-        for (k, v) in &self.headers {
-            if k.eq_ignore_ascii_case("content-length") {
-                continue; // always recomputed
-            }
-            buf.put_slice(k.as_bytes());
-            buf.put_slice(b": ");
-            buf.put_slice(v.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
-        buf.put_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
-        buf.put_slice(&self.body);
-        buf.freeze()
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out.into()
     }
 }
 
@@ -124,7 +232,7 @@ impl Request {
 #[derive(Debug, Clone)]
 pub struct Response {
     pub status: Status,
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     pub body: Bytes,
 }
 
@@ -132,7 +240,7 @@ impl Response {
     pub fn new(status: Status) -> Self {
         Self {
             status,
-            headers: Vec::new(),
+            headers: Headers::default(),
             body: Bytes::new(),
         }
     }
@@ -146,44 +254,40 @@ impl Response {
         self
     }
 
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.headers.push(name, value);
         self
     }
 
     pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
+        self.headers.get(name)
     }
 
     pub fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).unwrap_or("")
     }
 
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(128 + self.body.len());
-        buf.put_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason()).as_bytes(),
-        );
-        for (k, v) in &self.headers {
-            if k.eq_ignore_ascii_case("content-length") {
-                continue;
-            }
-            buf.put_slice(k.as_bytes());
-            buf.put_slice(b": ");
-            buf.put_slice(v.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
-        buf.put_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
-        buf.put_slice(&self.body);
-        buf.freeze()
+    /// Append the wire form to `out`. `Content-Length` is always emitted.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(128 + self.body.len());
+        out.extend_from_slice(b"HTTP/1.1 ");
+        put_decimal(out, self.status.0 as usize);
+        out.push(b' ');
+        out.extend_from_slice(self.status.reason().as_bytes());
+        out.extend_from_slice(b"\r\n");
+        self.headers.encode_into(self.body.len(), out);
+        out.extend_from_slice(&self.body);
     }
-}
 
-fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
+    pub fn encode(&self) -> Bytes {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out.into()
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +341,22 @@ mod tests {
         let r = Response::new(Status::OK).with_header("X-Duration-Ms", "12");
         assert_eq!(r.header("x-duration-ms"), Some("12"));
         assert_eq!(r.header("missing"), None);
+    }
+
+    #[test]
+    fn status_line_and_length_are_written_digit_by_digit() {
+        let text = String::from_utf8(Response::new(Status(429)).encode().to_vec()).unwrap();
+        assert_eq!(
+            text,
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 0\r\n\r\n"
+        );
+        let body = vec![b'x'; 1234];
+        let wire = Request::new(Method::Put, "/p").with_body(body).encode();
+        assert_eq!(
+            &wire[..41],
+            b"PUT /p HTTP/1.1\r\nContent-Length: 1234\r\n\r\n"
+        );
+        assert_eq!(wire.len(), 41 + 1234);
     }
 
     #[test]

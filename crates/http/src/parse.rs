@@ -5,7 +5,7 @@
 //! needed. Callers loop `read -> parse` until complete — the usual shape for
 //! a blocking reader with keep-alive connections.
 
-use crate::message::{Method, Request, Response, Status};
+use crate::message::{Headers, Method, Request, Response, Status};
 use bytes::Bytes;
 
 /// Parse failures that can never be fixed by more input.
@@ -19,7 +19,8 @@ pub enum ParseError {
     BadHeader(String),
     /// Content-Length was present but not a number.
     BadContentLength(String),
-    /// Headers exceeded the sanity cap.
+    /// The header section exceeded its 64 KiB cap or the declared body
+    /// exceeded [`MAX_BODY`].
     TooLarge,
 }
 
@@ -30,7 +31,7 @@ impl std::fmt::Display for ParseError {
             ParseError::BadMethod(m) => write!(f, "bad method: {m:?}"),
             ParseError::BadHeader(h) => write!(f, "bad header: {h:?}"),
             ParseError::BadContentLength(v) => write!(f, "bad content-length: {v:?}"),
-            ParseError::TooLarge => write!(f, "header section too large"),
+            ParseError::TooLarge => write!(f, "message exceeds the size cap"),
         }
     }
 }
@@ -49,19 +50,51 @@ pub enum ParseOutcome<T> {
 /// Sanity cap on the header section; the agent protocol's headers are tiny.
 const MAX_HEAD: usize = 64 * 1024;
 
+/// Cap on a declared `Content-Length`. The largest body any route serves is
+/// the worker's `GET /traces?last=N`, capped at the journal's 4096 traces —
+/// about 2 MiB of `TraceRecord` JSON — so 16 MiB leaves ample headroom for
+/// it, for flight-recorder dumps and for invocation arguments and results,
+/// while a hostile length cannot grow a connection's buffer without bound.
+pub const MAX_BODY: usize = 16 * 1024 * 1024;
+
 /// Find `\r\n\r\n`, returning the offset just past it.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-struct Head {
-    start_line: String,
-    headers: Vec<(String, String)>,
-    content_length: usize,
+/// The head of a message, borrowed from the receive buffer.
+struct Head<'a> {
+    start_line: &'a str,
+    /// The header lines after the start line.
+    lines: &'a str,
+    /// Length of the head, blank line included.
     head_len: usize,
+    /// Total message length: head plus declared body.
+    total: usize,
 }
 
-fn parse_head(buf: &[u8]) -> Result<Option<Head>, ParseError> {
+/// `start..end` of a header name or value within the header lines.
+type Span = (usize, usize);
+
+/// Each non-empty header line of `lines` as `(name, value)` spans,
+/// trimmed.
+fn header_fields(lines: &str) -> impl Iterator<Item = Result<(Span, Span), ParseError>> + '_ {
+    let span = move |part: &str| {
+        let start = part.as_ptr() as usize - lines.as_ptr() as usize;
+        (start, start + part.len())
+    };
+    lines
+        .split("\r\n")
+        .filter(|line| !line.is_empty())
+        .map(move |line| {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| ParseError::BadHeader(line.to_string()))?;
+            Ok((span(name.trim()), span(value.trim())))
+        })
+}
+
+fn parse_head(buf: &[u8]) -> Result<Option<Head<'_>>, ParseError> {
     let head_end = match find_head_end(buf) {
         Some(e) => e,
         None => {
@@ -76,100 +109,104 @@ fn parse_head(buf: &[u8]) -> Result<Option<Head>, ParseError> {
     }
     let head = std::str::from_utf8(&buf[..head_end - 4])
         .map_err(|_| ParseError::BadHeader("non-utf8 header section".into()))?;
-    let mut lines = head.split("\r\n");
-    let start_line = lines
-        .next()
-        .ok_or_else(|| ParseError::BadStartLine(String::new()))?
-        .to_string();
-    let mut headers = Vec::new();
+    let (start_line, lines) = head.split_once("\r\n").unwrap_or((head, ""));
     let mut content_length = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let colon = line
-            .find(':')
-            .ok_or_else(|| ParseError::BadHeader(line.to_string()))?;
-        let name = line[..colon].trim().to_string();
-        let value = line[colon + 1..].trim().to_string();
-        if name.eq_ignore_ascii_case("content-length") {
+    for field in header_fields(lines) {
+        let (name, value) = field?;
+        if lines[name.0..name.1].eq_ignore_ascii_case("content-length") {
+            let value = &lines[value.0..value.1];
             content_length = value
                 .parse()
-                .map_err(|_| ParseError::BadContentLength(value.clone()))?;
+                .map_err(|_| ParseError::BadContentLength(value.to_string()))?;
         }
-        headers.push((name, value));
     }
+    if content_length > MAX_BODY {
+        return Err(ParseError::TooLarge);
+    }
+    let total = head_end
+        .checked_add(content_length)
+        .ok_or(ParseError::TooLarge)?;
     Ok(Some(Head {
         start_line,
-        headers,
-        content_length,
+        lines,
         head_len: head_end,
+        total,
     }))
+}
+
+impl Head<'_> {
+    /// The header section, copied once out of the receive buffer.
+    fn headers(&self) -> Headers {
+        let mut headers = Headers::received(self.lines);
+        // Every line was validated by `parse_head`.
+        for (name, value) in header_fields(self.lines).flatten() {
+            headers.push_span(name, value);
+        }
+        headers
+    }
+
+    fn body(&self, buf: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(&buf[self.head_len..self.total])
+    }
+
+    fn bad_start(&self) -> ParseError {
+        ParseError::BadStartLine(self.start_line.to_string())
+    }
+}
+
+/// Parse the head, or report how far the buffer is from a full message.
+fn complete_head(buf: &[u8]) -> Result<Option<Head<'_>>, ParseError> {
+    Ok(parse_head(buf)?.filter(|head| buf.len() >= head.total))
 }
 
 /// Try to parse one request from `buf`.
 pub fn parse_request(buf: &[u8]) -> Result<ParseOutcome<Request>, ParseError> {
-    let head = match parse_head(buf)? {
+    let head = match complete_head(buf)? {
         Some(h) => h,
         None => return Ok(ParseOutcome::Incomplete),
     };
-    let total = head.head_len + head.content_length;
-    if buf.len() < total {
-        return Ok(ParseOutcome::Incomplete);
-    }
     let mut parts = head.start_line.split_whitespace();
-    let method_tok = parts
-        .next()
-        .ok_or_else(|| ParseError::BadStartLine(head.start_line.clone()))?;
+    let method_tok = parts.next().ok_or_else(|| head.bad_start())?;
     let method =
         Method::parse(method_tok).ok_or_else(|| ParseError::BadMethod(method_tok.to_string()))?;
-    let path = parts
-        .next()
-        .ok_or_else(|| ParseError::BadStartLine(head.start_line.clone()))?
-        .to_string();
+    let path = parts.next().ok_or_else(|| head.bad_start())?.to_string();
     match parts.next() {
         Some(v) if v.starts_with("HTTP/1") => {}
-        _ => return Err(ParseError::BadStartLine(head.start_line.clone())),
+        _ => return Err(head.bad_start()),
     }
-    let body = Bytes::copy_from_slice(&buf[head.head_len..total]);
     Ok(ParseOutcome::Complete(
         Request {
             method,
             path,
-            headers: head.headers,
-            body,
+            headers: head.headers(),
+            body: head.body(buf),
         },
-        total,
+        head.total,
     ))
 }
 
 /// Try to parse one response from `buf`.
 pub fn parse_response(buf: &[u8]) -> Result<ParseOutcome<Response>, ParseError> {
-    let head = match parse_head(buf)? {
+    let head = match complete_head(buf)? {
         Some(h) => h,
         None => return Ok(ParseOutcome::Incomplete),
     };
-    let total = head.head_len + head.content_length;
-    if buf.len() < total {
-        return Ok(ParseOutcome::Incomplete);
-    }
     let mut parts = head.start_line.split_whitespace();
     match parts.next() {
         Some(v) if v.starts_with("HTTP/1") => {}
-        _ => return Err(ParseError::BadStartLine(head.start_line.clone())),
+        _ => return Err(head.bad_start()),
     }
     let code: u16 = parts
         .next()
         .and_then(|c| c.parse().ok())
-        .ok_or_else(|| ParseError::BadStartLine(head.start_line.clone()))?;
-    let body = Bytes::copy_from_slice(&buf[head.head_len..total]);
+        .ok_or_else(|| head.bad_start())?;
     Ok(ParseOutcome::Complete(
         Response {
             status: Status(code),
-            headers: head.headers,
-            body,
+            headers: head.headers(),
+            body: head.body(buf),
         },
-        total,
+        head.total,
     ))
 }
 
@@ -297,6 +334,42 @@ mod tests {
                 assert_eq!(r.path, "/invoke");
                 assert_eq!(&r.body[..], b"payload");
                 assert_eq!(used, wire.len());
+            }
+            _ => panic!(),
+        }
+    }
+
+    #[test]
+    fn hostile_content_length_is_too_large() {
+        // usize::MAX must not overflow `head_len + content_length`, and a
+        // large valid length must not make the reader buffer without bound.
+        for len in [usize::MAX, MAX_BODY + 1] {
+            let req = format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nx");
+            assert!(matches!(
+                parse_request(req.as_bytes()),
+                Err(ParseError::TooLarge)
+            ));
+            let resp = format!("HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\n");
+            assert!(matches!(
+                parse_response(resp.as_bytes()),
+                Err(ParseError::TooLarge)
+            ));
+        }
+        let at_cap = format!("POST / HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n");
+        assert!(matches!(
+            parse_request(at_cap.as_bytes()),
+            Ok(ParseOutcome::Incomplete)
+        ));
+    }
+
+    #[test]
+    fn parsed_headers_keep_order_and_trim() {
+        let wire = b"GET / HTTP/1.1\r\nA:  1 \r\nb: two\r\nA: 3\r\n\r\n";
+        match parse_request(wire).unwrap() {
+            ParseOutcome::Complete(req, _) => {
+                let all: Vec<_> = req.headers.iter().collect();
+                assert_eq!(all, [("A", "1"), ("b", "two"), ("A", "3")]);
+                assert_eq!(req.header("a"), Some("1"), "first match wins");
             }
             _ => panic!(),
         }

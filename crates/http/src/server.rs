@@ -5,9 +5,10 @@
 //! serves exactly one pooled client (the worker), and test deployments see
 //! tens of connections at most.
 
+use crate::buf::ReadBuf;
 use crate::message::{Request, Response, Status};
 use crate::parse::{parse_request, ParseOutcome};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,20 +120,24 @@ fn connection_loop(
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut tmp = [0u8; 16 * 1024];
+    // One receive and one send buffer serve every request on the
+    // connection.
+    let mut buf = ReadBuf::new();
+    let mut out: Vec<u8> = Vec::with_capacity(1024);
     loop {
         // Parse whatever is already buffered (pipelining / keep-alive).
-        match parse_request(&buf) {
+        match parse_request(buf.filled()) {
             Ok(ParseOutcome::Complete(req, used)) => {
-                buf.drain(..used);
+                buf.consume(used);
                 let close = req
                     .header("connection")
                     .map(|v| v.eq_ignore_ascii_case("close"))
                     .unwrap_or(false);
                 let resp = handler(req);
                 served.fetch_add(1, Ordering::Relaxed);
-                if stream.write_all(&resp.encode()).is_err() {
+                out.clear();
+                resp.encode_into(&mut out);
+                if stream.write_all(&out).is_err() {
                     return;
                 }
                 if close {
@@ -142,6 +147,8 @@ fn connection_loop(
             }
             Ok(ParseOutcome::Incomplete) => {}
             Err(_) => {
+                // Malformed or over a size cap: answer and close, so the
+                // rest of the stream is never read.
                 let resp = Response::new(Status::BAD_REQUEST);
                 let _ = stream.write_all(&resp.encode());
                 return;
@@ -150,9 +157,9 @@ fn connection_loop(
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        match stream.read(&mut tmp) {
+        match buf.read_from(&mut stream) {
             Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -168,6 +175,7 @@ fn connection_loop(
 mod tests {
     use super::*;
     use crate::message::Method;
+    use std::io::Read;
 
     fn echo_server() -> HttpServer {
         HttpServer::start(Arc::new(|req: Request| {
@@ -236,6 +244,23 @@ mod tests {
         let raw = raw_roundtrip(server.addr(), b"NOTHTTP / HTTP/1.1\r\n\r\n");
         let text = String::from_utf8(raw).unwrap();
         assert!(text.starts_with("HTTP/1.1 400"), "got: {text}");
+    }
+
+    #[test]
+    fn overflowing_content_length_gets_400_and_the_server_serves_on() {
+        let server = echo_server();
+        let hostile = format!(
+            "POST /invoke HTTP/1.1\r\nContent-Length: {}\r\n\r\nabc",
+            usize::MAX
+        );
+        let text = String::from_utf8(raw_roundtrip(server.addr(), hostile.as_bytes())).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400"), "got: {text}");
+        // The connection thread answers rather than panicking, and the
+        // acceptor still serves the next connection.
+        let req = Request::new(Method::Post, "/next").with_body(&b"ok"[..]);
+        let text = String::from_utf8(raw_roundtrip(server.addr(), &req.encode())).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "got: {text}");
+        assert!(text.ends_with("ok"));
     }
 
     #[test]

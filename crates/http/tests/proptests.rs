@@ -2,7 +2,8 @@
 //! the parser never panics on arbitrary bytes.
 
 use iluvatar_http::{
-    parse_request, parse_response, Method, ParseOutcome, Request, Response, Status,
+    parse_request, parse_response, Method, ParseError, ParseOutcome, Request, Response, Status,
+    MAX_BODY,
 };
 use proptest::prelude::*;
 
@@ -44,7 +45,9 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let mut req = Request::new(method, path.clone()).with_body(body.clone());
-        req.headers = headers.clone();
+        for (k, v) in headers.clone() {
+            req = req.with_header(k, v);
+        }
         let wire = req.encode();
         match parse_request(&wire).unwrap() {
             ParseOutcome::Complete(parsed, used) => {
@@ -67,13 +70,23 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let mut resp = Response::new(Status(code)).with_body(body.clone());
-        resp.headers = headers;
+        for (k, v) in headers.clone() {
+            resp = resp.with_header(k, v);
+        }
         let wire = resp.encode();
         match parse_response(&wire).unwrap() {
             ParseOutcome::Complete(parsed, used) => {
                 prop_assert_eq!(used, wire.len());
                 prop_assert_eq!(parsed.status.0, code);
                 prop_assert_eq!(&parsed.body[..], &body[..]);
+                let got: Vec<(&str, &str)> = parsed
+                    .headers
+                    .iter()
+                    .filter(|(k, _)| !k.eq_ignore_ascii_case("content-length"))
+                    .collect();
+                let want: Vec<(&str, &str)> =
+                    headers.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                prop_assert_eq!(got, want);
             }
             ParseOutcome::Incomplete => prop_assert!(false, "complete wire parsed as incomplete"),
         }
@@ -99,6 +112,31 @@ proptest! {
         match parse_request(&wire[..cut]) {
             Ok(ParseOutcome::Complete(_, used)) => prop_assert!(used <= cut),
             Ok(ParseOutcome::Incomplete) | Err(_) => {}
+        }
+    }
+
+    /// A declared body over the cap is refused at once, whatever the
+    /// digits: never an overflow, never a wait for input that would grow
+    /// the buffer. Lengths past `usize` do not even parse.
+    #[test]
+    fn oversized_content_length_is_refused(
+        over in 1u64..u64::MAX,
+        sent in proptest::collection::vec(any::<u8>(), 0..64),
+        response in any::<bool>(),
+    ) {
+        let len = MAX_BODY as u128 + over as u128;
+        let head = if response { "HTTP/1.1 200 OK" } else { "POST /invoke HTTP/1.1" };
+        let mut wire = format!("{head}\r\nContent-Length: {len}\r\n\r\n").into_bytes();
+        wire.extend_from_slice(&sent);
+        let err = if response {
+            parse_response(&wire).err()
+        } else {
+            parse_request(&wire).err()
+        };
+        if len <= usize::MAX as u128 {
+            prop_assert_eq!(err, Some(ParseError::TooLarge));
+        } else {
+            prop_assert!(matches!(err, Some(ParseError::BadContentLength(_))));
         }
     }
 }

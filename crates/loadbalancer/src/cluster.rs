@@ -211,19 +211,8 @@ impl WorkerHandle for RemoteWorker {
     ) -> Result<InvocationResult, InvokeError> {
         use iluvatar_core::api::ApiError;
         let (status, body) = match self.client.invoke_tenant(fqdn, args, tenant) {
-            Ok(r) => {
-                return Ok(InvocationResult {
-                    body: r.body,
-                    exec_ms: r.exec_ms,
-                    e2e_ms: r.e2e_ms,
-                    cold: r.cold,
-                    queue_ms: r.queue_ms,
-                    arrived_at: 0,
-                    trace_id: r.trace_id,
-                    tenant: r.tenant,
-                    cache: CacheStatus::Bypass,
-                })
-            }
+            // The worker's cache verdict rides along.
+            Ok(r) => return Ok(r),
             Err(ApiError::Status(status, body)) => (status, body),
             Err(ApiError::Unavailable {
                 retry_after_secs,

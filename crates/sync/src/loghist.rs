@@ -240,13 +240,13 @@ impl From<SparseHist> for LogHistogram {
 }
 
 impl serde::Serialize for LogHistogram {
-    fn serialize(&self) -> serde::Value {
-        serde::Serialize::serialize(&SparseHist::from(self))
+    fn serialize(&self, w: &mut serde::Writer) {
+        SparseHist::from(self).serialize(w)
     }
 }
 
 impl serde::Deserialize for LogHistogram {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
+    fn deserialize(v: &serde::Value<'_>) -> Result<Self, serde::DeError> {
         SparseHist::deserialize(v).map(LogHistogram::from)
     }
 }

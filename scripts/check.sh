@@ -307,4 +307,19 @@ echo "=== cache ablation (hit p50 < dispatch p50, >=80% repeat hits) ==="
 # and interleaved tenants on identical fqdn+args must never cross.
 ./target/release/bench --figure abl_cache
 
+echo "=== benchmark self-check (every reply decodes to the invocation sent) ==="
+# The benchmark checks each invocation's reply field by field: JSON over two
+# HTTP hops on cluster_push, JSON WAL frames on worker_durable. A codec or
+# wire change that corrupts, drops or fails a call shows up here as a
+# failed self-check, not as a fast number.
+for w in cluster_push worker_durable; do
+    out=$(cargo run --release --offline -p iluvatar-perf --bin perf -- --quick --workload "$w" 2>&1)
+    if ! grep -Eq "^$w: attempted [0-9]+ failed 0 — self-check passed$" <<<"$out"; then
+        grep -E "^$w:" <<<"$out" >&2 || true
+        echo "perf $w: self-check did not pass with 0 failed" >&2
+        exit 1
+    fi
+    grep -E "^$w:" <<<"$out"
+done
+
 echo "all checks passed"

@@ -376,7 +376,7 @@ fn tenant_header_beats_body_on_both_tiers() {
     let accounted_to = |addr, header: Option<&str>| {
         let mut req = Request::new(Method::Post, "/invoke").with_body(body.clone());
         if let Some(h) = header {
-            req = req.with_header(TENANT_HEADER, h);
+            req = req.with_header(TENANT_HEADER, h.to_string());
         }
         let resp: Response = HttpClient::send(addr, &req, Duration::from_secs(10)).unwrap();
         assert_eq!(resp.status, Status::OK, "body: {}", resp.body_str());

@@ -5,14 +5,17 @@
 //!   the second `/result/<cookie>` of a repeated idempotent call is a hit;
 //! * an in-process `Cluster` over `Worker` handles gets worker-cache hits —
 //!   the balancer hop is `Worker::invoke_tenant`, the cached entry;
+//! * a balancer over HTTP workers answers with the worker's verdict, which
+//!   rides the hop in `X-Iluvatar-Cache`;
 //! * a hit mints no trace and touches no admission token, queue or
 //!   container.
 
 use iluvatar::prelude::*;
 use iluvatar_core::api::{WireResult, WorkerApi, WorkerApiClient};
 use iluvatar_core::{AdmissionConfig, TenantSpec};
-use iluvatar_http::{Method, Request, Response, CACHE_HEADER};
-use iluvatar_lb::cluster::WorkerHandle;
+use iluvatar_http::{HttpClient, Method, Request, Response, CACHE_HEADER};
+use iluvatar_lb::cluster::{RemoteWorker, WorkerHandle};
+use iluvatar_lb::LbApi;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,6 +109,35 @@ fn an_in_process_cluster_gets_worker_cache_hits() {
     assert_eq!(second.cache, CacheStatus::Hit);
     assert_eq!(second.body, first.body);
     assert_eq!(completed(), before, "no worker ran the repeat");
+}
+
+#[test]
+fn a_balancer_over_http_workers_reports_the_worker_cache_verdict() {
+    // No balancer cache: the verdict at the LB is the worker's, carried
+    // over the hop in `X-Iluvatar-Cache`.
+    let worker = cached_worker("w0", WorkerConfig::for_testing());
+    let api = WorkerApi::serve(Arc::clone(&worker)).unwrap();
+    let remote: Arc<dyn WorkerHandle> = Arc::new(RemoteWorker::connect(api.addr()));
+    let cluster = Arc::new(Cluster::new(
+        vec![remote],
+        LbPolicy::ChBl(ChBlConfig::default()),
+    ));
+    let lb = LbApi::serve(cluster, Duration::from_millis(50)).unwrap();
+    let invoke = || {
+        let body = r#"{"fqdn":"f-1","args":"{\"k\":3}"}"#;
+        let req = Request::new(Method::Post, "/invoke").with_body(body);
+        HttpClient::send(lb.addr(), &req, Duration::from_secs(10)).unwrap()
+    };
+
+    let first = invoke();
+    assert_eq!(first.status.0, 200, "{}", first.body_str());
+    assert_eq!(first.header(CACHE_HEADER), Some("miss"));
+    let second = invoke();
+    assert_eq!(second.header(CACHE_HEADER), Some("hit"));
+    let miss: WireResult = serde_json::from_str(first.body_str()).unwrap();
+    let hit: WireResult = serde_json::from_str(second.body_str()).unwrap();
+    assert_eq!(hit.body, miss.body);
+    assert_eq!(hit.trace_id, 0, "the worker's cache answered");
 }
 
 #[test]
