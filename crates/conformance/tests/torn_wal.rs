@@ -57,7 +57,7 @@ fn generate_wal(dir: &Path) -> (String, Vec<u8>) {
         worker_kill: FaultSpec::on_occurrences(vec![11]),
         ..Default::default()
     });
-    let mut worker = Worker::new(
+    let worker = Worker::new(
         worker_cfg(&wal_path),
         mk_backend(&clock),
         Arc::clone(&clock),

@@ -16,7 +16,9 @@
 //!   a load limit; decided by [`InvocationQueue::should_bypass`].
 //! * the executors' wait point — [`InvocationQueue::wait_work`] parks an
 //!   idle executor on the queue's own condvar until a push, a bypass
-//!   [`InvocationQueue::hand_off`] or `close` gives it something to do.
+//!   [`InvocationQueue::hand_off`] or `close` gives it something to do;
+//!   a synchronous caller that finds nothing waiting skips it and runs its
+//!   own invocation ([`InvocationQueue::claim_if_idle`]).
 
 pub mod regulator;
 
@@ -402,9 +404,10 @@ impl InvocationQueue {
     /// non-empty; an executor that gets none parks "starved" on the same
     /// condvar. No wake-up is lost that way: a permit is released either by
     /// an executor, which comes straight back here itself, or inside a
-    /// hand-off, or is followed by [`InvocationQueue::wake_all`], and the
-    /// last two take the lock this executor holds from its failed attempt
-    /// until it is parked.
+    /// hand-off, or — by a caller that ran its invocation itself, a failed
+    /// durable accept, or an AIMD raise — is followed by
+    /// [`InvocationQueue::wake_all`], and the last two take the lock this
+    /// executor holds from its failed attempt until it is parked.
     pub fn wait_work(&self, try_permit: impl Fn() -> Option<SemaphorePermit>) -> Work {
         let mut st = self.state.lock();
         loop {
@@ -428,6 +431,21 @@ impl InvocationQueue {
         }
     }
 
+    /// A synchronous caller's claim to run its invocation itself: a run
+    /// permit from `try_permit`, asked for — under the queue lock, as
+    /// [`InvocationQueue::wait_work`] asks — only while nothing is queued
+    /// or handed off, so a caller-run never overtakes work already waiting.
+    pub fn claim_if_idle(
+        &self,
+        try_permit: impl FnOnce() -> Option<SemaphorePermit>,
+    ) -> Option<SemaphorePermit> {
+        let st = self.state.lock();
+        if st.closed || st.q.len() > 0 || !st.handoffs.is_empty() {
+            return None;
+        }
+        try_permit()
+    }
+
     /// Work is waiting and no executor is parked to be woken for it — the
     /// pool's cue to grow.
     pub fn unattended(&self) -> bool {
@@ -436,10 +454,14 @@ impl InvocationQueue {
     }
 
     /// Wake every parked executor to look again: run permits appeared
-    /// without an executor releasing them. Call it after they did.
+    /// without an executor releasing them. Call it after they did. Only
+    /// queued work can have starved an executor, so on an empty queue it
+    /// wakes nobody.
     pub fn wake_all(&self) {
-        let _st = self.state.lock();
-        self.cv.notify_all();
+        let st = self.state.lock();
+        if st.q.len() > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Non-blocking pop.

@@ -2,12 +2,15 @@
 //! recovery from the queue write-ahead log.
 
 use iluvatar_containers::simulated::{SimBackend, SimBackendConfig};
-use iluvatar_containers::{ContainerBackend, FunctionSpec};
+use iluvatar_containers::{BackendError, Container, ContainerBackend, FunctionSpec, InvokeOutput};
 use iluvatar_core::api::{WorkerApi, WorkerApiClient};
-use iluvatar_core::{AdmissionConfig, LifecycleConfig, TenantSpec, Worker, WorkerConfig};
+use iluvatar_core::wal::{discover_segments, scan_frames};
+use iluvatar_core::{
+    AdmissionConfig, InvokeError, LifecycleConfig, TenantSpec, WalRecord, Worker, WorkerConfig,
+};
 use iluvatar_http::{Method, Request};
 use iluvatar_sync::{RealStorage, SystemClock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,7 +142,7 @@ fn recovered_tenant_counters_match_a_no_kill_run() {
 
     let run = |kill: bool| {
         let wal = temp_wal();
-        let mut worker = Worker::new(
+        let worker = Worker::new(
             lifecycle_cfg("crashy", &wal),
             backend(&clock),
             Arc::clone(&clock),
@@ -243,7 +246,7 @@ fn shutdown_returns_only_once_everything_accepted_has_finished() {
 fn kill_returns_while_a_call_is_still_in_flight() {
     let clock: Arc<dyn iluvatar_sync::Clock> = SystemClock::shared();
     let wal = temp_wal();
-    let mut worker = Worker::new(lifecycle_cfg("victim", &wal), backend(&clock), clock);
+    let worker = Worker::new(lifecycle_cfg("victim", &wal), backend(&clock), clock);
     // 1 s real: far longer than anything `kill` itself does.
     worker
         .register(FunctionSpec::new("slow", "1").with_timing(50_000, 0))
@@ -264,4 +267,108 @@ fn kill_returns_while_a_call_is_still_in_flight() {
         took < Duration::from_millis(500),
         "kill() waited {took:?} for the in-flight call"
     );
+}
+
+/// `SimBackend` counting its agent calls and holding them while `held`.
+struct Gated {
+    sim: Arc<dyn ContainerBackend>,
+    held: AtomicBool,
+    calls: AtomicU64,
+}
+
+impl ContainerBackend for Gated {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn create(&self, spec: &FunctionSpec) -> Result<Container, BackendError> {
+        self.sim.create(spec)
+    }
+    fn invoke(&self, c: &Container, args: &str) -> Result<InvokeOutput, BackendError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        while self.held.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.sim.invoke(c, args)
+    }
+    fn destroy(&self, c: &Container) -> Result<(), BackendError> {
+        self.sim.destroy(c)
+    }
+}
+
+/// Every record in the WAL at `base`, in log order.
+fn wal_records(base: &str) -> Vec<WalRecord> {
+    discover_segments(&RealStorage, std::path::Path::new(base))
+        .into_iter()
+        .flat_map(|(_, seg)| scan_frames(&std::fs::read(seg).unwrap()).records)
+        .collect()
+}
+
+/// A crash under a synchronous caller running its own invocation: the
+/// caller gets `ShuttingDown`, the log holds the accept and the dequeue but
+/// no completion, and recovery runs the invocation exactly once more.
+#[test]
+fn kill_during_a_caller_run_books_no_completion_and_recovery_runs_it_once() {
+    let clock: Arc<dyn iluvatar_sync::Clock> = SystemClock::shared();
+    let wal = temp_wal();
+    let gated = Arc::new(Gated {
+        sim: backend(&clock),
+        held: AtomicBool::new(true),
+        calls: AtomicU64::new(0),
+    });
+    let spec = FunctionSpec::new("f", "1").with_timing(100, 0);
+    let worker = Worker::new(
+        lifecycle_cfg("caller-run", &wal),
+        Arc::clone(&gated) as _,
+        Arc::clone(&clock),
+    );
+    worker.register(spec.clone()).unwrap();
+    let outcome = std::thread::scope(|scope| {
+        let caller = scope.spawn(|| worker.invoke_tenant("f-1", "{}", Some("ten-a")));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gated.calls.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the call never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        worker.kill();
+        gated.held.store(false, Ordering::SeqCst);
+        caller.join().unwrap()
+    });
+    assert_eq!(outcome.unwrap_err(), InvokeError::ShuttingDown);
+    drop(worker);
+
+    let records = wal_records(&wal);
+    let id = records
+        .iter()
+        .find_map(|r| match r {
+            WalRecord::Enqueued { inv } => Some(inv.id),
+            _ => None,
+        })
+        .expect("the accept is durable");
+    let ops: Vec<&str> = records
+        .iter()
+        .filter(|r| r.trace_id() == Some(id))
+        .map(|r| r.op_label())
+        .collect();
+    assert_eq!(ops, ["enqueued", "dequeued"], "no completion is booked");
+
+    let (recovered, report) = Worker::recover(
+        lifecycle_cfg("caller-run", &wal),
+        Arc::clone(&gated) as _,
+        Arc::clone(&clock),
+        &[spec],
+        &[],
+        Arc::new(RealStorage),
+    );
+    assert_eq!(report.replayed, 1);
+    let (replayed_id, handle) = report.handles.into_iter().next().unwrap();
+    assert_eq!(replayed_id, id);
+    handle.wait().expect("the replayed invocation completes");
+    assert_eq!(recovered.status().completed, 1);
+    assert_eq!(
+        gated.calls.load(Ordering::SeqCst),
+        2,
+        "one call under the crash, one replay"
+    );
+    drop(recovered);
+    let _ = std::fs::remove_file(&wal);
 }

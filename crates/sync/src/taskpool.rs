@@ -63,7 +63,7 @@ impl TaskPool {
     }
 
     /// Stop periodic tasks and join their threads.
-    pub fn shutdown(&mut self) {
+    pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for h in self.periodic.lock().drain(..) {
             let _ = h.join();
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent() {
-        let mut pool = TaskPool::new();
+        let pool = TaskPool::new();
         let n = Arc::new(AtomicUsize::new(0));
         let n2 = Arc::clone(&n);
         pool.spawn_periodic("test-stop", Duration::from_millis(5), move || {

@@ -57,7 +57,7 @@ pub(super) fn submit_and_kill(
         worker_kill: FaultSpec::on_occurrences(vec![kill_at]),
         ..Default::default()
     });
-    let mut worker = Worker::new(cfg(wal_path), sim_backend(clock), Arc::clone(clock));
+    let worker = Worker::new(cfg(wal_path), sim_backend(clock), Arc::clone(clock));
     if let Some(sink) = sink {
         worker.telemetry().add_sink(sink);
     }

@@ -124,7 +124,7 @@ fn phase_retry_ladder(seed: u64) -> String {
         write_torn: FaultSpec::on_occurrences(vec![4]),
         ..Default::default()
     });
-    let mut worker = Worker::new_with_storage(
+    let worker = Worker::new_with_storage(
         base_cfg(
             &wal_path,
             WalConfig {
@@ -354,7 +354,7 @@ fn phase_kill_recover(seed: u64) -> String {
             .with_context_window(64),
     ));
 
-    let mut worker = Worker::new_with_storage(
+    let worker = Worker::new_with_storage(
         mk_cfg(),
         sim_backend(&clock),
         Arc::clone(&clock),

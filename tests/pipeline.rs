@@ -3,8 +3,9 @@
 //! * every route through `accept` (queue, bypass, full-queue reject,
 //!   throttled reject, recovered re-enqueue) leaves exactly the journal
 //!   label sequence and WAL op sequence the session digests fold;
-//! * a bypassed invocation runs on one of the executors, not on a thread
-//!   of its own;
+//! * which thread runs an invocation: its synchronous caller when nothing
+//!   is queued and a run slot is free (and on a bypass), one of the
+//!   executors otherwise — never a thread of its own;
 //! * the `InvokeError` ↔ HTTP status table and its lossy return trip;
 //! * `X-Iluvatar-Tenant` beats the body's `tenant` on worker and balancer.
 
@@ -20,7 +21,9 @@ use iluvatar_lb::cluster::{RemoteWorker, WorkerHandle};
 use iluvatar_lb::LbApi;
 use iluvatar_sync::storage::RealStorage;
 use iluvatar_telemetry::VecSink;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 fn backend(clock: &Arc<dyn Clock>) -> Arc<SimBackend> {
@@ -193,7 +196,7 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let mut cfg = WorkerConfig::for_testing();
     cfg.lifecycle = wal("recover.wal");
     cfg.concurrency.limit = 1;
-    let (mut w, _) = tapped_worker(cfg.clone());
+    let (w, _) = tapped_worker(cfg.clone());
     w.register(spec(1500)).unwrap();
     let accepted: Vec<_> = (0..3)
         .map(|_| w.async_invoke_tenant("f-1", "{}", None).unwrap())
@@ -226,10 +229,31 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `SimBackend`, noting the name of the thread that makes each agent call.
+/// `SimBackend`, noting the thread that makes each agent call and, while
+/// `hold` is up, holding the calls it gets until it comes down.
 struct NotingBackend {
     sim: Arc<SimBackend>,
-    callers: Mutex<Vec<String>>,
+    callers: Mutex<Vec<(ThreadId, String)>>,
+    hold: AtomicBool,
+}
+
+impl NotingBackend {
+    fn new(clock: &Arc<dyn Clock>) -> Arc<Self> {
+        Arc::new(Self {
+            sim: backend(clock),
+            callers: Mutex::new(Vec::new()),
+            hold: AtomicBool::new(false),
+        })
+    }
+
+    fn calls(&self) -> usize {
+        self.callers.lock().unwrap().len()
+    }
+
+    /// Who made the agent call with index `i`.
+    fn caller(&self, i: usize) -> (ThreadId, String) {
+        self.callers.lock().unwrap()[i].clone()
+    }
 }
 
 impl ContainerBackend for NotingBackend {
@@ -240,8 +264,12 @@ impl ContainerBackend for NotingBackend {
         self.sim.create(spec)
     }
     fn invoke(&self, c: &Container, args: &str) -> Result<InvokeOutput, BackendError> {
-        let caller = std::thread::current().name().unwrap_or("?").to_string();
+        let me = std::thread::current();
+        let caller = (me.id(), me.name().unwrap_or("?").to_string());
         self.callers.lock().unwrap().push(caller);
+        while self.hold.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         self.sim.invoke(c, args)
     }
     fn destroy(&self, c: &Container) -> Result<(), BackendError> {
@@ -249,41 +277,171 @@ impl ContainerBackend for NotingBackend {
     }
 }
 
-#[test]
-fn bypass_runs_on_an_executor_with_the_same_timeline() {
-    let dir = std::env::temp_dir().join(format!("iluvatar-bypass-{}", std::process::id()));
+/// A WAL-journaled worker over a [`NotingBackend`], with `f-1` registered
+/// at a 5 ms warm run.
+fn noting_worker(
+    name: &str,
+    tune: impl FnOnce(&mut WorkerConfig),
+) -> (Worker, Arc<VecSink>, Arc<NotingBackend>, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("iluvatar-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut cfg = WorkerConfig::for_testing();
-    cfg.lifecycle = LifecycleConfig::with_wal(dir.join("bypass.wal").to_str().unwrap());
-    cfg.queue.bypass_threshold_ms = 1000;
-    cfg.concurrency.limit = 2;
+    cfg.lifecycle = LifecycleConfig::with_wal(dir.join("queue.wal").to_str().unwrap());
+    tune(&mut cfg);
     let clock: Arc<dyn Clock> = SystemClock::shared();
-    let noting = Arc::new(NotingBackend {
-        sim: backend(&clock),
-        callers: Mutex::new(Vec::new()),
-    });
+    let noting = NotingBackend::new(&clock);
     let (w, sink) = tapped_worker_on(cfg, Arc::clone(&noting) as _, clock);
     w.register(FunctionSpec::new("f", "1").with_timing(100, 0))
         .unwrap();
+    (w, sink, noting, dir)
+}
+
+fn on_an_executor((_, name): &(ThreadId, String)) -> bool {
+    name.starts_with("iluvatar-exec-")
+}
+
+/// The queue route's timeline, and its WAL records.
+fn queued_timeline() -> (Vec<String>, Vec<String>) {
+    (
+        labels(&[&["ingested", "enqueued", "dequeued"][..], &EXECUTED].concat()),
+        labels(&["enqueued", "dequeued", "completed"]),
+    )
+}
+
+/// The bypass route's timeline: one WAL record covers the enqueue and the
+/// dequeue.
+fn bypassed_timeline() -> (Vec<String>, Vec<String>) {
+    (
+        labels(&[&["ingested", "bypassed"][..], &EXECUTED].concat()),
+        labels(&["enqueued", "completed"]),
+    )
+}
+
+/// A bypass leaves the same timeline whoever runs it, and runs where its
+/// caller's kind says: an asynchronous caller's is handed off to an
+/// executor (no thread of its own), a synchronous caller runs its own in
+/// place.
+#[test]
+fn bypass_runs_on_an_executor_with_the_same_timeline() {
+    let (w, sink, noting, dir) = noting_worker("bypass", |cfg| {
+        cfg.queue.bypass_threshold_ms = 1000;
+        cfg.concurrency.limit = 2;
+    });
 
     // Unseen, the function queues once; from then on it is known-short and
     // a sequential caller always finds one of the two run slots free.
     w.invoke_tenant("f-1", "{}", None).unwrap();
-    for _ in 0..20 {
+    let me = std::thread::current().id();
+    let mut executors = Vec::new();
+    for _ in 0..10 {
         let id = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
-        let (journal, wal_ops) = finished_timeline(&sink, id);
-        assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
-        assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
+        assert_eq!(finished_timeline(&sink, id), bypassed_timeline());
+        assert_eq!(noting.caller(noting.calls() - 1).0, me, "ran in place");
+
+        let handle = w.async_invoke_tenant("f-1", "{}", None).unwrap();
+        let id = handle.wait().unwrap().trace_id;
+        assert_eq!(finished_timeline(&sink, id), bypassed_timeline());
+        let caller = noting.caller(noting.calls() - 1);
+        assert!(on_an_executor(&caller), "handed off, but ran on {caller:?}");
+        executors.push(caller.1);
     }
-    let mut callers = noting.callers.lock().unwrap().clone();
-    assert_eq!(callers.len(), 21);
-    callers.sort();
-    callers.dedup();
+    assert_eq!(noting.calls(), 21);
+    executors.sort();
+    executors.dedup();
     assert!(
-        callers.len() <= 2 && callers.iter().all(|c| c.starts_with("iluvatar-exec-")),
-        "agent calls were made by {callers:?}, not by at most two executors"
+        executors.len() <= 2,
+        "asynchronous bypasses ran on {executors:?}, not on at most two executors"
     );
+    drop(w);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A synchronous call on an idle worker takes the queue's place: the
+/// calling thread makes the agent call, and the trace and the WAL read as
+/// if an executor had popped it. No executor wakes, so neither of the
+/// executor's own spans is recorded.
+#[test]
+fn a_synchronous_call_on_an_idle_worker_runs_on_the_calling_thread() {
+    let (w, sink, noting, dir) = noting_worker("idle-sync", |_| {});
+    let me = std::thread::current().id();
+    for i in 0..5 {
+        let r = w.invoke_tenant("f-1", "{}", None).unwrap();
+        assert_eq!(finished_timeline(&sink, r.trace_id), queued_timeline());
+        assert_eq!(
+            noting.caller(i).0,
+            me,
+            "call {i} ran on {:?}",
+            noting.caller(i)
+        );
+    }
+    for executor_only in ["spawn_worker", "dequeue"] {
+        assert!(
+            w.spans().summary(executor_only).is_none(),
+            "`{executor_only}` timed for a caller-run"
+        );
+    }
+    assert!(w.spans().summary("call_container").is_some());
+    drop(w);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Limit 1, held by a gated asynchronous call: a synchronous caller finds
+/// no run permit, queues, and is served by the executor once the gate
+/// opens.
+#[test]
+fn a_synchronous_call_on_a_busy_worker_goes_through_an_executor() {
+    let (w, sink, noting, dir) = noting_worker("busy-sync", |cfg| cfg.concurrency.limit = 1);
+    noting.hold.store(true, Ordering::SeqCst);
+    let held = w.async_invoke_tenant("f-1", "{}", None).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while noting.calls() == 0 {
+        assert!(Instant::now() < deadline, "the gated call never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (r, caller_thread) = std::thread::scope(|scope| {
+        let sync = scope.spawn(|| {
+            let r = w.invoke_tenant("f-1", "{}", None);
+            (r, std::thread::current().id())
+        });
+        while w.status().queue_len == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the synchronous call never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        noting.hold.store(false, Ordering::SeqCst);
+        sync.join().unwrap()
+    });
+    held.wait().unwrap();
+    let r = r.unwrap();
+    assert_eq!(finished_timeline(&sink, r.trace_id), queued_timeline());
+    assert_eq!(noting.calls(), 2);
+    let served_by = noting.caller(1);
+    assert!(
+        on_an_executor(&served_by) && served_by.0 != caller_thread,
+        "the queued synchronous call ran on {served_by:?}"
+    );
+    drop(w);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An asynchronous caller gets its handle back at once and never runs the
+/// invocation itself, idle worker or not.
+#[test]
+fn an_asynchronous_call_never_runs_on_its_caller() {
+    let (w, sink, noting, dir) = noting_worker("async", |_| {});
+    for i in 0..5 {
+        let r = w
+            .async_invoke_tenant("f-1", "{}", None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(finished_timeline(&sink, r.trace_id), queued_timeline());
+        let caller = noting.caller(i);
+        assert!(on_an_executor(&caller), "call {i} ran on {caller:?}");
+    }
     drop(w);
     let _ = std::fs::remove_dir_all(&dir);
 }
