@@ -290,6 +290,9 @@ impl ResultCache {
                 Vec::new()
             }
         };
+        // A flight on a function re-registered as not idempotent is never
+        // filled: its followers re-look now and bypass.
+        self.flight_cv.notify_all();
         for (tenant, key) in invalidated {
             self.emit(
                 None,
@@ -424,11 +427,9 @@ impl ResultCache {
                             },
                         );
                     } else {
-                        let remaining =
-                            deadline.saturating_duration_since(std::time::Instant::now());
-                        let _ = self
-                            .flight_cv
-                            .wait_for(&mut inner, remaining.min(Duration::from_millis(50)));
+                        // `fill` and `abandon` notify: the rest of the
+                        // budget is the only timeout.
+                        let _ = self.flight_cv.wait_until(&mut inner, deadline);
                     }
                     continue;
                 }

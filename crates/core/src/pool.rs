@@ -12,10 +12,11 @@
 
 use crate::policies::{EntryMeta, KeepalivePolicy};
 use iluvatar_containers::types::SharedContainer;
-use iluvatar_sync::{Clock, ShardedMap};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use iluvatar_sync::{Clock, ShardedMap, TimeMs};
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// An idle warm container plus its cache metadata.
 struct PoolEntry {
@@ -57,6 +58,10 @@ pub struct ContainerPool {
     cold_misses: AtomicU64,
     evictions: AtomicU64,
     expirations: AtomicU64,
+    /// Herd waiters in `wait_warm`: `release` notifies only while any are.
+    herd_waiters: AtomicUsize,
+    herd: Mutex<()>,
+    returned: Condvar,
 }
 
 impl ContainerPool {
@@ -79,6 +84,9 @@ impl ContainerPool {
             cold_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             expirations: AtomicU64::new(0),
+            herd_waiters: AtomicUsize::new(0),
+            herd: Mutex::new(()),
+            returned: Condvar::new(),
         }
     }
 
@@ -157,6 +165,26 @@ impl ContainerPool {
         }
     }
 
+    /// Herd suppression: wait for a container of `fqdn` to be released,
+    /// until the pool's clock (the worker's, injected under simulation)
+    /// reads `deadline_ms`. The wall-clock wait only bounds how long until
+    /// that clock is read again.
+    pub fn wait_warm(&self, fqdn: &str, deadline_ms: TimeMs) -> Option<SharedContainer> {
+        self.herd_waiters.fetch_add(1, Ordering::SeqCst);
+        let mut parked = self.herd.lock();
+        let mut hit = self.acquire(fqdn);
+        let mut now = self.clock.now_ms();
+        while hit.is_none() && now < deadline_ms {
+            let budget = Duration::from_millis(deadline_ms - now);
+            self.returned.wait_for(&mut parked, budget);
+            hit = self.acquire(fqdn);
+            now = self.clock.now_ms();
+        }
+        drop(parked);
+        self.herd_waiters.fetch_sub(1, Ordering::SeqCst);
+        hit
+    }
+
     /// Reserve `memory_mb` for a new (cold) container, inline-evicting idle
     /// containers if needed. Returns false when even a full idle purge
     /// cannot free enough memory (everything is in use).
@@ -202,6 +230,12 @@ impl ContainerPool {
         self.policy.lock().on_insert(&mut meta, now);
         self.idle_mb.fetch_add(memory_mb as i64, Ordering::Relaxed);
         self.slot(&fqdn).lock().push(PoolEntry { container, meta });
+        // A waiter counts itself in, then looks and parks under `herd`:
+        // either its look finds this entry or this load finds the waiter.
+        if self.herd_waiters.load(Ordering::SeqCst) > 0 {
+            let _parked = self.herd.lock();
+            self.returned.notify_all();
+        }
     }
 
     /// Remove a container permanently (failed invocation, or caller chose

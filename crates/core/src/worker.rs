@@ -254,6 +254,9 @@ struct Shared {
     tel_counts: Arc<CounterBridge>,
     /// Invocation result cache; `Some` only when `cfg.cache.enabled`.
     cache: Option<Arc<ResultCache>>,
+    /// The periodic tasks, on one `iluvatar-timer` thread. Their ticks hold
+    /// this `Shared`; `Worker::stop_background` drops them.
+    tasks: TaskPool,
 }
 
 impl Shared {
@@ -799,9 +802,10 @@ enum Accepted {
 /// The Ilúvatar worker.
 pub struct Worker {
     shared: Arc<Shared>,
-    tasks: TaskPool,
-    /// Taken and joined by whichever of `kill` and `shutdown` stops first.
+    /// Taken by whichever of `kill` and `shutdown` stops first, which sends
+    /// the stop message down `destroy_tx` and joins it.
     destroyer: Mutex<Option<JoinHandle<()>>>,
+    destroy_tx: Sender<Option<SharedContainer>>,
 }
 
 impl Worker {
@@ -824,9 +828,12 @@ impl Worker {
     ) -> Self {
         // Async container destruction: eviction hands containers to a
         // dedicated destroyer thread, keeping teardown off every hot path.
-        let (destroy_tx, destroy_rx) = unbounded::<SharedContainer>();
+        // `None` is the stop message: the pool's evict sink keeps a sender
+        // for the worker's whole life, so the channel never disconnects.
+        let (destroy_tx, destroy_rx) = unbounded::<Option<SharedContainer>>();
+        let sink_tx = destroy_tx.clone();
         let sink: EvictSink = Arc::new(move |c: SharedContainer| {
-            let _ = destroy_tx.send(c);
+            let _ = sink_tx.send(Some(c));
         });
         let policy = make_policy(cfg.keepalive, KEEPALIVE_TTL_MS);
         // FNV-1a of the worker name seeds the trace id space, so ids from
@@ -844,14 +851,6 @@ impl Worker {
         // is its first sink, so the last N events are always dumpable even
         // when no external sink was attached.
         let telemetry = TelemetryBus::new(&cfg.name, Arc::clone(&clock));
-        // Bridge WAL I/O health transitions (rotations, retries, degraded /
-        // re-armed, stall sheds) onto the canonical stream as `wal_io`.
-        if let Some(w) = &wal {
-            let bus = Arc::clone(&telemetry);
-            w.set_io_notify(Arc::new(move |op: &'static str| {
-                bus.emit(None, None, TelemetryKind::WalIo { op: op.to_string() });
-            }));
-        }
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY));
         telemetry.add_sink(Arc::clone(&recorder) as Arc<dyn TelemetrySink>);
         let tel_counts = Arc::new(CounterBridge::new());
@@ -902,65 +901,66 @@ impl Worker {
             recorder,
             tel_counts,
             cache,
+            tasks: TaskPool::new("timer"),
             clock,
             cfg,
         });
         // The journal mirrors every trace stage onto the same stream.
         shared.journal.set_telemetry(Arc::clone(&shared.telemetry));
+        // Bridge WAL I/O health transitions (rotations, retries, degraded /
+        // re-armed, stall sheds) onto the canonical stream as `wal_io`. A
+        // degraded log gets a re-arm task: appends retry lazily, but an idle
+        // worker has none, so the task tries every 100 ms, pins the re-armed
+        // log to live state with a fresh snapshot, and is then done. A
+        // healthy log schedules nothing.
+        if let Some(w) = &shared.wal {
+            let bus = Arc::clone(&shared.telemetry);
+            let weak = Arc::downgrade(&shared);
+            w.set_io_notify(Arc::new(move |op: &'static str| {
+                bus.emit(None, None, TelemetryKind::WalIo { op: op.to_string() });
+                let Some(s) = weak.upgrade().filter(|_| op == "degraded") else {
+                    return;
+                };
+                let rearm = Arc::clone(&s);
+                s.tasks
+                    .spawn_until(Duration::from_millis(100), move || match &rearm.wal {
+                        Some(w) if w.is_degraded() => {
+                            let armed = w.try_rearm();
+                            if armed {
+                                wal_snapshot_now(&rearm);
+                            }
+                            armed
+                        }
+                        _ => true,
+                    });
+            }));
+        }
 
-        // The pool's evict sink holds a sender clone for the worker's whole
-        // lifetime, so the destroyer cannot rely on channel disconnect for
-        // shutdown; it polls the shutdown flag between receives.
         let destroy_backend = Arc::clone(&backend);
-        let destroy_shared = Arc::clone(&shared);
         let destroyer = std::thread::Builder::new()
             .name("iluvatar-destroyer".into())
-            .spawn(move || loop {
-                match destroy_rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(c) => {
-                        let _ = destroy_backend.destroy(&c);
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        if destroy_shared.shutdown.load(Ordering::Relaxed) && destroy_rx.is_empty()
-                        {
-                            return;
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            .spawn(move || {
+                while let Ok(Some(c)) = destroy_rx.recv() {
+                    let _ = destroy_backend.destroy(&c);
                 }
             })
             .expect("spawn destroyer");
 
-        let tasks = TaskPool::new();
+        let tasks = &shared.tasks;
         // Background keep-alive eviction sweep (§3.3).
         {
             let s = Arc::clone(&shared);
-            tasks.spawn_periodic(
-                "keepalive-evict",
-                Duration::from_millis(s.cfg.eviction_period_ms),
-                move || s.pool.background_sweep(s.cfg.free_buffer_mb),
-            );
+            tasks.spawn_periodic(Duration::from_millis(s.cfg.eviction_period_ms), move || {
+                s.pool.background_sweep(s.cfg.free_buffer_mb)
+            });
         }
         // System metrics sampling (§5): load averages + energy model.
         {
             let s = Arc::clone(&shared);
-            tasks.spawn_periodic("metrics-sample", Duration::from_millis(250), move || {
+            tasks.spawn_periodic(Duration::from_millis(250), move || {
                 let busy = s.running.load(Ordering::Relaxed).min(s.cfg.cores) as f64;
                 s.metrics.sample(busy);
                 maybe_finalize(&s);
-            });
-        }
-        // Degraded-WAL re-arm driver: appends retry lazily, but an idle
-        // worker has no appends — this periodic attempt re-arms it anyway,
-        // then pins the recovered log to live state with a fresh snapshot.
-        if shared.wal.is_some() {
-            let s = Arc::clone(&shared);
-            tasks.spawn_periodic("wal-rearm", Duration::from_millis(100), move || {
-                if let Some(w) = &s.wal {
-                    if w.is_degraded() && w.try_rearm() {
-                        wal_snapshot_now(&s);
-                    }
-                }
             });
         }
         // Predictive prewarm (§3.2): prepare containers the policy expects
@@ -969,21 +969,16 @@ impl Worker {
         if shared.cfg.prewarm_horizon_ms > 0 {
             let s = Arc::clone(&shared);
             let period = (s.cfg.prewarm_horizon_ms / 2).max(50);
-            tasks.spawn_periodic(
-                "predictive-prewarm",
-                Duration::from_millis(period),
-                move || {
-                    for fqdn in s.pool.prewarm_recommendations(s.cfg.prewarm_horizon_ms) {
-                        let _ = prewarm_inner(&s, &fqdn);
-                    }
-                },
-            );
+            tasks.spawn_periodic(Duration::from_millis(period), move || {
+                for fqdn in s.pool.prewarm_recommendations(s.cfg.prewarm_horizon_ms) {
+                    let _ = prewarm_inner(&s, &fqdn);
+                }
+            });
         }
         // AIMD control loop (§4.1), only when dynamic.
         if shared.regulator.is_dynamic() {
             let s = Arc::clone(&shared);
             tasks.spawn_periodic(
-                "aimd-tick",
                 Duration::from_millis(s.regulator.interval_ms()),
                 move || {
                     let before = s.regulator.limit();
@@ -1003,8 +998,8 @@ impl Worker {
 
         Self {
             shared,
-            tasks,
             destroyer: Mutex::new(Some(destroyer)),
+            destroy_tx,
         }
     }
 
@@ -1308,6 +1303,10 @@ impl Worker {
         // Freeze the black box at the moment of death — this is the dump a
         // post-mortem `GET /debug/flightrecorder` reads.
         s.snapshot_recorder("kill");
+        // A dead process publishes nothing more: what its detached executors
+        // still do never reaches a sink, so a recovered incarnation's
+        // stream does not interleave with the corpse's.
+        s.telemetry.close();
         if s.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -1319,12 +1318,13 @@ impl Worker {
         self.stop_background();
     }
 
-    /// Join the periodic tasks and the destroyer, which leaves once the
-    /// shutdown flag is up and its channel empty.
+    /// Stop the periodic tasks, then join the destroyer, which leaves at
+    /// the stop message once every container evicted before it is gone.
     fn stop_background(&self) {
-        self.tasks.shutdown();
+        self.shared.tasks.shutdown();
         let destroyer = self.destroyer.lock().take();
         if let Some(d) = destroyer {
+            let _ = self.destroy_tx.send(None);
             let _ = d.join();
         }
     }
@@ -1812,14 +1812,7 @@ fn attempt_invoke(
             let herd_ms = s.cfg.queue.herd_wait_ms;
             let mut herd_hit = None;
             if herd_ms > 0 && !found_idle && s.running_fn.get(&item.fqdn).unwrap_or(0) > 1 {
-                let deadline = s.clock.now_ms() + herd_ms;
-                while s.clock.now_ms() < deadline {
-                    std::thread::sleep(Duration::from_millis(2));
-                    if let Some(c) = s.pool.acquire(&item.fqdn) {
-                        herd_hit = Some(c);
-                        break;
-                    }
-                }
+                herd_hit = s.pool.wait_warm(&item.fqdn, s.clock.now_ms() + herd_ms);
             }
             if let Some(c) = herd_hit {
                 drop(acq_g);
@@ -2171,6 +2164,27 @@ mod tests {
             w.invoke_tenant("f-1", "{}", None),
             Err(InvokeError::ShuttingDown)
         ));
+    }
+
+    #[test]
+    fn an_idle_worker_shuts_down_and_dies_at_once() {
+        for kill in [false, true] {
+            let mut w = test_worker(WorkerConfig::default());
+            // Let the timer and the destroyer reach their waits.
+            std::thread::sleep(Duration::from_millis(50));
+            let t0 = std::time::Instant::now();
+            if kill {
+                w.kill();
+            } else {
+                w.shutdown();
+            }
+            let took = t0.elapsed();
+            assert!(
+                took <= Duration::from_millis(100),
+                "{} took {took:?}",
+                if kill { "kill" } else { "shutdown" }
+            );
+        }
     }
 
     #[test]
@@ -2605,6 +2619,98 @@ mod tests {
         fn list(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
             RealStorage.list(dir)
         }
+    }
+
+    /// Storage that fails every write and open while `full` is set (ENOSPC).
+    struct FullStorage(Arc<AtomicBool>);
+
+    struct FullFile(
+        Box<dyn iluvatar_sync::storage::StorageFile>,
+        Arc<AtomicBool>,
+    );
+
+    fn enospc(full: &AtomicBool) -> std::io::Result<()> {
+        if full.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("no space left on device"));
+        }
+        Ok(())
+    }
+
+    impl iluvatar_sync::storage::StorageFile for FullFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            enospc(&self.1)?;
+            self.0.write_all(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.flush()
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.0.sync()
+        }
+    }
+
+    impl Storage for FullStorage {
+        fn open_append(
+            &self,
+            path: &Path,
+        ) -> std::io::Result<Box<dyn iluvatar_sync::storage::StorageFile>> {
+            enospc(&self.0)?;
+            Ok(Box::new(FullFile(
+                RealStorage.open_append(path)?,
+                Arc::clone(&self.0),
+            )))
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            RealStorage.read(path)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            RealStorage.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+            RealStorage.list(dir)
+        }
+    }
+
+    #[test]
+    fn an_idle_degraded_wal_rearms_without_appends() {
+        let dir =
+            std::env::temp_dir().join(format!("iluvatar-worker-idle-rearm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.lifecycle =
+            crate::config::LifecycleConfig::with_wal(dir.join("q.wal").to_str().unwrap());
+        cfg.lifecycle.wal.on_error = "degrade".into();
+        cfg.lifecycle.wal.retry_limit = 0;
+        // No append re-arms lazily within the test: the task must.
+        cfg.lifecycle.wal.rearm_after_ms = 600_000;
+        let full = Arc::new(AtomicBool::new(false));
+        let clock = SystemClock::shared();
+        let backend = Arc::new(SimBackend::new(
+            Arc::clone(&clock),
+            SimBackendConfig {
+                time_scale: 0.05,
+                ..Default::default()
+            },
+        ));
+        let w = Worker::new_with_storage(
+            cfg,
+            backend,
+            clock,
+            Arc::new(FullStorage(Arc::clone(&full))),
+        );
+        w.register(spec("f", 10, 0, 64)).unwrap();
+        full.store(true, Ordering::SeqCst);
+        w.invoke_tenant("f-1", "{}", None).unwrap();
+        assert!(w.status().wal_degraded, "a full disk degrades the log");
+        full.store(false, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        while w.status().wal_degraded && t0.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!w.status().wal_degraded, "the idle log never re-armed");
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -384,7 +384,8 @@ const PULL_INVOKE_TIMEOUT_MS: u64 = 30_000;
 const PULL_WAIT_CAP_MS: u64 = 10_000;
 
 /// The balancer's HTTP server plus its background scrape task (and, for
-/// elastic fleets, the autoscale control loop).
+/// elastic fleets, the autoscale control loop), both on one
+/// `iluvatar-lb-timer` thread.
 pub struct LbApi {
     server: HttpServer,
     tasks: TaskPool,
@@ -436,11 +437,11 @@ impl LbApi {
             }
         }
         let snapshot = Arc::new(Mutex::new(cluster.scrape()));
-        let tasks = TaskPool::new();
+        let tasks = TaskPool::new("lb-timer");
         {
             let cluster = Arc::clone(&cluster);
             let snapshot = Arc::clone(&snapshot);
-            tasks.spawn_periodic("lb-scrape", scrape_period, move || {
+            tasks.spawn_periodic(scrape_period, move || {
                 *snapshot.lock() = cluster.scrape();
             });
         }
@@ -448,7 +449,7 @@ impl LbApi {
             let f = Arc::clone(f);
             let interval = Duration::from_millis(f.config().interval_ms.max(10));
             let started = std::time::Instant::now();
-            tasks.spawn_periodic("lb-autoscale", interval, move || {
+            tasks.spawn_periodic(interval, move || {
                 // Control-loop time is elapsed-since-start so the policy's
                 // cooldown arithmetic sees small monotone values.
                 let now_ms = started.elapsed().as_millis() as u64;

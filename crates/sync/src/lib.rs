@@ -5,7 +5,7 @@
 //! * a concurrent associative map for the container pool (the original uses
 //!   `dashmap`; we build [`ShardedMap`] on `parking_lot` shards),
 //! * asynchronous lifecycle handling off the critical path (here: the
-//!   [`taskpool::TaskPool`] of named periodic tasks), and
+//!   [`taskpool::TaskPool`] of periodic tasks on one timer thread), and
 //! * data-driven controllers — the TCP-like AIMD concurrency limit of §4.1
 //!   ([`aimd::Aimd`]) and the moving-window function characteristics of §4.2
 //!   ([`stats::MovingWindow`], [`stats::Welford`]).

@@ -75,6 +75,11 @@ impl TelemetryBus {
         self.sinks.write().push(sink);
     }
 
+    /// Detach every sink: nothing emitted from now on is published.
+    pub fn close(&self) {
+        self.sinks.write().clear();
+    }
+
     /// The sequence number of the most recently emitted event (0 before
     /// the first emit). This is what crosses HTTP hops in the
     /// `X-Iluvatar-Seq` header, letting a client order its observation

@@ -262,6 +262,34 @@ if [[ $(grep -c 'leading = true' <<<"$wal_src") -ne 1 || $(grep -c 'self\.sync_p
     exit 1
 fi
 
+echo "=== an idle control plane sleeps (no sleep-polling in the control plane) ==="
+# Periodic work is a task on its component's one TaskPool timer thread, and a
+# waiter blocks on the thing it waits for: a condvar that the other side
+# notifies, a channel `recv`, a deadline wait. A `sleep` in a loop wakes a
+# thread for nothing: before the timer, an idle default worker woke 60 times
+# a second (DESIGN.md "Execution model"). Test code is exempt; the allow-list
+# names each remaining sleep, by file and function, with its reason.
+SLEEP_ALLOW="
+crates/sync/src/clock.rs: sleep_ms  SystemClock's wall-clock sleep: a caller that asks the clock to sleep gets one
+crates/core/src/wal.rs: ladder_locked  the WAL retry backoff under the writer lock; ROADMAP's lock-shim item owns it
+crates/core/src/worker.rs: execute  the invocation retry backoff before a fresh container is tried
+crates/dispatch/src/lib.rs: spawn  the pull loop's back-off after an empty pull, on cluster_pull's measured path
+"
+sleeps=$(find crates/{core,loadbalancer,dispatch,cache,sync}/src -name '*.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { fn = substr($0, RSTART, RLENGTH); sub(/.* /, "", fn) }
+        /^ *\/\// { next }
+        /(^|[^A-Za-z0-9_])sleep\(/ && !/fn sleep\(/ { print f ": " fn }'
+done)
+bad_sleeps=$(while read -r site; do
+    [[ -z $site ]] || grep -qF "$site  " <<<"$SLEEP_ALLOW" || echo "$site"
+done <<<"$sleeps")
+if [[ -n "$bad_sleeps" ]]; then
+    echo "$bad_sleeps" >&2
+    echo "a thread sleeps in control-plane code: schedule periodic work on the component's TaskPool, and wait on the condvar or channel the waker signals" >&2
+    exit 1
+fi
+
 echo "=== session determinism (fixed seed, two fresh processes per scenario) ==="
 # Every seeded scenario must replay bit-identically: same seed, same
 # digest. --verify-determinism runs the scenario twice as fresh processes

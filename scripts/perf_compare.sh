@@ -26,12 +26,18 @@
 #               median, and not every working-tree run beats every base
 #               run: the spread is too wide to tell;
 #   unchanged   none of these.
+# Verdicts are over all pairs run. Each untraced run also keeps its peak
+# probe speed, the highest `probe speed` window reading in its report (how
+# fast the machine ran at its best); the summary prints each side's
+# quartiles of it, and a note when the two sides' medians differ by more
+# than the base's own quartile distance: a timing verdict may then show
+# the machine, not the change.
 # Exit status 1 when a metric is worse or any operation failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -109,12 +115,17 @@ run_side() {
         tail -n 20 "$log" >&2
         exit 1
     fi
-    jq -c --arg side "$side" --argjson seed "$seed" \
-        '{side: $side, seed: $seed, failed, attempted, correct,
+    local peak
+    # Traced runs print no windows: no peak.
+    peak=$(awk -F'probe speed: ' 'NF > 1 { gsub(/[][,]/, " ", $2); n = split($2, v, " ")
+        for (i = 1; i <= n; i++) if (v[i] + 0 > max) max = v[i] + 0 } END { if (max) print max }' "$log")
+    jq -c --arg side "$side" --argjson seed "$seed" --argjson peak "${peak:-null}" \
+        '{side: $side, seed: $seed, failed, attempted, correct, peak_speed: $peak,
           metrics: (.metrics | map_values(.value))}' <<<"$line" >>"$runs"
-    echo "  $side seed $seed: $(jq -c '{failed} + (.metrics | with_entries(.value |= .value)
+    echo "  $side seed $seed: $(jq -c --argjson peak "${peak:-null}" '{failed} + (.metrics
+        | with_entries(.value |= .value)
         | {capacity_ips, overhead_p50_us, ctx_switches_per_inv: ."process.ctx_switches_per_inv"}
-        | with_entries(select(.value != null)))' <<<"$line")" >&2
+        | with_entries(select(.value != null))) + {peak_speed: $peak}' <<<"$line")" >&2
 }
 
 for ((seed = first; seed <= last; seed++)); do
@@ -159,7 +170,17 @@ def side($s): [$runs[] | select(.side == $s)] | sort_by(.seed);
             or ($h3 - $h1) > $m.bound * ($h2 | fabs)) then "unresolved"
        else "unchanged" end) as $verdict
     | "| \($m.name) | \($m.unit) | \($b1 | fmt) / \($b2 | fmt) / \($b3 | fmt) | \($h1 | fmt) / \($h2 | fmt) / \($h3 | fmt) | \(if $b2 != 0 then $h2 / $b2 | fmt else "-" end) | \($won)/\($n) | \($verdict) |"
-  )
+  ),
+  "",
+  ( [$b[].peak_speed | values] as $bs | [$h[].peak_speed | values] as $hs
+    | if ($bs | length) == 0 or ($hs | length) == 0 then "peak probe speed: none reported"
+      else ($bs | q(0.25)) as $b1 | ($bs | q(0.5)) as $b2 | ($bs | q(0.75)) as $b3
+        | ($hs | q(0.5)) as $h2
+        | "peak probe speed per run: base \($b1 | fmt) / \($b2 | fmt) / \($b3 | fmt), head \($hs | q(0.25) | fmt) / \($h2 | fmt) / \($hs | q(0.75) | fmt)",
+          (if ($h2 - $b2 | fabs) > $b3 - $b1 then
+            "note: the sides ran at different speeds (median peak \($h2 | fmt) head, \($b2 | fmt) base, base quartile distance \($b3 - $b1 | fmt)): a timing verdict may show the machine, not the change"
+          else empty end)
+      end )
 ' | tee "$work/summary-$tag.md"
 
 worse=$(grep -c '| worse |$' "$work/summary-$tag.md" || true)

@@ -85,7 +85,7 @@ pub(super) fn submit_and_kill(
     if !killed {
         worker.kill();
     }
-    drop(worker); // joins in-flight threads; every emit is flushed
+    drop(worker); // killed: its bus is closed, so nothing more reaches a sink
     (accepted, rejected_after_kill)
 }
 

@@ -2,8 +2,11 @@
 //! through the sync entry and the async one alike — publishes the six
 //! journal stages per invocation and nothing from any optional subsystem
 //! (no `cache:*` event; every result reads `Bypass`), and runs only its
-//! three standing threads plus the executors its load called for — no
-//! thread per invocation. This is the
+//! two standing threads (the destroyer and the timer) plus the executors its
+//! load called for — no thread per invocation. Its periodic tasks are ticks
+//! on the timer thread, not threads; idle, it wakes at most 8 times a
+//! second, which leaves no room for a `wal-rearm` tick (ten a second). This
+//! is the
 //! in-tree zero-cost-when-off row the DESIGN.md keep-or-kill audit cites for
 //! every subsystem it keeps. And idle means idle: a worker whose group-commit
 //! WAL is *on* performs no fsync while nothing arrives — the log commits
@@ -14,7 +17,7 @@
 
 mod common;
 
-use common::thread_names;
+use common::{thread_names, wakeups_over};
 use iluvatar::chaos::{disk_sites, DiskFaultPlanConfig, FaultyStorage};
 use iluvatar::core::config::{LifecycleConfig, WalConfig};
 use iluvatar::prelude::*;
@@ -103,8 +106,7 @@ fn default_worker_runs_no_optional_subsystem() {
     );
     for standing in [
         "iluvatar-destro", // iluvatar-destroyer
-        "iluvatar-keepal", // iluvatar-keepalive-evict
-        "iluvatar-metric", // iluvatar-metrics-sample
+        "iluvatar-timer",  // keepalive-evict and metrics-sample ticks
     ] {
         assert!(
             threads.iter().any(|t| t.starts_with(standing)),
@@ -116,9 +118,6 @@ fn default_worker_runs_no_optional_subsystem() {
         "iluvatar-queue-", // a dispatcher in front of the executors
         "iluvatar-bg-",    // one-off job pool
         "iluvatar-quaran", // quarantine-sweep
-        "iluvatar-wal-re", // wal-rearm
-        "iluvatar-aimd-t", // aimd-tick
-        "iluvatar-predic", // predictive-prewarm
         "iluvatar-agent-", // agent-call timeout helper
     ] {
         assert!(
@@ -126,6 +125,18 @@ fn default_worker_runs_no_optional_subsystem() {
             "a default worker runs a `{optional}*` thread: {threads:?}"
         );
     }
+    // Idle for 2 s: the 250 ms metrics sample and the 500 ms sweep tick six
+    // times a second; a `wal-rearm` task would add ten.
+    let woke = wakeups_over(Duration::from_secs(2));
+    let own: u64 = woke
+        .iter()
+        .filter(|(t, _)| t.starts_with("iluvatar-"))
+        .map(|(_, n)| n)
+        .sum();
+    assert!(
+        own <= 16,
+        "an idle default worker woke {own} times in 2 s: {woke:?}"
+    );
     drop(worker);
     idle_group_commit_worker_performs_no_fsync();
 }
