@@ -8,7 +8,8 @@
 //! * `wal:*` / `wal_poisoned`  → [`WalModel`] (and optionally [`DrrModel`])
 //! * `breaker:*`               → [`BreakerModel`]
 //! * `membership:*` / `scale:*` / `lifecycle:*` → [`FleetModel`]
-//! * `trace:*`                 → a per-invocation timeline machine (below)
+//! * `trace:*`                 → a per-invocation timeline machine (below);
+//!   `trace:dequeued` is also [`DrrModel`]'s pop
 //!
 //! The timeline machine enforces the cross-model contracts that make the
 //! durability story end-to-end: an accepted invocation's `trace:enqueued`
@@ -89,6 +90,8 @@ pub struct ConformanceReport {
     pub wal_pending: Vec<u64>,
     /// The WAL model's per-tenant accounting books.
     pub wal_books: BTreeMap<String, TenantBook>,
+    /// Dequeues checked against the DRR model (0 without one).
+    pub drr_pops: u64,
 }
 
 impl ConformanceReport {
@@ -325,15 +328,6 @@ impl Checker {
                             );
                         }
                     }
-                    "dequeued" => {
-                        self.wal.dequeued(src, id).map_err(|e| ("wal", e))?;
-                        if let Some(drr) = self.drr.as_mut() {
-                            let tenant = self.wal.meta_of(id).and_then(|m| m.tenant.clone());
-                            drr.expect_pop(id, tenant.as_deref())
-                                .map_err(|e| ("drr", e))?;
-                            drr.check_deficit_bound().map_err(|e| ("drr", e))?;
-                        }
-                    }
                     "completed" => {
                         let ok = ok.unwrap_or(false);
                         self.wal
@@ -412,7 +406,15 @@ impl Checker {
                     ));
                 };
                 self.step_timeline(id, src, stage)
-                    .map_err(|e| ("timeline", e))
+                    .map_err(|e| ("timeline", e))?;
+                // The DRR pop, for an id a durable `wal:enqueued` put in.
+                let popped = |d: &DrrModel| stage == "dequeued" && d.holds(id);
+                if let Some(drr) = self.drr.as_mut().filter(|d| popped(d)) {
+                    let tenant = self.wal.meta_of(id).and_then(|m| m.tenant.as_deref());
+                    drr.expect_pop(id, tenant).map_err(|e| ("drr", e))?;
+                    drr.check_deficit_bound().map_err(|e| ("drr", e))?;
+                }
+                Ok(())
             }
             TelemetryKind::Lifecycle { state } => {
                 if state == "recovered" {
@@ -683,64 +685,32 @@ impl Checker {
     /// log). Exercises the same [`WalModel`] rules as the stream path.
     pub fn ingest_wal_record(&mut self, source: &str, rec: &WalRecord) {
         self.events += 1;
+        *self
+            .label_counts
+            .entry(format!("wal:{}", rec.op_label()))
+            .or_default() += 1;
         let res = match rec {
-            WalRecord::Enqueued { inv } => {
-                *self
-                    .label_counts
-                    .entry("wal:enqueued".to_string())
-                    .or_default() += 1;
-                self.wal.enqueued(
-                    source,
-                    inv.id,
-                    inv.tenant.as_deref(),
-                    inv.expected_exec_ms,
-                    inv.tenant_weight,
-                )
-            }
-            WalRecord::Dequeued { id } => {
-                *self
-                    .label_counts
-                    .entry("wal:dequeued".to_string())
-                    .or_default() += 1;
-                self.wal.dequeued(source, *id)
-            }
+            WalRecord::Enqueued { inv } => self.wal.enqueued(
+                source,
+                inv.id,
+                inv.tenant.as_deref(),
+                inv.expected_exec_ms,
+                inv.tenant_weight,
+            ),
+            WalRecord::Dequeued { id } => self.wal.dequeued(source, *id),
             WalRecord::Completed { id, ok, tenant } => {
-                *self
-                    .label_counts
-                    .entry("wal:completed".to_string())
-                    .or_default() += 1;
                 self.wal.completed(source, *id, *ok, tenant.as_deref())
             }
             WalRecord::Shed {
                 id,
                 tenant,
                 throttled,
-            } => {
-                *self.label_counts.entry("wal:shed".to_string()).or_default() += 1;
-                self.wal.shed(source, *id, tenant.as_deref(), *throttled)
-            }
-            WalRecord::LeaseIssued { .. } => {
-                // Lease records exist so *recovery* can requeue in-flight
-                // work; file replay treats them as informational (the book
-                // effects are exercised end-to-end by `wal::replay`).
-                *self
-                    .label_counts
-                    .entry("wal:lease_issued".to_string())
-                    .or_default() += 1;
-                Ok(())
-            }
-            WalRecord::LeaseRequeued { .. } => {
-                *self
-                    .label_counts
-                    .entry("wal:lease_requeued".to_string())
-                    .or_default() += 1;
-                Ok(())
-            }
+            } => self.wal.shed(source, *id, tenant.as_deref(), *throttled),
+            // Lease records exist so *recovery* can requeue in-flight work;
+            // file replay treats them as informational (the book effects
+            // are exercised end-to-end by `wal::replay`).
+            WalRecord::LeaseIssued { .. } | WalRecord::LeaseRequeued { .. } => Ok(()),
             WalRecord::Snapshot { snap } => {
-                *self
-                    .label_counts
-                    .entry("wal:snapshot".to_string())
-                    .or_default() += 1;
                 let pending: Vec<(u64, bool)> =
                     snap.pending.iter().map(|p| (p.id, p.dequeued)).collect();
                 self.wal.snapshot(source, &pending)
@@ -798,6 +768,7 @@ impl Checker {
             label_counts: self.label_counts,
             wal_pending: self.wal.pending_ids(),
             wal_books: self.wal.books().clone(),
+            drr_pops: self.drr.as_ref().map_or(0, |d| d.pops),
         }
     }
 }
@@ -824,7 +795,13 @@ mod tests {
     }
 
     fn wal_ev(op: &str) -> TelemetryKind {
-        TelemetryKind::wal(op)
+        TelemetryKind::Wal {
+            op: op.into(),
+            cost_ms: None,
+            weight: None,
+            ok: None,
+            throttled: None,
+        }
     }
 
     fn trace_ev(stage: &str) -> TelemetryKind {
@@ -854,7 +831,6 @@ mod tests {
             },
         ));
         c.ingest(&ev(s(), "w", id, None, trace_ev("enqueued")));
-        c.ingest(&ev(s(), "w", id, None, wal_ev("dequeued")));
         c.ingest(&ev(s(), "w", id, None, trace_ev("dequeued")));
         c.ingest(&ev(
             s(),
@@ -884,6 +860,53 @@ mod tests {
         assert_eq!(report.wal_books["a"].served, 1);
     }
 
+    /// The DRR pop is the timeline's `dequeued` stage, for the ids a
+    /// durable `wal:enqueued` put in the model: with no `wal:dequeued` on
+    /// the stream, a tenant's younger invocation dequeued ahead of its
+    /// older one is still caught.
+    #[test]
+    fn timeline_dequeues_out_of_drr_order_are_a_drr_violation() {
+        let run = |order: [u64; 3]| {
+            let mut c = Checker::new()
+                .with_drr_fifo(50.0)
+                .with_require_terminal(false);
+            let mut seq = 0..;
+            let mut s = || seq.next().unwrap() + 1;
+            for id in [1, 2] {
+                c.ingest(&ev(s(), "w", Some(id), None, trace_ev("ingested")));
+                c.ingest(&ev(
+                    s(),
+                    "w",
+                    Some(id),
+                    Some("a"),
+                    TelemetryKind::Wal {
+                        op: "enqueued".into(),
+                        cost_ms: Some(10.0),
+                        weight: Some(1.0),
+                        ok: None,
+                        throttled: None,
+                    },
+                ));
+                c.ingest(&ev(s(), "w", Some(id), None, trace_ev("enqueued")));
+            }
+            // Id 3 runs on a worker without a log: nothing for the model.
+            c.ingest(&ev(s(), "v", Some(3), None, trace_ev("ingested")));
+            c.ingest(&ev(s(), "v", Some(3), None, trace_ev("enqueued")));
+            for id in order {
+                let src = if id == 3 { "v" } else { "w" };
+                c.ingest(&ev(s(), src, Some(id), None, trace_ev("dequeued")));
+            }
+            c.finish()
+        };
+        let in_order = run([3, 1, 2]);
+        assert!(in_order.ok(), "{:?}", in_order.violations);
+        assert_eq!(in_order.drr_pops, 2);
+        let swapped = run([2, 3, 1]);
+        let v = swapped.violations.first().expect("the swap is caught");
+        assert_eq!((v.model, v.rule), ("drr", "fifo-within-tenant"));
+        assert_eq!(v.event.as_ref().unwrap().trace_id, Some(2));
+    }
+
     #[test]
     fn result_before_durable_is_flagged_with_context() {
         let mut c = Checker::new();
@@ -891,7 +914,6 @@ mod tests {
         c.ingest(&ev(1, "w", id, None, trace_ev("ingested")));
         c.ingest(&ev(2, "w", id, Some("a"), wal_ev("enqueued")));
         c.ingest(&ev(3, "w", id, None, trace_ev("enqueued")));
-        c.ingest(&ev(4, "w", id, None, wal_ev("dequeued")));
         c.ingest(&ev(5, "w", id, None, trace_ev("dequeued")));
         c.ingest(&ev(6, "w", id, None, trace_ev("container_acquired(false)")));
         c.ingest(&ev(7, "w", id, None, trace_ev("agent_called")));
@@ -912,7 +934,6 @@ mod tests {
         c.ingest(&ev(1, "w", id, None, trace_ev("ingested")));
         c.ingest(&ev(2, "w", id, Some("a"), wal_ev("enqueued")));
         c.ingest(&ev(3, "w", id, None, trace_ev("enqueued")));
-        c.ingest(&ev(4, "w", id, None, wal_ev("dequeued")));
         c.ingest(&ev(5, "w", id, None, trace_ev("dequeued")));
         c.ingest(&ev(6, "w", id, None, trace_ev("container_acquired(true)")));
         c.ingest(&ev(7, "w", id, None, trace_ev("agent_called")));
@@ -931,7 +952,6 @@ mod tests {
         c.ingest(&ev(1, "w", id, None, trace_ev("ingested")));
         c.ingest(&ev(2, "w", id, Some("a"), wal_ev("enqueued")));
         c.ingest(&ev(3, "w", id, None, trace_ev("enqueued")));
-        c.ingest(&ev(4, "w", id, None, wal_ev("dequeued")));
         c.ingest(&ev(5, "w", id, None, trace_ev("dequeued")));
         c.ingest(&ev(6, "w", id, None, trace_ev("container_acquired(true)")));
         c.ingest(&ev(7, "w", id, None, trace_ev("agent_called")));
@@ -1079,7 +1099,6 @@ mod tests {
         c.ingest(&ev(1, "w", id, None, trace_ev("ingested")));
         c.ingest(&ev(2, "w", id, Some("a"), wal_ev("enqueued")));
         c.ingest(&ev(3, "w", id, None, trace_ev("enqueued")));
-        c.ingest(&ev(4, "w", id, None, wal_ev("dequeued")));
         c.ingest(&ev(5, "w", id, None, trace_ev("dequeued")));
         // Fill lands before wal:completed booked the result: flagged.
         c.ingest(&ev(

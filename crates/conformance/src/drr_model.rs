@@ -66,6 +66,7 @@ pub struct DrrModel {
     min_weight: f64,
     window: Option<Window>,
     pub closed_windows: Vec<Window>,
+    /// Pops served (in FIFO mode: dequeues that passed the check).
     pub pops: u64,
 }
 
@@ -95,6 +96,13 @@ impl DrrModel {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Whether `id` is queued in the model.
+    pub fn holds(&self, id: u64) -> bool {
+        self.subs
+            .values()
+            .any(|s| s.items.iter().any(|&(i, _)| i == id))
     }
 
     /// Mirror of `DrrQueue::push`.
@@ -181,6 +189,7 @@ impl DrrModel {
                     Some(&(front, _)) if front == id => {
                         sub.items.pop_front();
                         self.len -= 1;
+                        self.pops += 1;
                         if sub.items.is_empty() {
                             self.active.retain(|k| k != &key);
                         }

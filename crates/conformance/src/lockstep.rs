@@ -2,15 +2,22 @@
 //! [`Checker`] consume the *same* command sequence.
 //!
 //! Every push and pop on the real queue is mirrored as the synthesized
-//! `wal:enqueued` / `wal:dequeued` / `wal:completed` stream a live worker
-//! would emit, so the checker re-derives the reference model's pop and any
-//! divergence between queue and model surfaces as a violation. Shared by
-//! the differential proptests and the seeded conformance session.
+//! stream a live worker would emit (a pop is `trace:dequeued`; nothing
+//! runs, so no result is asked for), so the checker re-derives the
+//! reference model's pop and any divergence between queue and model
+//! surfaces as a violation. Shared by the differential proptests and the
+//! seeded conformance session.
 
 use crate::{Checker, ConformanceReport};
 use iluvatar_core::queue::QueuedInvocation;
 use iluvatar_core::{DrrQueue, InvocationHandle};
 use iluvatar_telemetry::{TelemetryEvent, TelemetryKind};
+
+fn trace(stage: &str) -> TelemetryKind {
+    TelemetryKind::Trace {
+        stage: stage.to_string(),
+    }
+}
 
 /// One item served by [`DrrLockstep::pop`].
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +40,9 @@ impl DrrLockstep {
     pub fn new(quantum_ms: u64) -> Self {
         Self {
             queue: DrrQueue::new(quantum_ms),
-            checker: Checker::new().with_drr_strict(quantum_ms as f64),
+            checker: Checker::new()
+                .with_drr_strict(quantum_ms as f64)
+                .with_require_terminal(false),
             seq: 0,
             next_id: 1,
             keep_alive: Vec::new(),
@@ -58,6 +67,7 @@ impl DrrLockstep {
         self.next_id += 1;
         let (tx, handle) = InvocationHandle::pair();
         self.keep_alive.push(handle);
+        self.emit(id, tenant, trace("ingested"));
         self.emit(
             id,
             tenant,
@@ -69,6 +79,7 @@ impl DrrLockstep {
                 throttled: None,
             },
         );
+        self.emit(id, tenant, trace("enqueued"));
         self.queue.push(QueuedInvocation {
             fqdn: "f-1".to_string(),
             args: String::new(),
@@ -87,7 +98,7 @@ impl DrrLockstep {
     pub fn pop(&mut self) -> Option<Served> {
         let item = self.queue.pop()?;
         let tenant = item.tenant.clone().unwrap_or_default();
-        self.emit(item.trace_id, &tenant, TelemetryKind::wal("dequeued"));
+        self.emit(item.trace_id, &tenant, trace("dequeued"));
         self.emit(
             item.trace_id,
             &tenant,

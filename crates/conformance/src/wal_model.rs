@@ -3,13 +3,15 @@
 //! Per-invocation guarded state machine, keyed by trace id:
 //!
 //! ```text
-//!            enqueued            dequeued            completed
-//!   Absent ───────────▶ Pending ───────────▶ InFlight ─────────▶ Completed
-//!      │                   │    (repeatable: at-least-once)          ▲
-//!      │ shed              └──────────── completed ─────────────────┘
-//!      ▼                        (push-full / shutdown retraction)
-//!    Shed
+//!            enqueued                      completed
+//!   Absent ───────────▶ Pending ──────────────────────────────────▶ Completed
+//!      │                   │                                          ▲
+//!      │ shed              │ dequeued (older logs)        completed   │
+//!      ▼                   └──────────────▶ InFlight ─────────────────┘
+//!    Shed                            (repeatable: at-least-once)
 //! ```
+//! A worker logs no dequeue, so its ids go Pending → Completed; `InFlight`
+//! comes from an older log's `Dequeued` or a snapshot's in-flight mark.
 //!
 //! Rules enforced (the names are the stable `ModelError::rule` strings):
 //!
@@ -36,8 +38,8 @@ pub enum InvState {
     /// Accepted: `Enqueued` is durable, the invocation must eventually be
     /// completed or survive in the pending set.
     Pending,
-    /// Dequeued at least once; execution may die and be re-driven
-    /// (at-least-once), so `dequeued` from here is legal and idempotent.
+    /// Dequeued at least once (an older log); execution may die and be
+    /// re-driven (at-least-once), so `dequeued` from here is idempotent.
     InFlight,
     /// Finished either way; terminal for accounting (exactly-once).
     Completed,

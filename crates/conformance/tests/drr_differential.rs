@@ -57,6 +57,7 @@ proptest! {
         let report = sim.finish();
         prop_assert!(report.ok(), "drain diverged: {:?}", report.violations);
         prop_assert_eq!(report.wal_pending.len(), 0, "drain left pending work");
+        prop_assert_eq!(report.drr_pops, backlog.len() as u64, "a pop went unchecked");
     }
 }
 

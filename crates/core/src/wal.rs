@@ -3,8 +3,9 @@
 //!
 //! The worker keeps all invocation state in memory (§3); a crash therefore
 //! loses every queued invocation and accounting book. This module makes the
-//! queue durable: every queue mutation (enqueue / dequeue / completion /
-//! admission shed) is appended as a length+CRC32-framed record to the
+//! queue durable: every queue mutation that recovery needs (enqueue /
+//! completion / admission shed, and the pull plane's leases) is appended
+//! as a length+CRC32-framed record to the
 //! current segment file (`{path}.NNNN.log`), and a periodic compacted
 //! snapshot captures the full recoverable state — pending invocations,
 //! Prometheus counter baselines, per-tenant admission books, token-bucket
@@ -140,9 +141,11 @@ pub struct WalSnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "op", rename_all = "snake_case")]
 pub enum WalRecord {
-    /// Admitted and queued (or bypassed — a bypass logs Enqueued+Dequeued).
+    /// Admitted and queued (or bypassed — a bypass logs one `Enqueued`
+    /// with `inv.dequeued` set).
     Enqueued { inv: PendingInvocation },
-    /// Left the queue for dispatch.
+    /// Left the queue for dispatch: only older logs hold it (recovery
+    /// re-runs whatever has no `Completed`); replay sets `inv.dequeued`.
     Dequeued { id: u64 },
     /// Finished (either way); the invocation leaves the pending set.
     Completed {
@@ -387,8 +390,8 @@ pub enum FsyncPolicy {
     /// Group commit on demand: an acceptance-path append that is not yet
     /// covered fsyncs itself (the leader) unless an fsync is in flight, in
     /// which case it rides the next one (a follower). `interval_ms` bounds
-    /// only how long a record nobody waits on (`Dequeued`, `Shed`, lease
-    /// records) may sit un-fsynced before the sweeper commits it.
+    /// only how long a record nobody waits on (`Shed`, lease records) may
+    /// sit un-fsynced before the sweeper commits it.
     Group { interval_ms: u64 },
     /// fsync inline on every append.
     Always,
@@ -1086,7 +1089,7 @@ impl Wal {
     }
 
     /// Only acceptance (`Enqueued`) and the result barrier (`Completed`)
-    /// wait for the covering group fsync; dequeues/sheds/lease records are
+    /// wait for the covering group fsync; sheds and lease records are
     /// books-only: they ride the next commit, or the sweeper's.
     fn must_wait(rec: &WalRecord) -> bool {
         matches!(
@@ -1654,6 +1657,89 @@ mod tests {
         assert_eq!(once.counters, twice.counters);
         assert_eq!(once.tenants, twice.tenants);
         cleanup(&p);
+    }
+
+    /// A log written before the worker stopped logging dequeues holds a
+    /// `Dequeued` frame per dispatch. Without those frames the same log
+    /// replays to the same state: only the records read and the in-flight
+    /// mark of an invocation that was running at the crash differ, and
+    /// recovery re-runs that invocation either way.
+    #[test]
+    fn an_older_log_replays_its_dequeued_frames_to_the_same_state() {
+        let enq = |id, t: &str| WalRecord::Enqueued {
+            inv: inv(id, "f-1", Some(t)),
+        };
+        let done = |id, ok, t: &str| WalRecord::Completed {
+            id,
+            ok,
+            tenant: Some(t.into()),
+        };
+        let older = vec![
+            enq(1, "a"),
+            WalRecord::Dequeued { id: 1 },
+            enq(2, "b"),
+            done(1, true, "a"),
+            WalRecord::Shed {
+                id: 3,
+                tenant: Some("b".into()),
+                throttled: false,
+            },
+            WalRecord::Dequeued { id: 2 },
+            enq(4, "a"),
+            enq(5, "b"),
+            WalRecord::Dequeued { id: 5 },
+            done(5, false, "b"),
+            // Running at the crash: no `Completed`.
+            WalRecord::Dequeued { id: 4 },
+        ];
+        let replay_of = |name: &str, records: &[&WalRecord]| {
+            let p = tmp(name);
+            let bytes: Vec<u8> = records.iter().flat_map(|r| encode_frame(r)).collect();
+            std::fs::write(segment_path(&p, 1), bytes).unwrap();
+            let st = replay(&p).unwrap();
+            cleanup(&p);
+            st
+        };
+        let with = replay_of("older-format", &older.iter().collect::<Vec<_>>());
+        let without: Vec<&WalRecord> = older
+            .iter()
+            .filter(|r| !matches!(r, WalRecord::Dequeued { .. }))
+            .collect();
+        let without = replay_of("newer-format", &without);
+
+        let ids = |st: &ReplayState| st.pending.iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&with), [2, 4]);
+        assert_eq!(ids(&with), ids(&without));
+        let in_flight = |st: &ReplayState| {
+            st.pending
+                .iter()
+                .filter(|p| p.dequeued)
+                .map(|p| p.id)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(in_flight(&with), [2, 4]);
+        assert!(in_flight(&without).is_empty());
+        let unmarked = |st: &ReplayState| {
+            let mut pending = st.pending.clone();
+            pending.iter_mut().for_each(|p| p.dequeued = false);
+            pending
+        };
+        assert_eq!(unmarked(&with), unmarked(&without));
+        assert_eq!(with.counters, without.counters);
+        assert_eq!(with.tenants, without.tenants);
+        assert_eq!(with.bucket_levels, without.bucket_levels);
+        assert_eq!(with.drr_deficits, without.drr_deficits);
+        assert_eq!(with.max_id, without.max_id);
+        assert_eq!(
+            (with.torn_lines, with.corrupt_frames, with.unreadable_files),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            (without.torn_lines, without.corrupt_frames),
+            (0, 0),
+            "dropping whole frames leaves no damage"
+        );
+        assert_eq!(with.records_read, without.records_read + 4);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! ```
 //!
 //! The run stage is a bounded pool of at most `regulator.limit()` executor
-//! threads, each looping *wait for work → take a run permit → pop → record
+//! threads, each looping *wait for work → take a run permit → pop → journal
 //! `Dequeued` → `complete` → release* ([`executor_loop`]): the thread that
 //! dequeues an invocation is the thread that runs it, and no invocation
 //! gets a thread of its own. One exception skips the pool: a synchronous
 //! caller that finds nothing queued and a run permit free once its record
-//! is durable (or that takes the bypass) records its own `Dequeued` and
+//! is durable (or that takes the bypass) journals its own `Dequeued` and
 //! runs `complete` on its own thread (`Accepted::CallerRuns`), so its
 //! result comes back without a wake-up or a channel.
 
@@ -117,8 +117,8 @@ pub struct WorkerStatus {
     /// Lifecycle state: `running`, `draining`, or `stopped`.
     #[serde(default)]
     pub lifecycle: String,
-    /// Invocations (queued + running) still to finish before a drain
-    /// completes.
+    /// Invocations (queued + holding a run permit) still to finish before
+    /// a drain completes.
     #[serde(default)]
     pub drain_pending: u64,
     /// Queue delay of the most recently dequeued invocation, ms — the
@@ -201,7 +201,7 @@ struct Shared {
     /// `executors.len()`, readable without the lock on the ingest path.
     executor_count: AtomicUsize,
     /// Serialises pop + `Dequeued` bookkeeping across executors, so the
-    /// telemetry stream and the WAL see dequeues in pop order.
+    /// journal (and the telemetry stream) sees dequeues in pop order.
     dispatch: Mutex<()>,
     /// Agent-call companions of caller-runs (`agent_timeout_ms > 0`),
     /// lent out for one run each: a caller-run holds a run permit, so there
@@ -612,7 +612,7 @@ impl Shared {
 
     /// Stage 3 — dequeue, with a run permit already in hand. The dispatch
     /// mutex makes the pop and its bookkeeping one step, so two executors
-    /// cannot publish their `Dequeued`s in the opposite order to their pops.
+    /// cannot journal their `Dequeued`s in the opposite order to their pops.
     fn dequeue(&self) -> Option<(QueuedInvocation, TimeMs)> {
         let _in_pop_order = self.dispatch.lock();
         let item = {
@@ -624,7 +624,8 @@ impl Shared {
     }
 
     /// The bookkeeping of a dequeue, under the dispatch mutex: the queue
-    /// delay, the journal's `Dequeued` and the WAL's.
+    /// delay and the journal's `Dequeued` — no WAL record, since recovery
+    /// re-runs whatever has no `Completed`, dequeued or not.
     fn book_dequeue(&self, item: &QueuedInvocation) -> TimeMs {
         let dequeued_at = self.clock.now_ms();
         // Publish the observed queue delay — the overload-shedding signal.
@@ -633,7 +634,6 @@ impl Shared {
             Ordering::Relaxed,
         );
         self.journal.record(item.trace_id, TraceEventKind::Dequeued);
-        let _ = self.wal_append(|| WalRecord::Dequeued { id: item.trace_id });
         dequeued_at
     }
 
@@ -1135,7 +1135,9 @@ impl Worker {
             dropped_admission: s.admission.dropped_admission(),
             tenants: Vec::new(),
             lifecycle: s.lifecycle_label().to_string(),
-            drain_pending: (s.queue.len() + s.running.load(Ordering::Relaxed)) as u64,
+            // Queue first: a permit is taken before the item leaves it (and
+            // a hand-off carries one), so nothing accepted slips between.
+            drain_pending: (s.queue.len() + s.regulator.running()) as u64,
             queue_delay_ms: s.queue_delay_ms(),
             cache_hits,
             cache_misses,
@@ -1491,7 +1493,7 @@ impl Drop for Worker {
 }
 
 /// One executor of the run stage: wait for work → take a run permit → pop
-/// → record `Dequeued` → `complete` → release. It pops only with a permit
+/// → journal `Dequeued` → `complete` → release. It pops only with a permit
 /// in hand, so everything still waiting stays ordered by the queue policy,
 /// and holds none while idle, so `regulator.running()` counts invocations.
 fn executor_loop(s: Arc<Shared>) {
@@ -1503,8 +1505,7 @@ fn executor_loop(s: Arc<Shared>) {
         });
         if s.killed.load(Ordering::Relaxed) {
             // Crash semantics: abandon what is queued (and a hand-off in
-            // flight). With no Dequeued/Completed record it replays after
-            // recovery.
+            // flight). With no Completed record it replays after recovery.
             return;
         }
         let (item, dequeued_at, permit) = match work {
@@ -2765,5 +2766,81 @@ mod tests {
         });
         drop(w);
         let _ = std::fs::remove_file(&wal);
+    }
+
+    /// A dequeue writes nothing to the log, so it never waits for the disk:
+    /// while another append's group fsync is held (and the writer lock with
+    /// it), an executor pops a queued durable invocation and reaches its
+    /// agent call.
+    #[test]
+    fn a_dequeue_does_not_wait_behind_a_held_fsync() {
+        let dir = std::env::temp_dir().join(format!(
+            "iluvatar-worker-dequeue-fsync-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = WorkerConfig::for_testing();
+        cfg.concurrency.limit = 1;
+        cfg.queue.bypass_threshold_ms = 0;
+        cfg.lifecycle =
+            crate::config::LifecycleConfig::with_wal(dir.join("q.wal").to_str().unwrap());
+        cfg.lifecycle.wal.fsync = "group".into();
+        let gate = Arc::new(SyncGate::default());
+        let clock = SystemClock::shared();
+        let backend = Arc::new(CallerNoting {
+            sim: SimBackend::new(
+                Arc::clone(&clock),
+                SimBackendConfig {
+                    time_scale: 0.05,
+                    ..Default::default()
+                },
+            ),
+            callers: Mutex::new(Vec::new()),
+            hang_ms: AtomicU64::new(0),
+        });
+        let w = Worker::new_with_storage(
+            cfg,
+            Arc::clone(&backend) as _,
+            clock,
+            Arc::new(GatedStorage(Arc::clone(&gate))),
+        );
+        w.register(spec("f", 20, 0, 64)).unwrap();
+        // Hold the only run permit: the next submission is durable and stays
+        // queued.
+        let permit = w.shared.regulator.try_acquire().expect("an idle permit");
+        let queued = w.async_invoke_tenant("f-1", "{}", None).unwrap();
+        let entered = {
+            let mut st = gate.st.lock();
+            st.0 = true;
+            st.1
+        };
+        std::thread::scope(|t| {
+            // A second submission leads a group commit and parks in its
+            // fsync, holding the writer lock.
+            let parked = t.spawn(|| w.async_invoke_tenant("f-1", "{}", None));
+            let mut st = gate.st.lock();
+            while st.1 == entered {
+                gate.cv.wait(&mut st);
+            }
+            drop(st);
+            // A permit released by a thread that is not an executor.
+            drop(permit);
+            w.shared.queue.wake_all();
+            let t0 = std::time::Instant::now();
+            while backend.callers.lock().is_empty() && t0.elapsed() < Duration::from_secs(2) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let reached = !backend.callers.lock().is_empty();
+            let mut st = gate.st.lock();
+            st.0 = false;
+            gate.cv.notify_all();
+            drop(st);
+            parked.join().unwrap().unwrap().wait().unwrap();
+            assert!(reached, "the dequeue waited behind another append's fsync");
+        });
+        queued.wait().unwrap();
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -304,8 +304,9 @@ fn wal_records(base: &str) -> Vec<WalRecord> {
 }
 
 /// A crash under a synchronous caller running its own invocation: the
-/// caller gets `ShuttingDown`, the log holds the accept and the dequeue but
-/// no completion, and recovery runs the invocation exactly once more.
+/// caller gets `ShuttingDown`, the log holds the accept and no completion
+/// (a dequeue is never logged), and recovery runs the invocation exactly
+/// once more.
 #[test]
 fn kill_during_a_caller_run_books_no_completion_and_recovery_runs_it_once() {
     let clock: Arc<dyn iluvatar_sync::Clock> = SystemClock::shared();
@@ -349,7 +350,7 @@ fn kill_during_a_caller_run_books_no_completion_and_recovery_runs_it_once() {
         .filter(|r| r.trace_id() == Some(id))
         .map(|r| r.op_label())
         .collect();
-    assert_eq!(ops, ["enqueued", "dequeued"], "no completion is booked");
+    assert_eq!(ops, ["enqueued"], "no completion is booked");
 
     let (recovered, report) = Worker::recover(
         lifecycle_cfg("caller-run", &wal),

@@ -72,7 +72,8 @@ impl HttpServer {
     }
 
     /// Signal shutdown and join the accept loop. In-flight connection
-    /// threads finish their current request and exit on next read timeout.
+    /// threads finish their current request, answer no further one, and
+    /// exit on their next read.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
@@ -128,6 +129,10 @@ fn connection_loop(
         // Parse whatever is already buffered (pipelining / keep-alive).
         match parse_request(buf.filled()) {
             Ok(ParseOutcome::Complete(req, used)) => {
+                // A stopped server answers nothing, kept-alive or not.
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
                 buf.consume(used);
                 let close = req
                     .header("connection")
@@ -293,6 +298,38 @@ mod tests {
             "shutdown took {:?} with an idle acceptor",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn a_kept_alive_connection_gets_no_answer_after_shutdown() {
+        let mut server = echo_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let req = Request::new(Method::Post, "/n").with_body(&b"before"[..]);
+        s.write_all(&req.encode()).unwrap();
+        let mut buf = Vec::new();
+        let mut tmp = [0u8; 4096];
+        while !matches!(
+            crate::parse::parse_response(&buf),
+            Ok(ParseOutcome::Complete(..))
+        ) {
+            let n = s.read(&mut tmp).unwrap();
+            assert!(n > 0, "server closed the live connection");
+            buf.extend_from_slice(&tmp[..n]);
+        }
+        // The connection's thread now waits in a read on the kept-alive
+        // stream; the request lands there after `shutdown()`.
+        server.shutdown();
+        let req = Request::new(Method::Post, "/n").with_body(&b"after"[..]);
+        let _ = s.write_all(&req.encode());
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        assert!(
+            out.is_empty(),
+            "a shut-down server answered: {}",
+            String::from_utf8_lossy(&out)
+        );
+        assert_eq!(server.handle().served(), 1);
     }
 
     #[test]

@@ -29,11 +29,11 @@ use std::time::{Duration, Instant};
 /// already dispatching before giving up and dispatching its own copy.
 const SINGLE_FLIGHT_WAIT_MS: u64 = 10_000;
 
-/// One health probe of a worker: its load, whether it is draining, and how
-/// much load one more invocation adds. Draining workers are routed around
-/// but not treated as failed — they are finishing in-flight work and will
-/// either stop or return to service.
-#[derive(Debug, Clone, Copy)]
+/// One health probe of a worker: its load, whether it is draining, how
+/// much load one more invocation adds, and its tenant books. Draining
+/// workers are routed around but not treated as failed — they are
+/// finishing in-flight work and will either stop or return to service.
+#[derive(Debug, Clone)]
 pub struct ProbeResult {
     pub load: f64,
     pub draining: bool,
@@ -43,11 +43,13 @@ pub struct ProbeResult {
     /// the handle cannot say (a peer that omits `WorkerStatus.cores`, test
     /// stubs): routing then moves only at probe rounds ("tick-only").
     pub step: f64,
+    /// Per-tenant accounting, the same answer's [`WorkerHandle::tenant_stats`].
+    pub tenants: Vec<TenantSnapshot>,
 }
 
 impl ProbeResult {
     /// The probe a worker's status answers.
-    fn of_status(s: &WorkerStatus) -> Self {
+    fn of_status(s: WorkerStatus) -> Self {
         Self {
             load: s.normalized_load,
             draining: matches!(s.lifecycle.as_str(), "draining" | "stopped"),
@@ -56,6 +58,7 @@ impl ProbeResult {
             } else {
                 0.0
             },
+            tenants: s.tenants,
         }
     }
 }
@@ -83,13 +86,15 @@ pub trait WorkerHandle: Send + Sync + 'static {
     fn name(&self) -> String;
     /// The queue-aware normalized load the worker reports (§4).
     fn load(&self) -> f64;
-    /// Health probe: load plus lifecycle. The default derives it from
-    /// [`load`](Self::load), never reports draining and has no step.
+    /// Health probe: load, lifecycle and tenant books. The default derives
+    /// it from [`load`](Self::load) and [`tenant_stats`](Self::tenant_stats),
+    /// never reports draining and has no step.
     fn probe(&self) -> ProbeResult {
         ProbeResult {
             load: self.load(),
             draining: false,
             step: 0.0,
+            tenants: self.tenant_stats(),
         }
     }
     fn register(&self, spec: FunctionSpec) -> Result<(), String>;
@@ -186,11 +191,12 @@ impl WorkerHandle for RemoteWorker {
 
     fn probe(&self) -> ProbeResult {
         match self.client.status() {
-            Ok(s) => ProbeResult::of_status(&s),
+            Ok(s) => ProbeResult::of_status(s),
             Err(_) => ProbeResult {
                 load: f64::INFINITY,
                 draining: false,
                 step: 0.0,
+                tenants: Vec::new(),
             },
         }
     }
@@ -312,7 +318,10 @@ impl WorkerHandle for Worker {
     }
 
     fn probe(&self) -> ProbeResult {
-        ProbeResult::of_status(&self.status())
+        ProbeResult {
+            tenants: Worker::tenant_stats(self),
+            ..ProbeResult::of_status(self.status())
+        }
     }
 
     fn span_export(&self) -> Vec<SpanExport> {
@@ -942,7 +951,8 @@ impl Cluster {
     /// the per-slot estimate it leaves behind. Besides loads, the round is
     /// the health check: it evicts workers whose probe failed, admits
     /// attached and cooled-down ones through HalfOpen, refreshes draining
-    /// flags and honours `Retry-After` suppression. An Open breaker is
+    /// flags, refreshes the tenant books of every worker that answers and
+    /// honours `Retry-After` suppression. An Open breaker is
     /// therefore readmitted, and a finished drain noticed, at the next
     /// round — the scrape period is the staleness window.
     ///
@@ -969,6 +979,7 @@ impl Cluster {
                         // it closes the breaker but looks infinitely loaded
                         // so every load-aware policy routes around it.
                         self.record_success(i);
+                        merge_tenant_cache(&mut self.tenant_cache.lock()[i], p.tenants);
                         slot.draining.store(p.draining, Ordering::Relaxed);
                         if !p.draining {
                             (load, step) = (p.load, p.step);
@@ -1200,15 +1211,11 @@ impl Cluster {
         BreakdownReport::merge(&reports)
     }
 
-    /// Merge per-worker tenant snapshots (last-known for unreachable
-    /// workers) with the balancer's own per-tenant counters.
+    /// Merge per-worker tenant snapshots as of the last probe round
+    /// (last-known for unreachable workers) with the balancer's own
+    /// per-tenant counters. Asks no worker.
     pub fn tenant_rollup(&self) -> Vec<TenantClusterStats> {
-        let mut cache = self.tenant_cache.lock();
-        for i in 0..self.slots.len() {
-            if let Some(w) = self.handle(i) {
-                merge_tenant_cache(&mut cache[i], w.tenant_stats());
-            }
-        }
+        let cache = self.tenant_cache.lock();
         let mut merged: HashMap<String, TenantClusterStats> = HashMap::new();
         for snap in cache.iter().flatten() {
             let e = merged
@@ -1266,9 +1273,9 @@ impl Cluster {
     /// into one cluster view (§5 aggregation).
     pub fn scrape(&self) -> ClusterSnapshot {
         // The scrape is the periodic probe round: it refreshes the loads
-        // routing reads, evicts workers whose status poll failed and
-        // readmits recovered ones, so the LB's scrape task keeps both views
-        // current even when no invocations are flowing.
+        // routing reads and the tenant books, evicts workers whose status
+        // poll failed and readmits recovered ones, so the LB's scrape task
+        // keeps every view current even when no invocations are flowing.
         self.probe_round();
         let sets: Vec<Vec<SpanExport>> = (0..self.slots.len())
             .map(|i| self.handle(i).map(|w| w.span_export()).unwrap_or_default())
@@ -1460,6 +1467,7 @@ mod tests {
             cluster.invoke_tenant("f-1", "{}", Some("acme")).unwrap();
         }
         cluster.invoke_tenant("f-1", "{}", None).unwrap(); // unlabelled: no tenant counter
+        cluster.probe_round(); // the workers' books, as the scrape reads them
         let roll = cluster.tenant_rollup();
         let acme = roll.iter().find(|t| t.tenant == "acme").unwrap();
         assert_eq!(acme.lb_dispatched, 4);
@@ -1549,6 +1557,7 @@ mod tests {
                 load: self.load(),
                 draining: self.draining.load(Ordering::SeqCst),
                 step: 0.25,
+                tenants: Vec::new(),
             }
         }
 
@@ -1821,6 +1830,7 @@ mod tests {
         let st = cluster.stats();
         assert_eq!(st.slots[1].dispatched, 3, "counters survive retirement");
         // Tenant rollup still includes the retired worker's served count.
+        cluster.probe_round();
         let roll = cluster.tenant_rollup();
         let acme = roll.iter().find(|t| t.tenant == "acme").unwrap();
         assert_eq!(

@@ -564,6 +564,7 @@ mod tests {
                 load: self.load(),
                 draining: self.draining.load(Ordering::SeqCst),
                 step: 0.0,
+                tenants: Vec::new(),
             }
         }
 

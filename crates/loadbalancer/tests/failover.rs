@@ -430,8 +430,9 @@ fn tenant_metrics_survive_worker_eviction_and_reroute() {
         let r = cluster.invoke_tenant("f-1", "{}", Some("acme")).unwrap();
         assert_eq!(r.tenant.as_deref(), Some("acme"));
     }
-    // Both workers reachable: the home worker's counters enter the rollup
-    // (and the balancer's last-known cache).
+    // Both workers reachable: the probe round puts the home worker's
+    // counters in the balancer's last-known cache, and so in the rollup.
+    cluster.probe_round();
     let before = cluster.tenant_rollup();
     let acme = before
         .iter()
@@ -456,6 +457,7 @@ fn tenant_metrics_survive_worker_eviction_and_reroute() {
         assert_eq!(r.tenant.as_deref(), Some("acme"), "label survives re-route");
     }
 
+    cluster.probe_round();
     let after = cluster.tenant_rollup();
     let acme = after.iter().find(|t| t.tenant == "acme").unwrap();
     assert_eq!(

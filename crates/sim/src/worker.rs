@@ -99,6 +99,7 @@ impl WorkerHandle for SimWorker {
             load: self.load(),
             draining: self.is_draining(),
             step: 1.0 / self.slots.max(1) as f64,
+            tenants: Vec::new(),
         }
     }
 

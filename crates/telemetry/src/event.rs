@@ -14,8 +14,8 @@ pub enum TelemetryKind {
     /// `container_acquired(true)`, `result_returned(false)`, …).
     Trace { stage: String },
     /// A record appended to the queue write-ahead log; `op` is the
-    /// record's tag (`enqueued`, `dequeued`, `completed`, `shed`,
-    /// `snapshot`). The optional fields mirror the record payload so a
+    /// record's tag (`enqueued`, `completed`, `shed`, `lease_issued`,
+    /// `snapshot`, …). The optional fields mirror the record payload so a
     /// conformance checker can drive reference models (DRR, WAL) from the
     /// event stream alone: `cost_ms`/`weight` ride `enqueued`, `ok` rides
     /// `completed`, `throttled` rides `shed`.
@@ -90,18 +90,6 @@ pub enum TelemetryKind {
 }
 
 impl TelemetryKind {
-    /// A WAL event with no payload mirror (tests, emitters that only need
-    /// the op tag).
-    pub fn wal(op: impl Into<String>) -> Self {
-        TelemetryKind::Wal {
-            op: op.into(),
-            cost_ms: None,
-            weight: None,
-            ok: None,
-            throttled: None,
-        }
-    }
-
     /// Stable, timestamp-free label — the unit of deterministic digests
     /// and of the [`crate::CounterBridge`] counter keys.
     pub fn label(&self) -> String {
@@ -153,7 +141,13 @@ mod tests {
             TelemetryKind::Trace {
                 stage: "ingested".into(),
             },
-            TelemetryKind::wal("enqueued"),
+            TelemetryKind::Wal {
+                op: "enqueued".into(),
+                cost_ms: None,
+                weight: None,
+                ok: None,
+                throttled: None,
+            },
             TelemetryKind::WalPoisoned,
             TelemetryKind::Lifecycle {
                 state: "draining".into(),

@@ -350,5 +350,20 @@ for w in cluster_push worker_durable; do
     fi
     grep -E "^$w:" <<<"$out"
 done
+# The durable record budget: a durable invocation writes `Enqueued` and
+# `Completed`, one fsync each (DESIGN.md "Crash safety"). A third record on
+# the hot path, as the worker's `Dequeued` was (3.07 appends and 2.07 fsyncs
+# per invocation), reads over 2.2 here. A missing metric fails too.
+result=$(cargo run --release --offline -p iluvatar-perf --bin perf -- --quick --trace 1 \
+    --workload worker_durable 2>"$reach_tmp/durable.err" | tail -n 1)
+records='.metrics | {appends: ."core.wal_appends_per_inv".value, fsyncs: ."core.wal_fsyncs_per_inv".value}'
+if ! grep -Eq '^worker_durable: attempted [0-9]+ failed 0 — self-check passed$' "$reach_tmp/durable.err" ||
+    ! jq -e "$records | all(type == \"number\" and . <= 2.2)" <<<"$result" >/dev/null; then
+    grep -E '^worker_durable:' "$reach_tmp/durable.err" >&2 || true
+    jq -c "$records" <<<"$result" >&2 || true
+    echo "perf worker_durable --trace 1: over the durable record budget of 2.2 appends and 2.2 fsyncs per invocation" >&2
+    exit 1
+fi
+echo "worker_durable records per invocation: $(jq -c "$records" <<<"$result")"
 
 echo "all checks passed"

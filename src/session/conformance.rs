@@ -281,6 +281,8 @@ fn scenario_drr_live() -> String {
     worker.shutdown();
 
     let report = check("D1", Checker::new().with_drr_fifo(50.0), &sink.events());
+    // Bypass is off: every dequeue is judged, or the check went blind.
+    assert_eq!(report.drr_pops, 48, "D1: a dequeue went unjudged");
 
     // Only schedule-independent material: wal op counts, the books, the
     // completion total. (Warm/cold acquisition labels are racy.)
@@ -298,8 +300,8 @@ fn scenario_drr_live() -> String {
     }
     part.push_str(&format!("ok={ok};violations=0;"));
     eprintln!(
-        "scenario D1 (live DRR): {} events, ok={ok}/{invocations}, 0 violations",
-        report.events
+        "scenario D1 (live DRR): {} events, {} pop checks, ok={ok}/{invocations}, 0 violations",
+        report.events, report.drr_pops
     );
     part
 }

@@ -129,8 +129,8 @@ pub(super) fn battery(chaos: &[TelemetryEvent], fleet: &[TelemetryEvent]) -> (u3
         b.run("duplicate-completed", ev, a_checker, &["double-complete"]);
     }
 
-    // M2: drop a durable enqueue that is later dequeued → the acceptance or
-    // the dequeue becomes unjustified.
+    // M2: drop a durable enqueue that is later completed → the acceptance or
+    // the completion becomes unjustified.
     {
         let mut ev = a.clone();
         let i = ev
@@ -139,9 +139,9 @@ pub(super) fn battery(chaos: &[TelemetryEvent], fleet: &[TelemetryEvent]) -> (u3
                 wal_op_of(e) == Some("enqueued")
                     && ev
                         .iter()
-                        .any(|x| x.trace_id == e.trace_id && wal_op_of(x) == Some("dequeued"))
+                        .any(|x| x.trace_id == e.trace_id && wal_op_of(x) == Some("completed"))
             })
-            .expect("stream A has a dequeued enqueue");
+            .expect("stream A has a completed enqueue");
         ev.remove(i);
         b.run(
             "drop-enqueued",

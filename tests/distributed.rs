@@ -4,10 +4,15 @@
 use iluvatar::prelude::*;
 use iluvatar_core::api::WorkerApi;
 use iluvatar_core::config::ConcurrencyConfig;
+use iluvatar_core::{AdmissionConfig, TenantSpec};
 use iluvatar_lb::cluster::{RemoteWorker, WorkerHandle};
 use std::sync::Arc;
 
 fn http_worker(name: &str) -> (Arc<Worker>, WorkerApi) {
+    http_worker_with(name, |_| {})
+}
+
+fn http_worker_with(name: &str, tune: impl FnOnce(&mut WorkerConfig)) -> (Arc<Worker>, WorkerApi) {
     let clock = SystemClock::shared();
     let backend = Arc::new(SimBackend::new(
         Arc::clone(&clock),
@@ -26,6 +31,8 @@ fn http_worker(name: &str) -> (Arc<Worker>, WorkerApi) {
         },
         ..WorkerConfig::for_testing()
     };
+    let mut cfg = cfg;
+    tune(&mut cfg);
     let worker = Arc::new(Worker::new(cfg, backend, clock));
     let api = WorkerApi::serve(Arc::clone(&worker)).unwrap();
     (worker, api)
@@ -95,6 +102,45 @@ fn routing_costs_no_worker_requests() {
         assert_eq!(served() - before, invocations, "{n} workers");
         assert_eq!(cluster.stats().dispatched(), invocations);
     }
+}
+
+/// One scrape asks each worker twice: `GET /status`, whose answer is both
+/// the probe and the tenant books, and `GET /spans`.
+#[test]
+fn a_scrape_costs_each_worker_two_requests() {
+    let (_workers, apis): (Vec<_>, Vec<_>) = (0..2)
+        .map(|i| {
+            http_worker_with(&format!("scraped-{i}"), |cfg| {
+                cfg.admission = AdmissionConfig::enabled_with(vec![TenantSpec::new("acme")]);
+            })
+        })
+        .unzip();
+    let handles: Vec<Arc<dyn WorkerHandle>> = apis
+        .iter()
+        .map(|a| Arc::new(RemoteWorker::connect(a.addr())) as Arc<dyn WorkerHandle>)
+        .collect();
+    let cluster = Cluster::new(handles, LbPolicy::RoundRobin);
+    cluster
+        .register_all(FunctionSpec::new("f", "1").with_timing(10, 40))
+        .unwrap();
+    for _ in 0..6 {
+        cluster.invoke_tenant("f-1", "{}", Some("acme")).unwrap();
+    }
+    let before: Vec<u64> = apis.iter().map(|a| a.served()).collect();
+    let snap = cluster.scrape();
+    let asked: Vec<u64> = apis
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| a.served() - b)
+        .collect();
+    assert_eq!(asked, [2, 2], "requests per worker for one scrape");
+    let acme = snap.tenants.iter().find(|t| t.tenant == "acme").unwrap();
+    assert_eq!((acme.served, acme.lb_dispatched), (6, 6));
+    // The rollup reads the books the probe round brought back.
+    let before: Vec<u64> = apis.iter().map(|a| a.served()).collect();
+    assert_eq!(cluster.tenant_rollup(), snap.tenants);
+    let after: Vec<u64> = apis.iter().map(|a| a.served()).collect();
+    assert_eq!(before, after, "a rollup asks no worker");
 }
 
 #[test]

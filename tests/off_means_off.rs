@@ -141,9 +141,9 @@ fn default_worker_runs_no_optional_subsystem() {
     idle_group_commit_worker_performs_no_fsync();
 }
 
-/// A group-mode worker that has served (so its log has seen every record
-/// kind, the unwaited `Dequeued` included) and is then left alone for
-/// 100 ms: a fault-free `FaultyStorage` counts the fsyncs.
+/// A group-mode worker that has served (so its log has seen both records
+/// of a durable invocation) and is then left alone for 100 ms: a
+/// fault-free `FaultyStorage` counts the fsyncs.
 fn idle_group_commit_worker_performs_no_fsync() {
     let dir = std::env::temp_dir().join(format!("iluvatar-idle-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -12,10 +12,10 @@ const PINNED: [(&str, Option<u64>, u64); 9] = [
     ("admission", None, 0x12c1_642a_d67a_e9c8),
     ("lifecycle", Some(12), 0x1143_deed_d8e0_98a0),
     ("autoscale", None, 0xfa78_89df_da15_84fa),
-    ("telemetry", None, 0xc720_2f6f_8265_c53a),
-    ("conformance", None, 0xa5f5_e564_2691_1b47),
+    ("telemetry", None, 0x1d71_4978_0e07_1a08),
+    ("conformance", None, 0x781d_a82c_b457_821f),
     ("cache", None, 0xdbf3_b737_edbc_36b4),
-    ("storage", None, 0x5ad9_25bd_5688_ebe0),
+    ("storage", None, 0xea9c_a70d_f1e4_ec6b),
     ("dispatch", None, 0x43d5_f00a_4acf_bdf1),
 ];
 
