@@ -11,7 +11,7 @@ use crate::print_table;
 use iluvatar::prelude::*;
 use iluvatar_containers::NamespacePool;
 use iluvatar_core::api::{WorkerApi, WorkerApiClient};
-use iluvatar_core::spans::names;
+use iluvatar_core::spans::{GROUPS, NAMES};
 use iluvatar_core::SpanExport;
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -45,8 +45,8 @@ pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
     let find = |name: &str| exports.iter().find(|e| e.name == name);
 
     let mut rows = Vec::new();
-    for (group, spans) in names::GROUPS {
-        for (i, span) in spans.iter().enumerate() {
+    for (group, spans) in GROUPS {
+        for (i, span) in spans.iter().map(|&s| NAMES[s as usize]).enumerate() {
             let (mean, p50, p99) = find(span)
                 .filter(|e| e.count > 0)
                 .map(|e| {

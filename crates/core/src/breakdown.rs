@@ -2,15 +2,15 @@
 //!
 //! §5's "single consistent view of the system performance", turned into a
 //! queryable report: where did each invocation's time go on the path
-//! ingest → queue → container-acquire → agent → return? The report is
-//! derived from two streams the worker already maintains —
-//!
-//! * the [`TraceJournal`](crate::TraceJournal): per-invocation milestone
-//!   timestamps, which yield the *stage* histograms (queue wait, container
-//!   acquisition, agent round-trip) plus the cold/warm split, and
-//! * the [`Spans`](crate::Spans) registry: per-component µs timings,
-//!   folded into the paper's Table 1 *groups* ("Ingestion & Queuing",
-//!   "Container Operations", "Agent Communication", "Returning").
+//! ingest → queue → container-acquire → agent → return? The report reads
+//! the one timeline of µs stamps each invocation carries
+//! ([`crate::spans`]): the *stage* histograms (queue wait, container
+//! acquisition, agent round-trip) and the cold/warm split are folded from
+//! its stamps at completion, and the paper's Table 1 *groups* ("Ingestion
+//! & Queuing", "Container Operations", "Agent Communication", "Returning")
+//! fold the span histograms read off the same stamps. Both accumulate over
+//! the worker's lifetime; neither is a window over recently journaled
+//! traces.
 //!
 //! Everything is carried in mergeable [`LogHistogram`]s, so the load
 //! balancer can fetch each worker's `GET /breakdown` and fold them into
@@ -18,21 +18,22 @@
 //! trick the span scrape path uses. The `abl_overhead_budget` gate
 //! computes its p50/p99 per-group overhead from this report.
 
-use crate::journal::{TraceEventKind, TraceRecord};
-use crate::spans::{names, SpanExport};
+use crate::spans::{SpanExport, GROUPS, NAMES};
 use iluvatar_sync::LogHistogram;
 use serde::{Deserialize, Serialize};
 
-/// The critical-path stages derived from trace milestones, in path order.
+/// The critical-path stages, in path order. Each is the interval between
+/// two timeline stamps, read in whole ms as the journal's timestamps are.
 pub mod stages {
-    /// Ingest until the queue accepted (or bypassed) the invocation —
-    /// admission control and enqueue bookkeeping.
+    /// Ingest until the `Enqueued` record is durable (or needs none) —
+    /// admission control and the durable accept.
     pub const INGEST: &str = "ingest";
-    /// Queue residency: enqueued until the dispatch loop popped it.
+    /// Queue residency: durable until the invocation's runner took it. On
+    /// a bypass, the wait of a hand-off for its executor.
     pub const QUEUE: &str = "queue";
-    /// Dequeue until a container was locked (cold creates included).
+    /// Dequeue until a container was in hand (cold creates included).
     pub const ACQUIRE: &str = "acquire";
-    /// Container locked until the agent call went out.
+    /// Container in hand until the agent call went out.
     pub const PREPARE: &str = "prepare";
     /// Agent call until the result was delivered back to the caller.
     pub const AGENT_RETURN: &str = "agent_return";
@@ -68,12 +69,15 @@ pub struct TenantBreakdown {
 }
 
 /// Wire form of `GET /breakdown` — per-worker, or cluster-merged by the
-/// load balancer.
+/// load balancer. The stages are accumulated at completion from each
+/// invocation's timeline, as the spans are, over the worker's lifetime.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BreakdownReport {
     /// Emitting worker name, or `cluster` for a merged report.
     pub source: String,
-    /// Completed invocations the stage histograms cover.
+    /// Completed invocations the stage histograms cover: every completion
+    /// that reached the agent call, since the worker started (not a window
+    /// of recent traces).
     pub invocations: u64,
     pub cold: u64,
     pub warm: u64,
@@ -143,118 +147,16 @@ impl BreakdownReport {
     }
 }
 
-/// Milestone timestamps of one completed trace, if the record contains a
-/// full critical path.
-struct Milestones {
-    ingest: u64,
-    queued: u64,
-    dequeued: u64,
-    acquired: u64,
-    agent: u64,
-    returned: u64,
-    cold: bool,
-}
-
-fn milestones(r: &TraceRecord) -> Option<Milestones> {
-    let mut queued = None;
-    let mut dequeued = None;
-    let mut acquired = None;
-    let mut cold = None;
-    let mut agent = None;
-    let mut returned = None;
-    for e in &r.events {
-        match e.kind {
-            TraceEventKind::Enqueued | TraceEventKind::Recovered => {
-                queued.get_or_insert(e.at_ms);
-            }
-            // Bypass skips the queue: it is both "queued" and "dequeued"
-            // at the same instant, yielding a zero queue stage.
-            TraceEventKind::Bypassed => {
-                queued.get_or_insert(e.at_ms);
-                dequeued.get_or_insert(e.at_ms);
-            }
-            TraceEventKind::Dequeued => {
-                dequeued.get_or_insert(e.at_ms);
-            }
-            // Keep the *last* acquisition/agent call: retries restart the
-            // path, and the completed attempt is the one that mattered.
-            TraceEventKind::ContainerAcquired { cold: c } => {
-                acquired = Some(e.at_ms);
-                cold = Some(cold.unwrap_or(false) | c);
-            }
-            TraceEventKind::AgentCalled => agent = Some(e.at_ms),
-            TraceEventKind::ResultReturned { .. } => {
-                returned.get_or_insert(e.at_ms);
-            }
-            _ => {}
-        }
-    }
-    Some(Milestones {
-        ingest: r.ingest_ms,
-        queued: queued?,
-        dequeued: dequeued?,
-        acquired: acquired?,
-        agent: agent?,
-        returned: returned?,
-        cold: cold.unwrap_or(false),
-    })
-}
-
-/// Derive the stage histograms (and cold/warm split) from a set of trace
-/// records; incomplete timelines are skipped.
-pub fn stages_from_traces(records: &[TraceRecord]) -> (Vec<StageBreakdown>, u64, u64) {
-    let mut hists: Vec<(&str, LogHistogram)> = stages::ALL
-        .iter()
-        .map(|&s| (s, LogHistogram::new()))
-        .collect();
-    let mut cold = 0u64;
-    let mut warm = 0u64;
-    let mut covered = 0u64;
-    for r in records {
-        let Some(m) = milestones(r) else { continue };
-        covered += 1;
-        if m.cold {
-            cold += 1;
-        } else {
-            warm += 1;
-        }
-        let durations = [
-            (stages::INGEST, m.queued.saturating_sub(m.ingest)),
-            (stages::QUEUE, m.dequeued.saturating_sub(m.queued)),
-            (stages::ACQUIRE, m.acquired.saturating_sub(m.dequeued)),
-            (stages::PREPARE, m.agent.saturating_sub(m.acquired)),
-            (stages::AGENT_RETURN, m.returned.saturating_sub(m.agent)),
-            (stages::E2E, m.returned.saturating_sub(m.ingest)),
-        ];
-        for (name, ms) in durations {
-            if let Some((_, h)) = hists.iter_mut().find(|(n, _)| *n == name) {
-                h.record(ms);
-            }
-        }
-    }
-    let stages = hists
-        .into_iter()
-        .map(|(stage, hist_ms)| StageBreakdown {
-            stage: stage.to_string(),
-            count: covered,
-            hist_ms,
-        })
-        .collect();
-    (stages, cold, warm)
-}
-
 /// Fold span exports into the paper's Table-1 groups: each group's
 /// histogram is the lossless union of its member spans' histograms.
 pub fn groups_from_spans(exports: &[SpanExport]) -> Vec<GroupBreakdown> {
-    names::GROUPS
+    GROUPS
         .iter()
         .map(|(group, members)| {
             let mut hist_us = LogHistogram::new();
             let mut count = 0u64;
-            for e in exports
-                .iter()
-                .filter(|e| members.contains(&e.name.as_str()))
-            {
+            let member = |name: &str| members.iter().any(|&m| NAMES[m as usize] == name);
+            for e in exports.iter().filter(|e| member(&e.name)) {
                 hist_us.merge(&e.hist);
                 count += e.count;
             }
@@ -270,87 +172,6 @@ pub fn groups_from_spans(exports: &[SpanExport]) -> Vec<GroupBreakdown> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::TraceEvent;
-
-    fn trace(id: u64, t0: u64, steps: &[(u64, TraceEventKind)]) -> TraceRecord {
-        TraceRecord {
-            trace_id: id,
-            fqdn: "f-1".into(),
-            ingest_ms: t0,
-            events: std::iter::once(TraceEvent {
-                at_ms: t0,
-                kind: TraceEventKind::Ingested,
-            })
-            .chain(steps.iter().map(|(at, k)| TraceEvent {
-                at_ms: *at,
-                kind: k.clone(),
-            }))
-            .collect(),
-        }
-    }
-
-    fn full_trace(id: u64, t0: u64, cold: bool) -> TraceRecord {
-        trace(
-            id,
-            t0,
-            &[
-                (t0 + 1, TraceEventKind::Enqueued),
-                (t0 + 5, TraceEventKind::Dequeued),
-                (t0 + 8, TraceEventKind::ContainerAcquired { cold }),
-                (t0 + 9, TraceEventKind::AgentCalled),
-                (t0 + 29, TraceEventKind::ResultReturned { ok: true }),
-            ],
-        )
-    }
-
-    #[test]
-    fn stage_durations_come_from_milestone_deltas() {
-        let records = vec![full_trace(1, 100, false), full_trace(2, 200, true)];
-        let (stages, cold, warm) = stages_from_traces(&records);
-        assert_eq!((cold, warm), (1, 1));
-        let get = |n: &str| {
-            stages
-                .iter()
-                .find(|s| s.stage == n)
-                .unwrap_or_else(|| panic!("stage {n}"))
-        };
-        assert_eq!(get(stages::INGEST).hist_ms.percentile(0.5), 1.0);
-        assert_eq!(get(stages::QUEUE).hist_ms.percentile(0.5), 4.0);
-        assert_eq!(get(stages::ACQUIRE).hist_ms.percentile(0.5), 3.0);
-        assert_eq!(get(stages::PREPARE).hist_ms.percentile(0.5), 1.0);
-        assert_eq!(get(stages::AGENT_RETURN).hist_ms.percentile(0.5), 20.0);
-        assert_eq!(get(stages::E2E).hist_ms.percentile(0.5), 29.0);
-        assert!(stages.iter().all(|s| s.count == 2));
-    }
-
-    #[test]
-    fn bypassed_traces_have_zero_queue_stage() {
-        let r = trace(
-            1,
-            50,
-            &[
-                (51, TraceEventKind::Bypassed),
-                (53, TraceEventKind::ContainerAcquired { cold: false }),
-                (54, TraceEventKind::AgentCalled),
-                (60, TraceEventKind::ResultReturned { ok: true }),
-            ],
-        );
-        let (stages, _, warm) = stages_from_traces(&[r]);
-        assert_eq!(warm, 1);
-        let queue = stages.iter().find(|s| s.stage == stages::QUEUE).unwrap();
-        assert_eq!(queue.hist_ms.percentile(1.0), 0.0);
-        let acquire = stages.iter().find(|s| s.stage == stages::ACQUIRE).unwrap();
-        assert_eq!(acquire.hist_ms.percentile(1.0), 2.0);
-    }
-
-    #[test]
-    fn incomplete_traces_are_skipped() {
-        let r = trace(1, 10, &[(11, TraceEventKind::Enqueued)]);
-        let (stages, cold, warm) = stages_from_traces(&[r]);
-        assert_eq!((cold, warm), (0, 0));
-        assert!(stages.iter().all(|s| s.hist_ms.is_empty()));
-    }
-
     #[test]
     fn groups_fold_member_spans_losslessly() {
         let mk = |name: &str, values: &[u64]| {
@@ -368,12 +189,12 @@ mod tests {
             }
         };
         let exports = vec![
-            mk(names::INVOKE, &[10, 20]),
-            mk(names::ENQUEUE_INVOCATION, &[30]),
-            mk(names::CALL_CONTAINER, &[1000, 2000]),
+            mk("invoke", &[10, 20]),
+            mk("enqueue_invocation", &[30]),
+            mk("call_container", &[1000, 2000]),
         ];
         let groups = groups_from_spans(&exports);
-        assert_eq!(groups.len(), names::GROUPS.len());
+        assert_eq!(groups.len(), GROUPS.len());
         let iq = &groups[0];
         assert_eq!(iq.group, "Ingestion & Queuing");
         assert_eq!(iq.count, 3);
@@ -390,44 +211,35 @@ mod tests {
 
     #[test]
     fn merge_is_lossless_and_serde_roundtrips() {
-        let a = {
-            let (stages, cold, warm) = stages_from_traces(&[full_trace(1, 0, true)]);
+        let report = |source: &str, e2e_ms: &[u64], cold: u64| {
+            let mut hist_ms = LogHistogram::new();
+            e2e_ms.iter().for_each(|&ms| hist_ms.record(ms));
+            let n = e2e_ms.len() as u64;
             BreakdownReport {
-                source: "w0".into(),
-                invocations: 1,
+                source: source.into(),
+                invocations: n,
                 cold,
-                warm,
-                stages,
+                warm: n - cold,
+                stages: vec![StageBreakdown {
+                    stage: stages::E2E.into(),
+                    count: n,
+                    hist_ms,
+                }],
                 groups: groups_from_spans(&[]),
                 tenants: vec![TenantBreakdown {
                     tenant: "t0".into(),
-                    completed: 1,
+                    completed: n,
                 }],
             }
         };
-        let b = {
-            let (stages, cold, warm) =
-                stages_from_traces(&[full_trace(2, 10, false), full_trace(3, 20, false)]);
-            BreakdownReport {
-                source: "w1".into(),
-                invocations: 2,
-                cold,
-                warm,
-                stages,
-                groups: groups_from_spans(&[]),
-                tenants: vec![TenantBreakdown {
-                    tenant: "t0".into(),
-                    completed: 2,
-                }],
-            }
-        };
-        let merged = BreakdownReport::merge(&[a, b]);
+        let merged = BreakdownReport::merge(&[report("w0", &[10], 1), report("w1", &[10, 30], 0)]);
         assert_eq!(merged.source, "cluster");
         assert_eq!(merged.invocations, 3);
         assert_eq!((merged.cold, merged.warm), (1, 2));
         let e2e = merged.stage(stages::E2E).unwrap();
         assert_eq!(e2e.count, 3);
         assert_eq!(e2e.hist_ms.count(), 3);
+        assert_eq!(e2e.hist_ms.percentile(0.5), 10.0);
         assert_eq!(merged.tenants[0].completed, 3);
         let json = serde_json::to_string(&merged).unwrap();
         let back: BreakdownReport = serde_json::from_str(&json).unwrap();

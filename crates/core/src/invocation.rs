@@ -1,5 +1,6 @@
 //! Invocation request/response types and the async invocation handle.
 
+use crate::spans::Timeline;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use iluvatar_cache::{CacheStatus, CachedResult, ResultCache};
 use iluvatar_sync::TimeMs;
@@ -114,23 +115,29 @@ pub type Outcome = Result<InvocationResult, InvokeError>;
 /// Where `complete` delivers a queue item's outcome: the channel behind an
 /// [`InvocationHandle`] — or, for an invocation its synchronous caller runs
 /// itself, nowhere: `complete` hands the outcome back up the caller's own
-/// stack.
-pub struct ResultSender(Option<Sender<Outcome>>);
+/// stack. It also carries the invocation's timeline from ingest to
+/// `complete`: callers outside this crate build `QueuedInvocation`s field by
+/// field, so the record rides in this opaque field.
+#[derive(Default)]
+pub struct ResultSender {
+    pub(crate) tx: Option<Sender<Outcome>>,
+    pub(crate) timeline: Timeline,
+}
 
 impl ResultSender {
     /// The sender of an invocation its caller runs in place.
     pub(crate) fn caller() -> Self {
-        Self(None)
+        Self::default()
     }
 
     /// Whether the outcome goes back to a caller running in place.
     pub(crate) fn is_caller(&self) -> bool {
-        self.0.is_none()
+        self.tx.is_none()
     }
 
     /// Send `outcome` to the handle; a caller-run's outcome is handed back.
     pub(crate) fn deliver(&self, outcome: Outcome) -> Option<Outcome> {
-        match &self.0 {
+        match &self.tx {
             Some(tx) => {
                 let _ = tx.send(outcome);
                 None
@@ -171,7 +178,9 @@ impl InvocationHandle {
             slot: Slot::Channel(rx),
             fill: None,
         };
-        (ResultSender(Some(tx)), handle)
+        let mut sender = ResultSender::caller();
+        sender.tx = Some(tx);
+        (sender, handle)
     }
 
     /// A handle already holding its outcome: no channel, nothing to wait on.

@@ -3,14 +3,20 @@
 //! §5: the paper instruments "the passage of invocations through the control
 //! plane components". Here each invocation is minted a `trace_id` at ingest;
 //! every hot-path stage appends a timestamped [`TraceEvent`] to the
-//! invocation's [`TraceRecord`]. The journal is a lock-sharded, bounded ring
+//! invocation's [`TraceRecord`]. The journal reads no clock: each event
+//! keeps, in ms, the µs time its caller passes — on the hot path the
+//! invocation's timeline stamp for that stage ([`crate::spans`]), so a
+//! milestone is read from the clock once. The journal keeps the labels and
+//! their order (the digest's unit); the durations that Table 1 and
+//! `/breakdown` report are folded from the stamps, not from this record.
+//! The journal is a lock-sharded, bounded ring
 //! addressed by trace id — recording is O(1) and old traces age out, so it
 //! is safe to leave on under sustained load. The worker serves records over
 //! `GET /trace/{id}` and `GET /traces?last=N`; the same id crosses the worker
 //! → agent HTTP hop as the `X-Iluvatar-Trace` header, tying agent-side time
 //! to the record.
 
-use iluvatar_sync::{Clock, Fnv1a, KeyedRing, TimeMs};
+use iluvatar_sync::{Fnv1a, KeyedRing, TimeMs};
 use iluvatar_telemetry::{TelemetryBus, TelemetryKind as TelKind};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -144,7 +150,6 @@ pub struct TraceJournal {
     /// different invocations never contend.
     ring: KeyedRing<Arc<Mutex<TraceRecord>>>,
     next_id: AtomicU64,
-    clock: Arc<dyn Clock>,
     /// Canonical stream mirror: every journaled stage is also emitted as
     /// a `TelemetryKind::Trace` event once a bus is attached, making this
     /// the single choke point between the hot path and telemetry.
@@ -155,12 +160,11 @@ impl TraceJournal {
     /// A journal remembering roughly `capacity` recent traces. `seed`
     /// offsets the id space so two workers' ids rarely collide (derive it
     /// from the worker name).
-    pub fn new(capacity: usize, seed: u64, clock: Arc<dyn Clock>) -> Self {
+    pub fn new(capacity: usize, seed: u64) -> Self {
         Self {
             ring: KeyedRing::new(capacity),
             // Spread seeds across the id space; low bits stay sequential.
             next_id: AtomicU64::new((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)) << 20 | 1),
-            clock,
             telemetry: OnceLock::new(),
         }
     }
@@ -184,15 +188,15 @@ impl TraceJournal {
         }
     }
 
-    /// Open trace `id`'s timeline with `first` as its only event.
-    fn open(&self, id: u64, fqdn: &str, first: TraceEventKind) {
-        let now = self.clock.now_ms();
+    /// Open trace `id`'s timeline with `first` as its only event, at `at_us`.
+    fn open(&self, id: u64, fqdn: &str, first: TraceEventKind, at_us: u64) {
+        let at = at_us / 1000;
         let record = TraceRecord {
             trace_id: id,
             fqdn: fqdn.to_string(),
-            ingest_ms: now,
+            ingest_ms: at,
             events: vec![TraceEvent {
-                at_ms: now,
+                at_ms: at,
                 kind: first.clone(),
             }],
         };
@@ -200,18 +204,18 @@ impl TraceJournal {
         self.mirror(id, &first);
     }
 
-    /// Mint a trace for a new invocation and record `Ingested`.
-    pub fn begin(&self, fqdn: &str) -> u64 {
+    /// Mint a trace for a new invocation and record `Ingested` at `at_us`.
+    pub fn begin(&self, fqdn: &str, at_us: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.open(id, fqdn, TraceEventKind::Ingested);
+        self.open(id, fqdn, TraceEventKind::Ingested, at_us);
         id
     }
 
     /// Re-mint a trace under an id recovered from the write-ahead log,
     /// opening its timeline with [`TraceEventKind::Recovered`] so replayed
     /// invocations are distinguishable from fresh ingests.
-    pub fn begin_recovered(&self, id: u64, fqdn: &str) {
-        self.open(id, fqdn, TraceEventKind::Recovered);
+    pub fn begin_recovered(&self, id: u64, fqdn: &str, at_us: u64) {
+        self.open(id, fqdn, TraceEventKind::Recovered, at_us);
     }
 
     /// Ensure future minted ids are strictly greater than `floor` — called
@@ -221,14 +225,13 @@ impl TraceJournal {
         self.next_id.fetch_max(floor + 1, Ordering::Relaxed);
     }
 
-    /// Append an event to trace `id`. A no-op if the trace has aged out.
-    pub fn record(&self, id: u64, kind: TraceEventKind) {
+    /// Append an event at `at_us` to trace `id`. A no-op if the trace has
+    /// aged out.
+    pub fn record(&self, id: u64, kind: TraceEventKind, at_us: u64) {
         if let Some(r) = self.ring.get(id) {
             self.mirror(id, &kind);
-            r.lock().events.push(TraceEvent {
-                at_ms: self.clock.now_ms(),
-                kind,
-            });
+            let at_ms = at_us / 1000;
+            r.lock().events.push(TraceEvent { at_ms, kind });
         }
     }
 
@@ -254,30 +257,21 @@ impl TraceJournal {
         out.truncate(n);
         out
     }
-
-    /// Traces currently held (bounded by capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iluvatar_sync::{ManualClock, SystemClock};
+    use iluvatar_sync::{Clock, ManualClock};
 
     fn journal() -> TraceJournal {
-        TraceJournal::new(64, 1, SystemClock::shared())
+        TraceJournal::new(64, 1)
     }
 
     #[test]
     fn begin_records_ingest() {
         let j = journal();
-        let id = j.begin("echo-1");
+        let id = j.begin("echo-1", 3_000);
         let r = j.get(id).unwrap();
         assert_eq!(r.trace_id, id);
         assert_eq!(r.fqdn, "echo-1");
@@ -289,18 +283,17 @@ mod tests {
 
     #[test]
     fn events_stay_ordered() {
-        let clock = Arc::new(ManualClock::starting_at(1000));
-        let j = TraceJournal::new(64, 7, Arc::clone(&clock) as Arc<dyn Clock>);
-        let id = j.begin("f-1");
-        clock.advance(5);
-        j.record(id, TraceEventKind::Enqueued);
-        clock.advance(5);
-        j.record(id, TraceEventKind::Dequeued);
-        clock.advance(5);
-        j.record(id, TraceEventKind::ContainerAcquired { cold: true });
-        j.record(id, TraceEventKind::AgentCalled);
-        clock.advance(5);
-        j.record(id, TraceEventKind::ResultReturned { ok: true });
+        let j = TraceJournal::new(64, 7);
+        let id = j.begin("f-1", 1_000_000);
+        j.record(id, TraceEventKind::Enqueued, 1_005_000);
+        j.record(id, TraceEventKind::Dequeued, 1_010_999);
+        j.record(
+            id,
+            TraceEventKind::ContainerAcquired { cold: true },
+            1_015_000,
+        );
+        j.record(id, TraceEventKind::AgentCalled, 1_015_500);
+        j.record(id, TraceEventKind::ResultReturned { ok: true }, 1_020_000);
         let r = j.get(id).unwrap();
         let kinds: Vec<_> = r.events.iter().map(|e| e.kind.clone()).collect();
         assert_eq!(
@@ -315,10 +308,7 @@ mod tests {
             ]
         );
         let times: Vec<_> = r.events.iter().map(|e| e.at_ms).collect();
-        assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "timestamps ordered: {times:?}"
-        );
+        assert_eq!(times, [1000, 1005, 1010, 1015, 1015, 1020]);
         assert_eq!(r.cold(), Some(true));
         assert!(r.completed());
     }
@@ -326,20 +316,21 @@ mod tests {
     #[test]
     fn distinct_ids() {
         let j = journal();
-        let a = j.begin("f-1");
-        let b = j.begin("f-1");
+        let a = j.begin("f-1", 0);
+        let b = j.begin("f-1", 0);
         assert_ne!(a, b);
     }
 
     #[test]
     fn bounded_capacity_ages_out_oldest() {
-        let j = TraceJournal::new(16, 1, SystemClock::shared());
-        let first = j.begin("f-1");
-        let ids: Vec<u64> = (0..200).map(|_| j.begin("f-1")).collect();
-        assert!(j.len() <= 16, "len {} must stay bounded", j.len());
+        let j = TraceJournal::new(16, 1);
+        let first = j.begin("f-1", 0);
+        let ids: Vec<u64> = (0..200).map(|_| j.begin("f-1", 0)).collect();
+        let held = j.recent(usize::MAX).len();
+        assert!(held <= 16, "{held} traces held: must stay bounded");
         assert!(j.get(first).is_none(), "oldest trace must age out");
         // Recording into an aged-out trace is a silent no-op.
-        j.record(first, TraceEventKind::Dequeued);
+        j.record(first, TraceEventKind::Dequeued, 1);
         // The newest survive.
         assert!(j.get(*ids.last().unwrap()).is_some());
     }
@@ -347,7 +338,7 @@ mod tests {
     #[test]
     fn recent_is_newest_first() {
         let j = journal();
-        let ids: Vec<u64> = (0..10).map(|_| j.begin("f-1")).collect();
+        let ids: Vec<u64> = (0..10).map(|_| j.begin("f-1", 0)).collect();
         let recent = j.recent(3);
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].trace_id, ids[9]);
@@ -359,11 +350,9 @@ mod tests {
         // After a crash the journal re-mints traces under their (low)
         // pre-crash ids while fresh ingests mint far-higher ids. The tail
         // must order by ingest time, not id.
-        let clock = Arc::new(ManualClock::starting_at(1000));
-        let j = TraceJournal::new(64, 99, Arc::clone(&clock) as Arc<dyn Clock>);
-        let fresh = j.begin("f-1"); // high id, t=1000
-        clock.advance(10);
-        j.begin_recovered(3, "f-1"); // low id, t=1010 — newest
+        let j = TraceJournal::new(64, 99);
+        let fresh = j.begin("f-1", 1_000_000); // high id
+        j.begin_recovered(3, "f-1", 1_010_000); // low id, newest
         let recent = j.recent(10);
         assert_eq!(recent.len(), 2);
         assert_eq!(
@@ -377,16 +366,16 @@ mod tests {
     fn journal_mirrors_stages_onto_the_telemetry_bus() {
         use iluvatar_telemetry::{TelemetrySink, VecSink};
         let clock = Arc::new(ManualClock::starting_at(50));
-        let j = TraceJournal::new(64, 1, Arc::clone(&clock) as Arc<dyn Clock>);
+        let j = TraceJournal::new(64, 1);
         let bus = TelemetryBus::new("w0", Arc::clone(&clock) as Arc<dyn Clock>);
         let sink = Arc::new(VecSink::new());
         bus.add_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
         j.set_telemetry(Arc::clone(&bus));
-        let id = j.begin("f-1");
-        j.record(id, TraceEventKind::Enqueued);
-        j.record(id, TraceEventKind::ResultReturned { ok: true });
+        let id = j.begin("f-1", 50);
+        j.record(id, TraceEventKind::Enqueued, 50);
+        j.record(id, TraceEventKind::ResultReturned { ok: true }, 50);
         // Aged-out / unknown traces do not emit.
-        j.record(id ^ 0x5555, TraceEventKind::Dequeued);
+        j.record(id ^ 0x5555, TraceEventKind::Dequeued, 50);
         let labels: Vec<String> = sink.events().iter().map(|e| e.kind.label()).collect();
         assert_eq!(
             labels,
@@ -401,17 +390,17 @@ mod tests {
 
     #[test]
     fn seeds_separate_id_spaces() {
-        let a = TraceJournal::new(8, 1, SystemClock::shared());
-        let b = TraceJournal::new(8, 2, SystemClock::shared());
-        assert_ne!(a.begin("f-1"), b.begin("f-1"));
+        let a = TraceJournal::new(8, 1);
+        let b = TraceJournal::new(8, 2);
+        assert_ne!(a.begin("f-1", 0), b.begin("f-1", 0));
     }
 
     #[test]
     fn record_serde_roundtrip() {
         let j = journal();
-        let id = j.begin("f-1");
-        j.record(id, TraceEventKind::ContainerAcquired { cold: false });
-        j.record(id, TraceEventKind::ResultReturned { ok: false });
+        let id = j.begin("f-1", 0);
+        j.record(id, TraceEventKind::ContainerAcquired { cold: false }, 1);
+        j.record(id, TraceEventKind::ResultReturned { ok: false }, 2);
         let r = j.get(id).unwrap();
         let json = serde_json::to_string(&r).unwrap();
         assert!(

@@ -20,10 +20,9 @@
 //!   fair queue, short-function bypass, and the concurrency regulator with
 //!   fixed or AIMD-dynamic limits (§4).
 //! * [`worker`] — the assembled worker and its invocation hot path.
-//! * [`spans`] — lightweight per-component latency tracking (Table 1).
-//! * [`journal`] — per-invocation trace timelines (`GET /trace/{id}`).
-//! * [`breakdown`] — the critical-path breakdown report (`GET /breakdown`),
-//!   derived from the journal and span streams.
+//! * [`spans`] — each invocation's one timeline, and Table 1 read off it.
+//! * [`journal`] — per-invocation trace labels (`GET /trace/{id}`).
+//! * [`breakdown`] — the critical-path breakdown report (`GET /breakdown`).
 //! * [`exposition`] — Prometheus text rendering for `GET /metrics`.
 
 pub mod api;

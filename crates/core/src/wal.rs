@@ -39,7 +39,7 @@
 
 use iluvatar_admission::TenantSnapshot;
 use iluvatar_sync::storage::{RealStorage, Storage, StorageFile};
-use iluvatar_sync::TimeMs;
+use iluvatar_sync::{Clock, SystemClock, TimeMs};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
@@ -559,7 +559,8 @@ struct Inner {
     opts: WalOptions,
     storage: Arc<dyn Storage>,
     writer: Mutex<Writer>,
-    epoch: Instant,
+    /// The owner's clock, so an in-silico run re-arms at the same points.
+    clock: Arc<dyn Clock>,
     /// `elapsed_ms + 1` while a storage op is in flight, 0 when idle — the
     /// stall gate reads this without taking the writer lock.
     io_started: AtomicU64,
@@ -592,7 +593,7 @@ impl Drop for IoGuard<'_> {
 
 impl Inner {
     fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+        self.clock.now_ms()
     }
 
     fn io_guard(&self) -> IoGuard<'_> {
@@ -999,6 +1000,16 @@ impl Wal {
         opts: WalOptions,
         storage: Arc<dyn Storage>,
     ) -> std::io::Result<Self> {
+        Self::open_on(path, opts, storage, SystemClock::shared())
+    }
+
+    /// [`Wal::open_with`] on `clock` (the others use the wall clock).
+    pub fn open_on(
+        path: &Path,
+        opts: WalOptions,
+        storage: Arc<dyn Storage>,
+        clock: Arc<dyn Clock>,
+    ) -> std::io::Result<Self> {
         let existing = discover_segments(storage.as_ref(), path);
         let seg_index = existing.last().map_or(0, |(i, _)| *i) + 1;
         let out = storage.open_append(&segment_path(path, seg_index))?;
@@ -1029,7 +1040,7 @@ impl Wal {
                 older_segments: !existing.is_empty(),
                 admitted: 0,
             }),
-            epoch: Instant::now(),
+            clock,
             io_started: AtomicU64::new(0),
             arrived: AtomicU64::new(0),
             stats: Mutex::new(WalIoCounts::default()),
@@ -1204,9 +1215,11 @@ impl Wal {
 
     /// Attempt to leave degraded mode now (periodic re-arm driver; appends
     /// also retry lazily every `rearm_after_ms`). Returns true when armed.
+    /// At most one attempt per instant of the log's clock: on a clock only
+    /// its driver moves, a second would race that driver's appends.
     pub fn try_rearm(&self) -> bool {
         let mut w = self.inner.writer.lock();
-        if w.poisoned {
+        if w.poisoned || (w.degraded && self.inner.now_ms() <= w.degraded_since_ms) {
             return false;
         }
         self.inner.try_rearm_locked(&mut w)
@@ -1859,6 +1872,38 @@ mod tests {
         let st = replay(&p).unwrap();
         let ids: Vec<u64> = st.pending.iter().map(|x| x.id).collect();
         assert_eq!(ids, vec![1, 3]);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn the_rearm_task_tries_once_per_instant_of_the_logs_clock() {
+        let p = tmp("rearm-instant");
+        let script = Arc::new(Script {
+            fail_writes: vec![0, 1],
+            ..Default::default()
+        });
+        let storage = Arc::new(ScriptedStorage {
+            real: RealStorage,
+            script: Arc::clone(&script),
+        });
+        let opts = WalOptions {
+            retry_limit: 0,
+            on_error: WalOnError::Degrade,
+            ..WalOptions::default()
+        };
+        let clock = Arc::new(iluvatar_sync::ManualClock::new());
+        let wal = Wal::open_on(&p, opts, storage, Arc::clone(&clock) as Arc<dyn Clock>).unwrap();
+        let enq = |id| WalRecord::Enqueued {
+            inv: inv(id, "f-1", None),
+        };
+        assert_eq!(wal.append(&enq(1)), AppendOutcome::NotDurable);
+        assert!(!wal.try_rearm(), "degraded at this instant: no attempt");
+        assert_eq!(wal.io_counts().rearms, 0);
+        clock.advance(1);
+        assert!(wal.try_rearm());
+        assert_eq!(wal.io_counts().rearms, 1);
+        assert!(wal.append(&enq(2)).is_landed());
+        drop(wal);
         cleanup(&p);
     }
 

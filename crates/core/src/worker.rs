@@ -27,7 +27,7 @@
 //! result comes back without a wake-up or a channel.
 
 use crate::api::WireWarm;
-use crate::breakdown::{groups_from_spans, stages_from_traces, BreakdownReport, TenantBreakdown};
+use crate::breakdown::{groups_from_spans, BreakdownReport, TenantBreakdown};
 use crate::characteristics::Characteristics;
 use crate::config::WorkerConfig;
 use crate::invocation::{InvocationHandle, InvocationResult, InvokeError, Outcome, ResultSender};
@@ -38,7 +38,7 @@ use crate::pool::{ContainerPool, EvictSink};
 use crate::queue::regulator::ConcurrencyRegulator;
 use crate::queue::{InvocationQueue, PushError, QueuedInvocation, Work};
 use crate::registration::{RegisterError, Registration, Registry};
-use crate::spans::{names, Spans};
+use crate::spans::{Span, Spans, Stage};
 use crate::wal::{
     AppendOutcome, BucketLevel, CounterBaselines, DrrDeficit, PendingInvocation, Wal, WalRecord,
     WalSnapshot,
@@ -56,6 +56,7 @@ use iluvatar_telemetry::{
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -371,19 +372,20 @@ impl Shared {
 
     /// Stage 1 — admit: lifecycle gate, registration lookup, tenant
     /// resolution, admission control (with the one reject path), arrival
-    /// bookkeeping, and the trace mint.
+    /// bookkeeping, and the trace mint, at the `ingest_us` stamp.
     fn admit<'a>(
         &self,
         fqdn: &'a str,
         args: &'a str,
         tenant: Option<&str>,
+        ingest_us: u64,
     ) -> Result<Arrival<'a>, InvokeError> {
         if self.shutdown.load(Ordering::Relaxed)
             || self.lifecycle.load(Ordering::Relaxed) != LIFECYCLE_RUNNING
         {
             return Err(InvokeError::ShuttingDown);
         }
-        let now = self.clock.now_ms();
+        let now = ingest_us / 1000;
         let reg = self
             .registry
             .get(fqdn)
@@ -400,7 +402,7 @@ impl Shared {
             let verdict = self.admission.admit(tname, self.queue_delay_ms());
             if verdict != AdmissionDecision::Admit {
                 let throttled = verdict == AdmissionDecision::Throttled;
-                let id = self.journal.begin(fqdn);
+                let id = self.journal.begin(fqdn, ingest_us);
                 self.journal.record(
                     id,
                     if throttled {
@@ -408,9 +410,10 @@ impl Shared {
                     } else {
                         TraceEventKind::AdmissionRejected
                     },
+                    ingest_us,
                 );
-                self.journal
-                    .record(id, TraceEventKind::ResultReturned { ok: false });
+                let event = TraceEventKind::ResultReturned { ok: false };
+                self.journal.record(id, event, ingest_us);
                 let _ = self.wal_append(|| WalRecord::Shed {
                     id,
                     tenant: Some(tname.to_string()),
@@ -436,9 +439,10 @@ impl Shared {
             expected_exec_ms: self.chars.expected_exec_ms(fqdn, expect_warm),
             iat_ms: self.chars.mean_iat_ms(fqdn),
             expect_warm,
+            ingest_us,
             // Mint the end-to-end trace at ingest; every later stage appends
             // to this timeline, and the id crosses the agent hop as a header.
-            id: self.journal.begin(fqdn),
+            id: self.journal.begin(fqdn, ingest_us),
         })
     }
 
@@ -472,7 +476,8 @@ impl Shared {
             route,
             Route::CallerRuns(_) | Route::Queue { caller_waits: true }
         );
-        let enq = (!bypass).then(|| self.spans.time(names::ENQUEUE_INVOCATION));
+        let recovered = matches!(route, Route::Recovered);
+        let enqueue_at = (!bypass).then(|| self.clock.now_us());
         // A caller-run's outcome is `complete`'s return value: no channel.
         // A waiting caller that ends up queued gets one before the push.
         let (tx, mut handle) = if caller_waits {
@@ -494,12 +499,12 @@ impl Shared {
             tenant_weight: a.tenant_weight,
             result_tx: tx,
         };
+        item.result_tx.timeline.stamp(Stage::Ingest, a.ingest_us);
         // A recovered item is already durable in the replayed prefix.
-        if !matches!(route, Route::Recovered) {
+        if !recovered {
             if let Err(e) = self.wal_accept(&item, bypass) {
-                drop(enq);
-                self.journal
-                    .record(id, TraceEventKind::ResultReturned { ok: false });
+                let event = TraceEventKind::ResultReturned { ok: false };
+                self.journal.record(id, event, self.clock.now_us());
                 if let Route::Bypass(permit) | Route::CallerRuns(permit) = route {
                     // A run permit released by a thread that is not an
                     // executor: tell the starved ones.
@@ -509,19 +514,34 @@ impl Shared {
                 return Err(e);
             }
         }
+        let logged = self.clock.now_us();
+        item.result_tx.timeline.stamp(Stage::Logged, logged);
         if bypass {
             self.queue.note_bypass();
-            self.journal.record(id, TraceEventKind::Bypassed);
+            self.journal.record(id, TraceEventKind::Bypassed, logged);
         } else {
             // Journal `Enqueued` before the push: once the item is in the
             // queue the executors race us, and a `Dequeued` landing first
             // would scramble the timeline (and the deterministic journal
             // digest). On the rare rejected push the event is immediately
             // contradicted by `ResultReturned(false)`, which reads fine.
-            self.journal.record(id, TraceEventKind::Enqueued);
+            self.journal.record(id, TraceEventKind::Enqueued, logged);
         }
+        // The spans that end here; a pushed item may be an executor's already.
+        let accepted = |pushed: bool| {
+            let done = self.clock.now_us();
+            self.spans.record(&[
+                (Span::Invoke, (!recovered).then(|| done - a.ingest_us)),
+                (Span::EnqueueInvocation, enqueue_at.map(|t| done - t)),
+                (Span::AddItemToQ, pushed.then(|| done - logged)),
+            ]);
+            done
+        };
         match route {
             Route::CallerRuns(permit) => {
+                // Its caller takes it as `accept` returns.
+                let taken = accepted(false);
+                item.result_tx.timeline.stamp(Stage::Dequeued, taken);
                 return Ok(Accepted::CallerRuns {
                     item,
                     permit,
@@ -531,12 +551,14 @@ impl Shared {
             Route::Bypass(permit) => {
                 self.queue.hand_off(item, permit);
                 self.grow_if_unattended();
+                accepted(false);
                 return Ok(Accepted::Handle(
                     handle.expect("an asynchronous caller has a handle"),
                 ));
             }
             Route::Queue { caller_waits: true } => {
                 if let Some(permit) = self.queue.claim_if_idle(|| self.regulator.try_acquire()) {
+                    accepted(false);
                     return Ok(Accepted::CallerRuns {
                         item,
                         permit,
@@ -544,19 +566,15 @@ impl Shared {
                     });
                 }
                 let (tx, waiter) = InvocationHandle::pair();
-                item.result_tx = tx;
+                item.result_tx.tx = tx.tx;
                 handle = Some(waiter);
             }
             Route::Queue { .. } | Route::Recovered => {}
         }
         let handle = handle.expect("a queued invocation has a handle");
-        let push = {
-            let _g = self.spans.time(names::ADD_ITEM_TO_Q);
-            self.queue.push(item)
-        };
-        drop(enq);
-        let err = match push {
+        let err = match self.queue.push(item) {
             Ok(()) => {
+                accepted(true);
                 self.grow_if_unattended();
                 return Ok(Accepted::Handle(handle));
             }
@@ -568,8 +586,8 @@ impl Shared {
         };
         // The enqueue record already landed (or was replayed); retract it
         // so replay doesn't resurrect a rejected invocation.
-        self.journal
-            .record(id, TraceEventKind::ResultReturned { ok: false });
+        let event = TraceEventKind::ResultReturned { ok: false };
+        self.journal.record(id, event, self.clock.now_us());
         let _ = self.wal_append(|| WalRecord::Completed {
             id,
             ok: false,
@@ -610,31 +628,30 @@ impl Shared {
         Ok(())
     }
 
-    /// Stage 3 — dequeue, with a run permit already in hand. The dispatch
-    /// mutex makes the pop and its bookkeeping one step, so two executors
-    /// cannot journal their `Dequeued`s in the opposite order to their pops.
-    fn dequeue(&self) -> Option<(QueuedInvocation, TimeMs)> {
+    /// Stage 3 — dequeue, with the run permit taken at `permit_at` in hand.
+    /// The dispatch mutex makes the pop and its bookkeeping one step, so two
+    /// executors cannot journal their `Dequeued`s opposite to their pops.
+    fn dequeue(&self, permit_at: u64) -> Option<QueuedInvocation> {
         let _in_pop_order = self.dispatch.lock();
-        let item = {
-            let _g = self.spans.time(names::DEQUEUE);
-            self.queue.try_pop()
-        }?;
-        let dequeued_at = self.book_dequeue(&item);
-        Some((item, dequeued_at))
+        let mut item = self.queue.try_pop()?;
+        item.result_tx.timeline.stamp(Stage::Permit, permit_at);
+        self.book_dequeue(&mut item);
+        Some(item)
     }
 
-    /// The bookkeeping of a dequeue, under the dispatch mutex: the queue
-    /// delay and the journal's `Dequeued` — no WAL record, since recovery
-    /// re-runs whatever has no `Completed`, dequeued or not.
-    fn book_dequeue(&self, item: &QueuedInvocation) -> TimeMs {
-        let dequeued_at = self.clock.now_ms();
+    /// The bookkeeping of a dequeue, under the dispatch mutex: its stamp, the
+    /// queue delay and the journal's `Dequeued` — no WAL record, since
+    /// recovery re-runs whatever has no `Completed`, dequeued or not.
+    fn book_dequeue(&self, item: &mut QueuedInvocation) {
+        let at = self.clock.now_us();
+        item.result_tx.timeline.stamp(Stage::Dequeued, at);
         // Publish the observed queue delay — the overload-shedding signal.
         self.last_queue_delay_ms.store(
-            dequeued_at.saturating_sub(item.arrived_at),
+            (at / 1000).saturating_sub(item.arrived_at),
             Ordering::Relaxed,
         );
-        self.journal.record(item.trace_id, TraceEventKind::Dequeued);
-        dequeued_at
+        self.journal
+            .record(item.trace_id, TraceEventKind::Dequeued, at);
     }
 
     /// Stages 3 and 4 on the caller's own thread, under the run permit it
@@ -643,18 +660,16 @@ impl Shared {
     /// Its result comes back as the return value.
     fn run_in_place(
         &self,
-        item: QueuedInvocation,
+        mut item: QueuedInvocation,
         permit: SemaphorePermit,
         bypassed: bool,
     ) -> Outcome {
-        let dequeued_at = if bypassed {
-            item.arrived_at
-        } else {
+        if !bypassed {
             let _in_pop_order = self.dispatch.lock();
-            self.book_dequeue(&item)
-        };
+            self.book_dequeue(&mut item);
+        }
         let mut agent = self.caller_agents.lock().pop().unwrap_or_default();
-        let outcome = self.complete(item, dequeued_at, &mut agent);
+        let outcome = self.complete(item, &mut agent);
         if agent.link.is_some() {
             self.caller_agents.lock().push(agent);
         }
@@ -667,13 +682,8 @@ impl Shared {
 
     /// Stage 4 — complete: execute, book the outcome, log the completion,
     /// release the result — to the item's handle, or, for a caller-run, as
-    /// the return value.
-    fn complete(
-        &self,
-        item: QueuedInvocation,
-        dequeued_at: TimeMs,
-        agent: &mut AgentCompanion,
-    ) -> Option<Outcome> {
+    /// the return value — and fold the invocation's timeline.
+    fn complete(&self, mut item: QueuedInvocation, agent: &mut AgentCompanion) -> Option<Outcome> {
         self.running.fetch_add(1, Ordering::Relaxed);
         let found_idle = self.running_fn.update_or_insert(
             item.fqdn.clone(),
@@ -683,7 +693,7 @@ impl Shared {
                 *n == 1
             },
         );
-        let outcome = execute(self, &item, dequeued_at, found_idle, agent);
+        let outcome = execute(self, &mut item, found_idle, agent);
         self.running_fn
             .update(&item.fqdn, |n| *n = n.saturating_sub(1));
         self.running.fetch_sub(1, Ordering::Relaxed);
@@ -693,7 +703,6 @@ impl Shared {
             // replays after recovery.
             return Some(Err(InvokeError::ShuttingDown));
         }
-        let ret_g = self.spans.time(names::RETURN_RESULTS);
         let ok = outcome.is_ok();
         match &outcome {
             Ok(result) => {
@@ -722,9 +731,11 @@ impl Shared {
             tenant: item.tenant.clone(),
         });
         let returned = item.result_tx.deliver(outcome);
-        self.journal
-            .record(item.trace_id, TraceEventKind::ResultReturned { ok });
-        drop(ret_g);
+        let at = self.clock.now_us();
+        item.result_tx.timeline.stamp(Stage::Returned, at);
+        self.spans.record_timeline(&item.result_tx.timeline);
+        let event = TraceEventKind::ResultReturned { ok };
+        self.journal.record(item.trace_id, event, at);
         if self.wal.as_ref().is_some_and(|w| w.snapshot_due()) {
             wal_snapshot_now(self);
         }
@@ -769,6 +780,7 @@ struct Arrival<'a> {
     expected_exec_ms: f64,
     iat_ms: f64,
     expect_warm: bool,
+    ingest_us: u64,
 }
 
 /// How an accepted invocation reaches the thread that runs it.
@@ -840,10 +852,11 @@ impl Worker {
         // different workers in one cluster rarely collide.
         let trace_seed = fnv1a64(cfg.name.as_bytes());
         let wal = cfg.lifecycle.wal_path.as_ref().and_then(|p| {
-            Wal::open_with(
+            Wal::open_on(
                 Path::new(p),
                 cfg.lifecycle.wal_options(),
                 Arc::clone(&storage),
+                Arc::clone(&clock),
             )
             .ok()
         });
@@ -874,8 +887,8 @@ impl Worker {
             dispatch: Mutex::new(()),
             caller_agents: Mutex::new(Vec::new()),
             backend: Arc::clone(&backend),
-            spans: Spans::new(),
-            journal: TraceJournal::new(TRACE_CAPACITY, trace_seed, Arc::clone(&clock)),
+            spans: Spans::default(),
+            journal: TraceJournal::new(TRACE_CAPACITY, trace_seed),
             metrics: SystemMetrics::new(PowerModel::default(), Arc::clone(&clock)),
             running_fn: iluvatar_sync::ShardedMap::new(),
             running: AtomicUsize::new(0),
@@ -1025,8 +1038,12 @@ impl Worker {
         args: &str,
         tenant: Option<&str>,
     ) -> Result<InvocationResult, InvokeError> {
-        let _g = self.shared.spans.time(names::SYNC_INVOKE);
-        self.submit(fqdn, args, tenant, true)?.wait()
+        let s = &self.shared;
+        let ingest = s.clock.now_us();
+        let outcome = self.submit(fqdn, args, tenant, true, ingest)?.wait();
+        s.spans
+            .record(&[(Span::SyncInvoke, Some(s.clock.now_us() - ingest))]);
+        outcome
     }
 
     /// Asynchronous invocation: returns a handle immediately; an executor
@@ -1037,7 +1054,7 @@ impl Worker {
         args: &str,
         tenant: Option<&str>,
     ) -> Result<InvocationHandle, InvokeError> {
-        self.submit(fqdn, args, tenant, false)
+        self.submit(fqdn, args, tenant, false, self.shared.clock.now_us())
     }
 
     /// The one invocation pipeline behind both entries. A `None` tenant
@@ -1055,6 +1072,7 @@ impl Worker {
         args: &str,
         tenant: Option<&str>,
         caller_waits: bool,
+        ingest_us: u64,
     ) -> Result<InvocationHandle, InvokeError> {
         let s = &self.shared;
         let fill = match s.cache.as_ref().map(|c| (c, c.lookup(fqdn, tenant, args))) {
@@ -1071,13 +1089,9 @@ impl Worker {
             ))),
             _ => None,
         };
-        // `invoke` times ingest alone: a caller-run executes after it.
-        let accepted = {
-            let _g = s.spans.time(names::INVOKE);
-            let arrival = s.admit(fqdn, args, tenant)?;
-            let route = s.route(arrival.expected_exec_ms, caller_waits);
-            s.accept(arrival, route)?
-        };
+        let arrival = s.admit(fqdn, args, tenant, ingest_us)?;
+        let route = s.route(arrival.expected_exec_ms, caller_waits);
+        let accepted = s.accept(arrival, route)?;
         let mut handle = match accepted {
             Accepted::Handle(handle) => handle,
             Accepted::CallerRuns {
@@ -1202,17 +1216,11 @@ impl Worker {
     }
 
     /// The critical-path breakdown (`GET /breakdown`): stage histograms
-    /// from the journaled trace milestones, Table-1 group histograms from
-    /// the span registry, and per-tenant completion counts.
+    /// and Table-1 group histograms, both folded from every completed
+    /// invocation's timeline, and per-tenant completion counts.
     pub fn breakdown(&self) -> BreakdownReport {
         let s = &self.shared;
-        let traces = s.journal.recent(TRACE_CAPACITY);
-        let (stages, cold, warm) = stages_from_traces(&traces);
-        let invocations = stages
-            .iter()
-            .find(|st| st.stage == crate::breakdown::stages::E2E)
-            .map(|st| st.count)
-            .unwrap_or(0);
+        let (stages, cold, warm) = s.spans.stage_report();
         let mut tenants: Vec<TenantBreakdown> = self
             .tenant_stats()
             .into_iter()
@@ -1224,7 +1232,7 @@ impl Worker {
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         BreakdownReport {
             source: s.cfg.name.clone(),
-            invocations,
+            invocations: cold + warm,
             cold,
             warm,
             stages,
@@ -1396,7 +1404,8 @@ impl Worker {
         }
         let mut handles = Vec::with_capacity(st.pending.len());
         for p in &st.pending {
-            s.journal.begin_recovered(p.id, &p.fqdn);
+            let at = s.clock.now_us();
+            s.journal.begin_recovered(p.id, &p.fqdn, at);
             let arrival = Arrival {
                 id: p.id,
                 fqdn: &p.fqdn,
@@ -1407,6 +1416,7 @@ impl Worker {
                 expected_exec_ms: p.expected_exec_ms,
                 iat_ms: p.iat_ms,
                 expect_warm: p.expect_warm,
+                ingest_us: at,
             };
             // A push over a smaller queue bound is not silently lost:
             // `accept` books the drop and retracts the record.
@@ -1498,30 +1508,37 @@ impl Drop for Worker {
 /// and holds none while idle, so `regulator.running()` counts invocations.
 fn executor_loop(s: Arc<Shared>) {
     let mut agent = AgentCompanion::default();
+    // When the last permit was taken: the dequeue starts there.
+    let granted = Cell::new(0);
     loop {
         let work = s.queue.wait_work(|| {
-            let _g = s.spans.time(names::SPAWN_WORKER);
-            s.regulator.try_acquire()
+            let asked = s.clock.now_us();
+            let permit = s.regulator.try_acquire()?;
+            granted.set(s.clock.now_us());
+            s.spans
+                .record(&[(Span::SpawnWorker, Some(granted.get() - asked))]);
+            Some(permit)
         });
         if s.killed.load(Ordering::Relaxed) {
             // Crash semantics: abandon what is queued (and a hand-off in
             // flight). With no Completed record it replays after recovery.
             return;
         }
-        let (item, dequeued_at, permit) = match work {
+        let (item, permit) = match work {
             Work::Closed => return,
-            Work::Handoff(item, permit) => {
-                let at = item.arrived_at;
-                (item, at, permit)
+            Work::Handoff(mut item, permit) => {
+                let now = s.clock.now_us();
+                item.result_tx.timeline.stamp(Stage::Dequeued, now);
+                (item, permit)
             }
-            Work::Queued(permit) => match s.dequeue() {
-                Some((item, at)) => (item, at, permit),
+            Work::Queued(permit) => match s.dequeue(granted.get()) {
+                Some(item) => (item, permit),
                 // A sibling emptied the queue first.
                 None => continue,
             },
         };
         s.grow_if_unattended();
-        s.complete(item, dequeued_at, &mut agent);
+        s.complete(item, &mut agent);
         drop(permit);
     }
 }
@@ -1722,8 +1739,7 @@ fn maybe_finalize(s: &Shared) {
 /// degrade, not amplify).
 fn execute(
     s: &Shared,
-    item: &QueuedInvocation,
-    dequeued_at: TimeMs,
+    item: &mut QueuedInvocation,
     found_idle: bool,
     agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
@@ -1733,7 +1749,7 @@ fn execute(
         .ok_or_else(|| InvokeError::NotRegistered(item.fqdn.clone()))?;
     let res = &s.cfg.resilience;
     if res.max_retries == 0 {
-        return attempt_invoke(s, &reg, item, dequeued_at, found_idle, agent);
+        return attempt_invoke(s, &reg, item, found_idle, agent);
     }
     // Seeding with the trace id keeps the whole schedule deterministic per
     // invocation while decorrelating concurrent retriers.
@@ -1747,7 +1763,7 @@ fn execute(
     );
     let mut attempt: u32 = 0;
     loop {
-        let err = match attempt_invoke(s, &reg, item, dequeued_at, found_idle, agent) {
+        let err = match attempt_invoke(s, &reg, item, found_idle, agent) {
             Ok(r) => return Ok(r),
             // Backend failures are transient by assumption (the container
             // was quarantined); everything else is a control-plane verdict.
@@ -1768,6 +1784,7 @@ fn execute(
                 attempt,
                 delay_ms: delay,
             },
+            s.clock.now_us(),
         );
         s.retries.fetch_add(1, Ordering::Relaxed);
         s.retrying.fetch_add(1, Ordering::Relaxed);
@@ -1783,24 +1800,23 @@ fn retries_exhausted(
     err: InvokeError,
 ) -> Result<InvocationResult, InvokeError> {
     s.dropped_retry_exhausted.fetch_add(1, Ordering::Relaxed);
+    let now = s.clock.now_us();
     s.journal
-        .record(item.trace_id, TraceEventKind::RetriesExhausted);
+        .record(item.trace_id, TraceEventKind::RetriesExhausted, now);
     Err(err)
 }
 
 fn attempt_invoke(
     s: &Shared,
     reg: &Registration,
-    item: &QueuedInvocation,
-    dequeued_at: TimeMs,
+    item: &mut QueuedInvocation,
     found_idle: bool,
     agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
     // --- acquire_container: warm hit or cold start -----------------------
-    let acq_g = s.spans.time(names::ACQUIRE_CONTAINER);
-    let lock_g = s.spans.time(names::TRY_LOCK_CONTAINER);
     let warm = s.pool.acquire(&item.fqdn);
-    drop(lock_g);
+    let now = s.clock.now_us();
+    item.result_tx.timeline.stamp(Stage::Locked, now);
     let (container, cold) = match warm {
         Some(c) => (c, false),
         None => {
@@ -1815,36 +1831,34 @@ fn attempt_invoke(
             if herd_ms > 0 && !found_idle && s.running_fn.get(&item.fqdn).unwrap_or(0) > 1 {
                 herd_hit = s.pool.wait_warm(&item.fqdn, s.clock.now_ms() + herd_ms);
             }
-            if let Some(c) = herd_hit {
-                drop(acq_g);
-                s.journal.record(
-                    item.trace_id,
-                    TraceEventKind::ContainerAcquired { cold: false },
-                );
-                return finish_invoke(s, reg, item, dequeued_at, c, false, agent);
-            }
-            let mb = reg.spec.limits.memory_mb;
-            if !s.pool.reserve(mb) {
-                drop(acq_g);
-                return Err(InvokeError::NoResources);
-            }
-            match s.backend.create(&reg.spec) {
-                Ok(c) => {
-                    s.cold_starts.fetch_add(1, Ordering::Relaxed);
-                    (Arc::new(c), true)
-                }
-                Err(e) => {
-                    s.pool.unreserve(mb);
-                    drop(acq_g);
-                    return Err(InvokeError::Backend(e.to_string()));
+            match herd_hit {
+                Some(c) => (c, false),
+                None => {
+                    let mb = reg.spec.limits.memory_mb;
+                    if !s.pool.reserve(mb) {
+                        return Err(InvokeError::NoResources);
+                    }
+                    match s.backend.create(&reg.spec) {
+                        Ok(c) => {
+                            s.cold_starts.fetch_add(1, Ordering::Relaxed);
+                            (Arc::new(c), true)
+                        }
+                        Err(e) => {
+                            s.pool.unreserve(mb);
+                            return Err(InvokeError::Backend(e.to_string()));
+                        }
+                    }
                 }
             }
         }
     };
-    drop(acq_g);
-    s.journal
-        .record(item.trace_id, TraceEventKind::ContainerAcquired { cold });
-    finish_invoke(s, reg, item, dequeued_at, container, cold, agent)
+    let acquired = s.clock.now_us();
+    let timeline = &mut item.result_tx.timeline;
+    timeline.stamp(Stage::Acquired, acquired);
+    timeline.cold |= cold;
+    let event = TraceEventKind::ContainerAcquired { cold };
+    s.journal.record(item.trace_id, event, acquired);
+    finish_invoke(s, reg, item, container, cold, agent)
 }
 
 /// The post-acquisition half of the hot path: agent round trip, container
@@ -1852,18 +1866,17 @@ fn attempt_invoke(
 fn finish_invoke(
     s: &Shared,
     reg: &Registration,
-    item: &QueuedInvocation,
-    dequeued_at: TimeMs,
+    item: &mut QueuedInvocation,
     container: SharedContainer,
     cold: bool,
     agent: &mut AgentCompanion,
 ) -> Result<InvocationResult, InvokeError> {
     // --- agent communication ---------------------------------------------
-    let prep_g = s.spans.time(names::PREPARE_INVOKE);
+    let called = s.clock.now_us();
+    item.result_tx.timeline.stamp(Stage::Called, called);
+    s.journal
+        .record(item.trace_id, TraceEventKind::AgentCalled, called);
     let args: &str = &item.args;
-    drop(prep_g);
-    let call_g = s.spans.time(names::CALL_CONTAINER);
-    s.journal.record(item.trace_id, TraceEventKind::AgentCalled);
     let trace_hex = format!("{:016x}", item.trace_id);
     let tenant = item.tenant.as_deref();
     let timeout_ms = s.cfg.resilience.agent_timeout_ms;
@@ -1885,43 +1898,46 @@ fn finish_invoke(
             Some(r) => r,
             None => {
                 s.agent_timeouts.fetch_add(1, Ordering::Relaxed);
+                let now = s.clock.now_us();
                 s.journal
-                    .record(item.trace_id, TraceEventKind::AgentTimeout);
+                    .record(item.trace_id, TraceEventKind::AgentTimeout, now);
                 Err(BackendError::InvokeFailed(format!(
                     "agent call timed out after {timeout_ms}ms"
                 )))
             }
         }
     };
-    drop(call_g);
+    let now = s.clock.now_us();
+    item.result_tx.timeline.stamp(Stage::Answered, now);
     let output = match invoked {
         Ok(o) => o,
         Err(e) => {
             // A failed container is not returned to the pool: quarantine it
             // (memory freed, container routed to the destroyer).
             s.quarantined.fetch_add(1, Ordering::Relaxed);
+            let now = s.clock.now_us();
             s.journal
-                .record(item.trace_id, TraceEventKind::ContainerQuarantined);
+                .record(item.trace_id, TraceEventKind::ContainerQuarantined, now);
             s.pool.discard(container);
             return Err(InvokeError::Backend(e.to_string()));
         }
     };
-    let dl_g = s.spans.time(names::DOWNLOAD_RESULT);
     let body = output.body;
-    drop(dl_g);
+    let now = s.clock.now_us();
+    item.result_tx.timeline.stamp(Stage::Downloaded, now);
 
     // --- return container to keep-alive pool ------------------------------
-    let ret_g = s.spans.time(names::RETURN_CONTAINER);
     s.pool.release(container, init_cost(s, reg));
-    drop(ret_g);
-
-    let now = s.clock.now_ms();
+    let released = s.clock.now_us();
+    let timeline = &mut item.result_tx.timeline;
+    timeline.stamp(Stage::Released, released);
+    let dequeued_ms = timeline.get(Stage::Dequeued).unwrap_or(released) / 1000;
     Ok(InvocationResult {
         body,
         exec_ms: output.exec_ms,
-        e2e_ms: now.saturating_sub(item.arrived_at),
+        e2e_ms: (released / 1000).saturating_sub(item.arrived_at),
         cold,
-        queue_ms: dequeued_at.saturating_sub(item.arrived_at),
+        queue_ms: dequeued_ms.saturating_sub(item.arrived_at),
         arrived_at: item.arrived_at,
         trace_id: item.trace_id,
         tenant: item.tenant.clone(),
@@ -2140,16 +2156,16 @@ mod tests {
             w.invoke_tenant("f-1", "{}", None).unwrap();
         }
         for name in [
-            names::INVOKE,
-            names::SYNC_INVOKE,
-            names::ENQUEUE_INVOCATION,
-            names::ACQUIRE_CONTAINER,
-            names::CALL_CONTAINER,
-            names::RETURN_CONTAINER,
-            names::RETURN_RESULTS,
+            "invoke",
+            "sync_invoke",
+            "enqueue_invocation",
+            "acquire_container",
+            "call_container",
+            "return_container",
+            "return_results",
         ] {
             assert!(
-                w.spans().summary(name).is_some(),
+                w.spans().export().iter().any(|e| e.name == name),
                 "span {name} missing after invocations"
             );
         }

@@ -19,6 +19,11 @@ pub trait Clock: Send + Sync + 'static {
     /// Current time in milliseconds since the clock's epoch.
     fn now_ms(&self) -> TimeMs;
 
+    /// µs since the same epoch; `now_ms() * 1000` keeps [`ManualClock`] exact.
+    fn now_us(&self) -> u64 {
+        self.now_ms() * 1000
+    }
+
     /// Block the calling thread for `ms` milliseconds of *this clock's* time.
     ///
     /// For [`SystemClock`] this is a real sleep. [`ManualClock`] advances its
@@ -59,6 +64,10 @@ impl Default for SystemClock {
 impl Clock for SystemClock {
     fn now_ms(&self) -> TimeMs {
         self.epoch.elapsed().as_millis() as TimeMs
+    }
+
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     fn sleep_ms(&self, ms: u64) {
@@ -128,6 +137,17 @@ mod tests {
         let a = c.now_ms();
         let b = c.now_ms();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn microseconds_share_the_millisecond_epoch() {
+        let c = SystemClock::new();
+        let (ms, us) = (c.now_ms(), c.now_us());
+        assert!(us / 1000 >= ms && us / 1000 <= c.now_ms());
+        let m = ManualClock::starting_at(7);
+        assert_eq!(m.now_us(), 7_000);
+        m.advance(2);
+        assert_eq!(m.now_us(), 9_000);
     }
 
     #[test]

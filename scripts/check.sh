@@ -365,5 +365,23 @@ if ! grep -Eq '^worker_durable: attempted [0-9]+ failed 0 — self-check passed$
     exit 1
 fi
 echo "worker_durable records per invocation: $(jq -c "$records" <<<"$result")"
+# The warm count budget: a warm invocation publishes six telemetry events
+# (its journal milestones) and makes about 56 allocations. The allocation
+# bound is the parent's maximum plus its spread over three quick seeds
+# before the stamp timeline replaced the span guards (56.2305, 56.2463,
+# 56.2295), so a timeline that adds an event or an allocation on the hot
+# path fails here. A missing metric fails too.
+result=$(cargo run --release --offline -p iluvatar-perf --bin perf -- --quick --trace 1 \
+    --workload worker_warm 2>"$reach_tmp/warm.err" | tail -n 1)
+counts='.metrics | {events: ."telemetry.events_per_inv".value, allocs: ."process.allocs_per_inv".value}'
+if ! grep -Eq '^worker_warm: attempted [0-9]+ failed 0 — self-check passed$' "$reach_tmp/warm.err" ||
+    ! jq -e "$counts | (.events | type == \"number\" and . <= 6) and (.allocs | type == \"number\" and . <= 56.263)" \
+        <<<"$result" >/dev/null; then
+    grep -E '^worker_warm:' "$reach_tmp/warm.err" >&2 || true
+    jq -c "$counts" <<<"$result" >&2 || true
+    echo "perf worker_warm --trace 1: over the warm budget of 6 telemetry events and 56.263 allocations per invocation" >&2
+    exit 1
+fi
+echo "worker_warm counts per invocation: $(jq -c "$counts" <<<"$result")"
 
 echo "all checks passed"

@@ -31,7 +31,7 @@ use iluvatar_core::{
     wal, AdmissionConfig, InvokeError, LifecycleConfig, TelemetrySink, TenantSpec, WalConfig,
     WalRecord, Worker, WorkerConfig,
 };
-use iluvatar_sync::{fnv1a64, Fnv1a, RealStorage, Storage, SystemClock};
+use iluvatar_sync::{fnv1a64, Clock, Fnv1a, ManualClock, RealStorage, Storage, SystemClock};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -177,7 +177,9 @@ fn phase_retry_ladder(seed: u64) -> String {
 fn phase_degrade_rearm(seed: u64) -> String {
     let scratch = Scratch::new("storage-p3");
     let wal_path = scratch.file("queue.wal");
-    let clock = SystemClock::shared();
+    // On a clock only the loop moves, one re-arm interval a round, each round
+    // makes one re-arm attempt (by its append or the re-arm task): a count.
+    let clock = Arc::new(ManualClock::new());
     let storage = faulty(DiskFaultPlanConfig {
         seed,
         // A contiguous ENOSPC window: every write from op 4 to op 120
@@ -196,8 +198,8 @@ fn phase_degrade_rearm(seed: u64) -> String {
                 ..Default::default()
             },
         ),
-        sim_backend(&clock),
-        clock,
+        sim_backend(&SystemClock::shared()),
+        Arc::clone(&clock) as Arc<dyn Clock>,
         storage,
     );
     worker.register(spec()).expect("register");
@@ -209,6 +211,7 @@ fn phase_degrade_rearm(seed: u64) -> String {
     // (durable or flagged non-durable), and once the window passes the
     // periodic/lazy re-arm must bring the log back.
     while rounds < 300 {
+        clock.advance(1);
         let tenant = if rounds.is_multiple_of(2) {
             "st-a"
         } else {
@@ -245,7 +248,8 @@ fn phase_degrade_rearm(seed: u64) -> String {
         panic!("P3: post-rearm probe rejected");
     }
     let part = format!(
-        "degraded=1;rearmed=1;nondurable=1;served_all={};",
+        "degraded=1;rearmed=1;nondurable={};served_all={};",
+        st.wal_non_durable,
         completed > 0
     );
     eprintln!(
@@ -480,4 +484,15 @@ pub fn run(args: &Args) -> u64 {
         digest.write(format!("{tag}:{part}").as_bytes());
     }
     digest.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_enospc_window_flags_the_same_count_every_run() {
+        // The part folds the non-durable count.
+        assert_eq!(phase_degrade_rearm(42), phase_degrade_rearm(42));
+    }
 }

@@ -2,7 +2,9 @@
 //!
 //! * every route through `accept` (queue, bypass, full-queue reject,
 //!   throttled reject, recovered re-enqueue) leaves exactly the journal
-//!   label sequence and WAL op sequence the session digests fold;
+//!   label sequence and WAL op sequence the session digests fold, one
+//!   sample in each Table-1 span its route crosses (none in the others)
+//!   and one more `/breakdown` invocation per completion;
 //! * which thread runs an invocation: its synchronous caller when nothing
 //!   is queued and a run slot is free (and on a bypass), one of the
 //!   executors otherwise — never a thread of its own;
@@ -21,6 +23,7 @@ use iluvatar_lb::cluster::{RemoteWorker, WorkerHandle};
 use iluvatar_lb::LbApi;
 use iluvatar_sync::storage::RealStorage;
 use iluvatar_telemetry::VecSink;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
@@ -114,6 +117,64 @@ const EXECUTED: [&str; 3] = [
     "result_returned(true)",
 ];
 
+/// Span sample counts, by name.
+fn span_counts(w: &Worker) -> BTreeMap<String, u64> {
+    w.spans()
+        .export()
+        .into_iter()
+        .map(|e| (e.name, e.count))
+        .collect()
+}
+
+/// Watches one worker's spans and `/breakdown` across one route.
+struct SpanWatch {
+    spans: BTreeMap<String, u64>,
+    invocations: u64,
+}
+
+impl SpanWatch {
+    fn new(w: &Worker) -> Self {
+        Self {
+            spans: span_counts(w),
+            invocations: w.breakdown().invocations,
+        }
+    }
+
+    /// Since the last check, `n` completions each left one sample in every
+    /// span of `route` plus the executing spans, and none in any other.
+    fn check(&mut self, w: &Worker, route: &str, spans: &[&str], n: u64) {
+        let now = span_counts(w);
+        let grew: BTreeMap<String, u64> = now
+            .iter()
+            .map(|(name, c)| (name.clone(), c - self.spans.get(name).unwrap_or(&0)))
+            .filter(|(_, d)| *d > 0)
+            .collect();
+        let want: BTreeMap<String, u64> = spans
+            .iter()
+            .chain(if n > 0 { &EXECUTING[..] } else { &[] })
+            .map(|name| (name.to_string(), n))
+            .collect();
+        assert_eq!(grew, want, "{route}: span samples");
+        let invocations = w.breakdown().invocations;
+        assert_eq!(invocations - self.invocations, n, "{route}: /breakdown");
+        *self = Self {
+            spans: now,
+            invocations,
+        };
+    }
+}
+
+/// The spans every route that reaches a container crosses.
+const EXECUTING: [&str; 7] = [
+    "acquire_container",
+    "try_lock_container",
+    "prepare_invoke",
+    "call_container",
+    "download_result",
+    "return_container",
+    "return_results",
+];
+
 #[test]
 fn every_route_leaves_its_journal_and_wal_timeline() {
     let dir = std::env::temp_dir().join(format!("iluvatar-pipeline-{}", std::process::id()));
@@ -131,8 +192,12 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
         AdmissionConfig::enabled_with(vec![TenantSpec::new("free").with_rate(0.001, 1.0)]);
     let (w, sink) = tapped_worker(cfg);
     w.register(spec(100)).unwrap();
+    w.register(FunctionSpec::new("g", "1").with_timing(100, 0))
+        .unwrap();
+    let mut watch = SpanWatch::new(&w);
 
-    // Unseen function: no expected runtime yet, so it queues.
+    // Unseen function: no expected runtime yet, so it queues — and, the
+    // worker being idle, its synchronous caller runs it.
     let queued = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
     let (journal, wal_ops) = finished_timeline(&sink, queued);
     assert_eq!(
@@ -141,6 +206,29 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     );
     // A dequeue is journaled, not logged: two records per invocation.
     assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
+    let caller_run = ["invoke", "sync_invoke", "enqueue_invocation"];
+    watch.check(&w, "caller-run", &caller_run, 1);
+
+    // An asynchronous call on an unseen function queues for an executor.
+    let id = w
+        .async_invoke_tenant("g-1", "{}", None)
+        .unwrap()
+        .wait()
+        .unwrap()
+        .trace_id;
+    let (journal, _) = finished_timeline(&sink, id);
+    assert_eq!(
+        journal,
+        [&["ingested", "enqueued", "dequeued"][..], &EXECUTED].concat()
+    );
+    let executor_run = [
+        "invoke",
+        "enqueue_invocation",
+        "add_item_to_q",
+        "spawn_worker",
+        "dequeue",
+    ];
+    watch.check(&w, "queued", &executor_run, 1);
 
     // Now known-short: around the queue. One WAL record covers both the
     // enqueue and the dequeue.
@@ -148,13 +236,29 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let (journal, wal_ops) = finished_timeline(&sink, bypassed);
     assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
     assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
+    watch.check(&w, "sync bypass", &["invoke", "sync_invoke"], 1);
+
+    // Asynchronous, the bypass is handed to an executor: no permit taken,
+    // nothing popped.
+    let id = w
+        .async_invoke_tenant("f-1", "{}", None)
+        .unwrap()
+        .wait()
+        .unwrap()
+        .trace_id;
+    let (journal, _) = finished_timeline(&sink, id);
+    assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
+    watch.check(&w, "async bypass", &["invoke"], 1);
 
     // Burst of one: the second `free` invocation is throttled at `admit`.
     w.invoke_tenant("f-1", "{}", Some("free")).unwrap();
+    watch.check(&w, "sync bypass", &["invoke", "sync_invoke"], 1);
     match w.invoke_tenant("f-1", "{}", Some("free")) {
         Err(InvokeError::Throttled(t)) => assert_eq!(t, "free"),
         other => panic!("expected Throttled, got {other:?}"),
     }
+    // A rejected invocation records no span and completes nothing.
+    watch.check(&w, "throttled", &[], 0);
     let (journal, wal_ops) = timeline(&sink, rejected_trace(&sink));
     assert_eq!(
         journal,
@@ -216,6 +320,11 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
         Arc::new(RealStorage),
     );
     assert!(report.replayed > 0, "the kill left nothing to replay");
+    let replayed = report.replayed as u64;
+    let mut watch = SpanWatch {
+        spans: BTreeMap::new(),
+        invocations: 0,
+    };
     for (id, handle) in report.handles {
         handle.wait().unwrap();
         let (journal, wal_ops) = finished_timeline(&sink, id);
@@ -226,6 +335,8 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
         // Already durable in the replayed prefix: no second `enqueued`.
         assert_eq!(wal_ops, labels(&["completed"]));
     }
+    // No caller ingested them: every span of the queued route but `invoke`.
+    watch.check(&recovered, "recovered", &executor_run[1..], replayed);
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -377,13 +488,14 @@ fn a_synchronous_call_on_an_idle_worker_runs_on_the_calling_thread() {
             noting.caller(i)
         );
     }
+    let timed = span_counts(&w);
     for executor_only in ["spawn_worker", "dequeue"] {
         assert!(
-            w.spans().summary(executor_only).is_none(),
+            !timed.contains_key(executor_only),
             "`{executor_only}` timed for a caller-run"
         );
     }
-    assert!(w.spans().summary("call_container").is_some());
+    assert!(timed.contains_key("call_container"));
     drop(w);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,7 @@ const PINNED: [(&str, Option<u64>, u64); 9] = [
     ("telemetry", None, 0x1d71_4978_0e07_1a08),
     ("conformance", None, 0x781d_a82c_b457_821f),
     ("cache", None, 0xdbf3_b737_edbc_36b4),
-    ("storage", None, 0xea9c_a70d_f1e4_ec6b),
+    ("storage", None, 0xee03_16dd_3513_57c6),
     ("dispatch", None, 0x43d5_f00a_4acf_bdf1),
 ];
 
