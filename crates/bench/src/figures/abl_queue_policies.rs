@@ -1,9 +1,8 @@
-//! Ablation — queue disciplines (§4.2): FCFS vs SJF vs EEDF vs RARE, with
-//! and without short-function bypass, under a bursty heterogeneous load.
+//! Ablation — queue disciplines (§4.2): FCFS vs SJF vs EEDF vs RARE under a
+//! bursty heterogeneous load.
 //!
 //! The interesting number is the latency of *short* functions when long
-//! functions clog the queue: SJF/EEDF should protect them; FCFS should not;
-//! bypass should rescue them regardless of discipline.
+//! functions clog the queue: SJF/EEDF should protect them; FCFS should not.
 
 use super::sim_worker;
 use crate::{pctl, print_table};
@@ -44,15 +43,13 @@ fn build_schedule() -> Vec<ScheduledInvocation> {
     schedule
 }
 
-fn measure(policy: QueuePolicyKind, bypass: bool) -> Vec<String> {
+fn measure(policy: QueuePolicyKind) -> Vec<String> {
     let cfg = WorkerConfig {
         name: "abl-q".into(),
         cores: 4,
         memory_mb: 16 * 1024,
         queue: QueueConfig {
             policy,
-            bypass_threshold_ms: if bypass { 50 } else { 0 },
-            bypass_load_limit: 4.0,
             ..Default::default()
         },
         concurrency: ConcurrencyConfig {
@@ -85,7 +82,7 @@ fn measure(policy: QueuePolicyKind, bypass: bool) -> Vec<String> {
         .map(|o| o.e2e_ms as f64)
         .collect();
     vec![
-        format!("{}{}", policy.name(), if bypass { "+bypass" } else { "" }),
+        policy.name().to_string(),
         format!("{:.0}", pctl(&short_lat, 0.5)),
         format!("{:.0}", pctl(&short_lat, 0.99)),
         format!("{:.0}", pctl(&long_lat, 0.5)),
@@ -94,18 +91,13 @@ fn measure(policy: QueuePolicyKind, bypass: bool) -> Vec<String> {
 }
 
 pub fn run(out: &mut dyn Write, _full: bool) -> io::Result<bool> {
-    let mut rows = Vec::new();
-    for policy in QueuePolicyKind::all() {
-        rows.push(measure(policy, false));
-    }
-    rows.push(measure(QueuePolicyKind::Fcfs, true));
-    rows.push(measure(QueuePolicyKind::Eedf, true));
+    let rows: Vec<_> = QueuePolicyKind::all().into_iter().map(measure).collect();
     print_table(
         out,
         "Ablation: queue policy vs short/long function latency (ms, e2e)",
         &["policy", "short p50", "short p99", "long p50", "long p99"],
         &rows,
     )?;
-    writeln!(out, "\nExpected shape: SJF/EEDF cut short-function latency vs FCFS; RARE favours the long (rarer) function; bypass rescues shorts under any discipline.")?;
+    writeln!(out, "\nExpected shape: SJF/EEDF cut short-function latency vs FCFS; RARE favours the long (rarer) function.")?;
     Ok(true)
 }

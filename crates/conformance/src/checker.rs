@@ -334,8 +334,8 @@ impl Checker {
                             .completed(src, id, ok, ev.tenant.as_deref())
                             .map_err(|e| ("wal", e))?;
                         if let Some(drr) = self.drr.as_mut() {
-                            // Push-full / bypass retraction: the item never
-                            // lived in the real queue.
+                            // Push-full retraction: the item never lived in
+                            // the real queue.
                             drr.retract(id);
                         }
                         let mut mismatch = None;
@@ -610,10 +610,6 @@ impl Checker {
                     ));
                 }
                 Queued
-            }
-            (Fresh, "bypassed") => {
-                t.dispatched = true;
-                Dispatched
             }
             (Fresh, "admission_rejected") | (Fresh, "tenant_throttled") => Rejected,
             (Queued, "dequeued") => {
@@ -981,9 +977,14 @@ mod tests {
         c.ingest(&ev(1, "w", id, None, trace_ev("ingested")));
         c.ingest(&ev(2, "w", id, Some("a"), wal_ev("enqueued")));
         c.ingest(&ev(3, "w", id, None, trace_ev("enqueued")));
+        // A stage the model does not know is illegal; its trace never left
+        // `Fresh`, so it is not incomplete either.
+        c.ingest(&ev(4, "w", Some(12), None, trace_ev("ingested")));
+        c.ingest(&ev(5, "w", Some(12), None, trace_ev("bypassed")));
         let report = c.finish();
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "incomplete-timeline");
+        let rules: Vec<_> = report.violations.iter().map(|v| v.rule).collect();
+        assert_eq!(rules, ["timeline-illegal-stage", "incomplete-timeline"]);
+        assert_eq!(report.violations[0].event.as_ref().unwrap().seq, 5);
         assert_eq!(report.wal_pending, vec![11]);
     }
 

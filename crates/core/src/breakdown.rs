@@ -28,8 +28,7 @@ pub mod stages {
     /// Ingest until the `Enqueued` record is durable (or needs none) —
     /// admission control and the durable accept.
     pub const INGEST: &str = "ingest";
-    /// Queue residency: durable until the invocation's runner took it. On
-    /// a bypass, the wait of a hand-off for its executor.
+    /// Queue residency: durable until the invocation's runner took it.
     pub const QUEUE: &str = "queue";
     /// Dequeue until a container was in hand (cold creates included).
     pub const ACQUIRE: &str = "acquire";

@@ -128,11 +128,6 @@ impl Default for ConcurrencyConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueueConfig {
     pub policy: QueuePolicyKind,
-    /// Functions with expected warm time below this bypass the queue when
-    /// the system is under `bypass_load_limit` (§4.1, "queue bypass").
-    pub bypass_threshold_ms: u64,
-    /// Normalized load above which bypass is disabled.
-    pub bypass_load_limit: f64,
     /// Bound on queued invocations; beyond it, invokes are rejected
     /// (explicit backpressure, §4).
     pub max_len: usize,
@@ -152,8 +147,6 @@ impl Default for QueueConfig {
     fn default() -> Self {
         Self {
             policy: QueuePolicyKind::Eedf,
-            bypass_threshold_ms: 0, // disabled unless configured
-            bypass_load_limit: 0.8,
             max_len: 16 * 1024,
             herd_wait_ms: 0,
             drr_quantum_ms: 0,
@@ -405,6 +398,26 @@ mod tests {
         assert_eq!(back.name, "test-worker");
         assert_eq!(back.cores, 4);
         assert_eq!(back.keepalive, c.keepalive);
+
+        // A config written while the queue still had its bypass knobs loads:
+        // the two retired keys are skipped, the other queue fields hold.
+        let mut c = WorkerConfig::for_testing();
+        c.queue.policy = QueuePolicyKind::Sjf;
+        c.queue.max_len = 77;
+        c.queue.herd_wait_ms = 5;
+        c.queue.drr_quantum_ms = 9;
+        let mut old = c.to_json();
+        let key = old.find("\"queue\"").unwrap();
+        let open = key + old[key..].find('{').unwrap();
+        old.insert_str(
+            open + 1,
+            r#""bypass_threshold_ms":50,"bypass_load_limit":0.8,"#,
+        );
+        let q = WorkerConfig::from_json(&old)
+            .expect("a pre-deletion config parses")
+            .queue;
+        assert_eq!(q.policy, QueuePolicyKind::Sjf);
+        assert_eq!((q.max_len, q.herd_wait_ms, q.drr_quantum_ms), (77, 5, 9));
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub enum TraceEventKind {
     Ingested,
     /// Placed on the invocation queue.
     Enqueued,
-    /// Skipped the queue via the short-function bypass.
-    Bypassed,
     /// Popped off the queue by the dispatch loop.
     Dequeued,
     /// A container was acquired — `cold` says whether one had to be created.
@@ -67,7 +65,6 @@ impl TraceEventKind {
         match self {
             TraceEventKind::Ingested => "ingested".into(),
             TraceEventKind::Enqueued => "enqueued".into(),
-            TraceEventKind::Bypassed => "bypassed".into(),
             TraceEventKind::Dequeued => "dequeued".into(),
             TraceEventKind::ContainerAcquired { cold } => format!("container_acquired({cold})"),
             TraceEventKind::AgentCalled => "agent_called".into(),

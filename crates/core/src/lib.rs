@@ -17,8 +17,8 @@
 //!   eviction and a free-memory buffer (§3.3).
 //! * [`queue`] — the per-worker invocation queue: FCFS/SJF/EEDF/RARE
 //!   disciplines plus a deficit-weighted-round-robin (DRR) multi-tenant
-//!   fair queue, short-function bypass, and the concurrency regulator with
-//!   fixed or AIMD-dynamic limits (§4).
+//!   fair queue, and the concurrency regulator with fixed or AIMD-dynamic
+//!   limits (§4).
 //! * [`worker`] — the assembled worker and its invocation hot path.
 //! * [`spans`] — each invocation's one timeline, and Table 1 read off it.
 //! * [`journal`] — per-invocation trace labels (`GET /trace/{id}`).

@@ -12,13 +12,11 @@
 //!   good enough here) with the FCFS/SJF/EEDF/RARE disciplines of §4.2,
 //!   plus the multi-tenant [`DrrQueue`] (deficit-weighted round robin over
 //!   per-tenant sub-queues).
-//! * queue bypass — short functions skip the queue when the system is under
-//!   a load limit; decided by [`InvocationQueue::should_bypass`].
 //! * the executors' wait point — [`InvocationQueue::wait_work`] parks an
-//!   idle executor on the queue's own condvar until a push, a bypass
-//!   [`InvocationQueue::hand_off`] or `close` gives it something to do;
-//!   a synchronous caller that finds nothing waiting skips it and runs its
-//!   own invocation ([`InvocationQueue::claim_if_idle`]).
+//!   idle executor on the queue's own condvar until a push or `close` gives
+//!   it something to do; a synchronous caller that finds nothing waiting
+//!   skips it and runs its own invocation
+//!   ([`InvocationQueue::claim_if_idle`]).
 
 pub mod regulator;
 
@@ -280,22 +278,9 @@ impl QueueImpl {
 
 struct QueueState {
     q: QueueImpl,
-    /// Bypassed invocations on their way to an executor, each with the run
-    /// permit it already holds.
-    handoffs: VecDeque<(QueuedInvocation, SemaphorePermit)>,
     /// Executors parked in [`InvocationQueue::wait_work`].
     parked: usize,
     closed: bool,
-}
-
-/// What [`InvocationQueue::wait_work`] woke an executor for.
-pub enum Work {
-    /// A bypassed invocation and the run permit it was admitted under.
-    Handoff(QueuedInvocation, SemaphorePermit),
-    /// The policy queue is non-empty and this run permit was free: pop.
-    Queued(SemaphorePermit),
-    /// Closed and drained: the executor exits.
-    Closed,
 }
 
 /// Reasons a push can fail.
@@ -313,8 +298,6 @@ pub struct InvocationQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
     seq: AtomicU64,
-    enqueued: AtomicU64,
-    bypassed: AtomicU64,
 }
 
 impl InvocationQueue {
@@ -327,41 +310,16 @@ impl InvocationQueue {
             cfg,
             state: Mutex::new(QueueState {
                 q,
-                handoffs: VecDeque::new(),
                 parked: 0,
                 closed: false,
             }),
             cv: Condvar::new(),
             seq: AtomicU64::new(0),
-            enqueued: AtomicU64::new(0),
-            bypassed: AtomicU64::new(0),
         }
     }
 
     pub fn policy(&self) -> QueuePolicyKind {
         self.cfg.policy
-    }
-
-    /// Queue-bypass decision (§4.1): short functions run immediately when
-    /// the normalized system load is under the configured limit. Under DRR
-    /// a non-empty queue additionally disables bypass — letting a flooding
-    /// tenant's short functions around the fair queue would defeat it.
-    pub fn should_bypass(&self, expected_exec_ms: f64, normalized_load: f64) -> bool {
-        if self.cfg.bypass_threshold_ms == 0
-            || expected_exec_ms <= 0.0
-            || expected_exec_ms > self.cfg.bypass_threshold_ms as f64
-            || normalized_load > self.cfg.bypass_load_limit
-        {
-            return false;
-        }
-        if self.cfg.policy == QueuePolicyKind::Drr && !self.is_empty() {
-            return false;
-        }
-        true
-    }
-
-    pub fn note_bypass(&self) {
-        self.bypassed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Enqueue; fails when the bound is hit (backpressure) or closed.
@@ -384,46 +342,35 @@ impl InvocationQueue {
             QueueImpl::Drr(d) => d.push(item),
         }
         drop(st);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Hand a bypassed invocation, with the run permit it holds, to the next
-    /// executor to come around; executors take hand-offs before queued work.
-    /// Never called on a closed queue: closing takes `&mut Worker`, ingest
-    /// `&Worker`.
-    pub fn hand_off(&self, item: QueuedInvocation, permit: SemaphorePermit) {
-        self.state.lock().handoffs.push_back((item, permit));
-        self.cv.notify_one();
-    }
-
-    /// The executors' wait point: park until there is something to do.
-    /// Queued work can start only under a run permit, so `try_permit` is
-    /// asked for one — under the queue lock — whenever the policy queue is
-    /// non-empty; an executor that gets none parks "starved" on the same
-    /// condvar. No wake-up is lost that way: a permit is released either by
-    /// an executor, which comes straight back here itself, or inside a
-    /// hand-off, or — by a caller that ran its invocation itself, a failed
-    /// durable accept, or an AIMD raise — is followed by
-    /// [`InvocationQueue::wake_all`], and the last two take the lock this
+    /// The executors' wait point: park until the policy queue is non-empty
+    /// and `try_permit` — asked under the queue lock — grants a run permit
+    /// to pop under, or until the queue is closed and drained (`None`: the
+    /// executor exits). An executor that gets no permit parks "starved" on
+    /// the same condvar. No wake-up is lost that way: a permit is released
+    /// either by an executor, which comes straight back here itself, or —
+    /// by a caller that ran its invocation itself or an AIMD raise — is
+    /// followed by [`InvocationQueue::wake_all`], which takes the lock this
     /// executor holds from its failed attempt until it is parked.
-    pub fn wait_work(&self, try_permit: impl Fn() -> Option<SemaphorePermit>) -> Work {
+    pub fn wait_work(
+        &self,
+        try_permit: impl Fn() -> Option<SemaphorePermit>,
+    ) -> Option<SemaphorePermit> {
         let mut st = self.state.lock();
         loop {
-            if let Some((item, permit)) = st.handoffs.pop_front() {
-                return Work::Handoff(item, permit);
-            }
             if st.q.len() > 0 {
                 if let Some(permit) = try_permit() {
-                    return Work::Queued(permit);
+                    return Some(permit);
                 }
             } else if st.closed {
                 drop(st);
                 // A starved sibling parked behind the backlog that has just
-                // been drained must see `Closed` too.
+                // been drained must see the close too.
                 self.cv.notify_all();
-                return Work::Closed;
+                return None;
             }
             st.parked += 1;
             self.cv.wait(&mut st);
@@ -433,14 +380,14 @@ impl InvocationQueue {
 
     /// A synchronous caller's claim to run its invocation itself: a run
     /// permit from `try_permit`, asked for — under the queue lock, as
-    /// [`InvocationQueue::wait_work`] asks — only while nothing is queued
-    /// or handed off, so a caller-run never overtakes work already waiting.
+    /// [`InvocationQueue::wait_work`] asks — only while nothing is queued,
+    /// so a caller-run never overtakes work already waiting.
     pub fn claim_if_idle(
         &self,
         try_permit: impl FnOnce() -> Option<SemaphorePermit>,
     ) -> Option<SemaphorePermit> {
         let st = self.state.lock();
-        if st.closed || st.q.len() > 0 || !st.handoffs.is_empty() {
+        if st.closed || st.q.len() > 0 {
             return None;
         }
         try_permit()
@@ -450,7 +397,7 @@ impl InvocationQueue {
     /// pool's cue to grow.
     pub fn unattended(&self) -> bool {
         let st = self.state.lock();
-        st.parked == 0 && (st.q.len() > 0 || !st.handoffs.is_empty())
+        st.parked == 0 && st.q.len() > 0
     }
 
     /// Wake every parked executor to look again: run permits appeared
@@ -505,17 +452,8 @@ impl InvocationQueue {
         }
     }
 
-    /// Total enqueued (excluding bypasses).
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
-    }
-
-    pub fn bypassed(&self) -> u64 {
-        self.bypassed.load(Ordering::Relaxed)
-    }
-
     /// Close the queue: pushes fail, executors drain what is left and then
-    /// get [`Work::Closed`].
+    /// get `None` from [`InvocationQueue::wait_work`].
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.cv.notify_all();
@@ -638,7 +576,7 @@ mod tests {
         let q2 = std::sync::Arc::clone(&q);
         let t = std::thread::spawn(move || {
             let sem = Semaphore::new(1);
-            matches!(q2.wait_work(|| sem.try_acquire()), Work::Queued(_))
+            q2.wait_work(|| sem.try_acquire()).is_some()
         });
         q.push(item("x", 0, 0.0, 0.0)).unwrap();
         assert!(t.join().unwrap(), "a push wakes the parked executor");
@@ -648,32 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn hand_off_beats_queued_work_and_carries_its_permit() {
-        let sem = Semaphore::new(2);
-        let q = queue(QueuePolicyKind::Fcfs);
-        q.push(item("queued", 0, 0.0, 0.0)).unwrap();
-        q.hand_off(item("direct", 5, 0.0, 0.0), sem.try_acquire().unwrap());
-        match q.wait_work(|| sem.try_acquire()) {
-            Work::Handoff(i, permit) => {
-                assert_eq!(i.fqdn, "direct");
-                assert_eq!(sem.in_use(), 1, "no second permit was taken");
-                drop(permit);
-                assert_eq!(sem.in_use(), 0);
-            }
-            _ => panic!("the hand-off comes first"),
-        }
-        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)));
-    }
-
-    #[test]
     fn starved_waiter_sleeps_on_the_backlog_until_woken() {
         let q = std::sync::Arc::new(queue(QueuePolicyKind::Fcfs));
         q.push(item("x", 0, 0.0, 0.0)).unwrap();
         let sem = Semaphore::new(0);
         let (q2, sem2) = (std::sync::Arc::clone(&q), sem.clone());
-        let t = std::thread::spawn(move || {
-            matches!(q2.wait_work(|| sem2.try_acquire()), Work::Queued(_))
-        });
+        let t = std::thread::spawn(move || q2.wait_work(|| sem2.try_acquire()).is_some());
         // Parked although the queue is non-empty: there is no permit.
         while q.unattended() {
             std::thread::yield_now();
@@ -697,28 +615,9 @@ mod tests {
             q.push(item("y", 0, 0.0, 0.0)).unwrap_err(),
             PushError::Closed
         );
-        assert!(
-            matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)),
-            "drains"
-        );
+        assert!(q.wait_work(|| sem.try_acquire()).is_some(), "drains");
         assert!(q.try_pop().is_some());
-        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Closed));
-    }
-
-    #[test]
-    fn bypass_rules() {
-        let q = InvocationQueue::new(QueueConfig {
-            policy: QueuePolicyKind::Fcfs,
-            bypass_threshold_ms: 20,
-            bypass_load_limit: 0.8,
-            ..Default::default()
-        });
-        assert!(q.should_bypass(10.0, 0.5), "short fn, low load");
-        assert!(!q.should_bypass(10.0, 0.9), "load too high");
-        assert!(!q.should_bypass(100.0, 0.5), "function too long");
-        assert!(!q.should_bypass(0.0, 0.5), "unseen functions must queue");
-        let q_off = queue(QueuePolicyKind::Fcfs); // threshold 0 = disabled
-        assert!(!q_off.should_bypass(1.0, 0.0));
+        assert!(q.wait_work(|| sem.try_acquire()).is_none(), "closed");
     }
 
     /// Serve `n` pops and count how many went to each of two tenants.
@@ -822,23 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn drr_bypass_disabled_while_backlogged() {
-        let q = InvocationQueue::new(QueueConfig {
-            policy: QueuePolicyKind::Drr,
-            bypass_threshold_ms: 20,
-            bypass_load_limit: 0.8,
-            ..Default::default()
-        });
-        assert!(q.should_bypass(10.0, 0.1), "empty fair queue may bypass");
-        q.push(titem("f", 0, 10.0, 0.0, Some("flood"), 1.0))
-            .unwrap();
-        assert!(
-            !q.should_bypass(10.0, 0.1),
-            "backlogged fair queue must not be bypassed"
-        );
-    }
-
-    #[test]
     fn drr_respects_bound_and_close() {
         let q = InvocationQueue::new(QueueConfig {
             policy: QueuePolicyKind::Drr,
@@ -852,11 +734,8 @@ mod tests {
         );
         q.close();
         let sem = Semaphore::new(1);
-        assert!(
-            matches!(q.wait_work(|| sem.try_acquire()), Work::Queued(_)),
-            "drains"
-        );
+        assert!(q.wait_work(|| sem.try_acquire()).is_some(), "drains");
         assert!(q.try_pop().is_some());
-        assert!(matches!(q.wait_work(|| sem.try_acquire()), Work::Closed));
+        assert!(q.wait_work(|| sem.try_acquire()).is_none(), "closed");
     }
 }

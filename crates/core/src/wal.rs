@@ -141,8 +141,8 @@ pub struct WalSnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "op", rename_all = "snake_case")]
 pub enum WalRecord {
-    /// Admitted and queued (or bypassed — a bypass logs one `Enqueued`
-    /// with `inv.dequeued` set).
+    /// Admitted and queued. The worker logs `inv.dequeued` unset; replay
+    /// sets it from a later `Dequeued` and from the plane's leases.
     Enqueued { inv: PendingInvocation },
     /// Left the queue for dispatch: only older logs hold it (recovery
     /// re-runs whatever has no `Completed`); replay sets `inv.dequeued`.

@@ -22,9 +22,9 @@
 //! dequeues an invocation is the thread that runs it, and no invocation
 //! gets a thread of its own. One exception skips the pool: a synchronous
 //! caller that finds nothing queued and a run permit free once its record
-//! is durable (or that takes the bypass) journals its own `Dequeued` and
-//! runs `complete` on its own thread (`Accepted::CallerRuns`), so its
-//! result comes back without a wake-up or a channel.
+//! is durable journals its own `Dequeued` and runs `complete` on its own
+//! thread (`Accepted::CallerRuns`), so its result comes back without a
+//! wake-up or a channel.
 
 use crate::api::WireWarm;
 use crate::breakdown::{groups_from_spans, BreakdownReport, TenantBreakdown};
@@ -36,7 +36,7 @@ use crate::metrics::{MetricsSnapshot, PowerModel, SystemMetrics};
 use crate::policies::make_policy;
 use crate::pool::{ContainerPool, EvictSink};
 use crate::queue::regulator::ConcurrencyRegulator;
-use crate::queue::{InvocationQueue, PushError, QueuedInvocation, Work};
+use crate::queue::{InvocationQueue, PushError, QueuedInvocation};
 use crate::registration::{RegisterError, Registration, Registry};
 use crate::spans::{Span, Spans, Stage};
 use crate::wal::{
@@ -335,12 +335,11 @@ impl Shared {
     /// The durable-accept step: an invocation is *accepted* only once its
     /// `Enqueued` record is durable (or explicitly flagged non-durable in
     /// degraded mode), so a crash can never silently lose an accepted
-    /// invocation. A bypassed invocation is logged as enqueued+dequeued in
-    /// one record. A rejected append maps to the caller-facing error:
+    /// invocation. A rejected append maps to the caller-facing error:
     /// stall/ladder rejections become `WalUnavailable` (503 + Retry-After,
     /// so the balancer routes around the failing disk); a poisoned log
     /// keeps its crash-simulation semantics.
-    fn wal_accept(&self, item: &QueuedInvocation, dequeued: bool) -> Result<(), InvokeError> {
+    fn wal_accept(&self, item: &QueuedInvocation) -> Result<(), InvokeError> {
         let outcome = self.wal_append(|| WalRecord::Enqueued {
             inv: PendingInvocation {
                 id: item.trace_id,
@@ -352,7 +351,7 @@ impl Shared {
                 expected_exec_ms: item.expected_exec_ms,
                 iat_ms: item.iat_ms,
                 expect_warm: item.expect_warm,
-                dequeued,
+                dequeued: false,
             },
         });
         match outcome {
@@ -446,38 +445,14 @@ impl Shared {
         })
     }
 
-    /// Queue bypass (§4.1): short functions run immediately when load
-    /// allows and a run slot is free right now. A caller that waits for its
-    /// result runs a bypass itself instead of handing it to an executor.
-    fn route(&self, expected_exec_ms: f64, caller_waits: bool) -> Route {
-        if self
-            .queue
-            .should_bypass(expected_exec_ms, self.normalized_load())
-        {
-            if let Some(permit) = self.regulator.try_acquire() {
-                return if caller_waits {
-                    Route::CallerRuns(permit)
-                } else {
-                    Route::Bypass(permit)
-                };
-            }
-        }
-        Route::Queue { caller_waits }
-    }
-
     /// Stage 2 — accept: build the queue item, make it durable, then hand
-    /// it to the queue, (bypass) straight to an executor, or back to a
-    /// caller that runs it itself: a synchronous bypass, or a waiting
-    /// caller that finds nothing queued and a run slot free once its
-    /// record is durable (so no permit sits idle through the fsync).
+    /// it to the queue, or back to a waiting caller that finds nothing
+    /// queued and a run slot free once its record is durable (so no permit
+    /// sits idle through the fsync) and runs it itself.
     fn accept(self: &Arc<Self>, a: Arrival<'_>, route: Route) -> Result<Accepted, InvokeError> {
-        let bypass = matches!(route, Route::Bypass(_) | Route::CallerRuns(_));
-        let caller_waits = matches!(
-            route,
-            Route::CallerRuns(_) | Route::Queue { caller_waits: true }
-        );
+        let caller_waits = matches!(route, Route::Queue { caller_waits: true });
         let recovered = matches!(route, Route::Recovered);
-        let enqueue_at = (!bypass).then(|| self.clock.now_us());
+        let enqueue_at = self.clock.now_us();
         // A caller-run's outcome is `complete`'s return value: no channel.
         // A waiting caller that ends up queued gets one before the push.
         let (tx, mut handle) = if caller_waits {
@@ -502,74 +477,37 @@ impl Shared {
         item.result_tx.timeline.stamp(Stage::Ingest, a.ingest_us);
         // A recovered item is already durable in the replayed prefix.
         if !recovered {
-            if let Err(e) = self.wal_accept(&item, bypass) {
+            if let Err(e) = self.wal_accept(&item) {
                 let event = TraceEventKind::ResultReturned { ok: false };
                 self.journal.record(id, event, self.clock.now_us());
-                if let Route::Bypass(permit) | Route::CallerRuns(permit) = route {
-                    // A run permit released by a thread that is not an
-                    // executor: tell the starved ones.
-                    drop(permit);
-                    self.queue.wake_all();
-                }
                 return Err(e);
             }
         }
         let logged = self.clock.now_us();
         item.result_tx.timeline.stamp(Stage::Logged, logged);
-        if bypass {
-            self.queue.note_bypass();
-            self.journal.record(id, TraceEventKind::Bypassed, logged);
-        } else {
-            // Journal `Enqueued` before the push: once the item is in the
-            // queue the executors race us, and a `Dequeued` landing first
-            // would scramble the timeline (and the deterministic journal
-            // digest). On the rare rejected push the event is immediately
-            // contradicted by `ResultReturned(false)`, which reads fine.
-            self.journal.record(id, TraceEventKind::Enqueued, logged);
-        }
+        // Journal `Enqueued` before the push: once the item is in the queue
+        // the executors race us, and a `Dequeued` landing first would
+        // scramble the timeline (and the deterministic journal digest). On
+        // the rare rejected push the event is immediately contradicted by
+        // `ResultReturned(false)`, which reads fine.
+        self.journal.record(id, TraceEventKind::Enqueued, logged);
         // The spans that end here; a pushed item may be an executor's already.
         let accepted = |pushed: bool| {
             let done = self.clock.now_us();
             self.spans.record(&[
                 (Span::Invoke, (!recovered).then(|| done - a.ingest_us)),
-                (Span::EnqueueInvocation, enqueue_at.map(|t| done - t)),
+                (Span::EnqueueInvocation, Some(done - enqueue_at)),
                 (Span::AddItemToQ, pushed.then(|| done - logged)),
             ]);
-            done
         };
-        match route {
-            Route::CallerRuns(permit) => {
-                // Its caller takes it as `accept` returns.
-                let taken = accepted(false);
-                item.result_tx.timeline.stamp(Stage::Dequeued, taken);
-                return Ok(Accepted::CallerRuns {
-                    item,
-                    permit,
-                    bypassed: true,
-                });
-            }
-            Route::Bypass(permit) => {
-                self.queue.hand_off(item, permit);
-                self.grow_if_unattended();
+        if caller_waits {
+            if let Some(permit) = self.queue.claim_if_idle(|| self.regulator.try_acquire()) {
                 accepted(false);
-                return Ok(Accepted::Handle(
-                    handle.expect("an asynchronous caller has a handle"),
-                ));
+                return Ok(Accepted::CallerRuns { item, permit });
             }
-            Route::Queue { caller_waits: true } => {
-                if let Some(permit) = self.queue.claim_if_idle(|| self.regulator.try_acquire()) {
-                    accepted(false);
-                    return Ok(Accepted::CallerRuns {
-                        item,
-                        permit,
-                        bypassed: false,
-                    });
-                }
-                let (tx, waiter) = InvocationHandle::pair();
-                item.result_tx.tx = tx.tx;
-                handle = Some(waiter);
-            }
-            Route::Queue { .. } | Route::Recovered => {}
+            let (tx, waiter) = InvocationHandle::pair();
+            item.result_tx.tx = tx.tx;
+            handle = Some(waiter);
         }
         let handle = handle.expect("a queued invocation has a handle");
         let err = match self.queue.push(item) {
@@ -655,16 +593,10 @@ impl Shared {
     }
 
     /// Stages 3 and 4 on the caller's own thread, under the run permit it
-    /// claimed at `route` (a bypass) or `accept`: book the dequeue an
-    /// executor would (a bypass has none), `complete`, release the permit.
-    /// Its result comes back as the return value.
-    fn run_in_place(
-        &self,
-        mut item: QueuedInvocation,
-        permit: SemaphorePermit,
-        bypassed: bool,
-    ) -> Outcome {
-        if !bypassed {
+    /// claimed in `accept`: book the dequeue an executor would, `complete`,
+    /// release the permit. Its result comes back as the return value.
+    fn run_in_place(&self, mut item: QueuedInvocation, permit: SemaphorePermit) -> Outcome {
+        {
             let _in_pop_order = self.dispatch.lock();
             self.book_dequeue(&mut item);
         }
@@ -685,17 +617,23 @@ impl Shared {
     /// the return value — and fold the invocation's timeline.
     fn complete(&self, mut item: QueuedInvocation, agent: &mut AgentCompanion) -> Option<Outcome> {
         self.running.fetch_add(1, Ordering::Relaxed);
-        let found_idle = self.running_fn.update_or_insert(
-            item.fqdn.clone(),
-            || 0,
-            |n| {
-                *n += 1;
-                *n == 1
-            },
-        );
+        // Only herd suppression reads `running_fn`: with it off (fixed at
+        // construction), the per-function count is not kept.
+        let herd = self.cfg.queue.herd_wait_ms > 0;
+        let found_idle = herd
+            && self.running_fn.update_or_insert(
+                item.fqdn.clone(),
+                || 0,
+                |n| {
+                    *n += 1;
+                    *n == 1
+                },
+            );
         let outcome = execute(self, &mut item, found_idle, agent);
-        self.running_fn
-            .update(&item.fqdn, |n| *n = n.saturating_sub(1));
+        if herd {
+            self.running_fn
+                .update(&item.fqdn, |n| *n = n.saturating_sub(1));
+        }
         self.running.fetch_sub(1, Ordering::Relaxed);
         if item.result_tx.is_caller() && self.killed.load(Ordering::SeqCst) {
             // The worker crashed under a caller-run: like an executor that
@@ -783,31 +721,24 @@ struct Arrival<'a> {
     ingest_us: u64,
 }
 
-/// How an accepted invocation reaches the thread that runs it.
+/// Where an accepted invocation comes from.
 enum Route {
-    /// Through the queue; an executor pops it once it holds a run permit.
-    /// A caller that waits runs it itself instead when `accept` finds
-    /// nothing queued and claims a run permit.
+    /// Fresh from a caller, through the queue; an executor pops it once it
+    /// holds a run permit. A caller that waits runs it itself instead when
+    /// `accept` finds nothing queued and claims a run permit.
     Queue { caller_waits: bool },
-    /// Around the queue, handed to an executor with the run permit it will
-    /// execute under.
-    Bypass(SemaphorePermit),
-    /// Around the queue, run by its synchronous caller on the caller's
-    /// thread under this permit, with the bypass records.
-    CallerRuns(SemaphorePermit),
     /// Back into the queue after a crash, keeping its id and arrival time.
     Recovered,
 }
 
 /// What `accept` hands back.
 enum Accepted {
-    /// Queued or handed off: the executor that runs it answers this handle.
+    /// Queued: the executor that runs it answers this handle.
     Handle(InvocationHandle),
     /// The caller's to run itself ([`Shared::run_in_place`]).
     CallerRuns {
         item: QueuedInvocation,
         permit: SemaphorePermit,
-        bypassed: bool,
     },
 }
 
@@ -1028,10 +959,9 @@ impl Worker {
 
     /// Synchronous invocation: the same admission, records and cache
     /// consult as [`Worker::async_invoke_tenant`], redeemed before
-    /// returning. On a worker with nothing queued and a run permit free —
-    /// or on a queue bypass — the calling thread runs the invocation itself
-    /// and gets its result back directly; otherwise it waits for the
-    /// executor that runs it.
+    /// returning. On a worker with nothing queued and a run permit free,
+    /// the calling thread runs the invocation itself and gets its result
+    /// back directly; otherwise it waits for the executor that runs it.
     pub fn invoke_tenant(
         &self,
         fqdn: &str,
@@ -1090,15 +1020,11 @@ impl Worker {
             _ => None,
         };
         let arrival = s.admit(fqdn, args, tenant, ingest_us)?;
-        let route = s.route(arrival.expected_exec_ms, caller_waits);
-        let accepted = s.accept(arrival, route)?;
-        let mut handle = match accepted {
+        let mut handle = match s.accept(arrival, Route::Queue { caller_waits })? {
             Accepted::Handle(handle) => handle,
-            Accepted::CallerRuns {
-                item,
-                permit,
-                bypassed,
-            } => InvocationHandle::ready(s.run_in_place(item, permit, bypassed)),
+            Accepted::CallerRuns { item, permit } => {
+                InvocationHandle::ready(s.run_in_place(item, permit))
+            }
         };
         handle.fill = fill;
         Ok(handle)
@@ -1511,7 +1437,7 @@ fn executor_loop(s: Arc<Shared>) {
     // When the last permit was taken: the dequeue starts there.
     let granted = Cell::new(0);
     loop {
-        let work = s.queue.wait_work(|| {
+        let permit = s.queue.wait_work(|| {
             let asked = s.clock.now_us();
             let permit = s.regulator.try_acquire()?;
             granted.set(s.clock.now_us());
@@ -1520,22 +1446,15 @@ fn executor_loop(s: Arc<Shared>) {
             Some(permit)
         });
         if s.killed.load(Ordering::Relaxed) {
-            // Crash semantics: abandon what is queued (and a hand-off in
-            // flight). With no Completed record it replays after recovery.
+            // Crash semantics: abandon what is queued. With no Completed
+            // record it replays after recovery.
             return;
         }
-        let (item, permit) = match work {
-            Work::Closed => return,
-            Work::Handoff(mut item, permit) => {
-                let now = s.clock.now_us();
-                item.result_tx.timeline.stamp(Stage::Dequeued, now);
-                (item, permit)
-            }
-            Work::Queued(permit) => match s.dequeue(granted.get()) {
-                Some(item) => (item, permit),
-                // A sibling emptied the queue first.
-                None => continue,
-            },
+        // `None`: closed and drained.
+        let Some(permit) = permit else { return };
+        // `None`: a sibling emptied the queue first.
+        let Some(item) = s.dequeue(granted.get()) else {
+            continue;
         };
         s.grow_if_unattended();
         s.complete(item, &mut agent);
@@ -2097,20 +2016,6 @@ mod tests {
         assert!(!r.cold, "b stayed warm");
         let r = w.invoke_tenant("a-1", "{}", None).unwrap();
         assert!(r.cold, "a was evicted (LRU)");
-    }
-
-    #[test]
-    fn bypass_short_functions() {
-        let mut cfg = WorkerConfig::for_testing();
-        cfg.queue.bypass_threshold_ms = 1000;
-        cfg.queue.policy = QueuePolicyKind::Eedf;
-        let w = test_worker(cfg);
-        w.register(spec("tiny", 100, 0, 64)).unwrap();
-        w.invoke_tenant("tiny-1", "{}", None).unwrap(); // first: unseen, expected 0 → queued
-        w.invoke_tenant("tiny-1", "{}", None).unwrap(); // now known-short → bypass
-        w.invoke_tenant("tiny-1", "{}", None).unwrap();
-        let s = &w.shared;
-        assert!(s.queue.bypassed() >= 2, "bypassed {}", s.queue.bypassed());
     }
 
     #[test]
@@ -2739,7 +2644,6 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
         let mut cfg = WorkerConfig::for_testing();
         cfg.concurrency.limit = 1;
-        cfg.queue.bypass_threshold_ms = 0;
         cfg.lifecycle = crate::config::LifecycleConfig::with_wal(wal.to_str().unwrap());
         cfg.lifecycle.wal.fsync = "always".into();
         let gate = Arc::new(SyncGate::default());
@@ -2798,7 +2702,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut cfg = WorkerConfig::for_testing();
         cfg.concurrency.limit = 1;
-        cfg.queue.bypass_threshold_ms = 0;
         cfg.lifecycle =
             crate::config::LifecycleConfig::with_wal(dir.join("q.wal").to_str().unwrap());
         cfg.lifecycle.wal.fsync = "group".into();

@@ -143,7 +143,7 @@ fn async_invoke_carries_the_same_id_end_to_end() {
     );
     assert_eq!(r.cold(), Some(true));
     assert!(r.completed());
-    // The queue path was taken (bypass is disabled in the test config).
+    // The queue path was taken.
     assert!(kinds(&r).contains(&TraceEventKind::Enqueued));
     assert!(kinds(&r).contains(&TraceEventKind::AgentCalled));
 

@@ -8,8 +8,8 @@
 //!
 //! Acquisition never blocks: the executors that take permits wait for work
 //! and for permits in one place (the invocation queue's condvar), because
-//! an executor parked here could not be reached by a bypassed invocation
-//! that arrives holding the last permit.
+//! an executor parked here would sleep through the push of the work it is
+//! to run.
 
 use parking_lot::Mutex;
 use std::sync::Arc;

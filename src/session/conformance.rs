@@ -281,7 +281,8 @@ fn scenario_drr_live() -> String {
     worker.shutdown();
 
     let report = check("D1", Checker::new().with_drr_fifo(50.0), &sink.events());
-    // Bypass is off: every dequeue is judged, or the check went blind.
+    // Every invocation is enqueued and dequeued: each dequeue is judged, or
+    // the check went blind.
     assert_eq!(report.drr_pops, 48, "D1: a dequeue went unjudged");
 
     // Only schedule-independent material: wal op counts, the books, the

@@ -1,20 +1,19 @@
 //! Integration: the invocation pipeline's observable contract.
 //!
-//! * every route through `accept` (queue, bypass, full-queue reject,
+//! * every route through `accept` (caller-run, queue, full-queue reject,
 //!   throttled reject, recovered re-enqueue) leaves exactly the journal
 //!   label sequence and WAL op sequence the session digests fold, one
 //!   sample in each Table-1 span its route crosses (none in the others)
 //!   and one more `/breakdown` invocation per completion;
 //! * which thread runs an invocation: its synchronous caller when nothing
-//!   is queued and a run slot is free (and on a bypass), one of the
-//!   executors otherwise — never a thread of its own;
+//!   is queued and a run slot is free, one of the executors otherwise —
+//!   never a thread of its own;
 //! * the `InvokeError` ↔ HTTP status table and its lossy return trip;
 //! * `X-Iluvatar-Tenant` beats the body's `tenant` on worker and balancer.
 
 use iluvatar::prelude::*;
 use iluvatar_containers::{BackendError, Container, ContainerBackend, InvokeOutput};
 use iluvatar_core::api::{error_resp, InvokeBody, WireResult, WorkerApi};
-use iluvatar_core::config::QueuePolicyKind;
 use iluvatar_core::{
     AdmissionConfig, InvokeError, LifecycleConfig, TelemetryKind, TelemetrySink, TenantSpec,
 };
@@ -183,21 +182,17 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let wal = |name: &str| LifecycleConfig::with_wal(dir.join(name).to_str().unwrap());
     let spec = |warm_ms| FunctionSpec::new("f", "1").with_timing(warm_ms, 0);
 
-    // --- queue, bypass and a throttled reject on one worker ---------------
+    // --- caller-run, queue and a throttled reject on one worker ----------
     let mut cfg = WorkerConfig::for_testing();
     cfg.lifecycle = wal("routes.wal");
-    cfg.queue.policy = QueuePolicyKind::Eedf;
-    cfg.queue.bypass_threshold_ms = 1000;
     cfg.admission =
         AdmissionConfig::enabled_with(vec![TenantSpec::new("free").with_rate(0.001, 1.0)]);
     let (w, sink) = tapped_worker(cfg);
     w.register(spec(100)).unwrap();
-    w.register(FunctionSpec::new("g", "1").with_timing(100, 0))
-        .unwrap();
     let mut watch = SpanWatch::new(&w);
 
-    // Unseen function: no expected runtime yet, so it queues — and, the
-    // worker being idle, its synchronous caller runs it.
+    // The worker being idle, a synchronous caller runs its own invocation,
+    // with the queue route's records.
     let queued = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
     let (journal, wal_ops) = finished_timeline(&sink, queued);
     assert_eq!(
@@ -209,9 +204,9 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     let caller_run = ["invoke", "sync_invoke", "enqueue_invocation"];
     watch.check(&w, "caller-run", &caller_run, 1);
 
-    // An asynchronous call on an unseen function queues for an executor.
+    // An asynchronous call queues for an executor.
     let id = w
-        .async_invoke_tenant("g-1", "{}", None)
+        .async_invoke_tenant("f-1", "{}", None)
         .unwrap()
         .wait()
         .unwrap()
@@ -230,29 +225,9 @@ fn every_route_leaves_its_journal_and_wal_timeline() {
     ];
     watch.check(&w, "queued", &executor_run, 1);
 
-    // Now known-short: around the queue. One WAL record covers both the
-    // enqueue and the dequeue.
-    let bypassed = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
-    let (journal, wal_ops) = finished_timeline(&sink, bypassed);
-    assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
-    assert_eq!(wal_ops, labels(&["enqueued", "completed"]));
-    watch.check(&w, "sync bypass", &["invoke", "sync_invoke"], 1);
-
-    // Asynchronous, the bypass is handed to an executor: no permit taken,
-    // nothing popped.
-    let id = w
-        .async_invoke_tenant("f-1", "{}", None)
-        .unwrap()
-        .wait()
-        .unwrap()
-        .trace_id;
-    let (journal, _) = finished_timeline(&sink, id);
-    assert_eq!(journal, [&["ingested", "bypassed"][..], &EXECUTED].concat());
-    watch.check(&w, "async bypass", &["invoke"], 1);
-
     // Burst of one: the second `free` invocation is throttled at `admit`.
     w.invoke_tenant("f-1", "{}", Some("free")).unwrap();
-    watch.check(&w, "sync bypass", &["invoke", "sync_invoke"], 1);
+    watch.check(&w, "caller-run", &caller_run, 1);
     match w.invoke_tenant("f-1", "{}", Some("free")) {
         Err(InvokeError::Throttled(t)) => assert_eq!(t, "free"),
         other => panic!("expected Throttled, got {other:?}"),
@@ -420,54 +395,6 @@ fn queued_timeline() -> (Vec<String>, Vec<String>) {
         labels(&[&["ingested", "enqueued", "dequeued"][..], &EXECUTED].concat()),
         labels(&["enqueued", "completed"]),
     )
-}
-
-/// The bypass route's timeline: one WAL record covers the enqueue and the
-/// dequeue.
-fn bypassed_timeline() -> (Vec<String>, Vec<String>) {
-    (
-        labels(&[&["ingested", "bypassed"][..], &EXECUTED].concat()),
-        labels(&["enqueued", "completed"]),
-    )
-}
-
-/// A bypass leaves the same timeline whoever runs it, and runs where its
-/// caller's kind says: an asynchronous caller's is handed off to an
-/// executor (no thread of its own), a synchronous caller runs its own in
-/// place.
-#[test]
-fn bypass_runs_on_an_executor_with_the_same_timeline() {
-    let (w, sink, noting, dir) = noting_worker("bypass", |cfg| {
-        cfg.queue.bypass_threshold_ms = 1000;
-        cfg.concurrency.limit = 2;
-    });
-
-    // Unseen, the function queues once; from then on it is known-short and
-    // a sequential caller always finds one of the two run slots free.
-    w.invoke_tenant("f-1", "{}", None).unwrap();
-    let me = std::thread::current().id();
-    let mut executors = Vec::new();
-    for _ in 0..10 {
-        let id = w.invoke_tenant("f-1", "{}", None).unwrap().trace_id;
-        assert_eq!(finished_timeline(&sink, id), bypassed_timeline());
-        assert_eq!(noting.caller(noting.calls() - 1).0, me, "ran in place");
-
-        let handle = w.async_invoke_tenant("f-1", "{}", None).unwrap();
-        let id = handle.wait().unwrap().trace_id;
-        assert_eq!(finished_timeline(&sink, id), bypassed_timeline());
-        let caller = noting.caller(noting.calls() - 1);
-        assert!(on_an_executor(&caller), "handed off, but ran on {caller:?}");
-        executors.push(caller.1);
-    }
-    assert_eq!(noting.calls(), 21);
-    executors.sort();
-    executors.dedup();
-    assert!(
-        executors.len() <= 2,
-        "asynchronous bypasses ran on {executors:?}, not on at most two executors"
-    );
-    drop(w);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A synchronous call on an idle worker takes the queue's place: the
